@@ -30,10 +30,6 @@ from .solvers import (
     PenaltySchedule,
     PreconditionerPolicy,
     SolverConfig,
-    anm_run,
-    damped_newton_run,
-    newton_run,
-    pnm_run,
     run,
 )
 
@@ -54,10 +50,6 @@ __all__ = [
     "PenaltySchedule",
     "PreconditionerPolicy",
     "SolverConfig",
-    "anm_run",
-    "damped_newton_run",
-    "newton_run",
-    "pnm_run",
     "run",
     "PnewtonError",
     "NotPositiveDefinite",

@@ -161,11 +161,10 @@ class SpectralDiagnostics:
     beta: float
     theta: np.ndarray
     rho: float
-    at_x: np.ndarray | None = None
 
 
 def spectral_snapshot(
-    H, G, rho: float, rank_tol: float = DEFAULT_RANK_TOL, at_x=None
+    H, G, rho: float, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SpectralDiagnostics:
     """Assemble all spectral diagnostics for a Hessian/preconditioner pair."""
     return SpectralDiagnostics(
@@ -175,7 +174,6 @@ def spectral_snapshot(
         beta=precond_floor(H, G, rho),
         theta=momentum_matrix(H, G, rho),
         rho=rho,
-        at_x=None if at_x is None else np.asarray(at_x, dtype=float),
     )
 
 

@@ -301,8 +301,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run every solver in the spec, write traces/meta/cert files and summary.json.
 
     Solvers may run in parallel workers (capped by the ``PN_THREADS``
-    environment variable, default 1); each worker owns its output files, and
-    whatever completed is flushed before an error propagates.
+    environment variable, default 1); each worker owns its output files.
+    Every solver runs even when an earlier one fails, so the outputs do not
+    depend on the worker count; the first failure is raised after
+    ``summary.json`` is written.
     """
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -313,27 +315,20 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     )
 
     workers = min(len(spec.solvers), max(1, int(os.environ.get("PN_THREADS", "1"))))
-    results: list[dict | None] = [None] * len(spec.solvers)
-    errors: list[tuple[str, Exception]] = []
 
-    def worker(sspec: SolverSpec):
-        return _run_one(spec, sspec, model, default_step_L, problem_desc, fstar_info, outdir)
+    def attempt(sspec: SolverSpec):
+        """``(summary entry, None)``, or ``(None, (name, error))`` when the solver fails."""
+        try:
+            return _run_one(spec, sspec, model, default_step_L, problem_desc, fstar_info, outdir), None
+        except Exception as exc:
+            return None, (sspec.name, exc)
 
     if workers == 1:
-        for i, sspec in enumerate(spec.solvers):
-            try:
-                results[i] = worker(sspec)
-            except Exception as exc:
-                errors.append((sspec.name, exc))
-                break
+        outcomes = [attempt(sspec) for sspec in spec.solvers]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(worker, s): (i, s) for i, s in enumerate(spec.solvers)}
-            for fut, (i, sspec) in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    errors.append((sspec.name, exc))
+            outcomes = list(pool.map(attempt, spec.solvers))
+    errors = [error for _, error in outcomes if error is not None]
 
     summary = {
         "problem": problem_desc,
@@ -344,7 +339,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             "L": model.constants[0] if model.constants else None,
             "mu": model.constants[1] if model.constants else None,
         },
-        "solvers": [r for r in results if r is not None],
+        "solvers": [entry for entry, _ in outcomes if entry is not None],
         "failed": [{"name": name, "error": str(exc)} for name, exc in errors],
     }
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:

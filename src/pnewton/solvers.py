@@ -43,13 +43,9 @@ __all__ = [
     "IterateTrace",
     "DualState",
     "newton_step",
-    "newton_run",
-    "damped_newton_run",
     "pnm_step",
-    "pnm_run",
     "anm_step_dual",
     "anm_step_momentum",
-    "anm_run",
     "root_penalty_newton",
     "root_augmented_newton",
     "FStarResult",
@@ -221,6 +217,15 @@ def _range_checked_newton_direction(H, g, step_L: float) -> np.ndarray:
     return d / step_L
 
 
+def _pnm_update(x, g, H, G, rho: float, step_L: float) -> np.ndarray:
+    return x - spd_solve(G / rho + H, g) / step_L
+
+
+def _anm_update(x, x_prev, g, H, G, rho: float, step_L: float) -> np.ndarray:
+    rhs = g / step_L - G @ (x - x_prev) / rho
+    return x - spd_solve(G / rho + H, rhs)
+
+
 def newton_step(model: ObjectiveModel, x, step_L: float = 1.0) -> np.ndarray:
     """Pseudo-inverse Newton update ``x - (1/L) H(x)^+ grad f(x)``.
 
@@ -239,7 +244,7 @@ def pnm_step(model: ObjectiveModel, x, rho: float, G, step_L: float) -> np.ndarr
     x = np.asarray(x, dtype=float)
     H = model.hessian(x)
     g = model.gradient(x)
-    return x - spd_solve(as_symmetric(G) / rho + H, g) / step_L
+    return _pnm_update(x, g, H, as_symmetric(G), rho, step_L)
 
 
 def anm_step_dual(
@@ -249,7 +254,8 @@ def anm_step_dual(
 
     With ``u = (rho/L) grad f(x) + G z`` the new multiplier is
     ``z+ = (1/rho) (G/rho + H)^{-1} u`` and the new point ``x+ = x - z+``,
-    so ``z+ == x - x+`` holds exactly.
+    so ``z+ == x - x+`` holds exactly. This is the independent reference
+    route for :func:`anm_step_momentum`; :func:`run` uses the momentum form.
     """
     x = np.asarray(x, dtype=float)
     G = as_symmetric(G)
@@ -268,11 +274,9 @@ def anm_step_momentum(model: ObjectiveModel, x, x_prev, rho: float, G, step_L: f
     ``Theta(x) (x - x_prev)`` with ``Theta = (1/rho) (G/rho + H)^{-1} G``.
     """
     x = np.asarray(x, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    G = as_symmetric(G)
     H = model.hessian(x)
-    rhs = model.gradient(x) / step_L - G @ (x - x_prev) / rho
-    return x - spd_solve(G / rho + H, rhs)
+    g = model.gradient(x)
+    return _anm_update(x, np.asarray(x_prev, dtype=float), g, H, as_symmetric(G), rho, step_L)
 
 
 def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float) -> float:
@@ -280,75 +284,8 @@ def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float
     return 0.0 if -1e-9 < v < 0.0 else v
 
 
-def _start_trace(method: str, model: ObjectiveModel, x0, rho: float) -> tuple[IterateTrace, int]:
-    t0 = time.perf_counter_ns()
-    x0 = np.asarray(x0, dtype=float)
-    f_star = model.f_star
-    trace = IterateTrace(method=method, f_star=f_star)
-    f0 = model.value(x0)
-    lyap = None
-    if f_star is not None and np.isfinite(rho):
-        lyap = _lyapunov_value(f0 - f_star, 0.0, rho, 1.0)
-    trace.records.append(
-        IterateRecord(
-            k=0,
-            x=x0.copy(),
-            f=f0,
-            grad_norm=float(np.linalg.norm(model.gradient(x0))),
-            rho=rho,
-            step_norm_g_sq=0.0,
-            lyapunov=lyap,
-            elapsed_ns=time.perf_counter_ns() - t0,
-        )
-    )
-    return trace, t0
-
-
-def _append_record(
-    trace: IterateTrace,
-    model: ObjectiveModel,
-    x: np.ndarray,
-    rho: float,
-    step_norm_g_sq: float,
-    step_L: float,
-    t0: int,
-) -> IterateRecord:
-    f = model.value(x)
-    lyap = None
-    if trace.f_star is not None and np.isfinite(rho):
-        lyap = _lyapunov_value(f - trace.f_star, step_norm_g_sq, rho, step_L)
-    rec = IterateRecord(
-        k=trace.records[-1].k + 1,
-        x=x.copy(),
-        f=f,
-        grad_norm=float(np.linalg.norm(model.gradient(x))),
-        rho=rho,
-        step_norm_g_sq=step_norm_g_sq,
-        lyapunov=lyap,
-        elapsed_ns=time.perf_counter_ns() - t0,
-    )
-    trace.records.append(rec)
-    return rec
-
-
-def newton_run(model: ObjectiveModel, x0, config: SolverConfig) -> IterateTrace:
-    """Fixed-step Newton iteration ``x - (1/L) H^+ grad f`` until ``grad_tol``."""
-    trace, t0 = _start_trace("newton", model, x0, np.inf)
-    x = trace.records[0].x
-    for _ in range(config.max_iters):
-        if trace.records[-1].grad_norm <= config.grad_tol:
-            break
-        x_next = newton_step(model, x, config.step_L)
-        step_sq = float((x_next - x) @ (x_next - x))
-        trace.steps_taken += 1
-        _append_record(trace, model, x_next, np.inf, step_sq, config.step_L, t0)
-        x = x_next
-    trace.termination = "converged" if trace.records[-1].grad_norm <= config.grad_tol else "max_iters"
-    return trace
-
-
-def damped_newton_run(model: ObjectiveModel, x0, config: SolverConfig) -> IterateTrace:
-    """Newton direction with backtracking line search on the Newton decrement.
+def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: SolverConfig) -> np.ndarray:
+    """Damped Newton point ``x - t d`` with ``t`` from backtracking on the decrement.
 
     The step starts at ``t = 1`` and shrinks by ``bt_beta`` while
     ``f(x - t d) > f(x) - bt_alpha * t * decrement^2``. The comparison
@@ -357,114 +294,141 @@ def damped_newton_run(model: ObjectiveModel, x0, config: SolverConfig) -> Iterat
     Newton step and reach the numerical optimum instead of stalling. Raises
     :class:`LineSearchStall` (partial trace attached) if ``t`` falls below 1e-16.
     """
-    trace, t0 = _start_trace("damped_newton", model, x0, np.inf)
-    x = trace.records[0].x
-    for _ in range(config.max_iters):
-        if trace.records[-1].grad_norm <= config.grad_tol:
-            break
-        H = model.hessian(x)
-        g = model.gradient(x)
-        d = _range_checked_newton_direction(H, g, 1.0)
-        decrement_sq = float(g @ d)
-        f_curr = trace.records[-1].f
-        tie_slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f_curr))
-        t = 1.0
-        while model.value(x - t * d) > f_curr - config.bt_alpha * t * decrement_sq + tie_slack:
-            t *= config.bt_beta
-            if t < 1e-16:
-                exc = LineSearchStall(
-                    f"backtracking step underflowed at ||grad|| = {trace.records[-1].grad_norm:.3e}"
-                )
-                exc.trace = trace
-                raise exc
-        x_next = x - t * d
-        step_sq = float((x_next - x) @ (x_next - x))
-        trace.steps_taken += 1
-        _append_record(trace, model, x_next, np.inf, step_sq, config.step_L, t0)
-        x = x_next
-    trace.termination = "converged" if trace.records[-1].grad_norm <= config.grad_tol else "max_iters"
-    return trace
+    d = _range_checked_newton_direction(H, g, 1.0)
+    decrement_sq = float(g @ d)
+    f_curr = trace.records[-1].f
+    tie_slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f_curr))
+    t = 1.0
+    while model.value(x - t * d) > f_curr - config.bt_alpha * t * decrement_sq + tie_slack:
+        t *= config.bt_beta
+        if t < 1e-16:
+            exc = LineSearchStall(
+                f"backtracking step underflowed at ||grad|| = {trace.records[-1].grad_norm:.3e}"
+            )
+            exc.trace = trace
+            raise exc
+    return x - t * d
 
 
-def pnm_run(model: ObjectiveModel, x0, config: SolverConfig) -> IterateTrace:
-    """Penalty Newton iteration with the geometric penalty schedule."""
-    rho = config.schedule.rho0
-    trace, t0 = _start_trace("pnm", model, x0, rho)
-    x = trace.records[0].x
-    for _ in range(config.max_iters):
-        if trace.records[-1].grad_norm <= config.grad_tol:
-            break
-        H = model.hessian(x)
-        G = config.precond.materialize(H)
-        x_next = x - spd_solve(G / rho + H, model.gradient(x)) / config.step_L
-        step_sq = weighted_norm_sq(x_next - x, G)
-        rho = config.schedule.next_rho(rho)
-        trace.steps_taken += 1
-        _append_record(trace, model, x_next, rho, step_sq, config.step_L, t0)
-        x = x_next
-    trace.termination = "converged" if trace.records[-1].grad_norm <= config.grad_tol else "max_iters"
-    return trace
-
-
-def anm_run(
-    model: ObjectiveModel,
-    x0,
-    config: SolverConfig,
-    x1=None,
-    form: str = "momentum",
-) -> IterateTrace:
-    """Augmented Newton iteration from two initial points (default ``x1 = x0``).
-
-    ``form`` selects the algebraically equivalent update route: ``momentum``
-    solves against the combined right-hand side, ``dual`` carries the
-    multiplier ``z`` explicitly (initialized ``z_1 = x_0 - x_1``). Stops when
-    both the gradient norm and the G-weighted step norm fall below
-    ``grad_tol``.
-    """
-    if form not in ("momentum", "dual"):
-        raise ValueError(f"unknown ANM form {form!r}")
-    rho = config.schedule.rho0
-    trace, t0 = _start_trace("anm", model, x0, rho)
-    x_prev = trace.records[0].x
-    x = x_prev if x1 is None else np.asarray(x1, dtype=float)
-
-    H = model.hessian(x)
-    G = config.precond.materialize(H)
-    step_sq = weighted_norm_sq(x - x_prev, G)
-    _append_record(trace, model, x, rho, step_sq, config.step_L, t0)
-    dual = DualState(z=x_prev - x)
-
-    for _ in range(config.max_iters):
-        last = trace.records[-1]
-        if last.grad_norm <= config.grad_tol and np.sqrt(last.step_norm_g_sq) <= config.grad_tol:
-            break
-        H = model.hessian(x)
-        G = config.precond.materialize(H)
-        if form == "momentum":
-            x_next = anm_step_momentum(model, x, x_prev, rho, G, config.step_L)
-        else:
-            x_next, dual = anm_step_dual(model, x, dual, rho, G, config.step_L)
-        step_sq = weighted_norm_sq(x_next - x, G)
-        rho = config.schedule.next_rho(rho)
-        trace.steps_taken += 1
-        _append_record(trace, model, x_next, rho, step_sq, config.step_L, t0)
-        x_prev, x = x, x_next
-
-    last = trace.records[-1]
-    converged = last.grad_norm <= config.grad_tol and np.sqrt(last.step_norm_g_sq) <= config.grad_tol
-    trace.termination = "converged" if converged else "max_iters"
-    return trace
+def _record(
+    trace: IterateTrace, model: ObjectiveModel, x, rho: float, step_norm_g_sq: float, step_L: float, t0: int
+) -> np.ndarray | None:
+    """Append ``x`` to the trace and return its gradient; None if anything recorded is not finite."""
+    if not (np.isfinite(x).all() and np.isfinite(step_norm_g_sq)):
+        return None
+    f = model.value(x)
+    g = model.gradient(x) if np.isfinite(f) else None
+    if g is None or not np.isfinite(g).all():
+        return None
+    lyap = None
+    if trace.f_star is not None and np.isfinite(rho):
+        lyap = _lyapunov_value(f - trace.f_star, step_norm_g_sq, rho, step_L)
+    trace.records.append(
+        IterateRecord(
+            k=len(trace.records),
+            x=x.copy(),
+            f=f,
+            grad_norm=float(np.linalg.norm(g)),
+            rho=rho,
+            step_norm_g_sq=step_norm_g_sq,
+            lyapunov=lyap,
+            elapsed_ns=time.perf_counter_ns() - t0,
+        )
+    )
+    return g
 
 
 def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrace:
-    """Dispatch to the run matching ``config.method``."""
-    if config.method == "newton":
-        return newton_run(model, x0, config)
-    if config.method == "damped_newton":
-        return damped_newton_run(model, x0, config)
-    if config.method == "pnm":
-        return pnm_run(model, x0, config)
-    return anm_run(model, x0, config, x1=x1)
+    """Iterate ``config.method`` from ``x0`` and record every iterate.
+
+    All four methods share this loop: each iterate is recorded once with its
+    value and gradient, the gradient is carried into the step that leaves it,
+    and that step evaluates the Hessian once. Only the update rule differs
+    (see :func:`newton_step`, :func:`pnm_step`, :func:`anm_step_momentum`);
+    damped Newton backtracks on the Newton decrement and raises
+    :class:`LineSearchStall` with the partial trace attached. ANM starts from
+    ``x0`` and ``x1`` (default ``x1 = x0``, recorded as iterate 1); the penalty
+    methods advance ``rho`` by ``config.schedule`` after every step.
+
+    ``termination`` is ``converged`` once the gradient norm (and, for ANM,
+    the G-weighted step norm) is at most ``grad_tol``; ``diverged`` when a
+    step produces a point whose value, gradient or step norm is not finite
+    (that point is not recorded); ``max_iters`` otherwise.
+    """
+    t0 = time.perf_counter_ns()
+    method = config.method
+    penalized = method in ("pnm", "anm")
+    step_L = config.step_L
+    rho = config.schedule.rho0 if penalized else np.inf
+    trace = IterateTrace(method=method, f_star=model.f_star)
+    x = np.asarray(x0, dtype=float)
+    g = _record(trace, model, x, rho, 0.0, step_L, t0)
+    if g is None:
+        raise ValueError("the starting point, or f or grad f there, is not finite")
+    x_prev, H = x, None
+    if method == "anm":
+        x = x_prev if x1 is None else np.asarray(x1, dtype=float)
+        H = model.hessian(x)
+        G = config.precond.materialize(H)
+        g = _record(trace, model, x, rho, weighted_norm_sq(x - x_prev, G), step_L, t0)
+
+    def converged(rec: IterateRecord) -> bool:
+        small_step = method != "anm" or np.sqrt(rec.step_norm_g_sq) <= config.grad_tol
+        return rec.grad_norm <= config.grad_tol and small_step
+
+    for _ in range(config.max_iters):
+        if g is None or converged(trace.records[-1]):
+            break
+        if H is None:
+            H = model.hessian(x)
+            G = config.precond.materialize(H) if penalized else None
+        if method == "newton":
+            x_next = x - _range_checked_newton_direction(H, g, step_L)
+        elif method == "damped_newton":
+            x_next = _backtrack(model, x, g, H, trace, config)
+        elif method == "pnm":
+            x_next = _pnm_update(x, g, H, G, rho, step_L)
+        else:
+            x_next = _anm_update(x, x_prev, g, H, G, rho, step_L)
+        if penalized:
+            step_sq = weighted_norm_sq(x_next - x, G)
+            rho = config.schedule.next_rho(rho)
+        else:
+            step_sq = float((x_next - x) @ (x_next - x))
+        g = _record(trace, model, x_next, rho, step_sq, step_L, t0)
+        if g is None:
+            break
+        trace.steps_taken += 1
+        x_prev, x, H = x, x_next, None
+
+    if g is None:
+        trace.termination = "diverged"
+    else:
+        trace.termination = "converged" if converged(trace.records[-1]) else "max_iters"
+    return trace
+
+
+def _scalar_root(
+    f, fprime, x_prev: float, x: float, rho: float, tol: float, max_iters: int, momentum: bool
+) -> tuple[float, list[float]]:
+    xs = [x_prev, x] if x_prev != x else [x]
+    for k in range(max_iters + 1):
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x, xs
+        if k == max_iters:
+            raise MaxIterationsExceeded(
+                f"|f| = {abs(fx):.3e} > tol after {max_iters} iterations"
+            )
+        denom = 1.0 + rho * fprime(x)
+        if abs(denom) <= 1e-14:
+            raise DenominatorVanished(f"1 + rho f'(x) = {denom:.3e} at x = {x!r}")
+        x_next = x - rho * fx / denom
+        if momentum:
+            x_next = x_next + (x - x_prev) / denom
+        x_prev, x = x, x_next
+        xs.append(x)
+    raise AssertionError("unreachable")
 
 
 def root_penalty_newton(
@@ -482,22 +446,7 @@ def root_penalty_newton(
     ``|1 + rho f'(x)| <= 1e-14`` and :class:`MaxIterationsExceeded` when the
     budget runs out. Returns the root and the iterate sequence.
     """
-    x = float(x0)
-    xs = [x]
-    for k in range(max_iters + 1):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x, xs
-        if k == max_iters:
-            raise MaxIterationsExceeded(
-                f"|f| = {abs(fx):.3e} > tol after {max_iters} iterations"
-            )
-        denom = 1.0 + rho * fprime(x)
-        if abs(denom) <= 1e-14:
-            raise DenominatorVanished(f"1 + rho f'(x) = {denom:.3e} at x = {x!r}")
-        x = x - rho * fx / denom
-        xs.append(x)
-    raise AssertionError("unreachable")
+    return _scalar_root(f, fprime, float(x0), float(x0), rho, tol, max_iters, momentum=False)
 
 
 def root_augmented_newton(
@@ -514,24 +463,7 @@ def root_augmented_newton(
     Update: ``x+ = x - [rho f(x) - (x - x_prev)] / (1 + rho f'(x))``.
     Same stopping and error behavior as :func:`root_penalty_newton`.
     """
-    x_prev = float(x0)
-    x = float(x1)
-    xs = [x_prev, x] if x_prev != x else [x]
-    for k in range(max_iters + 1):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x, xs
-        if k == max_iters:
-            raise MaxIterationsExceeded(
-                f"|f| = {abs(fx):.3e} > tol after {max_iters} iterations"
-            )
-        denom = 1.0 + rho * fprime(x)
-        if abs(denom) <= 1e-14:
-            raise DenominatorVanished(f"1 + rho f'(x) = {denom:.3e} at x = {x!r}")
-        x_next = x - rho * fx / denom + (x - x_prev) / denom
-        x_prev, x = x, x_next
-        xs.append(x)
-    raise AssertionError("unreachable")
+    return _scalar_root(f, fprime, float(x0), float(x1), rho, tol, max_iters, momentum=True)
 
 
 @dataclass(frozen=True)
@@ -555,7 +487,7 @@ def fstar_oracle(model: ObjectiveModel, grad_tol: float = 1e-13, max_iters: int 
     config = SolverConfig(method="damped_newton", grad_tol=grad_tol, max_iters=max_iters)
     x0 = np.zeros(model.dim)
     try:
-        trace = damped_newton_run(model, x0, config)
+        trace = run(model, x0, config)
     except LineSearchStall as exc:
         trace = exc.trace
     last = trace.final

@@ -26,15 +26,14 @@ from pnewton.solvers import (
     DualState,
     PenaltySchedule,
     SolverConfig,
-    anm_run,
     anm_step_dual,
     anm_step_momentum,
     fstar_oracle,
     newton_step,
-    pnm_run,
     pnm_step,
     root_augmented_newton,
     root_penalty_newton,
+    run,
 )
 
 RHOS = (0.1, 1.0, 10.0, 1e4)
@@ -266,7 +265,7 @@ def test_criterion_08_penalty_contraction_certification():
             method="pnm", step_L=L, schedule=PenaltySchedule.fixed(rho),
             grad_tol=1e-9, max_iters=150,
         )
-        trace = pnm_run(model, np.zeros(model.dim), cfg)
+        trace = run(model, np.zeros(model.dim), cfg)
         report = certify_penalty_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
         all_ok = all_ok and report.all_certified
         if report.n_vacuous == 0 and report.fraction_satisfied == 1.0 and report.entries:
@@ -289,7 +288,7 @@ def test_criterion_09_augmented_contraction_certification():
             method="anm", step_L=L, schedule=PenaltySchedule.fixed(rho),
             grad_tol=1e-9, max_iters=150,
         )
-        trace = anm_run(model, np.zeros(model.dim), cfg)
+        trace = run(model, np.zeros(model.dim), cfg)
         report = certify_augmented_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
         all_ok = all_ok and report.all_certified and report.n_vacuous == 0
         lyap = [r.lyapunov for r in trace.records[1:]]

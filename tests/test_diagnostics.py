@@ -24,10 +24,9 @@ from pnewton.solvers import (
     PenaltySchedule,
     PreconditionerPolicy,
     SolverConfig,
-    anm_run,
     anm_step_momentum,
     fstar_oracle,
-    pnm_run,
+    run,
 )
 
 H_DIAG = np.diag([4.0, 1.0, 0.0])
@@ -194,7 +193,7 @@ def test_gradient_energy_bound_isotropic_equality():
 def test_gradient_energy_bound_along_glm_trace():
     _, model = rand_glm(70, n=6, m=40)
     cfg = SolverConfig(method="pnm", step_L=model.constants[0], grad_tol=1e-8, max_iters=60)
-    trace = pnm_run(model, np.zeros(6), cfg)
+    trace = run(model, np.zeros(6), cfg)
     for rec in trace.records:
         rho = rec.rho if np.isfinite(rec.rho) else 1.0
         assert verify_gradient_energy_bound(model, rec.x, np.eye(6), rho)
@@ -217,7 +216,7 @@ def test_step_energy_bound_along_glm_trace():
         method="anm", step_L=model.constants[0], schedule=PenaltySchedule.fixed(2.0),
         grad_tol=1e-10, max_iters=60,
     )
-    trace = anm_run(model, 0.5 * np.ones(5), cfg)
+    trace = run(model, 0.5 * np.ones(5), cfg)
     for prev, curr in zip(trace.records, trace.records[1:]):
         H = model.hessian(curr.x)
         check = verify_step_energy_bound(curr.x, prev.x, H, np.eye(5), 2.0)
@@ -248,7 +247,7 @@ def _scalar_pnm_trace(n_steps=4):
     cfg = SolverConfig(
         method="pnm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=n_steps
     )
-    return model, cfg, pnm_run(model, np.array([2.0]), cfg)
+    return model, cfg, run(model, np.array([2.0]), cfg)
 
 
 def test_certify_penalty_scalar_quadratic_tight():
@@ -268,7 +267,7 @@ def test_certify_penalty_scalar_quadratic_tight():
 def test_certify_penalty_single_point_trace():
     model = quadratic_model(np.eye(2))
     cfg = SolverConfig(method="pnm", grad_tol=1.0, max_iters=5)
-    trace = pnm_run(model, np.zeros(2), cfg)  # converged immediately
+    trace = run(model, np.zeros(2), cfg)  # converged immediately
     report = certify_penalty_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
     assert report.entries == []
     assert report.all_certified
@@ -286,7 +285,7 @@ def test_certify_penalty_flags_vacuous_bound():
 def test_certify_penalty_missing_optimum():
     _, model = rand_glm(72, n=4, m=20)  # no optimum attached
     cfg = SolverConfig(method="pnm", step_L=model.constants[0], max_iters=5, grad_tol=1e-8)
-    trace = pnm_run(model, np.zeros(4), cfg)
+    trace = run(model, np.zeros(4), cfg)
     with pytest.raises(MissingOptimum):
         certify_penalty_contraction(trace, model, cfg.precond, mu=model.constants[1], step_L=model.constants[0])
 
@@ -299,7 +298,7 @@ def test_certify_penalty_glm_run():
     cfg = SolverConfig(
         method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
     )
-    trace = pnm_run(model, np.zeros(6), cfg)
+    trace = run(model, np.zeros(6), cfg)
     report = certify_penalty_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
     assert report.all_certified
     assert report.n_vacuous == 0
@@ -311,7 +310,7 @@ def test_certify_augmented_scalar_quadratic():
     cfg = SolverConfig(
         method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3
     )
-    trace = anm_run(model, np.array([2.0]), cfg)
+    trace = run(model, np.array([2.0]), cfg)
     report = certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
     assert report.all_certified
     first = report.entries[0]
@@ -323,7 +322,7 @@ def test_certify_augmented_scalar_quadratic():
 def test_certify_augmented_at_optimum():
     model = quadratic_model(np.eye(2))
     cfg = SolverConfig(method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3)
-    trace = anm_run(model, np.zeros(2), cfg)
+    trace = run(model, np.zeros(2), cfg)
     report = certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
     assert report.all_certified
     for e in report.entries:
@@ -338,7 +337,7 @@ def test_certify_augmented_glm_run():
     cfg = SolverConfig(
         method="anm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
     )
-    trace = anm_run(model, np.zeros(6), cfg)
+    trace = run(model, np.zeros(6), cfg)
     report = certify_augmented_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
     assert report.all_certified
     assert report.n_vacuous == 0

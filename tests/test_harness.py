@@ -237,6 +237,33 @@ def test_partial_results_flushed_on_failure(tmp_path, monkeypatch):
     assert summary["solvers"][0]["name"] == "newton"
 
 
+def test_failed_first_solver_outcome_independent_of_workers(tmp_path, monkeypatch):
+    import pnewton.harness.experiment as experiment_mod
+    from pnewton.errors import NotPositiveDefinite
+
+    real_run = experiment_mod.solvers.run
+
+    def failing_run(model, x0, config, x1=None):
+        if config.method == "newton":
+            raise NotPositiveDefinite("injected failure")
+        return real_run(model, x0, config, x1=x1)
+
+    monkeypatch.setattr(experiment_mod.solvers, "run", failing_run)
+    summaries = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PN_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        with pytest.raises(NotPositiveDefinite):
+            run_experiment(_quadratic_spec(out))  # newton is the first solver
+        summaries[threads] = (out / "summary.json").read_bytes()
+        for name in ("pnm", "anm"):
+            assert (out / f"{name}.trace.csv").exists()
+    assert summaries["1"] == summaries["2"]
+    summary = json.loads(summaries["1"])
+    assert [entry["name"] for entry in summary["solvers"]] == ["pnm", "anm"]
+    assert summary["failed"] == [{"name": "newton", "error": "injected failure"}]
+
+
 def test_trace_csv_schema(tmp_path):
     spec = _quadratic_spec(tmp_path / "schema")
     run_experiment(spec)
@@ -358,6 +385,24 @@ def test_cli_solve_unconverged_is_failure(tmp_path):
          "--c", "1", "--max-iters", "2", "--tol", "1e-12", "--out", str(tmp_path / "u")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("method", ["pnm", "anm"])
+def test_cli_solve_diverging_is_failure_with_finite_trace(tmp_path, method):
+    out = tmp_path / "div"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli_main(
+            ["solve", "--method", method, "--problem", "logistic", "--alpha", "1e-9",
+             "--n", "20", "--m", "10", "--step-L", "1e-3", "--out", str(out)]
+        )
+    assert code == 1
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["solvers"][0]["termination"] == "diverged"
+    rows = read_trace_csv(out / f"{method}.trace.csv")
+    assert len(rows) > 2
+    for row in rows:
+        values = [row[key] for key in ("f", "gap", "grad_norm", "rho", "step_norm_G", "lyapunov")]
+        assert np.isfinite(values).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,23 +11,22 @@ from pnewton.errors import (
     NotPositiveDefinite,
     RangeViolation,
 )
+from pnewton.harness import make_logistic_dataset
 from pnewton.linalg import spd_solve, weighted_norm_sq
-from pnewton.objective import ObjectiveModel, quadratic_model
+from pnewton.objective import ObjectiveModel, glm_build, quadratic_model
 from pnewton.solvers import (
     DualState,
     PenaltySchedule,
     PreconditionerPolicy,
     SolverConfig,
-    anm_run,
     anm_step_dual,
     anm_step_momentum,
-    damped_newton_run,
     fstar_oracle,
     newton_step,
-    pnm_run,
     pnm_step,
     root_augmented_newton,
     root_penalty_newton,
+    run,
 )
 
 SCALAR = quadratic_model(np.eye(1))
@@ -71,7 +72,7 @@ def test_newton_step_range_violation():
 
 def test_damped_newton_one_step_on_quadratic():
     model = quadratic_model(np.eye(2))
-    trace = damped_newton_run(model, np.array([3.0, -4.0]), SolverConfig(method="damped_newton"))
+    trace = run(model, np.array([3.0, -4.0]), SolverConfig(method="damped_newton"))
     assert trace.termination == "converged"
     assert trace.steps_taken == 1
     assert np.allclose(trace.final.x, 0.0)
@@ -80,7 +81,7 @@ def test_damped_newton_one_step_on_quadratic():
 def test_damped_newton_logistic_regression_fixture():
     _, model = rand_glm(21, n=5, m=40)
     cfg = SolverConfig(method="damped_newton", grad_tol=1e-10, max_iters=30)
-    trace = damped_newton_run(model, np.zeros(5), cfg)
+    trace = run(model, np.zeros(5), cfg)
     assert trace.termination == "converged"
     assert trace.final.grad_norm <= 1e-10
     assert trace.steps_taken <= 30
@@ -88,7 +89,7 @@ def test_damped_newton_logistic_regression_fixture():
 
 def test_damped_newton_monotone_f():
     _, model = rand_glm(22, n=6, m=50)
-    trace = damped_newton_run(model, np.zeros(6), SolverConfig(method="damped_newton"))
+    trace = run(model, np.zeros(6), SolverConfig(method="damped_newton"))
     fs = [r.f for r in trace.records]
     assert all(b <= a for a, b in zip(fs, fs[1:]))
 
@@ -102,7 +103,7 @@ def test_damped_newton_stall_on_jump_model():
         hessian=lambda x: np.eye(1),
     )
     with pytest.raises(LineSearchStall) as err:
-        damped_newton_run(model, np.zeros(1), SolverConfig(method="damped_newton"))
+        run(model, np.zeros(1), SolverConfig(method="damped_newton"))
     assert err.value.trace.records  # partial trace is attached
 
 
@@ -130,7 +131,7 @@ def test_pnm_run_halving_trace():
     cfg = SolverConfig(
         method="pnm", schedule=PenaltySchedule(rho0=1.0, c=1.0), grad_tol=1e-300, max_iters=4
     )
-    trace = pnm_run(SCALAR, np.array([2.0]), cfg)
+    trace = run(SCALAR, np.array([2.0]), cfg)
     xs = [r.x[0] for r in trace.records]
     assert np.allclose(xs, [2.0, 1.0, 0.5, 0.25, 0.125], rtol=1e-14, atol=0.0)
     ratios = [b / a for a, b in zip(xs, xs[1:])]
@@ -142,7 +143,7 @@ def test_pnm_run_matches_closed_form_recurrence():
     cfg = SolverConfig(
         method="pnm", schedule=PenaltySchedule(rho0=1.0, c=10.0), grad_tol=1e-300, max_iters=5
     )
-    trace = pnm_run(SCALAR, np.array([2.0]), cfg)
+    trace = run(SCALAR, np.array([2.0]), cfg)
     x, rho, expected = 2.0, 1.0, [2.0]
     for _ in range(5):
         x = x / (1.0 + rho)
@@ -156,7 +157,7 @@ def test_pnm_run_on_glm_monotone_and_converged():
     _, model = rand_glm(30, n=6, m=60)
     model = with_fstar(model)
     cfg = SolverConfig(method="pnm", step_L=model.constants[0], grad_tol=1e-8, max_iters=300)
-    trace = pnm_run(model, np.zeros(6), cfg)
+    trace = run(model, np.zeros(6), cfg)
     assert trace.termination == "converged"
     assert trace.final.grad_norm <= 1e-8
     gaps = [r.f - model.f_star for r in trace.records]
@@ -233,7 +234,7 @@ def test_anm_run_scalar_trace():
     cfg = SolverConfig(
         method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=1
     )
-    trace = anm_run(SCALAR, np.array([2.0]), cfg)
+    trace = run(SCALAR, np.array([2.0]), cfg)
     xs = [r.x[0] for r in trace.records]
     assert xs[:2] == [2.0, 2.0]  # x1 defaults to x0
     assert xs[2] == pytest.approx(1.0, abs=1e-15)
@@ -245,11 +246,17 @@ def test_anm_forms_agree_along_full_traces():
     cfg = SolverConfig(method="anm", step_L=L, grad_tol=1e-300, max_iters=40)
     x0 = 0.7 * np.ones(6)
     x1 = np.zeros(6)  # distinct starts: z_1 = x0 - x1 carries momentum from step one
-    tr_mom = anm_run(model, x0, cfg, x1=x1, form="momentum")
-    tr_dual = anm_run(model, x0, cfg, x1=x1, form="dual")
-    assert len(tr_mom.records) == len(tr_dual.records)
-    for a, b in zip(tr_mom.records, tr_dual.records):
-        assert np.linalg.norm(a.x - b.x) <= 1e-10
+    tr_mom = run(model, x0, cfg, x1=x1)
+    # the primal/dual route, driven by hand along the same penalty schedule
+    xs_dual, x, dual, rho = [x0, x1], x1, DualState(z=x0 - x1), cfg.schedule.rho0
+    for _ in range(cfg.max_iters):
+        G = cfg.precond.materialize(model.hessian(x))
+        x, dual = anm_step_dual(model, x, dual, rho, G, L)
+        rho = cfg.schedule.next_rho(rho)
+        xs_dual.append(x)
+    assert len(tr_mom.records) == len(xs_dual)
+    for a, x_dual in zip(tr_mom.records, xs_dual):
+        assert np.linalg.norm(a.x - x_dual) <= 1e-10
 
 
 def test_anm_multiplier_identity_along_dual_trace():
@@ -271,7 +278,7 @@ def test_anm_lyapunov_monotone_fixed_rho():
         method="anm", step_L=model.constants[0], schedule=PenaltySchedule.fixed(1.0),
         grad_tol=1e-8, max_iters=300,
     )
-    trace = anm_run(model, np.zeros(6), cfg)
+    trace = run(model, np.zeros(6), cfg)
     lyap = [r.lyapunov for r in trace.records[1:]]
     assert lyap and all(v is not None for v in lyap)
     assert all(b <= a + 1e-12 for a, b in zip(lyap, lyap[1:]))
@@ -284,6 +291,102 @@ def test_anm_fixed_point_needs_matching_history():
     assert np.array_equal(same, x)
     moved = anm_step_momentum(model, x, np.ones(2), 2.0, np.eye(2), 1.0)
     assert np.linalg.norm(moved - x) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The shared run loop: oracle work per iterate, divergence
+# ---------------------------------------------------------------------------
+
+def _counted(model):
+    """``model`` with its value/gradient/Hessian calls counted in the returned dict."""
+    calls = {"value": 0, "gradient": 0, "hessian": 0}
+
+    def counting(kind, fn):
+        def wrapped(x):
+            calls[kind] += 1
+            return fn(x)
+
+        return wrapped
+
+    oracles = {kind: counting(kind, getattr(model, kind)) for kind in calls}
+    return dataclasses.replace(model, **oracles), calls
+
+
+RUN_CASES = [
+    ("newton", "identity"),
+    ("damped_newton", "identity"),
+    ("pnm", "identity"),
+    ("pnm", "hessian_diagonal"),
+    ("anm", "identity"),
+    ("anm", "hessian_diagonal"),
+]
+
+
+@pytest.mark.parametrize("method,precond", RUN_CASES)
+def test_run_one_hessian_per_step_one_gradient_per_record(method, precond):
+    _, base = rand_glm(70, n=6, m=50)
+    model, calls = _counted(base)
+    cfg = SolverConfig(
+        method=method, precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+    )
+    trace = run(model, np.zeros(6), cfg)
+    assert trace.termination == "converged" and trace.steps_taken >= 1
+    assert calls["hessian"] == trace.steps_taken
+    assert calls["gradient"] == len(trace.records)
+    if method != "damped_newton":
+        assert calls["value"] == len(trace.records)
+
+
+@pytest.mark.parametrize("precond", ["identity", "hessian_diagonal"])
+def test_anm_run_from_two_points_reuses_the_first_hessian(precond):
+    _, base = rand_glm(71, n=6, m=50)
+    model, calls = _counted(base)
+    cfg = SolverConfig(
+        method="anm", precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+    )
+    trace = run(model, 0.5 * np.ones(6), cfg, x1=np.zeros(6))
+    assert trace.termination == "converged" and trace.steps_taken >= 1
+    assert len(trace.records) == trace.steps_taken + 2
+    assert calls["hessian"] == trace.steps_taken
+    assert calls["gradient"] == len(trace.records)
+
+
+def test_damped_newton_values_are_records_plus_line_search_trials():
+    _, base = rand_glm(70, n=6, m=50, alpha=1e-3)
+    model, calls = _counted(base)
+    cfg = SolverConfig(method="damped_newton", max_iters=200)
+    trace = run(model, 10.0 * np.ones(6), cfg)
+    assert trace.termination == "converged"
+    # step k accepted t = bt_beta^j after j rejected trials, so it tried j + 1 points
+    shrinks = []
+    for rec, nxt in zip(trace.records, trace.records[1:]):
+        d = np.linalg.pinv(base.hessian(rec.x)) @ base.gradient(rec.x)
+        t = np.linalg.norm(nxt.x - rec.x) / np.linalg.norm(d)
+        shrinks.append(int(round(np.log(t) / np.log(cfg.bt_beta))))
+    assert sum(shrinks) > 0  # the line search did backtrack
+    assert calls["value"] == len(trace.records) + sum(j + 1 for j in shrinks)
+    assert calls["hessian"] == trace.steps_taken
+    assert calls["gradient"] == len(trace.records)
+
+
+@pytest.mark.parametrize("method", ["pnm", "anm"])
+def test_run_stops_diverged_and_keeps_finite_records(method):
+    # a step constant far below L overshoots on a nearly unregularized GLM
+    A, labels = make_logistic_dataset(20, 10, seed=0)
+    model = glm_build(A, "logistic", 1e-9, labels).model()
+    cfg = SolverConfig(method=method, step_L=1e-3, max_iters=500)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run(model, np.zeros(20), cfg)
+    assert trace.termination == "diverged"
+    assert trace.steps_taken == len(trace.records) - (2 if method == "anm" else 1)
+    for rec in trace.records:
+        assert np.isfinite(rec.x).all()
+        assert np.isfinite([rec.f, rec.grad_norm, rec.rho, rec.step_norm_g_sq]).all()
+
+
+def test_run_rejects_non_finite_start():
+    with pytest.raises(ValueError):
+        run(SCALAR, np.array([np.nan]), SolverConfig(method="pnm"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +449,7 @@ def test_anm_run_specializations_match_reference_loops():
             method="anm", precond=precond, schedule=PenaltySchedule.fixed(rho),
             step_L=L, grad_tol=1e-300, max_iters=15,
         )
-        trace = anm_run(model, 0.5 * np.ones(5), cfg)
+        trace = run(model, 0.5 * np.ones(5), cfg)
         x_prev = 0.5 * np.ones(5)
         x = 0.5 * np.ones(5)
         for rec in trace.records[2:]:
@@ -449,7 +552,7 @@ def test_trace_invariants():
     _, model = rand_glm(60, n=5, m=30)
     model = with_fstar(model)
     cfg = SolverConfig(method="pnm", step_L=model.constants[0], grad_tol=1e-8, max_iters=200)
-    trace = pnm_run(model, np.zeros(5), cfg)
+    trace = run(model, np.zeros(5), cfg)
     ks = [r.k for r in trace.records]
     rhos = [r.rho for r in trace.records]
     assert ks == list(range(len(ks)))
