@@ -8,13 +8,16 @@ central matrices are
 
 On the G-whitened scale both act through the scalar filter
 ``lam -> rho*lam / (1 + rho*lam)`` applied to the eigenvalues of
-``G^{-1/2} H G^{-1/2}``; everything here is computed through that shared
-eigendecomposition, which keeps the algebraic identities
+``G^{-1/2} H G^{-1/2}``. Everything here is computed from one whitening by the
+Cholesky factor ``C`` of ``G`` (``W = C^{-1} H C^{-T}`` has that spectrum) and
+one symmetric eigensolve of ``W``, which keeps the algebraic identities
 
     H K = I - (1/rho) G K          and          G K G = rho G - rho F
 
 accurate to ~1e-11 even at extreme penalties where a naive inversion loses
-several digits.
+several digits. Both rate constants are functions of the same spectrum:
+``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero ``lam`` and
+``beta = rho / (1 + rho*lam_max)``.
 
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
@@ -29,12 +32,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.linalg
 
-from .errors import MissingOptimum, NotPSD, ZeroHessian
+from .errors import ConvergenceFailure, MissingOptimum, NotPositiveDefinite, NotPSD, ZeroHessian
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_symmetric,
     inv_sqrt_pd,
+    nonzero_eigenvalues,
     pinv_apply,
     psd_sqrt,
     spd_solve,
@@ -48,7 +53,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CheckResult",
-    "SpectralDiagnostics",
     "ContractionEntry",
     "ContractionReport",
     "shifted_inverse",
@@ -56,7 +60,6 @@ __all__ = [
     "min_filtered_curvature",
     "precond_floor",
     "momentum_matrix",
-    "spectral_snapshot",
     "verify_inverse_identities",
     "verify_spectrum_match",
     "verify_gradient_energy_bound",
@@ -79,38 +82,73 @@ class CheckResult:
         return self.ok
 
 
-def _whitened_spectrum(H, G):
-    """Eigen-decompose ``G^{-1/2} H G^{-1/2}``; returns (G^{1/2}, G^{-1/2}, V, lam)."""
+def _whiten(H, G):
+    """Cholesky factor ``C`` of ``G = C C^T`` and ``W = C^{-1} H C^{-T}``, similar to ``G^{-1/2} H G^{-1/2}``."""
     H = as_symmetric(H)
     G = as_symmetric(G)
-    Gis = inv_sqrt_pd(G)
-    Gs = psd_sqrt(G)
-    W = Gis @ H @ Gis
-    lam, V = sym_eig(0.5 * (W + W.T))
+    try:
+        C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"preconditioner is not positive definite: {exc}") from exc
+    X = scipy.linalg.solve_triangular(C, H, lower=True, check_finite=False)
+    W = scipy.linalg.solve_triangular(C, X.T, lower=True, check_finite=False)
+    return C, 0.5 * (W + W.T)
+
+
+def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
     lam_max = max(float(lam[-1]), 0.0)
     if float(lam[0]) < -1e-10 * lam_max:
-        raise NotPSD(
-            f"Hessian is not PSD on the whitened scale (lambda_min = {lam[0]:.3e})"
-        )
-    return Gs, Gis, V, np.clip(lam, 0.0, None)
+        raise NotPSD(f"Hessian is not PSD on the whitened scale (lambda_min = {lam[0]:.3e})")
+    return np.clip(lam, 0.0, None)
+
+
+def _whitened_spectrum(H, G):
+    """Eigen-decompose the whitened Hessian; returns ``(C, lam, U)`` with ``W = U diag(lam) U^T``."""
+    C, W = _whiten(H, G)
+    lam, U = sym_eig(W)
+    return C, _psd_spectrum(lam), U
+
+
+def _whitened_eigenvalues(H, G) -> np.ndarray:
+    """Ascending, PSD-clipped eigenvalues of the whitened Hessian, without eigenvectors."""
+    _, W = _whiten(H, G)
+    try:
+        lam = np.linalg.eigvalsh(W)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+    return _psd_spectrum(lam)
+
+
+def _xi(lam: np.ndarray, rho: float, rank_tol: float) -> float:
+    lam_max = float(lam[-1])
+    nonzero = lam[lam > rank_tol * lam_max]
+    if lam_max <= 0.0 or nonzero.size == 0:
+        raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
+    lam_min = float(nonzero[0])
+    return rho * lam_min / (1.0 + rho * lam_min)
+
+
+def _beta(lam: np.ndarray, rho: float) -> float:
+    return 1.0 / (1.0 / rho + float(lam[-1]))
 
 
 def shifted_inverse(H, G, rho: float) -> np.ndarray:
-    """The matrix ``(G/rho + H)^{-1}``, symmetric positive definite."""
-    _, Gis, V, lam = _whitened_spectrum(H, G)
-    diag = 1.0 / (1.0 / rho + lam)
-    K = Gis @ ((V * diag) @ V.T) @ Gis
+    """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD."""
+    C, lam, U = _whitened_spectrum(H, G)
+    B = scipy.linalg.solve_triangular(C, U, lower=True, trans="T", check_finite=False)
+    K = (B * (1.0 / (1.0 / rho + lam))) @ B.T
     return 0.5 * (K + K.T)
 
 
 def filtered_curvature(H, G, rho: float) -> np.ndarray:
     """The matrix ``H^{1/2} (I/rho + H^{1/2} G^{-1} H^{1/2})^{-1} H^{1/2}``, PSD.
 
-    Complementary to the shifted inverse: ``G K G = rho G - rho F``.
+    Built as ``C U diag(lam/(1/rho + lam)) U^T C^T``; complementary to the
+    shifted inverse: ``G K G = rho G - rho F``.
     """
-    Gs, _, V, lam = _whitened_spectrum(H, G)
-    diag = lam / (1.0 / rho + lam)
-    F = Gs @ ((V * diag) @ V.T) @ Gs
+    C, lam, U = _whitened_spectrum(H, G)
+    B = C @ U
+    F = (B * (lam / (1.0 / rho + lam))) @ B.T
     return 0.5 * (F + F.T)
 
 
@@ -121,24 +159,16 @@ def min_filtered_curvature(H, G, rho: float, rank_tol: float = DEFAULT_RANK_TOL)
     the result lies in (0, 1]. Raises :class:`ZeroHessian` when the Hessian
     is numerically zero (no nonzero eigenvalue to take a minimum over).
     """
-    _, _, _, lam = _whitened_spectrum(H, G)
-    lam_max = float(lam[-1])
-    if lam_max <= 0.0:
-        raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
-    nonzero = lam[lam > rank_tol * lam_max]
-    if nonzero.size == 0:
-        raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
-    lam_min = float(nonzero[0])
-    return rho * lam_min / (1.0 + rho * lam_min)
+    return _xi(_whitened_eigenvalues(H, G), rho, rank_tol)
 
 
 def precond_floor(H, G, rho: float) -> float:
-    """Smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (the beta of the gap bound)."""
-    K = shifted_inverse(H, G, rho)
-    Ks = psd_sqrt(K)
-    B = Ks @ as_symmetric(G) @ Ks
-    w, _ = sym_eig(0.5 * (B + B.T))
-    return float(w[0])
+    """Smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (the beta of the gap bound).
+
+    ``K^{1/2} G K^{1/2}`` is similar to ``G K``, whose eigenvalues are
+    ``1/(1/rho + lam)``, so beta is ``rho / (1 + rho * lam_max)``.
+    """
+    return _beta(_whitened_eigenvalues(H, G), rho)
 
 
 def momentum_matrix(H, G, rho: float) -> np.ndarray:
@@ -149,32 +179,6 @@ def momentum_matrix(H, G, rho: float) -> np.ndarray:
     G = as_symmetric(G)
     H = as_symmetric(H)
     return spd_solve(G / rho + H, G) / rho
-
-
-@dataclass(frozen=True)
-class SpectralDiagnostics:
-    """Snapshot of the spectral objects at one iterate."""
-
-    shifted_inv: np.ndarray
-    filtered: np.ndarray
-    xi: float
-    beta: float
-    theta: np.ndarray
-    rho: float
-
-
-def spectral_snapshot(
-    H, G, rho: float, rank_tol: float = DEFAULT_RANK_TOL
-) -> SpectralDiagnostics:
-    """Assemble all spectral diagnostics for a Hessian/preconditioner pair."""
-    return SpectralDiagnostics(
-        shifted_inv=shifted_inverse(H, G, rho),
-        filtered=filtered_curvature(H, G, rho),
-        xi=min_filtered_curvature(H, G, rho, rank_tol),
-        beta=precond_floor(H, G, rho),
-        theta=momentum_matrix(H, G, rho),
-        rho=rho,
-    )
 
 
 def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=None) -> CheckResult:
@@ -199,14 +203,6 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     return CheckResult(ok, {"res_hk": res_hk, "res_gkg": res_gkg, "gkg_scale": scale})
 
 
-def _nonzero_eigs(M, rank_tol: float) -> np.ndarray:
-    w, _ = sym_eig(M)
-    lam_max = max(float(w[-1]), 0.0)
-    if lam_max <= 0.0:
-        return np.empty(0)
-    return w[w > rank_tol * lam_max]
-
-
 def verify_spectrum_match(
     H, G, rho: float, tol: float = 1e-8, rank_tol: float = DEFAULT_RANK_TOL
 ) -> CheckResult:
@@ -226,8 +222,8 @@ def verify_spectrum_match(
     M1 = S @ K @ S
     Gis = inv_sqrt_pd(G)
     M2 = Gis @ filtered_curvature(H, G, rho) @ Gis
-    e1 = _nonzero_eigs(0.5 * (M1 + M1.T), rank_tol)
-    e2 = _nonzero_eigs(0.5 * (M2 + M2.T), rank_tol)
+    e1 = nonzero_eigenvalues(0.5 * (M1 + M1.T), rank_tol)
+    e2 = nonzero_eigenvalues(0.5 * (M2 + M2.T), rank_tol)
     width = max(e1.size, e2.size)
     p1 = np.concatenate([np.zeros(width - e1.size), e1])
     p2 = np.concatenate([np.zeros(width - e2.size), e2])
@@ -254,6 +250,12 @@ def verify_gradient_energy_bound(
     return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi})
 
 
+def _in_range(H, v) -> bool:
+    """Whether ``v`` lies in ``Range(H)``: projection residual within ``1e-8 * (1 + ||v||)``."""
+    proj_residual = float(np.linalg.norm(H @ pinv_apply(H, v) - v))
+    return proj_residual <= 1e-8 * (1.0 + float(np.linalg.norm(v)))
+
+
 def verify_step_energy_bound(
     x, x_prev, H, G, rho: float, tol: float = 1e-10, rank_tol: float = DEFAULT_RANK_TOL
 ) -> CheckResult:
@@ -273,12 +275,7 @@ def verify_step_energy_bound(
     G = as_symmetric(G)
     w, _ = sym_eig(H)
     pd = float(w[0]) > rank_tol * max(float(w[-1]), 0.0)
-    if pd:
-        range_ok = True
-    else:
-        v = G @ d
-        proj_residual = float(np.linalg.norm(H @ pinv_apply(H, v) - v))
-        range_ok = proj_residual <= 1e-8 * (1.0 + float(np.linalg.norm(v)))
+    range_ok = pd or _in_range(H, G @ d)
     lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
     xi = min_filtered_curvature(H, G, rho)
     rhs = xi * weighted_norm_sq(d, G)
@@ -419,8 +416,9 @@ def certify_penalty_contraction(
     At each recorded iterate the contraction margin is
     ``eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * L)`` with
     ``beta_k`` the smallest eigenvalue of ``K^{1/2} G K^{1/2}`` at that
-    iterate; the check is ``gap_{k+1} <= (1 - eta_k) * gap_k + slack_tol``.
-    Iterations where ``eta_k`` falls outside (0, 1] are flagged vacuous.
+    iterate, both read off one whitened spectrum; the check is
+    ``gap_{k+1} <= (1 - eta_k) * gap_k + slack_tol``. Iterations where
+    ``eta_k`` falls outside (0, 1] are flagged vacuous.
     """
     f_star = _resolve_f_star(trace, model)
     report = ContractionReport(kind="penalty", f_star=f_star, mu=mu, step_L=step_L)
@@ -430,8 +428,9 @@ def certify_penalty_contraction(
         rho_k = records[k].rho
         H_k = model.hessian(x_k)
         G_k = precond.materialize(H_k)
-        xi_k = min_filtered_curvature(H_k, G_k, rho_k)
-        beta_k = precond_floor(H_k, G_k, rho_k)
+        lam = _whitened_eigenvalues(H_k, G_k)
+        xi_k = _xi(lam, rho_k, DEFAULT_RANK_TOL)
+        beta_k = _beta(lam, rho_k)
         eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L)
         gap_k = records[k].f - f_star
         gap_next = records[k + 1].f - f_star
@@ -466,7 +465,8 @@ def certify_augmented_contraction(
     ``V_k = f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G`` must contract
     by at least ``1 - xi_k * mu / L`` (both sides evaluated at the penalty
     value actually used for the step). The range condition on
-    ``G (x_k - x_{k-1})`` is checked and annotated per iterate.
+    ``G (x_k - x_{k-1})`` is annotated per iterate: it holds when the whitened
+    spectrum shows ``H`` is PD, and is checked by projection otherwise.
     """
     f_star = _resolve_f_star(trace, model)
     if len(trace.records) < 2:
@@ -478,12 +478,15 @@ def certify_augmented_contraction(
         rho_k = records[k].rho
         H_k = model.hessian(x_k)
         G_k = precond.materialize(H_k)
-        xi_k = min_filtered_curvature(H_k, G_k, rho_k)
+        lam = _whitened_eigenvalues(H_k, G_k)
+        xi_k = _xi(lam, rho_k, DEFAULT_RANK_TOL)
         theta_k = xi_k * mu / step_L
         v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
         v_next = lyapunov(records[k + 1].f, f_star, x_next, x_k, G_k, rho_k, step_L)
         rhs = (1.0 - theta_k) * v_k + slack_tol
-        step_check = verify_step_energy_bound(x_k, x_prev, H_k, G_k, rho_k)
+        d = x_k - x_prev
+        pd = float(lam[0]) > DEFAULT_RANK_TOL * float(lam[-1])
+        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(as_symmetric(H_k), G_k @ d)
         report.entries.append(
             ContractionEntry(
                 k=k,
@@ -493,7 +496,7 @@ def certify_augmented_contraction(
                 vacuous=not (0.0 < theta_k <= 1.0),
                 slack=rhs - v_next,
                 xi=xi_k,
-                precondition_ok=step_check.precondition_ok,
+                precondition_ok=range_ok,
             )
         )
     return report

@@ -11,15 +11,12 @@ symmetrized once on entry via :func:`as_symmetric` and never mutated.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotPSD
 
 __all__ = [
-    "EigenDecomposition",
     "as_symmetric",
     "spd_solve",
     "sym_eig",
@@ -27,6 +24,7 @@ __all__ = [
     "psd_sqrt",
     "inv_sqrt_pd",
     "weighted_norm_sq",
+    "nonzero_eigenvalues",
     "lambda_min_pos",
     "DEFAULT_RANK_TOL",
 ]
@@ -36,13 +34,6 @@ SYMMETRY_RTOL = 1e-12
 
 #: Default relative eigenvalue cutoff for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-10
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral factorization ``M = V diag(w) V^T`` with ``w`` ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_symmetric(M, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
@@ -100,8 +91,8 @@ def spd_solve(M, b) -> np.ndarray:
     )
 
 
-def sym_eig(M) -> EigenDecomposition:
-    """Full symmetric eigendecomposition with ascending eigenvalues.
+def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition ``M = V diag(w) V^T``; returns ``(w, V)``, ``w`` ascending.
 
     Raises :class:`ConvergenceFailure` if the underlying eigensolver exceeds
     its sweep budget.
@@ -111,7 +102,7 @@ def sym_eig(M) -> EigenDecomposition:
         w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    return EigenDecomposition(w, V)
+    return w, V
 
 
 def pinv_apply(M, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -177,15 +168,14 @@ def weighted_norm_sq(x, M) -> float:
     return v
 
 
-def lambda_min_pos(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Smallest eigenvalue of PSD ``M`` exceeding ``rank_tol * lambda_max``.
-
-    Returns 0.0 when the matrix is numerically zero (no eigenvalue survives
-    the cutoff).
-    """
+def nonzero_eigenvalues(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Ascending eigenvalues of PSD ``M`` above ``rank_tol * lambda_max``; empty when ``lambda_max <= 0``."""
     w, _ = sym_eig(M)
     lam_max = float(w[-1]) if w.size else 0.0
-    if lam_max <= 0.0:
-        return 0.0
-    above = w[w > rank_tol * lam_max]
-    return float(above[0]) if above.size else 0.0
+    return w[w > rank_tol * lam_max] if lam_max > 0.0 else w[:0]
+
+
+def lambda_min_pos(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+    """Smallest eigenvalue of PSD ``M`` above ``rank_tol * lambda_max``; 0.0 when none is."""
+    w = nonzero_eigenvalues(M, rank_tol)
+    return float(w[0]) if w.size else 0.0

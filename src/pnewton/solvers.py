@@ -284,8 +284,8 @@ def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float
     return 0.0 if -1e-9 < v < 0.0 else v
 
 
-def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: SolverConfig) -> np.ndarray:
-    """Damped Newton point ``x - t d`` with ``t`` from backtracking on the decrement.
+def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: SolverConfig) -> tuple[np.ndarray, float]:
+    """Damped Newton point ``x - t d`` and its value, with ``t`` from backtracking on the decrement.
 
     The step starts at ``t = 1`` and shrinks by ``bt_beta`` while
     ``f(x - t d) > f(x) - bt_alpha * t * decrement^2``. The comparison
@@ -298,8 +298,8 @@ def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: Solv
     decrement_sq = float(g @ d)
     f_curr = trace.records[-1].f
     tie_slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f_curr))
-    t = 1.0
-    while model.value(x - t * d) > f_curr - config.bt_alpha * t * decrement_sq + tie_slack:
+    t, x_next = 1.0, x - d
+    while (f_next := model.value(x_next)) > f_curr - config.bt_alpha * t * decrement_sq + tie_slack:
         t *= config.bt_beta
         if t < 1e-16:
             exc = LineSearchStall(
@@ -307,16 +307,18 @@ def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: Solv
             )
             exc.trace = trace
             raise exc
-    return x - t * d
+        x_next = x - t * d
+    return x_next, f_next
 
 
 def _record(
-    trace: IterateTrace, model: ObjectiveModel, x, rho: float, step_norm_g_sq: float, step_L: float, t0: int
+    trace: IterateTrace, model: ObjectiveModel, x, rho: float, step_norm_g_sq: float, step_L: float, t0: int,
+    f: float | None = None,
 ) -> np.ndarray | None:
-    """Append ``x`` to the trace and return its gradient; None if anything recorded is not finite."""
+    """Append ``x`` (value ``f``, evaluated here if None) and return its gradient; None if not finite."""
     if not (np.isfinite(x).all() and np.isfinite(step_norm_g_sq)):
         return None
-    f = model.value(x)
+    f = model.value(x) if f is None else f
     g = model.gradient(x) if np.isfinite(f) else None
     if g is None or not np.isfinite(g).all():
         return None
@@ -338,6 +340,7 @@ def _record(
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrace:
     """Iterate ``config.method`` from ``x0`` and record every iterate.
 
@@ -353,7 +356,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     ``termination`` is ``converged`` once the gradient norm (and, for ANM,
     the G-weighted step norm) is at most ``grad_tol``; ``diverged`` when a
     step produces a point whose value, gradient or step norm is not finite
-    (that point is not recorded); ``max_iters`` otherwise.
+    (that point is not recorded; the overflow behind it raises no NumPy
+    warning); ``max_iters`` otherwise.
     """
     t0 = time.perf_counter_ns()
     method = config.method
@@ -382,10 +386,11 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
         if H is None:
             H = model.hessian(x)
             G = config.precond.materialize(H) if penalized else None
+        f_next = None
         if method == "newton":
             x_next = x - _range_checked_newton_direction(H, g, step_L)
         elif method == "damped_newton":
-            x_next = _backtrack(model, x, g, H, trace, config)
+            x_next, f_next = _backtrack(model, x, g, H, trace, config)
         elif method == "pnm":
             x_next = _pnm_update(x, g, H, G, rho, step_L)
         else:
@@ -395,7 +400,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
             rho = config.schedule.next_rho(rho)
         else:
             step_sq = float((x_next - x) @ (x_next - x))
-        g = _record(trace, model, x_next, rho, step_sq, step_L, t0)
+        g = _record(trace, model, x_next, rho, step_sq, step_L, t0, f_next)
         if g is None:
             break
         trace.steps_taken += 1

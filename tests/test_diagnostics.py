@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
@@ -11,14 +13,13 @@ from pnewton.diagnostics import (
     momentum_matrix,
     precond_floor,
     shifted_inverse,
-    spectral_snapshot,
     verify_gradient_energy_bound,
     verify_inverse_identities,
     verify_spectrum_match,
     verify_step_energy_bound,
 )
 from pnewton.errors import MissingOptimum, ZeroHessian
-from pnewton.linalg import lambda_min_pos, psd_sqrt
+from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig
 from pnewton.objective import quadratic_model
 from pnewton.solvers import (
     PenaltySchedule,
@@ -30,6 +31,8 @@ from pnewton.solvers import (
 )
 
 H_DIAG = np.diag([4.0, 1.0, 0.0])
+#: rho values of the acceptance criterion 01/02 sweep (seed 2024 there too).
+CRITERION_RHOS = (0.1, 1.0, 10.0, 1e4)
 
 
 def sweep_instances(n_instances, rhos, seed=123, n_range=(2, 11)):
@@ -57,12 +60,14 @@ def test_shifted_inverse_zero_hessian():
 
 
 def test_shifted_inverse_residual_self_check():
-    rng = np.random.default_rng(17)
-    H = rand_psd(rng, 6, 4)
-    G = rand_pd(rng, 6)
-    rho = 3.0
-    K = shifted_inverse(H, G, rho)
-    assert np.linalg.norm(K @ (G / rho + H) - np.eye(6), "fro") <= 1e-9
+    for seed, n, rank, rho in [(17, 6, 4, 3.0), (77, 5, 3, 2.0)]:
+        rng = np.random.default_rng(seed)
+        H = rand_psd(rng, n, rank)
+        G = rand_pd(rng, n)
+        K = shifted_inverse(H, G, rho)
+        assert np.linalg.norm(K @ (G / rho + H) - np.eye(n), "fro") <= 1e-9
+        assert np.linalg.eigvalsh(K)[0] > 0.0
+        assert np.linalg.eigvalsh(filtered_curvature(H, G, rho))[0] >= -1e-12
 
 
 def test_filtered_curvature_diagonal():
@@ -106,7 +111,7 @@ def test_min_filtered_curvature_zero_hessian_raises():
 
 def test_closed_form_filter_map():
     # nonzero spectrum of H^{1/2} K H^{1/2} is rho*lam/(1+rho*lam) of the whitened Hessian
-    from pnewton.linalg import inv_sqrt_pd, sym_eig
+    from pnewton.linalg import inv_sqrt_pd
 
     for H, G, rho in sweep_instances(30, [0.1, 1.0, 10.0], seed=5):
         Gis = inv_sqrt_pd(G)
@@ -120,6 +125,36 @@ def test_closed_form_filter_map():
         got = got[got > 1e-10 * max(got[-1], 0.0)]
         assert got.size == expected.size
         assert np.abs(np.sort(got) - expected).max() <= 1e-8
+
+
+def test_precond_floor_matches_root_route():
+    # beta = 1/(1/rho + lam_max) against lambda_min(K^{1/2} G K^{1/2}) built from roots
+    for H, G, rho in sweep_instances(100, CRITERION_RHOS, seed=2024):
+        Ks = psd_sqrt(shifted_inverse(H, G, rho))
+        B = Ks @ G @ Ks
+        w, _ = sym_eig(0.5 * (B + B.T))
+        beta = precond_floor(H, G, rho)
+        assert abs(beta - w[0]) <= 1e-9 * abs(w[0])
+
+
+def test_certifier_entries_match_spectral_definitions():
+    # on a quadratic the Hessian is constant, so every entry has the same xi/beta
+    for H, G, rho in sweep_instances(100, CRITERION_RHOS, seed=2024):
+        model = quadratic_model(H)
+        xi = min_filtered_curvature(H, G, rho)
+        beta = precond_floor(H, G, rho)
+        x0 = np.random.default_rng(0).standard_normal(H.shape[0])
+        for method, certify in (("pnm", certify_penalty_contraction), ("anm", certify_augmented_contraction)):
+            cfg = SolverConfig(
+                method=method, precond=PreconditionerPolicy.fixed(G),
+                schedule=PenaltySchedule.fixed(rho), grad_tol=1e-300, max_iters=3,
+            )
+            report = certify(run(model, x0, cfg), model, cfg.precond, mu=1.0, step_L=1.0)
+            assert report.entries
+            for e in report.entries:
+                assert e.xi == pytest.approx(xi, rel=1e-12)
+                if method == "pnm":
+                    assert e.beta == pytest.approx(beta, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +195,25 @@ def test_spectrum_match_diagonal():
 def test_spectrum_match_sweep():
     for H, G, rho in sweep_instances(100, [0.1, 1.0, 10.0], seed=8):
         assert verify_spectrum_match(H, G, rho, tol=1e-8)
+
+
+@st.composite
+def spectral_instances(draw):
+    """Random PSD H of any rank, SPD G (dense or diagonal) and rho in [1e-3, 1e4]."""
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rand_psd(rng, n, rank)
+    G = rand_pd(rng, n) if draw(st.booleans()) else np.diag(rng.uniform(0.25, 4.0, n))
+    return H, G, 10.0 ** draw(st.floats(-3.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spectral_instances())
+def test_identities_and_spectra_hold_through_whitening(instance):
+    H, G, rho = instance
+    assert verify_inverse_identities(H, G, rho, tol=1e-8)
+    assert verify_spectrum_match(H, G, rho, tol=1e-8)
 
 
 def test_spectrum_match_rank_bookkeeping():
@@ -343,6 +397,36 @@ def test_certify_augmented_glm_run():
     assert report.n_vacuous == 0
 
 
+@pytest.mark.parametrize("method", ["pnm", "anm"])
+@pytest.mark.parametrize(
+    "precond", [PreconditionerPolicy.identity(), PreconditionerPolicy.hessian_diagonal()], ids=["identity", "diag"]
+)
+def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, precond):
+    _, model = rand_glm(78, n=6, m=40)  # ridge term: every Hessian is PD
+    res = fstar_oracle(model)
+    model = model.with_optimum(res.x_star, res.f_star)
+    L, mu = model.constants
+    cfg = SolverConfig(method=method, precond=precond, step_L=L, grad_tol=1e-10, max_iters=50)
+    trace = run(model, np.zeros(6), cfg)
+    solved = []
+
+    def counting(fn):
+        def wrapped(M, *args, **kwargs):
+            solved.append(np.array(M))
+            return fn(M, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    certify = certify_penalty_contraction if method == "pnm" else certify_augmented_contraction
+    report = certify(trace, model, cfg.precond, mu=mu, step_L=L)
+    assert len(report.entries) >= 3
+    assert len(solved) <= len(report.entries)
+    assert all(e.precondition_ok for e in report.entries)
+    # G is diagonal here and the whitened Hessian is not, so no solve saw G
+    assert not any(np.array_equal(M, np.diag(np.diag(M))) for M in solved)
+
+
 def test_report_serialization_round_trip():
     import json
 
@@ -355,7 +439,7 @@ def test_report_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Momentum matrix and snapshots
+# Momentum matrix
 # ---------------------------------------------------------------------------
 
 def test_momentum_matrix_limits():
@@ -386,16 +470,3 @@ def test_momentum_matrix_spectral_radius_below_one():
         G = rand_pd(rng, 4)
         theta = momentum_matrix(H, G, 1.0)
         assert np.abs(np.linalg.eigvals(theta)).max() < 1.0
-
-
-def test_spectral_snapshot_invariants():
-    rng = np.random.default_rng(77)
-    H = rand_psd(rng, 5, 3)
-    G = rand_pd(rng, 5)
-    snap = spectral_snapshot(H, G, 2.0)
-    assert np.linalg.eigvalsh(snap.shifted_inv)[0] > 0.0
-    assert np.linalg.eigvalsh(snap.filtered)[0] >= -1e-12
-    assert 0.0 < snap.xi <= 1.0
-    assert snap.beta > 0.0
-    assert snap.beta == pytest.approx(precond_floor(H, G, 2.0))
-    assert snap.rho == 2.0

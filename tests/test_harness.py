@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,11 +391,10 @@ def test_cli_solve_unconverged_is_failure(tmp_path):
 @pytest.mark.parametrize("method", ["pnm", "anm"])
 def test_cli_solve_diverging_is_failure_with_finite_trace(tmp_path, method):
     out = tmp_path / "div"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli_main(
-            ["solve", "--method", method, "--problem", "logistic", "--alpha", "1e-9",
-             "--n", "20", "--m", "10", "--step-L", "1e-3", "--out", str(out)]
-        )
+    code = cli_main(
+        ["solve", "--method", method, "--problem", "logistic", "--alpha", "1e-9",
+         "--n", "20", "--m", "10", "--step-L", "1e-3", "--out", str(out)]
+    )
     assert code == 1
     with open(out / "summary.json") as fh:
         assert json.load(fh)["solvers"][0]["termination"] == "diverged"
@@ -403,6 +403,16 @@ def test_cli_solve_diverging_is_failure_with_finite_trace(tmp_path, method):
     for row in rows:
         values = [row[key] for key in ("f", "gap", "grad_norm", "rho", "step_norm_G", "lyapunov")]
         assert np.isfinite(values).all()
+
+
+def test_cli_solve_diverging_emits_no_runtime_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(
+            ["solve", "--method", "pnm", "--problem", "logistic", "--alpha", "1e-9",
+             "--n", "20", "--m", "10", "--step-L", "1e-3", "--out", str(tmp_path / "div")]
+        )
+    assert code == 1
 
 
 # ---------------------------------------------------------------------------
