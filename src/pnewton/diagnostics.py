@@ -9,8 +9,9 @@ central matrices are
 On the G-whitened scale both act through the scalar filter
 ``lam -> rho*lam / (1 + rho*lam)`` applied to the eigenvalues of
 ``G^{-1/2} H G^{-1/2}``. Everything here is computed from one whitening by the
-Cholesky factor ``C`` of ``G`` (``W = C^{-1} H C^{-T}`` has that spectrum) and
-one symmetric eigensolve of ``W``, which keeps the algebraic identities
+Cholesky factor ``C`` of ``G`` (``W = C^{-1} H C^{-T}`` has that spectrum; a
+diagonal ``G`` is a row and column rescaling) and one symmetric eigensolve of
+``W``, which keeps the algebraic identities
 
     H K = I - (1/rho) G K          and          G K G = rho G - rho F
 
@@ -83,9 +84,21 @@ class CheckResult:
 
 
 def _whiten(H, G):
-    """Cholesky factor ``C`` of ``G = C C^T`` and ``W = C^{-1} H C^{-T}``, similar to ``G^{-1/2} H G^{-1/2}``."""
+    """Cholesky factor ``C`` of ``G = C C^T`` and ``W = C^{-1} H C^{-T}``, similar to ``G^{-1/2} H G^{-1/2}``.
+
+    A diagonal ``G`` (no nonzero off-diagonal entry) is whitened by rescaling
+    rows and columns with ``1/sqrt(diag(G))``: O(n^2), no factorization.
+    """
     H = as_symmetric(H)
     G = as_symmetric(G)
+    g = np.diag(G)
+    if np.count_nonzero(G) == np.count_nonzero(g):
+        if not (g > 0.0).all():
+            raise NotPositiveDefinite(f"preconditioner is not positive definite (min diagonal {g.min():.3e})")
+        c = np.sqrt(g)
+        s = 1.0 / c
+        W = (H * s[:, None]) * s[None, :]
+        return np.diag(c), 0.5 * (W + W.T)
     try:
         C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

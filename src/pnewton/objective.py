@@ -14,7 +14,6 @@ route.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -99,8 +98,8 @@ class GlmProblem:
     is ``log(1 + exp(-y_i t))``; absent labels default to +1. For the squared
     link the loss is ``(t - y_i)^2 / 2`` with labels defaulting to 0.
 
-    Instances are immutable after construction and safe to share across
-    threads; the reference-optimum cache is write-once behind a lock.
+    Instances are immutable after construction (the data matrix and labels
+    are read-only copies), so they are safe to share across threads.
     """
 
     def __init__(self, A, link: str, alpha: float, labels=None):
@@ -130,8 +129,6 @@ class GlmProblem:
         self.labels = labels
         if labels is not None:
             self.labels.setflags(write=False)
-        self._opt_lock = threading.Lock()
-        self._cached_optimum: tuple[np.ndarray, float] | None = None
 
     @property
     def n(self) -> int:
@@ -182,18 +179,7 @@ class GlmProblem:
             gradient=self.gradient,
             hessian=self.hessian,
             constants=(rc.L, rc.mu),
-            optimum=self.cached_optimum(),
         )
-
-    def cached_optimum(self) -> tuple[np.ndarray, float] | None:
-        with self._opt_lock:
-            return self._cached_optimum
-
-    def cache_optimum(self, x_star, f_star: float) -> None:
-        """Record the reference optimum once; later calls are ignored."""
-        with self._opt_lock:
-            if self._cached_optimum is None:
-                self._cached_optimum = (np.asarray(x_star, dtype=float), float(f_star))
 
 
 def glm_build(A, link: str, alpha: float, labels=None) -> GlmProblem:

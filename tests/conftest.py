@@ -1,6 +1,14 @@
 """Shared seeded instance generators for the test suite."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads BLAS: on these small matrices a
+# multi-threaded BLAS waits on busy cores, which makes the wall-clock budgets
+# in test_acceptance depend on machine load. An explicit setting still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from pnewton.objective import glm_build
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
+    _whiten,
     certify_augmented_contraction,
     certify_penalty_contraction,
     filtered_curvature,
@@ -18,7 +20,7 @@ from pnewton.diagnostics import (
     verify_spectrum_match,
     verify_step_energy_bound,
 )
-from pnewton.errors import MissingOptimum, ZeroHessian
+from pnewton.errors import MissingOptimum, NotPositiveDefinite, ZeroHessian
 from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig
 from pnewton.objective import quadratic_model
 from pnewton.solvers import (
@@ -68,6 +70,35 @@ def test_shifted_inverse_residual_self_check():
         assert np.linalg.norm(K @ (G / rho + H) - np.eye(n), "fro") <= 1e-9
         assert np.linalg.eigvalsh(K)[0] > 0.0
         assert np.linalg.eigvalsh(filtered_curvature(H, G, rho))[0] >= -1e-12
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_diagonal_g_whitening_matches_cholesky_route(n):
+    rng = np.random.default_rng(90 + n)
+    H = rand_psd(rng, n)
+    for G in (np.eye(n), np.diag(rng.uniform(0.25, 4.0, n))):
+        C_ref = scipy.linalg.cholesky(G, lower=True)
+        X = scipy.linalg.solve_triangular(C_ref, H, lower=True)
+        W_ref = scipy.linalg.solve_triangular(C_ref, X.T, lower=True)
+        W_ref = 0.5 * (W_ref + W_ref.T)
+        C, W = _whiten(H, G)
+        assert np.array_equal(C, C_ref)
+        assert np.linalg.norm(W - W_ref) <= 1e-15 * np.linalg.norm(W_ref)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -0.5, 2.0]), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+    ids=["diag-zero", "diag-negative", "dense-indefinite"],
+)
+@pytest.mark.parametrize(
+    "fn",
+    [min_filtered_curvature, precond_floor, shifted_inverse],
+    ids=["min_filtered_curvature", "precond_floor", "shifted_inverse"],
+)
+def test_non_pd_preconditioner_raises(fn, G):
+    with pytest.raises(NotPositiveDefinite):
+        fn(np.eye(3), G, 1.0)
 
 
 def test_filtered_curvature_diagonal():
@@ -199,12 +230,16 @@ def test_spectrum_match_sweep():
 
 @st.composite
 def spectral_instances(draw):
-    """Random PSD H of any rank, SPD G (dense or diagonal) and rho in [1e-3, 1e4]."""
+    """Random PSD H of any rank, SPD G (dense, diagonal or I) and rho in [1e-3, 1e4]."""
     n = draw(st.integers(1, 8))
     rank = draw(st.integers(0, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     H = rand_psd(rng, n, rank)
-    G = rand_pd(rng, n) if draw(st.booleans()) else np.diag(rng.uniform(0.25, 4.0, n))
+    G = {
+        "dense": lambda: rand_pd(rng, n),
+        "diagonal": lambda: np.diag(rng.uniform(0.25, 4.0, n)),
+        "identity": lambda: np.eye(n),
+    }[draw(st.sampled_from(["dense", "diagonal", "identity"]))]()
     return H, G, 10.0 ** draw(st.floats(-3.0, 4.0))
 
 
@@ -401,30 +436,66 @@ def test_certify_augmented_glm_run():
 @pytest.mark.parametrize(
     "precond", [PreconditionerPolicy.identity(), PreconditionerPolicy.hessian_diagonal()], ids=["identity", "diag"]
 )
-def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, precond):
+def _recording(calls, fn):
+    def wrapped(M, *args, **kwargs):
+        calls.append(np.array(M))
+        return fn(M, *args, **kwargs)
+    return wrapped
+
+
+def _certify_glm_run(method, precond, patch):
+    """Run ``method`` on a PD GLM, call ``patch()``, then certify the trace."""
     _, model = rand_glm(78, n=6, m=40)  # ridge term: every Hessian is PD
     res = fstar_oracle(model)
     model = model.with_optimum(res.x_star, res.f_star)
     L, mu = model.constants
     cfg = SolverConfig(method=method, precond=precond, step_L=L, grad_tol=1e-10, max_iters=50)
     trace = run(model, np.zeros(6), cfg)
+    patch()
+    certify = certify_penalty_contraction if method == "pnm" else certify_augmented_contraction
+    return certify(trace, model, cfg.precond, mu=mu, step_L=L)
+
+
+@pytest.mark.parametrize("method", ["pnm", "anm"])
+@pytest.mark.parametrize(
+    "precond", [PreconditionerPolicy.identity(), PreconditionerPolicy.hessian_diagonal()], ids=["identity", "diag"]
+)
+def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, precond):
     solved = []
 
-    def counting(fn):
-        def wrapped(M, *args, **kwargs):
-            solved.append(np.array(M))
-            return fn(M, *args, **kwargs)
-        return wrapped
+    def patch():
+        monkeypatch.setattr(np.linalg, "eigh", _recording(solved, np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _recording(solved, np.linalg.eigvalsh))
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-    certify = certify_penalty_contraction if method == "pnm" else certify_augmented_contraction
-    report = certify(trace, model, cfg.precond, mu=mu, step_L=L)
+    report = _certify_glm_run(method, precond, patch)
     assert len(report.entries) >= 3
     assert len(solved) <= len(report.entries)
     assert all(e.precondition_ok for e in report.entries)
     # G is diagonal here and the whitened Hessian is not, so no solve saw G
     assert not any(np.array_equal(M, np.diag(np.diag(M))) for M in solved)
+
+
+@pytest.mark.parametrize("method", ["pnm", "anm"])
+@pytest.mark.parametrize(
+    "precond, cholesky_per_entry",
+    [
+        (PreconditionerPolicy.identity(), 0),
+        (PreconditionerPolicy.hessian_diagonal(), 0),
+        (PreconditionerPolicy.fixed(rand_pd(np.random.default_rng(79), 6)), 1),
+    ],
+    ids=["identity", "diag", "dense"],
+)
+def test_certify_factors_only_a_dense_g(monkeypatch, method, precond, cholesky_per_entry):
+    factored, solved = [], []
+
+    def patch():
+        monkeypatch.setattr(scipy.linalg, "cholesky", _recording(factored, scipy.linalg.cholesky))
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", _recording(solved, scipy.linalg.solve_triangular))
+
+    report = _certify_glm_run(method, precond, patch)
+    assert len(report.entries) >= 3
+    assert len(factored) == cholesky_per_entry * len(report.entries)
+    assert len(solved) == 2 * cholesky_per_entry * len(report.entries)
 
 
 def test_report_serialization_round_trip():

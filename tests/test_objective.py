@@ -82,16 +82,6 @@ def test_glm_constants_reciprocity_sweep():
         assert 0.0 < rc.mu <= 1.0 <= rc.L
 
 
-def test_optimum_cache_is_write_once():
-    p, _ = rand_glm(2, n=4, m=10)
-    assert p.cached_optimum() is None
-    p.cache_optimum(np.zeros(4), 1.25)
-    p.cache_optimum(np.ones(4), 9.99)  # ignored: first write wins
-    x, f = p.cached_optimum()
-    assert f == 1.25 and np.array_equal(x, np.zeros(4))
-    assert p.model().f_star == 1.25
-
-
 def test_fd_gradient_on_quadratic():
     model = quadratic_model(np.eye(2))
     g = fd_gradient(model, np.array([1.0, 2.0]))
