@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import diagnostics, solvers
-from ..objective import GlmProblem, glm_build, glm_constants, quadratic_model
+# glm_constants stays bound here: perfbench's tracer patches this binding
+from ..objective import glm_build, glm_constants, quadratic_model  # noqa: F401
 from .datasets import load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [
@@ -128,42 +129,40 @@ class ExperimentSpec:
         return d
 
 
-def _build_problem(spec: ExperimentSpec):
-    """Return ``(model, problem_desc, default_step_L)`` for a spec."""
+def _problem_desc(spec: ExperimentSpec) -> dict:
+    """The problem description a run writes to its meta and summary files."""
     problem = spec.problem
-    if "builtin" in problem:
-        kind = problem["builtin"]
-        if kind == "quadratic":
-            n = int(problem.get("n", 8))
-            Q = make_quadratic_matrix(n, seed=spec.seed)
-            model = quadratic_model(Q)
-            desc = {"builtin": "quadratic", "n": n, "seed": spec.seed}
-            return model, desc, 1.0
-        if kind == "logistic":
-            n = int(problem.get("n", 20))
-            m = int(problem.get("m", 200))
-            A, labels = make_logistic_dataset(n, m, seed=spec.seed)
-            glm = glm_build(A, "logistic", spec.alpha, labels)
-            desc = {
-                "builtin": "logistic",
-                "n": n,
-                "m": m,
-                "seed": spec.seed,
-                "alpha": spec.alpha,
-            }
-            return glm.model(), desc, glm_constants(glm).L
+    kind = problem.get("builtin")
+    if kind == "quadratic":
+        return {"builtin": "quadratic", "n": int(problem.get("n", 8)), "seed": spec.seed}
+    if kind == "logistic":
+        return {
+            "builtin": "logistic",
+            "n": int(problem.get("n", 20)),
+            "m": int(problem.get("m", 200)),
+            "seed": spec.seed,
+            "alpha": spec.alpha,
+        }
+    if kind is not None:
         raise ValueError(f"unknown builtin problem {kind!r}")
-    path = problem["path"]
-    fmt = problem.get("format", "csv")
-    A, labels = load_dataset(path, fmt, link=spec.link)
-    glm = glm_build(A, spec.link, spec.alpha, labels)
-    desc = {
-        "path": str(path),
-        "format": fmt,
+    return {
+        "path": str(problem["path"]),
+        "format": problem.get("format", "csv"),
         "link": spec.link,
         "alpha": spec.alpha,
     }
-    return glm.model(), desc, glm_constants(glm).L
+
+
+def _build_model(problem: dict):
+    """The objective model of a problem description: a spec's for a run, a meta file's for a replay."""
+    kind = problem.get("builtin")
+    if kind == "quadratic":
+        return quadratic_model(make_quadratic_matrix(problem["n"], seed=problem["seed"]))
+    if kind == "logistic":
+        A, labels = make_logistic_dataset(problem["n"], problem["m"], seed=problem["seed"])
+        return glm_build(A, "logistic", problem["alpha"], labels).model()
+    A, labels = load_dataset(problem["path"], problem["format"], link=problem["link"])
+    return glm_build(A, problem["link"], problem["alpha"], labels).model()
 
 
 def _resolve_fstar(spec: ExperimentSpec, model):
@@ -308,7 +307,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    model, problem_desc, default_step_L = _build_problem(spec)
+    problem_desc = _problem_desc(spec)
+    model = _build_model(problem_desc)
+    default_step_L = model.constants[0]
     f_star, x_star, fstar_info = _resolve_fstar(spec, model)
     model = model.with_optimum(
         x_star if x_star is not None else np.full(model.dim, np.nan), f_star
@@ -350,22 +351,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return summary
 
 
-def _model_from_meta(meta: dict):
-    problem = meta["problem"]
-    if problem.get("builtin") == "quadratic":
-        Q = make_quadratic_matrix(problem["n"], seed=problem["seed"])
-        model = quadratic_model(Q)
-    elif problem.get("builtin") == "logistic":
-        A, labels = make_logistic_dataset(problem["n"], problem["m"], seed=problem["seed"])
-        glm: GlmProblem = glm_build(A, "logistic", problem["alpha"], labels)
-        model = glm.model()
-    else:
-        A, labels = load_dataset(problem["path"], problem["format"], link=problem["link"])
-        glm = glm_build(A, problem["link"], problem["alpha"], labels)
-        model = glm.model()
-    return model
-
-
 def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionReport, bool | None]:
     """Re-run contraction certification for a written trace.
 
@@ -382,7 +367,7 @@ def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionRe
     if meta["method"] not in ("pnm", "anm"):
         raise ValueError(f"certification applies to pnm/anm traces, not {meta['method']!r}")
 
-    model = _model_from_meta(meta)
+    model = _build_model(meta["problem"])
     model = model.with_optimum(np.full(model.dim, np.nan), meta["f_star"])
 
     trace = solvers.IterateTrace(method=meta["method"], f_star=meta["f_star"])

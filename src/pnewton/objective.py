@@ -14,6 +14,7 @@ route.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -98,8 +99,10 @@ class GlmProblem:
     is ``log(1 + exp(-y_i t))``; absent labels default to +1. For the squared
     link the loss is ``(t - y_i)^2 / 2`` with labels defaulting to 0.
 
-    Instances are immutable after construction (the data matrix and labels
-    are read-only copies), so they are safe to share across threads.
+    The data matrix and labels are read-only copies, so instances are safe to
+    share across threads. The only mutable state is a per-thread memo of the
+    loss terms at the last point evaluated: ``f``, ``grad f`` and ``hess f``
+    at one point share one margin product ``A^T x`` and one loss-term pass.
     """
 
     def __init__(self, A, link: str, alpha: float, labels=None):
@@ -129,6 +132,7 @@ class GlmProblem:
         self.labels = labels
         if labels is not None:
             self.labels.setflags(write=False)
+        self._memo = threading.local()
 
     @property
     def n(self) -> int:
@@ -144,8 +148,9 @@ class GlmProblem:
             y = self.labels if self.labels is not None else np.ones_like(t)
             s = y * t
             val = np.logaddexp(0.0, -s)
-            d1 = -y * expit(-s)
-            d2 = expit(s) * expit(-s)
+            e = expit(-s)
+            d1 = -y * e
+            d2 = expit(s) * e
         else:
             y = self.labels if self.labels is not None else np.zeros_like(t)
             r = t - y
@@ -154,19 +159,28 @@ class GlmProblem:
             d2 = np.ones_like(t)
         return val, d1, d2
 
+    # loss terms at the last point this thread evaluated; an x changed in place misses
+    def _terms_at(self, x):
+        key = x.tobytes()
+        memo = self._memo
+        if getattr(memo, "key", None) != key:
+            memo.terms = self._loss_terms(self.A.T @ x)
+            memo.key = key
+        return memo.terms
+
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        val, _, _ = self._loss_terms(self.A.T @ x)
+        val, _, _ = self._terms_at(x)
         return float(val.mean() + 0.5 * self.alpha * (x @ x))
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        _, d1, _ = self._loss_terms(self.A.T @ x)
+        _, d1, _ = self._terms_at(x)
         return self.A @ d1 / self.m + self.alpha * x
 
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        _, _, d2 = self._loss_terms(self.A.T @ x)
+        _, _, d2 = self._terms_at(x)
         H = (self.A * d2) @ self.A.T / self.m + self.alpha * np.eye(self.n)
         return 0.5 * (H + H.T)
 

@@ -209,6 +209,80 @@ def test_certify_round_trip_from_dataset_file(tmp_path):
     assert report.all_certified
 
 
+def test_one_glm_constants_per_run(tmp_path, monkeypatch):
+    import pnewton.harness.experiment as experiment_mod
+    import pnewton.objective as objective_mod
+
+    calls = []
+    real = objective_mod.glm_constants
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(objective_mod, "glm_constants", counting)
+    monkeypatch.setattr(experiment_mod, "glm_constants", counting)
+    A, labels = make_logistic_dataset(6, 50, seed=13)
+    write_csv_dataset(tmp_path / "data.csv", A, labels)
+    problems = [{"builtin": "logistic", "n": 6, "m": 50}, {"path": str(tmp_path / "data.csv"), "format": "csv"}]
+    for i, problem in enumerate(problems):
+        calls.clear()
+        spec = ExperimentSpec(
+            problem=problem,
+            solvers=[SolverSpec(name="pnm", method="pnm"), SolverSpec(name="newton", method="newton")],
+            seed=13,
+            out=str(tmp_path / f"run{i}"),
+            diagnostics=True,
+        )
+        summary = run_experiment(spec)
+        assert len(calls) == 1
+        assert summary["constants"]["L"] == real(calls[0]).L
+        meta = json.loads((tmp_path / f"run{i}" / "pnm.meta.json").read_text())
+        assert meta["resolved_step_L"] == summary["constants"]["L"]
+        calls.clear()
+        _, matches = certify_trace(tmp_path / f"run{i}" / "pnm.trace.csv")
+        assert matches is True and len(calls) == 1
+
+
+def _all_bytes(outdir):
+    return {path.name: path.read_bytes() for path in sorted(Path(outdir).iterdir())}
+
+
+def _lock_spec(outdir):
+    solvers = [SolverSpec(name="newton", method="newton"), SolverSpec(name="damped_newton", method="damped_newton")]
+    solvers += [
+        SolverSpec(name=f"{method}_{precond}", method=method, precond=precond, max_iters=300)
+        for method in ("pnm", "anm") for precond in ("identity", "diag")
+    ]
+    return ExperimentSpec(
+        problem={"builtin": "logistic", "n": 10, "m": 80},
+        solvers=solvers,
+        alpha=0.1,
+        seed=17,
+        out=str(outdir),
+        diagnostics=True,
+    )
+
+
+def test_oracle_memo_and_workers_change_no_output_byte(tmp_path, monkeypatch):
+    from pnewton.objective import GlmProblem
+
+    run_experiment(_lock_spec(tmp_path / "memo"))
+    written = _all_bytes(tmp_path / "memo")
+    assert sum(name.endswith(".cert.json") for name in written) == 4
+    assert sum(name.endswith(".trace.csv") for name in written) == 6
+
+    monkeypatch.setenv("PN_THREADS", "2")
+    run_experiment(_lock_spec(tmp_path / "two_workers"))
+    assert _all_bytes(tmp_path / "two_workers") == written
+
+    # every oracle call recomputes from the margins A^T x
+    monkeypatch.setenv("PN_THREADS", "1")
+    monkeypatch.setattr(GlmProblem, "_terms_at", lambda self, x: self._loss_terms(self.A.T @ x))
+    run_experiment(_lock_spec(tmp_path / "no_memo"))
+    assert _all_bytes(tmp_path / "no_memo") == written
+
+
 def test_partial_results_flushed_on_failure(tmp_path, monkeypatch):
     import pnewton.harness.experiment as experiment_mod
     from pnewton.errors import NotPositiveDefinite

@@ -1,9 +1,16 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_glm
 from pnewton.errors import BadLabel, BadShape
 from pnewton.objective import (
+    GlmProblem,
     ObjectiveModel,
     check_relative_bounds,
     fd_gradient,
@@ -180,3 +187,118 @@ def test_relative_bounds_falsified_by_halved_L():
         for x, y in pairs
     )
     assert violations > 0
+
+
+# ---------------------------------------------------------------------------
+# The per-thread memo of the GLM loss terms
+# ---------------------------------------------------------------------------
+
+MEMO_CASES = [(link, labelled) for link in ("logistic", "squared") for labelled in (True, False)]
+
+
+def _memo_problem(link, labelled):
+    problem, _ = rand_glm(21, n=5, m=30, link=link)
+    return problem if labelled else glm_build(problem.A, link, problem.alpha)
+
+
+def _fresh(problem, kind, x):
+    """``kind`` at ``x`` from a new problem on the same data: nothing memoized."""
+    return getattr(glm_build(problem.A, problem.link, problem.alpha, problem.labels), kind)(x)
+
+
+def _bitwise_equal(a, b):
+    return a == b if isinstance(a, float) else np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(MEMO_CASES),
+    calls=st.lists(
+        st.tuples(st.sampled_from(["value", "gradient", "hessian"]), st.integers(0, 2)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_memo_changes_no_bits(case, calls):
+    problem = _memo_problem(*case)
+    points = np.random.default_rng(5).standard_normal((3, problem.n))
+    for kind, i in calls:
+        got = getattr(problem, kind)(points[i])
+        assert _bitwise_equal(got, _fresh(problem, kind, points[i]))
+
+
+@pytest.mark.parametrize("link,labelled", MEMO_CASES)
+def test_memo_misses_after_in_place_mutation(link, labelled):
+    problem = _memo_problem(link, labelled)
+    x = np.full(problem.n, 0.3)
+    problem.value(x)
+    x[1] = -2.0
+    assert np.array_equal(problem.gradient(x), _fresh(problem, "gradient", x))
+    x *= 0.5
+    assert np.array_equal(problem.hessian(x), _fresh(problem, "hessian", x))
+
+
+def test_memo_is_per_thread(monkeypatch):
+    problem = _memo_problem("logistic", True)
+    rng = np.random.default_rng(9)
+    # each thread owns two points and evaluates f, g and H at each in turn,
+    # strictly alternating with the other thread through the barrier
+    own = [rng.standard_normal((2, problem.n)) for _ in range(2)]
+    schedule = [(p, kind) for p in range(2) for kind in ("value", "gradient", "hessian")]
+    expected = [[_fresh(problem, kind, own[t][p]) for p, kind in schedule] for t in range(2)]
+    calls = {}  # loss-term passes per thread
+    real = GlmProblem._loss_terms
+
+    def counting(self, t):
+        tid = threading.get_ident()
+        calls[tid] = calls.get(tid, 0) + 1
+        return real(self, t)
+
+    monkeypatch.setattr(GlmProblem, "_loss_terms", counting)
+    barrier = threading.Barrier(2)
+    results = [[], []]
+    tids = [None, None]
+
+    def worker(t):
+        tids[t] = threading.get_ident()
+        for turn in range(2 * len(schedule)):
+            barrier.wait(timeout=10)
+            if turn % 2 == t:
+                p, kind = schedule[turn // 2]
+                results[t].append(getattr(problem, kind)(own[t][p]))
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(2):
+        assert len(results[t]) == len(schedule)
+        assert all(_bitwise_equal(a, b) for a, b in zip(results[t], expected[t]))
+        assert calls[tids[t]] == 2  # one pass per distinct point of its own
+
+
+def test_memo_under_thread_contention():
+    problem = _memo_problem("logistic", True)
+    rng = np.random.default_rng(10)
+    points = rng.standard_normal((6, problem.n))
+    kinds = ("value", "gradient", "hessian")
+    expected = {(i, kind): _fresh(problem, kind, points[i]) for i in range(6) for kind in kinds}
+
+    def worker(seed):
+        order = np.random.default_rng(seed)
+        for _ in range(200):
+            i, kind = int(order.integers(6)), kinds[int(order.integers(3))]
+            if not _bitwise_equal(getattr(problem, kind)(points[i]), expected[(i, kind)]):
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(6)]
+            outcomes = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(outcomes)

@@ -13,7 +13,7 @@ from pnewton.errors import (
 )
 from pnewton.harness import make_logistic_dataset
 from pnewton.linalg import spd_solve, weighted_norm_sq
-from pnewton.objective import ObjectiveModel, glm_build, quadratic_model
+from pnewton.objective import GlmProblem, ObjectiveModel, glm_build, quadratic_model
 from pnewton.solvers import (
     DualState,
     PenaltySchedule,
@@ -368,6 +368,61 @@ def test_damped_newton_values_are_records_plus_line_search_trials():
     assert calls["value"] == 1 + sum(j + 1 for j in shrinks)
     assert calls["hessian"] == trace.steps_taken
     assert calls["gradient"] == len(trace.records)
+
+
+LOSS_TERM_CASES = [(method, precond, None) for method, precond in RUN_CASES] + [
+    ("anm", "identity", "x1"),
+    ("anm", "hessian_diagonal", "x1"),
+    ("damped_newton", "identity", "backtracking"),
+]
+
+
+@pytest.mark.parametrize("method,precond,start", LOSS_TERM_CASES)
+def test_run_one_loss_term_pass_per_point(monkeypatch, method, precond, start):
+    _, base = rand_glm(70, n=6, m=50, alpha=1e-3 if start == "backtracking" else 0.3)
+    points = []
+
+    def logged(fn):
+        def wrapped(x):
+            points.append(np.asarray(x, dtype=float).tobytes())
+            return fn(x)
+
+        return wrapped
+
+    model, calls = _counted(dataclasses.replace(
+        base, **{kind: logged(getattr(base, kind)) for kind in ("value", "gradient", "hessian")}
+    ))
+    passes = []
+    real = GlmProblem._loss_terms
+
+    def counting(self, t):
+        passes.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(GlmProblem, "_loss_terms", counting)
+    cfg = SolverConfig(
+        method=method, precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+    )
+    if start == "x1":
+        trace = run(model, 0.5 * np.ones(6), cfg, x1=np.zeros(6))
+    elif start == "backtracking":
+        trace = run(model, 10.0 * np.ones(6), SolverConfig(method=method, max_iters=200))
+    else:
+        trace = run(model, np.zeros(6), cfg)
+    assert trace.termination == "converged" and trace.steps_taken >= 1
+    # one pass per maximal run of consecutive oracle calls at the same point
+    runs = 1 + sum(a != b for a, b in zip(points, points[1:]))
+    assert len(passes) == runs
+    if method == "damped_newton":
+        assert len(passes) == calls["value"]
+        if start == "backtracking":
+            assert calls["value"] > len(trace.records)  # rejected trials were evaluated
+    else:
+        repeated_x1 = method == "anm" and start is None  # x1 = x0 is recorded twice
+        assert len(passes) == len(trace.records) - repeated_x1
+        assert calls["value"] == len(trace.records)
+    assert calls["gradient"] == len(trace.records)
+    assert calls["hessian"] == trace.steps_taken
 
 
 @pytest.mark.parametrize("method", ["pnm", "anm"])
