@@ -70,6 +70,9 @@ __all__ = [
     "certify_augmented_contraction",
 ]
 
+#: Absolute slack allowed on each certified contraction inequality.
+SLACK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -88,9 +91,8 @@ def _whiten(H, G):
 
     A diagonal ``G`` (no nonzero off-diagonal entry) is whitened by rescaling
     rows and columns with ``1/sqrt(diag(G))``: O(n^2), no factorization.
+    ``H`` and ``G`` must be symmetric and finite; they are not re-checked.
     """
-    H = as_symmetric(H)
-    G = as_symmetric(G)
     g = np.diag(G)
     if np.count_nonzero(G) == np.count_nonzero(g):
         if not (g > 0.0).all():
@@ -116,8 +118,8 @@ def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
 
 
 def _whitened_spectrum(H, G):
-    """Eigen-decompose the whitened Hessian; returns ``(C, lam, U)`` with ``W = U diag(lam) U^T``."""
-    C, W = _whiten(H, G)
+    """Check ``H`` and ``G``; return ``(C, lam, U)`` of the whitened Hessian ``W = U diag(lam) U^T``."""
+    C, W = _whiten(as_symmetric(H), as_symmetric(G))
     lam, U = sym_eig(W)
     return C, _psd_spectrum(lam), U
 
@@ -132,9 +134,9 @@ def _whitened_eigenvalues(H, G) -> np.ndarray:
     return _psd_spectrum(lam)
 
 
-def _xi(lam: np.ndarray, rho: float, rank_tol: float) -> float:
+def _xi(lam: np.ndarray, rho: float) -> float:
     lam_max = float(lam[-1])
-    nonzero = lam[lam > rank_tol * lam_max]
+    nonzero = lam[lam > DEFAULT_RANK_TOL * lam_max]
     if lam_max <= 0.0 or nonzero.size == 0:
         raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
     lam_min = float(nonzero[0])
@@ -165,14 +167,14 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     return 0.5 * (F + F.T)
 
 
-def min_filtered_curvature(H, G, rho: float, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def min_filtered_curvature(H, G, rho: float) -> float:
     """Smallest nonzero filtered eigenvalue ``xi = rho*lam / (1 + rho*lam)``.
 
     ``lam`` ranges over the nonzero spectrum of ``G^{-1/2} H G^{-1/2}``;
     the result lies in (0, 1]. Raises :class:`ZeroHessian` when the Hessian
     is numerically zero (no nonzero eigenvalue to take a minimum over).
     """
-    return _xi(_whitened_eigenvalues(H, G), rho, rank_tol)
+    return _xi(_whitened_eigenvalues(as_symmetric(H), as_symmetric(G)), rho)
 
 
 def precond_floor(H, G, rho: float) -> float:
@@ -181,7 +183,7 @@ def precond_floor(H, G, rho: float) -> float:
     ``K^{1/2} G K^{1/2}`` is similar to ``G K``, whose eigenvalues are
     ``1/(1/rho + lam)``, so beta is ``rho / (1 + rho * lam_max)``.
     """
-    return _beta(_whitened_eigenvalues(H, G), rho)
+    return _beta(_whitened_eigenvalues(as_symmetric(H), as_symmetric(G)), rho)
 
 
 def momentum_matrix(H, G, rho: float) -> np.ndarray:
@@ -216,9 +218,7 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     return CheckResult(ok, {"res_hk": res_hk, "res_gkg": res_gkg, "gkg_scale": scale})
 
 
-def verify_spectrum_match(
-    H, G, rho: float, tol: float = 1e-8, rank_tol: float = DEFAULT_RANK_TOL
-) -> CheckResult:
+def verify_spectrum_match(H, G, rho: float, tol: float = 1e-8) -> CheckResult:
     """Check that ``H^{1/2} K H^{1/2}`` and ``G^{-1/2} F G^{-1/2}`` share nonzero spectra.
 
     The two matrices are built through different routes (the Hessian square
@@ -228,15 +228,13 @@ def verify_spectrum_match(
     shorter list is padded with zeros, so the disputed value still has to be
     below ``tol`` for the check to pass.
     """
-    H = as_symmetric(H)
-    G = as_symmetric(G)
     S = psd_sqrt(H)
     K = shifted_inverse(H, G, rho)
     M1 = S @ K @ S
     Gis = inv_sqrt_pd(G)
     M2 = Gis @ filtered_curvature(H, G, rho) @ Gis
-    e1 = nonzero_eigenvalues(0.5 * (M1 + M1.T), rank_tol)
-    e2 = nonzero_eigenvalues(0.5 * (M2 + M2.T), rank_tol)
+    e1 = nonzero_eigenvalues(0.5 * (M1 + M1.T))
+    e2 = nonzero_eigenvalues(0.5 * (M2 + M2.T))
     width = max(e1.size, e2.size)
     p1 = np.concatenate([np.zeros(width - e1.size), e1])
     p2 = np.concatenate([np.zeros(width - e2.size), e2])
@@ -269,9 +267,7 @@ def _in_range(H, v) -> bool:
     return proj_residual <= 1e-8 * (1.0 + float(np.linalg.norm(v)))
 
 
-def verify_step_energy_bound(
-    x, x_prev, H, G, rho: float, tol: float = 1e-10, rank_tol: float = DEFAULT_RANK_TOL
-) -> CheckResult:
+def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) -> CheckResult:
     """Check ``||x - x_prev||^2_F >= xi * ||x - x_prev||^2_G`` at one iterate.
 
     Requires H to be PD, or ``G (x - x_prev)`` to lie in ``Range(H)``
@@ -287,7 +283,7 @@ def verify_step_energy_bound(
     H = as_symmetric(H)
     G = as_symmetric(G)
     w, _ = sym_eig(H)
-    pd = float(w[0]) > rank_tol * max(float(w[-1]), 0.0)
+    pd = float(w[0]) > DEFAULT_RANK_TOL * max(float(w[-1]), 0.0)
     range_ok = pd or _in_range(H, G @ d)
     lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
     xi = min_filtered_curvature(H, G, rho)
@@ -422,7 +418,6 @@ def certify_penalty_contraction(
     precond: "PreconditionerPolicy",
     mu: float,
     step_L: float,
-    slack_tol: float = 1e-12,
 ) -> ContractionReport:
     """Certify per-iteration gap contraction of a penalty-Newton trace.
 
@@ -430,7 +425,7 @@ def certify_penalty_contraction(
     ``eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * L)`` with
     ``beta_k`` the smallest eigenvalue of ``K^{1/2} G K^{1/2}`` at that
     iterate, both read off one whitened spectrum; the check is
-    ``gap_{k+1} <= (1 - eta_k) * gap_k + slack_tol``. Iterations where
+    ``gap_{k+1} <= (1 - eta_k) * gap_k + SLACK_TOL``. Iterations where
     ``eta_k`` falls outside (0, 1] are flagged vacuous.
     """
     f_star = _resolve_f_star(trace, model)
@@ -439,15 +434,15 @@ def certify_penalty_contraction(
     for k in range(len(records) - 1):
         x_k = records[k].x
         rho_k = records[k].rho
-        H_k = model.hessian(x_k)
+        H_k = as_symmetric(model.hessian(x_k))
         G_k = precond.materialize(H_k)
         lam = _whitened_eigenvalues(H_k, G_k)
-        xi_k = _xi(lam, rho_k, DEFAULT_RANK_TOL)
+        xi_k = _xi(lam, rho_k)
         beta_k = _beta(lam, rho_k)
         eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L)
         gap_k = records[k].f - f_star
         gap_next = records[k + 1].f - f_star
-        rhs = (1.0 - eta_k) * gap_k + slack_tol
+        rhs = (1.0 - eta_k) * gap_k + SLACK_TOL
         report.entries.append(
             ContractionEntry(
                 k=k,
@@ -470,7 +465,6 @@ def certify_augmented_contraction(
     precond: "PreconditionerPolicy",
     mu: float,
     step_L: float,
-    slack_tol: float = 1e-12,
 ) -> ContractionReport:
     """Certify per-iteration composite-value contraction of an augmented trace.
 
@@ -489,17 +483,17 @@ def certify_augmented_contraction(
     for k in range(1, len(records) - 1):
         x_prev, x_k, x_next = records[k - 1].x, records[k].x, records[k + 1].x
         rho_k = records[k].rho
-        H_k = model.hessian(x_k)
+        H_k = as_symmetric(model.hessian(x_k))
         G_k = precond.materialize(H_k)
         lam = _whitened_eigenvalues(H_k, G_k)
-        xi_k = _xi(lam, rho_k, DEFAULT_RANK_TOL)
+        xi_k = _xi(lam, rho_k)
         theta_k = xi_k * mu / step_L
         v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
         v_next = lyapunov(records[k + 1].f, f_star, x_next, x_k, G_k, rho_k, step_L)
-        rhs = (1.0 - theta_k) * v_k + slack_tol
+        rhs = (1.0 - theta_k) * v_k + SLACK_TOL
         d = x_k - x_prev
         pd = float(lam[0]) > DEFAULT_RANK_TOL * float(lam[-1])
-        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(as_symmetric(H_k), G_k @ d)
+        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(H_k, G_k @ d)
         report.entries.append(
             ContractionEntry(
                 k=k,

@@ -127,7 +127,10 @@ def _cmd_run(args) -> int:
             f"  {entry['name']}: {entry['termination']} in {entry['iterations']} iters, "
             f"||grad||={entry['final_grad_norm']:.3e}{gap_str}"
         )
-    return 0
+    unconverged = [entry["name"] for entry in summary["solvers"] if entry["termination"] != "converged"]
+    if unconverged:
+        print(f"solver failure: not converged: {', '.join(unconverged)}", file=sys.stderr)
+    return 1 if unconverged else 0
 
 
 def _cmd_solve(args) -> int:
@@ -220,7 +223,7 @@ def cli_main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PnewtonError as exc:
+    except (PnewtonError, OverflowError) as exc:  # demo-root's float ** can overflow
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 

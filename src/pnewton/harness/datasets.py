@@ -64,7 +64,7 @@ def _load_csv(path: str):
     return A, labels
 
 
-def _load_libsvm(path: str, n_features: int | None = None):
+def _load_libsvm(path: str):
     samples: list[dict[int, float]] = []
     labels: list[float] = []
     max_index = 0
@@ -95,19 +95,16 @@ def _load_libsvm(path: str, n_features: int | None = None):
             samples.append(entries)
     if not samples:
         raise EmptyDataset(f"no data rows in {path}")
-    n = n_features if n_features is not None else max_index
-    if n < 1:
+    if max_index < 1:
         raise EmptyDataset(f"no feature values in {path}")
-    A = np.zeros((n, len(samples)))
+    A = np.zeros((max_index, len(samples)))
     for j, entries in enumerate(samples):
         for idx, val in entries.items():
-            if idx > n:
-                raise ParseError(f"feature index {idx} exceeds n_features={n}")
             A[idx - 1, j] = val
     return A, np.asarray(labels, dtype=float)
 
 
-def load_dataset(path: str, fmt: str = "csv", link: str | None = None, n_features: int | None = None):
+def load_dataset(path: str, fmt: str = "csv", link: str | None = None):
     """Read a dataset file into a dense ``(A, labels)`` pair.
 
     ``csv`` expects a numeric matrix with the label in the last column;
@@ -118,7 +115,7 @@ def load_dataset(path: str, fmt: str = "csv", link: str | None = None, n_feature
     if fmt == "csv":
         A, labels = _load_csv(path)
     elif fmt == "libsvm":
-        A, labels = _load_libsvm(path, n_features=n_features)
+        A, labels = _load_libsvm(path)
     else:
         raise ValueError(f"unknown dataset format {fmt!r}; choose csv or libsvm")
     if link == "logistic":

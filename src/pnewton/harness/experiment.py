@@ -186,12 +186,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_trace_csv(trace: solvers.IterateTrace, path, f_star: float | None = None, timing: bool = False) -> None:
+def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> None:
     """Write a trace in the documented CSV schema (deterministic bytes by default)."""
-    f_star = trace.f_star if f_star is None else f_star
     lines = [TRACE_HEADER]
     for rec in trace.records:
-        gap = None if f_star is None else rec.f - f_star
+        gap = None if trace.f_star is None else rec.f - trace.f_star
         lines.append(
             ",".join(
                 [

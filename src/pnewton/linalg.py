@@ -5,8 +5,10 @@ the handful of primitives here: validated symmetric matrices, shifted-SPD
 solves with a jitter retry policy, symmetric eigendecomposition, pseudo-inverse
 application, PSD square roots and weighted norms.
 
-All functions are pure and operate on plain ``numpy`` arrays; matrices are
-symmetrized once on entry via :func:`as_symmetric` and never mutated.
+All functions are pure and operate on plain ``numpy`` arrays; no matrix is
+mutated. A matrix is checked by :func:`as_symmetric` once, where it enters
+pnewton; :func:`sym_eig` (so every eigen route) checks its input, while
+:func:`spd_solve` and :func:`weighted_norm_sq` trust theirs, as LAPACK does.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ SYMMETRY_RTOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
 
-def as_symmetric(M, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def as_symmetric(M) -> np.ndarray:
     """Validate that ``M`` is square, finite and symmetric; return ``(M + M^T)/2``.
 
-    Raises ``ValueError`` if the asymmetry exceeds ``rtol * max|M|`` or any
-    entry is non-finite.
+    Raises ``ValueError`` if the asymmetry exceeds ``SYMMETRY_RTOL * max|M|``
+    or any entry is non-finite.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -49,10 +51,10 @@ def as_symmetric(M, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(M).max()) if M.size else 0.0
     skew = float(np.abs(M - M.T).max()) if M.size else 0.0
-    if skew > rtol * scale:
+    if skew > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"matrix is not symmetric: max |M - M^T| = {skew:.3e} "
-            f"exceeds {rtol:.0e} * max|M| = {rtol * scale:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.0e} * max|M| = {SYMMETRY_RTOL * scale:.3e}"
         )
     return 0.5 * (M + M.T)
 
@@ -64,11 +66,12 @@ def spd_solve(M, b) -> np.ndarray:
     huge penalty ``rho``) gets up to three jittered retries: the jitter starts
     at ``1e-12 * trace(M)/n`` and escalates tenfold per retry.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    ``b`` may be a vector or a matrix of stacked right-hand sides. ``M`` must
+    be symmetric and finite; it is not re-checked (Cholesky reads one triangle).
 
     Raises :class:`NotPositiveDefinite` if every attempt fails.
     """
-    M = as_symmetric(M)
+    M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
     n = M.shape[0]
     if b.shape[0] != n:
@@ -105,10 +108,10 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def pinv_apply(M, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_apply(M, b) -> np.ndarray:
     """Apply the Moore-Penrose pseudo-inverse of a symmetric PSD ``M`` to ``b``.
 
-    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero, so
+    Eigenvalues at or below ``DEFAULT_RANK_TOL * lambda_max`` are treated as zero, so
     the result is exact on ``Range(M)`` and annihilates ``Null(M)``.
     """
     w, V = sym_eig(M)
@@ -116,7 +119,7 @@ def pinv_apply(M, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     lam_max = float(w[-1]) if w.size else 0.0
     if lam_max <= 0.0:
         return np.zeros_like(b)
-    keep = w > rank_tol * lam_max
+    keep = w > DEFAULT_RANK_TOL * lam_max
     coeff = V[:, keep].T @ b
     return V[:, keep] @ (coeff / w[keep])
 
@@ -157,8 +160,9 @@ def weighted_norm_sq(x, M) -> float:
     """Quadratic form ``x^T M x`` for PSD ``M``, clamped against tiny negative noise.
 
     Values in ``[-1e-12 * ||M||_F * ||x||^2, 0)`` are rounded up to zero.
+    ``M`` must be symmetric and finite; it is not re-checked.
     """
-    M = as_symmetric(M)
+    M = np.asarray(M, dtype=float)
     x = np.asarray(x, dtype=float)
     v = float(x @ (M @ x))
     if v < 0.0:
@@ -168,14 +172,14 @@ def weighted_norm_sq(x, M) -> float:
     return v
 
 
-def nonzero_eigenvalues(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Ascending eigenvalues of PSD ``M`` above ``rank_tol * lambda_max``; empty when ``lambda_max <= 0``."""
+def nonzero_eigenvalues(M) -> np.ndarray:
+    """Ascending eigenvalues of PSD ``M`` above ``DEFAULT_RANK_TOL * lambda_max``; empty when ``lambda_max <= 0``."""
     w, _ = sym_eig(M)
     lam_max = float(w[-1]) if w.size else 0.0
-    return w[w > rank_tol * lam_max] if lam_max > 0.0 else w[:0]
+    return w[w > DEFAULT_RANK_TOL * lam_max] if lam_max > 0.0 else w[:0]
 
 
-def lambda_min_pos(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Smallest eigenvalue of PSD ``M`` above ``rank_tol * lambda_max``; 0.0 when none is."""
-    w = nonzero_eigenvalues(M, rank_tol)
+def lambda_min_pos(M) -> float:
+    """Smallest eigenvalue of PSD ``M`` above ``DEFAULT_RANK_TOL * lambda_max``; 0.0 when none is."""
+    w = nonzero_eigenvalues(M)
     return float(w[0]) if w.size else 0.0

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import BadLabel, BadShape
-from .linalg import sym_eig, weighted_norm_sq
+from .linalg import as_symmetric, sym_eig, weighted_norm_sq
 
 __all__ = [
     "ObjectiveModel",
@@ -65,6 +65,8 @@ class RelativeConstants:
 class ObjectiveModel:
     """Evaluatable triple ``(f, grad f, hess f)`` over R^n.
 
+    ``hessian`` must return a symmetric, finite n x n matrix; pnewton checks it
+    once, with :func:`~pnewton.linalg.as_symmetric`, where it receives it.
     ``constants`` optionally carries the relative smoothness/convexity pair
     ``(L, mu)`` with ``0 < mu <= L``; ``optimum`` optionally carries
     ``(x_star, f_star)`` when the minimizer is known.
@@ -268,7 +270,7 @@ def check_relative_bounds(model: ObjectiveModel, x, y, L: float, mu: float) -> B
     y = np.asarray(y, dtype=float)
     d = x - y
     gap = model.value(x) - model.value(y) - float(model.gradient(y) @ d)
-    w = weighted_norm_sq(d, model.hessian(y))
+    w = weighted_norm_sq(d, as_symmetric(model.hessian(y)))
     upper = 0.5 * L * w
     lower = 0.5 * mu * w
     return BoundsCheck(
@@ -315,6 +317,7 @@ def in_level_set(model: ObjectiveModel, x, y, x0, y0, G, rho: float, step_L: flo
     y = np.asarray(y, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
+    G = as_symmetric(G)
     coeff = step_L / (2.0 * rho)
     lhs = model.value(x) + coeff * weighted_norm_sq(x - y, G)
     rhs = model.value(x0) + coeff * weighted_norm_sq(x0 - y0, G)

@@ -56,6 +56,10 @@ __all__ = [
 
 METHODS = ("newton", "damped_newton", "pnm", "anm")
 
+#: Damped Newton's Armijo fraction and step shrink factor (see ``_backtrack``).
+BT_ALPHA = 0.25
+BT_BETA = 0.5
+
 
 @dataclass(frozen=True)
 class PreconditionerPolicy:
@@ -145,8 +149,6 @@ class SolverConfig:
     step_L: float = 1.0
     max_iters: int = 100
     grad_tol: float = 1e-8
-    bt_alpha: float = 0.25
-    bt_beta: float = 0.5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -157,10 +159,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be > 0")
-        if not (0.0 < self.bt_alpha <= 0.5):
-            raise ValueError("backtracking alpha must be in (0, 1/2]")
-        if not (0.0 < self.bt_beta < 1.0):
-            raise ValueError("backtracking beta must be in (0, 1)")
 
 
 @dataclass
@@ -189,10 +187,6 @@ class IterateTrace:
     termination: str = "max_iters"
     f_star: float | None = None
     steps_taken: int = 0
-
-    @property
-    def xs(self) -> list[np.ndarray]:
-        return [r.x for r in self.records]
 
     @property
     def final(self) -> IterateRecord:
@@ -234,7 +228,7 @@ def newton_step(model: ObjectiveModel, x, step_L: float = 1.0) -> np.ndarray:
     residual exceeding ``1e-8 * (1 + ||grad||)``.
     """
     x = np.asarray(x, dtype=float)
-    H = model.hessian(x)
+    H = as_symmetric(model.hessian(x))
     g = model.gradient(x)
     return x - _range_checked_newton_direction(H, g, step_L)
 
@@ -242,7 +236,7 @@ def newton_step(model: ObjectiveModel, x, step_L: float = 1.0) -> np.ndarray:
 def pnm_step(model: ObjectiveModel, x, rho: float, G, step_L: float) -> np.ndarray:
     """Penalty Newton update ``x - (1/L) (G/rho + H(x))^{-1} grad f(x)``."""
     x = np.asarray(x, dtype=float)
-    H = model.hessian(x)
+    H = as_symmetric(model.hessian(x))
     g = model.gradient(x)
     return _pnm_update(x, g, H, as_symmetric(G), rho, step_L)
 
@@ -259,7 +253,7 @@ def anm_step_dual(
     """
     x = np.asarray(x, dtype=float)
     G = as_symmetric(G)
-    H = model.hessian(x)
+    H = as_symmetric(model.hessian(x))
     g = model.gradient(x)
     u = (rho / step_L) * g + G @ dual.z
     z_next = spd_solve(G / rho + H, u) / rho
@@ -274,7 +268,7 @@ def anm_step_momentum(model: ObjectiveModel, x, x_prev, rho: float, G, step_L: f
     ``Theta(x) (x - x_prev)`` with ``Theta = (1/rho) (G/rho + H)^{-1} G``.
     """
     x = np.asarray(x, dtype=float)
-    H = model.hessian(x)
+    H = as_symmetric(model.hessian(x))
     g = model.gradient(x)
     return _anm_update(x, np.asarray(x_prev, dtype=float), g, H, as_symmetric(G), rho, step_L)
 
@@ -284,11 +278,11 @@ def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float
     return 0.0 if -1e-9 < v < 0.0 else v
 
 
-def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: SolverConfig) -> tuple[np.ndarray, float]:
+def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace) -> tuple[np.ndarray, float]:
     """Damped Newton point ``x - t d`` and its value, with ``t`` from backtracking on the decrement.
 
-    The step starts at ``t = 1`` and shrinks by ``bt_beta`` while
-    ``f(x - t d) > f(x) - bt_alpha * t * decrement^2``. The comparison
+    The step starts at ``t = 1`` and shrinks by ``BT_BETA`` while
+    ``f(x - t d) > f(x) - BT_ALPHA * t * decrement^2``. The comparison
     tolerates ties within a few ulps of ``f`` so that, once the required
     decrease falls below float resolution, the iteration can still take the
     Newton step and reach the numerical optimum instead of stalling. Raises
@@ -299,8 +293,8 @@ def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace, config: Solv
     f_curr = trace.records[-1].f
     tie_slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f_curr))
     t, x_next = 1.0, x - d
-    while (f_next := model.value(x_next)) > f_curr - config.bt_alpha * t * decrement_sq + tie_slack:
-        t *= config.bt_beta
+    while (f_next := model.value(x_next)) > f_curr - BT_ALPHA * t * decrement_sq + tie_slack:
+        t *= BT_BETA
         if t < 1e-16:
             exc = LineSearchStall(
                 f"backtracking step underflowed at ||grad|| = {trace.records[-1].grad_norm:.3e}"
@@ -372,7 +366,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     x_prev, H = x, None
     if method == "anm":
         x = x_prev if x1 is None else np.asarray(x1, dtype=float)
-        H = model.hessian(x)
+        H = as_symmetric(model.hessian(x))
         G = config.precond.materialize(H)
         g = _record(trace, model, x, rho, weighted_norm_sq(x - x_prev, G), step_L, t0)
 
@@ -384,13 +378,13 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
         if g is None or converged(trace.records[-1]):
             break
         if H is None:
-            H = model.hessian(x)
+            H = as_symmetric(model.hessian(x))
             G = config.precond.materialize(H) if penalized else None
         f_next = None
         if method == "newton":
             x_next = x - _range_checked_newton_direction(H, g, step_L)
         elif method == "damped_newton":
-            x_next, f_next = _backtrack(model, x, g, H, trace, config)
+            x_next, f_next = _backtrack(model, x, g, H, trace)
         elif method == "pnm":
             x_next = _pnm_update(x, g, H, G, rho, step_L)
         else:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,13 +24,17 @@ from pnewton.diagnostics import (
 )
 from pnewton.errors import MissingOptimum, NotPositiveDefinite, ZeroHessian
 from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig
-from pnewton.objective import quadratic_model
+from pnewton.objective import check_relative_bounds, in_level_set, quadratic_model
 from pnewton.solvers import (
+    METHODS,
+    DualState,
     PenaltySchedule,
     PreconditionerPolicy,
     SolverConfig,
+    anm_step_dual,
     anm_step_momentum,
     fstar_oracle,
+    pnm_step,
     run,
 )
 
@@ -541,3 +547,55 @@ def test_momentum_matrix_spectral_radius_below_one():
         G = rand_pd(rng, 4)
         theta = momentum_matrix(H, G, 1.0)
         assert np.abs(np.linalg.eigvals(theta)).max() < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Validation where a matrix enters
+# ---------------------------------------------------------------------------
+
+Q_GOOD = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]])
+BAD_MATRICES = {
+    "asymmetric": Q_GOOD + np.triu(np.full((3, 3), 0.1), 1),
+    "nan": np.where(np.eye(3, dtype=bool), Q_GOOD, np.nan),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_hessian_raises_where_it_is_received(method, bad):
+    good = quadratic_model(Q_GOOD)
+    model = dataclasses.replace(good, hessian=lambda x: BAD_MATRICES[bad])
+    x0 = np.ones(3)
+    with pytest.raises(ValueError):
+        run(model, x0, SolverConfig(method=method))
+    trace = run(good, x0, SolverConfig(method="pnm", max_iters=3))
+    assert len(trace.records) == 4
+    for certify in (certify_penalty_contraction, certify_augmented_contraction):
+        with pytest.raises(ValueError):
+            certify(trace, model, PreconditionerPolicy.identity(), mu=1.0, step_L=1.0)
+    with pytest.raises(ValueError):
+        check_relative_bounds(model, x0, np.zeros(3), 1.0, 1.0)
+
+
+G_ENTRY_ROUTES = {
+    "shifted_inverse": lambda G: shifted_inverse(Q_GOOD, G, 2.0),
+    "filtered_curvature": lambda G: filtered_curvature(Q_GOOD, G, 2.0),
+    "min_filtered_curvature": lambda G: min_filtered_curvature(Q_GOOD, G, 2.0),
+    "precond_floor": lambda G: precond_floor(Q_GOOD, G, 2.0),
+    "momentum_matrix": lambda G: momentum_matrix(Q_GOOD, G, 2.0),
+    "pnm_step": lambda G: pnm_step(quadratic_model(Q_GOOD), np.ones(3), 2.0, G, 1.0),
+    "anm_step_momentum": lambda G: anm_step_momentum(quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), 2.0, G, 1.0),
+    "anm_step_dual": lambda G: anm_step_dual(quadratic_model(Q_GOOD), np.ones(3), DualState(z=np.ones(3)), 2.0, G, 1.0),
+    "in_level_set": lambda G: in_level_set(
+        quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), np.ones(3), np.zeros(3), G, 2.0, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(G_ENTRY_ROUTES))
+def test_asymmetric_g_raises_where_it_enters(route):
+    G = np.eye(3)
+    G_ENTRY_ROUTES[route](G)  # the symmetric G passes
+    G[0, 2] = 0.1
+    with pytest.raises(ValueError, match="not symmetric"):
+        G_ENTRY_ROUTES[route](G)

@@ -244,6 +244,43 @@ def test_one_glm_constants_per_run(tmp_path, monkeypatch):
         assert matches is True and len(calls) == 1
 
 
+def test_each_matrix_checked_once_where_it_enters(tmp_path, monkeypatch):
+    import pnewton.diagnostics as diagnostics_mod
+    import pnewton.linalg as linalg_mod
+    import pnewton.objective as objective_mod
+    import pnewton.solvers as solvers_mod
+
+    counts = {"as_symmetric": 0, "hessian": 0, "sym_eig": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (linalg_mod, solvers_mod, diagnostics_mod):
+        monkeypatch.setattr(module, "as_symmetric", counting("as_symmetric", module.as_symmetric))
+    for module in (linalg_mod, solvers_mod, diagnostics_mod, objective_mod):
+        monkeypatch.setattr(module, "sym_eig", counting("sym_eig", module.sym_eig))
+    monkeypatch.setattr(objective_mod.GlmProblem, "hessian", counting("hessian", objective_mod.GlmProblem.hessian))
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 8, "m": 60},
+        solvers=[
+            SolverSpec(name=f"{method}_{precond}", method=method, precond=precond)
+            for method in ("pnm", "anm") for precond in ("identity", "diag")
+        ],
+        seed=19,
+        out=str(tmp_path / "checks"),
+        diagnostics=True,
+    )
+    summary = run_experiment(spec)
+    assert all(entry["certification"]["all_certified"] for entry in summary["solvers"])
+    # every Hessian is checked where it is received, every eigen route checks
+    # its input, and nothing on the per-iterate path checks again
+    assert counts["hessian"] > 0 and counts["sym_eig"] > 0
+    assert counts["as_symmetric"] == counts["hessian"] + counts["sym_eig"]
+
+
 def _all_bytes(outdir):
     return {path.name: path.read_bytes() for path in sorted(Path(outdir).iterdir())}
 
@@ -438,6 +475,33 @@ def test_cli_run_spec_file(tmp_path, capsys):
     path.write_text(json.dumps(spec.to_dict()))
     assert cli_main(["run", str(path)]) == 0
     assert "newton" in capsys.readouterr().out
+
+
+def test_cli_run_unconverged_is_failure(tmp_path, capsys):
+    out = tmp_path / "unconverged"
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 20, "m": 10},
+        solvers=[
+            SolverSpec(name="pnm", method="pnm", step_L=1e-3),
+            SolverSpec(name="newton", method="newton", max_iters=1),
+        ],
+        alpha=1e-9,
+        out=str(out),
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert cli_main(["run", str(path)]) == 1
+    assert "pnm, newton" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert [entry["termination"] for entry in summary["solvers"]] == ["diverged", "max_iters"]
+    assert (out / "pnm.trace.csv").exists() and (out / "newton.trace.csv").exists()
+
+
+@pytest.mark.parametrize("poly, x0", [("x^99999", "2"), ("x^2-2", "1e308")])
+def test_cli_demo_root_overflow_is_failure(capsys, poly, x0):
+    assert cli_main(["demo-root", "--poly", poly, "--x0", x0]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and err.count("\n") == 1
 
 
 def test_cli_exit_codes():

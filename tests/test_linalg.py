@@ -166,5 +166,5 @@ def test_weighted_norm_matches_sqrt_route():
 def test_lambda_min_pos_examples():
     assert lambda_min_pos(np.diag([4.0, 1.0, 0.0])) == pytest.approx(1.0)
     assert lambda_min_pos(np.eye(5)) == pytest.approx(1.0)
-    assert lambda_min_pos(np.diag([5e-15, 3.0]), rank_tol=1e-10) == pytest.approx(3.0)
+    assert lambda_min_pos(np.diag([5e-15, 3.0])) == pytest.approx(3.0)
     assert lambda_min_pos(np.zeros((3, 3))) == 0.0

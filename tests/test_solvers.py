@@ -15,6 +15,7 @@ from pnewton.harness import make_logistic_dataset
 from pnewton.linalg import spd_solve, weighted_norm_sq
 from pnewton.objective import GlmProblem, ObjectiveModel, glm_build, quadratic_model
 from pnewton.solvers import (
+    BT_BETA,
     DualState,
     PenaltySchedule,
     PreconditionerPolicy,
@@ -357,13 +358,13 @@ def test_damped_newton_values_are_records_plus_line_search_trials():
     cfg = SolverConfig(method="damped_newton", max_iters=200)
     trace = run(model, 10.0 * np.ones(6), cfg)
     assert trace.termination == "converged"
-    # step k accepted t = bt_beta^j after j rejected trials, so it tried j + 1
+    # step k accepted t = BT_BETA^j after j rejected trials, so it tried j + 1
     # points; the accepted trial's value is the record's, so only x0 adds one
     shrinks = []
     for rec, nxt in zip(trace.records, trace.records[1:]):
         d = np.linalg.pinv(base.hessian(rec.x)) @ base.gradient(rec.x)
         t = np.linalg.norm(nxt.x - rec.x) / np.linalg.norm(d)
-        shrinks.append(int(round(np.log(t) / np.log(cfg.bt_beta))))
+        shrinks.append(int(round(np.log(t) / np.log(BT_BETA))))
     assert sum(shrinks) > 0  # the line search did backtrack
     assert calls["value"] == 1 + sum(j + 1 for j in shrinks)
     assert calls["hessian"] == trace.steps_taken
@@ -585,8 +586,6 @@ def test_solver_config_validation():
         SolverConfig(step_L=0.0)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(bt_alpha=0.9)
 
 
 def test_preconditioner_policies():
