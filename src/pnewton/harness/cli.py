@@ -7,7 +7,7 @@ Subcommands:
   certify    re-run contraction certification on an existing trace
   demo-root  scalar penalty/augmented root finding on a polynomial
 
-Exit codes: 0 success, 1 solver failure, 2 usage or IO error.
+Exit codes: 0 success, 1 solver failure, 2 usage, input or IO error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from ..errors import EmptyDataset, ParseError, PnewtonError
+from ..errors import BadLabel, BadShape, EmptyDataset, ParseError, PnewtonError
 from .experiment import ExperimentSpec, SolverSpec, certify_trace, run_experiment
 
 __all__ = ["cli_main", "main", "parse_polynomial", "poly_eval", "poly_derivative"]
@@ -185,8 +185,17 @@ def _cmd_demo_root(args) -> int:
 
     coeffs = parse_polynomial(args.poly)
     deriv = poly_derivative(coeffs)
-    f = lambda x: poly_eval(coeffs, x)  # noqa: E731
-    fp = lambda x: poly_eval(deriv, x)  # noqa: E731
+
+    def evaluator(c, what):
+        def evaluate(x):
+            try:
+                return poly_eval(c, x)
+            except OverflowError:  # float ** raises where float * gives inf
+                raise OverflowError(f"evaluating {what} at x = {x!r} overflowed a float") from None
+        return evaluate
+
+    f = evaluator(coeffs, f"the polynomial {args.poly!r}")
+    fp = evaluator(deriv, f"the derivative of {args.poly!r}")
     x1 = args.x0 if args.x1 is None else args.x1
 
     def report(name, root, xs):
@@ -217,13 +226,11 @@ def cli_main(argv=None) -> int:
         if args.command == "certify":
             return _cmd_certify(args)
         return _cmd_demo_root(args)
-    except (ParseError, EmptyDataset) as exc:
+    except (ParseError, EmptyDataset, BadLabel, BadShape,
+            OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PnewtonError, OverflowError) as exc:  # demo-root's float ** can overflow
+    except (PnewtonError, OverflowError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ def normalize_binary_labels(labels) -> np.ndarray:
     out[labels == 0.0] = -1.0
     bad = ~np.isin(out, (-1.0, 1.0))
     if bad.any():
-        raise BadLabel(f"cannot map label {labels[bad][0]!r} onto {{-1, +1}}")
+        raise BadLabel(f"cannot map label {float(labels[bad][0])!r} onto {{-1, +1}}")
     return out
 
 

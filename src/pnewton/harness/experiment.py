@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,15 +260,38 @@ def _certify(trace, model, config: solvers.SolverConfig):
     return None
 
 
-def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, problem_desc, fstar_info, outdir: Path):
-    config = sspec.to_config(default_step_L)
+def _start_point(problem_desc: dict, dim: int) -> np.ndarray:
+    """The point every solver of a run starts from; the f* oracle starts at zeros too."""
     # zeros is the conventional GLM start; the builtin quadratic is minimized
     # at the origin, so start it from the all-ones point instead
     if problem_desc.get("builtin") == "quadratic":
-        x0 = np.ones(model.dim)
-    else:
-        x0 = np.zeros(model.dim)
-    trace = solvers.run(model, x0, config)
+        return np.ones(dim)
+    return np.zeros(dim)
+
+
+def _share_start(model, x0: np.ndarray):
+    """``model`` with ``f``, ``grad f`` and ``hess f`` at ``x0`` evaluated once, here.
+
+    A call at exactly ``x0`` (equal bytes) returns the stored result, arrays
+    read-only; a call anywhere else goes through to ``model``.
+    """
+    key = x0.tobytes()
+
+    def shared(fn):
+        at_x0 = fn(x0)
+        if isinstance(at_x0, np.ndarray):
+            at_x0 = at_x0.view()
+            at_x0.setflags(write=False)
+        return lambda x: at_x0 if np.asarray(x, dtype=float).tobytes() == key else fn(x)
+
+    return replace(
+        model, value=shared(model.value), gradient=shared(model.gradient), hessian=shared(model.hessian)
+    )
+
+
+def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, problem_desc, fstar_info, outdir: Path):
+    config = sspec.to_config(default_step_L)
+    trace = solvers.run(model, _start_point(problem_desc, model.dim), config)
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
     _write_meta(
         outdir / f"{sspec.name}.meta.json",
@@ -298,8 +321,10 @@ def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, pro
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run every solver in the spec, write traces/meta/cert files and summary.json.
 
-    Solvers may run in parallel workers (capped by the ``PN_THREADS``
-    environment variable, default 1); each worker owns its output files.
+    The f* oracle, every solver and every certifier share one evaluation of
+    ``f``, ``grad f`` and ``hess f`` at the start point. Solvers may run in
+    parallel workers (capped by the ``PN_THREADS`` environment variable,
+    default 1); each worker owns its output files.
     Every solver runs even when an earlier one fails, so the outputs do not
     depend on the worker count; the first failure is raised after
     ``summary.json`` is written.
@@ -308,6 +333,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     problem_desc = _problem_desc(spec)
     model = _build_model(problem_desc)
+    model = _share_start(model, _start_point(problem_desc, model.dim))
     default_step_L = model.constants[0]
     f_star, x_star, fstar_info = _resolve_fstar(spec, model)
     model = model.with_optimum(

@@ -245,12 +245,15 @@ def test_one_glm_constants_per_run(tmp_path, monkeypatch):
 
 
 def test_each_matrix_checked_once_where_it_enters(tmp_path, monkeypatch):
+    import dataclasses
+
     import pnewton.diagnostics as diagnostics_mod
+    import pnewton.harness.experiment as experiment_mod
     import pnewton.linalg as linalg_mod
     import pnewton.objective as objective_mod
     import pnewton.solvers as solvers_mod
 
-    counts = {"as_symmetric": 0, "hessian": 0, "sym_eig": 0}
+    counts = {"as_symmetric": 0, "hessian": 0, "received": 0, "sym_eig": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -263,6 +266,13 @@ def test_each_matrix_checked_once_where_it_enters(tmp_path, monkeypatch):
     for module in (linalg_mod, solvers_mod, diagnostics_mod, objective_mod):
         monkeypatch.setattr(module, "sym_eig", counting("sym_eig", module.sym_eig))
     monkeypatch.setattr(objective_mod.GlmProblem, "hessian", counting("hessian", objective_mod.GlmProblem.hessian))
+    real_share_start = experiment_mod._share_start
+
+    def share_counting_receptions(model, x0):
+        shared = real_share_start(model, x0)
+        return dataclasses.replace(shared, hessian=counting("received", shared.hessian))
+
+    monkeypatch.setattr(experiment_mod, "_share_start", share_counting_receptions)
     spec = ExperimentSpec(
         problem={"builtin": "logistic", "n": 8, "m": 60},
         solvers=[
@@ -276,9 +286,12 @@ def test_each_matrix_checked_once_where_it_enters(tmp_path, monkeypatch):
     summary = run_experiment(spec)
     assert all(entry["certification"]["all_certified"] for entry in summary["solvers"])
     # every Hessian is checked where it is received, every eigen route checks
-    # its input, and nothing on the per-iterate path checks again
+    # its input, and nothing on the per-iterate path checks again; the Hessian
+    # at the shared start point is evaluated once but received by every solver
+    # and certifier
     assert counts["hessian"] > 0 and counts["sym_eig"] > 0
-    assert counts["as_symmetric"] == counts["hessian"] + counts["sym_eig"]
+    assert counts["hessian"] < counts["received"]
+    assert counts["as_symmetric"] == counts["received"] + counts["sym_eig"]
 
 
 def _all_bytes(outdir):
@@ -302,6 +315,7 @@ def _lock_spec(outdir):
 
 
 def test_oracle_memo_and_workers_change_no_output_byte(tmp_path, monkeypatch):
+    import pnewton.harness.experiment as experiment_mod
     from pnewton.objective import GlmProblem
 
     run_experiment(_lock_spec(tmp_path / "memo"))
@@ -318,6 +332,68 @@ def test_oracle_memo_and_workers_change_no_output_byte(tmp_path, monkeypatch):
     monkeypatch.setattr(GlmProblem, "_terms_at", lambda self, x: self._loss_terms(self.A.T @ x))
     run_experiment(_lock_spec(tmp_path / "no_memo"))
     assert _all_bytes(tmp_path / "no_memo") == written
+
+    # every solver and certifier evaluates the start point itself
+    monkeypatch.undo()
+    monkeypatch.setattr(experiment_mod, "_share_start", lambda model, x0: model)
+    run_experiment(_lock_spec(tmp_path / "no_sharing"))
+    assert _all_bytes(tmp_path / "no_sharing") == written
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_start_point_evaluated_once_per_run(tmp_path, monkeypatch, threads):
+    from pnewton.objective import GlmProblem
+
+    at_start = {"value": 0, "gradient": 0, "hessian": 0}
+
+    def counting(name):
+        real = getattr(GlmProblem, name)
+
+        def wrapped(self, x):
+            if not np.asarray(x).any():
+                at_start[name] += 1
+            return real(self, x)
+        return wrapped
+
+    for name in at_start:
+        monkeypatch.setattr(GlmProblem, name, counting(name))
+    monkeypatch.setenv("PN_THREADS", threads)
+    summary = run_experiment(_lock_spec(tmp_path / "run"))  # f* from the oracle, diagnostics on
+    assert summary["f_star_provenance"]["policy"] == "oracle"
+    assert len(summary["solvers"]) == 6 and not summary["failed"]
+    assert at_start == {"value": 1, "gradient": 1, "hessian": 1}
+
+
+def test_shared_start_point_is_read_only(tmp_path, monkeypatch):
+    import pnewton.harness.experiment as experiment_mod
+
+    real_run = experiment_mod.solvers.run
+    received = []
+
+    def capturing_run(model, x0, config, x1=None):
+        received.append((model, x0))
+        return real_run(model, x0, config, x1=x1)
+
+    monkeypatch.setattr(experiment_mod.solvers, "run", capturing_run)
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 5, "m": 30},
+        solvers=[SolverSpec(name="pnm", method="pnm")],
+        seed=4,
+        out=str(tmp_path / "ro"),
+    )
+    run_experiment(spec)
+    model, x0 = received[-1]
+    g, H = model.gradient(x0), model.hessian(x0)
+    assert model.gradient(x0.copy()) is g and model.hessian(x0.copy()) is H
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    with pytest.raises(ValueError):
+        H += 1.0
+    # any other point goes through to the problem and returns writable arrays
+    x = np.full(5, 0.5)
+    H_x = model.hessian(x)
+    H_x[0, 0] = 0.0
+    assert model.gradient(x).flags.writeable
 
 
 def test_partial_results_flushed_on_failure(tmp_path, monkeypatch):
@@ -502,12 +578,33 @@ def test_cli_demo_root_overflow_is_failure(capsys, poly, x0):
     assert cli_main(["demo-root", "--poly", poly, "--x0", x0]) == 1
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and err.count("\n") == 1
+    assert f"{poly!r} at x = {float(x0)!r} overflowed a float" in err
 
 
 def test_cli_exit_codes():
     assert cli_main(["solve", "--method", "nope"]) == 2  # unknown method
     assert cli_main(["run", "/does/not/exist.json"]) == 2  # missing file
     assert cli_main(["frobnicate"]) == 2  # unknown subcommand
+
+
+def test_cli_bad_logistic_label_is_input_error(tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text("0.5,1\n-0.5,2\n")
+    code = cli_main(
+        ["solve", "--method", "pnm", "--dataset", str(data), "--link", "logistic",
+         "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot map label 2.0 onto {-1, +1}\n"
+
+
+def test_cli_empty_builtin_shape_is_input_error(tmp_path, capsys):
+    spec = {"problem": {"builtin": "logistic", "n": 0, "m": 10}, "out": str(tmp_path / "x"),
+            "solvers": [{"name": "pnm", "method": "pnm"}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: need n >= 1 and m >= 1, got shape (0, 10)\n"
 
 
 def test_cli_missing_dataset(tmp_path):
