@@ -23,8 +23,9 @@ several digits. Both rate constants are functions of the same spectrum:
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
 ``1 - eta`` on optimality gaps for penalty runs and ``1 - xi*mu/L`` on the
-composite descent value for augmented runs. Bounds outside (0, 1) are
-reported as vacuous, never silently passed.
+composite descent value for augmented runs. Both read ``(xi, beta, pd)`` per
+iterate from one kernel and score through one inequality. Bounds outside
+(0, 1) are reported as vacuous, never silently passed.
 """
 
 from __future__ import annotations
@@ -412,6 +413,27 @@ def _resolve_f_star(trace: "IterateTrace", model: ObjectiveModel) -> float:
     raise MissingOptimum("certification needs f*; attach an optimum to the model or trace")
 
 
+def _iterate_constants(H, G, rho: float) -> tuple[float, float, bool]:
+    """``(xi, beta, pd)`` of a checked ``H`` and its ``G`` from one whitened spectrum; ``pd``: ``H`` is PD."""
+    lam = _whitened_eigenvalues(H, G)
+    return _xi(lam, rho), _beta(lam, rho), float(lam[0]) > DEFAULT_RANK_TOL * float(lam[-1])
+
+
+def _score(k: int, v: float, v_next: float, factor: float, xi: float, **extra) -> ContractionEntry:
+    """Score ``v_next <= (1 - factor) v + SLACK_TOL``; a factor outside (0, 1] is vacuous."""
+    rhs = (1.0 - factor) * v + SLACK_TOL
+    return ContractionEntry(
+        k=k,
+        lhs=v_next / v if v > 0.0 else np.nan,
+        bound=1.0 - factor,
+        satisfied=v_next <= rhs,
+        vacuous=not (0.0 < factor <= 1.0),
+        slack=rhs - v_next,
+        xi=xi,
+        **extra,
+    )
+
+
 def certify_penalty_contraction(
     trace: "IterateTrace",
     model: ObjectiveModel,
@@ -432,30 +454,12 @@ def certify_penalty_contraction(
     report = ContractionReport(kind="penalty", f_star=f_star, mu=mu, step_L=step_L)
     records = trace.records
     for k in range(len(records) - 1):
-        x_k = records[k].x
         rho_k = records[k].rho
-        H_k = as_symmetric(model.hessian(x_k))
-        G_k = precond.materialize(H_k)
-        lam = _whitened_eigenvalues(H_k, G_k)
-        xi_k = _xi(lam, rho_k)
-        beta_k = _beta(lam, rho_k)
+        H_k = as_symmetric(model.hessian(records[k].x))
+        xi_k, beta_k, _ = _iterate_constants(H_k, precond.materialize(H_k), rho_k)
         eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L)
-        gap_k = records[k].f - f_star
-        gap_next = records[k + 1].f - f_star
-        rhs = (1.0 - eta_k) * gap_k + SLACK_TOL
-        report.entries.append(
-            ContractionEntry(
-                k=k,
-                lhs=gap_next / gap_k if gap_k > 0.0 else np.nan,
-                bound=1.0 - eta_k,
-                satisfied=gap_next <= rhs,
-                vacuous=not (0.0 < eta_k <= 1.0),
-                slack=rhs - gap_next,
-                xi=xi_k,
-                beta=beta_k,
-                eta=eta_k,
-            )
-        )
+        gap_k, gap_next = records[k].f - f_star, records[k + 1].f - f_star
+        report.entries.append(_score(k, gap_k, gap_next, eta_k, xi_k, beta=beta_k, eta=eta_k))
     return report
 
 
@@ -485,25 +489,10 @@ def certify_augmented_contraction(
         rho_k = records[k].rho
         H_k = as_symmetric(model.hessian(x_k))
         G_k = precond.materialize(H_k)
-        lam = _whitened_eigenvalues(H_k, G_k)
-        xi_k = _xi(lam, rho_k)
-        theta_k = xi_k * mu / step_L
+        xi_k, _, pd = _iterate_constants(H_k, G_k, rho_k)
         v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
         v_next = lyapunov(records[k + 1].f, f_star, x_next, x_k, G_k, rho_k, step_L)
-        rhs = (1.0 - theta_k) * v_k + SLACK_TOL
         d = x_k - x_prev
-        pd = float(lam[0]) > DEFAULT_RANK_TOL * float(lam[-1])
         range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(H_k, G_k @ d)
-        report.entries.append(
-            ContractionEntry(
-                k=k,
-                lhs=v_next / v_k if v_k > 0.0 else np.nan,
-                bound=1.0 - theta_k,
-                satisfied=v_next <= rhs,
-                vacuous=not (0.0 < theta_k <= 1.0),
-                slack=rhs - v_next,
-                xi=xi_k,
-                precondition_ok=range_ok,
-            )
-        )
+        report.entries.append(_score(k, v_k, v_next, xi_k * mu / step_L, xi_k, precondition_ok=range_ok))
     return report

@@ -19,6 +19,9 @@ __all__ = [
     "write_csv_dataset",
 ]
 
+#: Largest libsvm feature index accepted: one dense n x n Hessian is 800 MB at this width.
+MAX_FEATURES = 10_000
+
 
 def normalize_binary_labels(labels) -> np.ndarray:
     """Map {0, 1} labels onto {-1, +1}; values already in {-1, +1} pass through.
@@ -88,6 +91,8 @@ def _load_libsvm(path: str):
                     raise ParseError(f"bad index:value token {token!r}", line=lineno) from None
                 if idx < 1:
                     raise ParseError(f"libsvm indices are 1-based, got {idx}", line=lineno)
+                if idx > MAX_FEATURES:
+                    raise ParseError(f"feature index {idx} exceeds the limit of {MAX_FEATURES}", line=lineno)
                 entries[idx] = val
             if entries:
                 max_index = max(max_index, max(entries))

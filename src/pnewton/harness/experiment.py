@@ -64,10 +64,9 @@ class SolverSpec:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.method not in solvers.METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {solvers.METHODS}")
         if self.precond not in _PRECOND_ALIASES:
             raise ValueError(f"unknown preconditioner {self.precond!r}; choose identity or diag")
+        self.to_config(1.0)  # a bad method, penalty, step, tolerance or budget fails on load
 
     def to_config(self, default_step_L: float) -> solvers.SolverConfig:
         kind = _PRECOND_ALIASES[self.precond]
@@ -125,8 +124,7 @@ class ExperimentSpec:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
 
 def _problem_desc(spec: ExperimentSpec) -> dict:
@@ -251,13 +249,13 @@ def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, problem_de
         fh.write("\n")
 
 
-def _certify(trace, model, config: solvers.SolverConfig):
-    mu = model.constants[1] if model.constants else 1.0
-    if trace.method == "pnm":
-        return diagnostics.certify_penalty_contraction(trace, model, config.precond, mu, config.step_L)
-    if trace.method == "anm":
-        return diagnostics.certify_augmented_contraction(trace, model, config.precond, mu, config.step_L)
-    return None
+# method -> certifier, looked up on ``diagnostics`` per call so a wrapped attribute is the one called
+_CERTIFIERS = {"pnm": "certify_penalty_contraction", "anm": "certify_augmented_contraction"}
+
+
+def _certify(trace, model, config: solvers.SolverConfig) -> diagnostics.ContractionReport:
+    certify = getattr(diagnostics, _CERTIFIERS[trace.method])
+    return certify(trace, model, config.precond, model.constants[1], config.step_L)
 
 
 def _start_point(problem_desc: dict, dim: int) -> np.ndarray:
@@ -298,13 +296,12 @@ def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, pro
         spec, sspec, trace, problem_desc, config.step_L, fstar_info,
     )
     cert_summary = None
-    if spec.diagnostics:
-        report = _certify(trace, model, config)
-        if report is not None:
-            with open(outdir / f"{sspec.name}.cert.json", "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-            cert_summary = report.to_dict()["aggregate"]
+    if spec.diagnostics and trace.method in _CERTIFIERS:
+        cert = _certify(trace, model, config).to_dict()
+        with open(outdir / f"{sspec.name}.cert.json", "w", encoding="utf-8") as fh:
+            json.dump(cert, fh, indent=2)
+            fh.write("\n")
+        cert_summary = cert["aggregate"]
     final = trace.final
     return {
         "name": sspec.name,
@@ -361,10 +358,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "seed": spec.seed,
         "f_star": f_star,
         "f_star_provenance": fstar_info,
-        "constants": {
-            "L": model.constants[0] if model.constants else None,
-            "mu": model.constants[1] if model.constants else None,
-        },
+        "constants": {"L": model.constants[0], "mu": model.constants[1]},
         "solvers": [entry for entry, _ in outcomes if entry is not None],
         "failed": [{"name": name, "error": str(exc)} for name, exc in errors],
     }
@@ -389,12 +383,10 @@ def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionRe
         meta_path = trace_path.with_name(trace_path.name.replace(".trace.csv", ".meta.json"))
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta["method"] not in ("pnm", "anm"):
+    if meta["method"] not in _CERTIFIERS:
         raise ValueError(f"certification applies to pnm/anm traces, not {meta['method']!r}")
 
     model = _build_model(meta["problem"])
-    model = model.with_optimum(np.full(model.dim, np.nan), meta["f_star"])
-
     trace = solvers.IterateTrace(method=meta["method"], f_star=meta["f_star"])
     for k, (x, f, rho) in enumerate(zip(meta["iterates"], meta["fs"], meta["rhos"])):
         trace.records.append(
@@ -410,8 +402,7 @@ def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionRe
             )
         )
 
-    sspec = SolverSpec(**meta["solver"])
-    config = sspec.to_config(meta["resolved_step_L"])
+    config = SolverSpec(**meta["solver"]).to_config(meta["resolved_step_L"])
     report = _certify(trace, model, config)
 
     cert_path = trace_path.with_name(trace_path.name.replace(".trace.csv", ".cert.json"))

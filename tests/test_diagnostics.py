@@ -24,7 +24,7 @@ from pnewton.diagnostics import (
 )
 from pnewton.errors import MissingOptimum, NotPositiveDefinite, ZeroHessian
 from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig
-from pnewton.objective import check_relative_bounds, in_level_set, quadratic_model
+from pnewton.objective import GlmProblem, check_relative_bounds, in_level_set, quadratic_model
 from pnewton.solvers import (
     METHODS,
     DualState,
@@ -438,14 +438,11 @@ def test_certify_augmented_glm_run():
     assert report.n_vacuous == 0
 
 
-@pytest.mark.parametrize("method", ["pnm", "anm"])
-@pytest.mark.parametrize(
-    "precond", [PreconditionerPolicy.identity(), PreconditionerPolicy.hessian_diagonal()], ids=["identity", "diag"]
-)
 def _recording(calls, fn):
-    def wrapped(M, *args, **kwargs):
-        calls.append(np.array(M))
-        return fn(M, *args, **kwargs)
+    """``fn``, recording a copy of its last positional argument on each call."""
+    def wrapped(*args, **kwargs):
+        calls.append(np.array(args[-1]))
+        return fn(*args, **kwargs)
     return wrapped
 
 
@@ -467,15 +464,25 @@ def _certify_glm_run(method, precond, patch):
     "precond", [PreconditionerPolicy.identity(), PreconditionerPolicy.hessian_diagonal()], ids=["identity", "diag"]
 )
 def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, precond):
-    solved = []
+    solved, hessians, materialized = [], [], []
+    # installed before the model binds GlmProblem.hessian; counted from certification on
+    monkeypatch.setattr(GlmProblem, "hessian", _recording(hessians, GlmProblem.hessian))
+    monkeypatch.setattr(
+        PreconditionerPolicy, "materialize", _recording(materialized, PreconditionerPolicy.materialize)
+    )
 
     def patch():
+        hessians.clear()
+        materialized.clear()
         monkeypatch.setattr(np.linalg, "eigh", _recording(solved, np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", _recording(solved, np.linalg.eigvalsh))
 
     report = _certify_glm_run(method, precond, patch)
     assert len(report.entries) >= 3
-    assert len(solved) <= len(report.entries)
+    # one Hessian, one G and one whitened eigensolve per certified entry
+    assert len(solved) == len(report.entries)
+    assert len(hessians) == len(report.entries)
+    assert len(materialized) == len(report.entries)
     assert all(e.precondition_ok for e in report.entries)
     # G is diagonal here and the whitened Hessian is not, so no solve saw G
     assert not any(np.array_equal(M, np.diag(np.diag(M))) for M in solved)

@@ -20,6 +20,7 @@ from pnewton.harness import (
     write_csv_dataset,
 )
 from pnewton.harness.cli import parse_polynomial, poly_derivative, poly_eval
+from pnewton.harness.datasets import MAX_FEATURES
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,17 @@ def test_load_libsvm_bad_token(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(path, "libsvm")
     assert err.value.line == 2
+
+
+def test_load_libsvm_feature_index_above_cap(tmp_path):
+    path = tmp_path / "wide.libsvm"
+    path.write_text(f"1 1:1\n1 {MAX_FEATURES}:1\n1 2000000:1\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(path, "libsvm")
+    assert err.value.line == 3
+    assert "2000000" in str(err.value)
+    path.write_text(f"1 1:1\n1 {MAX_FEATURES}:1\n")
+    assert load_dataset(path, "libsvm")[0].shape == (MAX_FEATURES, 2)
 
 
 def test_logistic_label_remap(tmp_path):
@@ -477,6 +489,13 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError):
         SolverSpec(name="x", method="sgd")
+    with pytest.raises(ValueError, match="unknown preconditioner"):
+        SolverSpec(name="x", precond="cholesky")
+    bad_fields = [{"rho0": -1.0}, {"rho0": 0.0}, {"c": 0.5}, {"rho0": 2.0, "rho_max": 1.0},
+                  {"tol": 0.0}, {"max_iters": 0}, {"step_L": -1.0}]
+    for fields in bad_fields:
+        with pytest.raises(ValueError):
+            SolverSpec(name="x", method="pnm", **fields)
     with pytest.raises(ValueError):
         ExperimentSpec(
             problem={"builtin": "quadratic"},
@@ -605,6 +624,38 @@ def test_cli_empty_builtin_shape_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == "error: need n >= 1 and m >= 1, got shape (0, 10)\n"
+
+
+def _no_fstar_oracle(monkeypatch):
+    import pnewton.solvers
+
+    def refuse(model):
+        raise AssertionError("the f* oracle ran before the input was rejected")
+    monkeypatch.setattr(pnewton.solvers, "fstar_oracle", refuse)
+
+
+def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypatch):
+    _no_fstar_oracle(monkeypatch)
+    out = tmp_path / "x"
+    spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
+            "solvers": [{"name": "a", "method": "pnm"}, {"name": "b", "method": "pnm", "rho0": -1.0}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: rho0 must be > 0, got -1.0\n"
+    assert not out.exists()
+
+
+def test_cli_libsvm_index_above_cap_exits_before_any_trace(tmp_path, capsys, monkeypatch):
+    _no_fstar_oracle(monkeypatch)
+    data = tmp_path / "wide.libsvm"
+    data.write_text("1 2000000:1\n")
+    out = tmp_path / "x"
+    code = cli_main(["solve", "--method", "pnm", "--dataset", str(data), "--format", "libsvm",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 1: feature index 2000000 exceeds the limit of {MAX_FEATURES}\n"
+    assert not list(out.glob("*.trace.csv"))
 
 
 def test_cli_missing_dataset(tmp_path):

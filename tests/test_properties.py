@@ -134,3 +134,26 @@ def test_csv_reader_raises_only_input_errors(tmp_path, data):
         code = cli_main(["solve", "--method", "pnm", "--dataset", str(path), "--link", "logistic",
                          "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+LIBSVM_BYTES = st.one_of(
+    st.text(alphabet="0123456789.:-+e #\nnaif", max_size=60).map(str.encode),
+    st.text(max_size=30).map(str.encode),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=LIBSVM_BYTES)
+@example(data=b"1 2000000:1\n")
+def test_libsvm_reader_raises_only_input_errors(tmp_path, data):
+    path = tmp_path / "fuzz.libsvm"
+    path.write_bytes(data)
+    try:
+        load_dataset(path, "libsvm", link="logistic")
+    except INPUT_ERRORS:
+        # loading fails before any solver runs
+        code = cli_main(["solve", "--method", "pnm", "--dataset", str(path), "--format", "libsvm",
+                         "--link", "logistic", "--out", str(tmp_path / "out")])
+        assert code == 2
