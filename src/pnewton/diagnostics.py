@@ -10,8 +10,8 @@ On the G-whitened scale both act through the scalar filter
 ``lam -> rho*lam / (1 + rho*lam)`` applied to the eigenvalues of
 ``G^{-1/2} H G^{-1/2}``. Everything here is computed from one whitening by the
 Cholesky factor ``C`` of ``G`` (``W = C^{-1} H C^{-T}`` has that spectrum; a
-diagonal ``G`` is a row and column rescaling) and one symmetric eigensolve of
-``W``, which keeps the algebraic identities
+diagonal ``G``, carried as its 1-D diagonal, is a row and column rescaling)
+and one symmetric eigensolve of ``W``, which keeps the algebraic identities
 
     H K = I - (1/rho) G K          and          G K G = rho G - rho F
 
@@ -43,6 +43,7 @@ from .linalg import (
     inv_sqrt_pd,
     nonzero_eigenvalues,
     pinv_apply,
+    precond_apply,
     psd_sqrt,
     spd_solve,
     sym_eig,
@@ -90,18 +91,21 @@ class CheckResult:
 def _whiten(H, G):
     """Cholesky factor ``C`` of ``G = C C^T`` and ``W = C^{-1} H C^{-T}``, similar to ``G^{-1/2} H G^{-1/2}``.
 
-    A diagonal ``G`` (no nonzero off-diagonal entry) is whitened by rescaling
-    rows and columns with ``1/sqrt(diag(G))``: O(n^2), no factorization.
-    ``H`` and ``G`` must be symmetric and finite; they are not re-checked.
+    A 1-D ``G`` stands for ``diag(G)``: ``C`` is the vector ``sqrt(G)`` and
+    ``W`` is ``H`` with rows and columns rescaled by ``1/C``, built in place:
+    O(n^2), no factorization. ``H`` and ``G`` must be symmetric and finite;
+    they are not re-checked.
     """
-    g = np.diag(G)
-    if np.count_nonzero(G) == np.count_nonzero(g):
-        if not (g > 0.0).all():
-            raise NotPositiveDefinite(f"preconditioner is not positive definite (min diagonal {g.min():.3e})")
-        c = np.sqrt(g)
+    if G.ndim == 1:
+        if not (G > 0.0).all():
+            raise NotPositiveDefinite(f"preconditioner is not positive definite (min diagonal {G.min():.3e})")
+        c = np.sqrt(G)
         s = 1.0 / c
-        W = (H * s[:, None]) * s[None, :]
-        return np.diag(c), 0.5 * (W + W.T)
+        W = H * s[:, None]
+        W *= s[None, :]
+        W += W.T
+        W *= 0.5
+        return c, W
     try:
         C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -306,6 +310,10 @@ def lyapunov(f_x: float, f_star: float, x, x_prev, G, rho: float, step_L: float)
     return max(v, 0.0)
 
 
+#: ContractionEntry fields serialized as they are; the others are floats (see ``to_dict``).
+_EXACT_FIELDS = ("k", "satisfied", "vacuous", "precondition_ok")
+
+
 @dataclass
 class ContractionEntry:
     k: int
@@ -388,18 +396,7 @@ class ContractionReport:
                 "beta_min": _f(self.beta_min),
             },
             "entries": [
-                {
-                    "k": e.k,
-                    "lhs": _f(e.lhs),
-                    "bound": _f(e.bound),
-                    "satisfied": e.satisfied,
-                    "vacuous": e.vacuous,
-                    "slack": _f(e.slack),
-                    "xi": _f(e.xi),
-                    "beta": _f(e.beta),
-                    "eta": _f(e.eta),
-                    "precondition_ok": e.precondition_ok,
-                }
+                {key: v if key in _EXACT_FIELDS else _f(v) for key, v in vars(e).items()}
                 for e in self.entries
             ],
         }
@@ -493,6 +490,6 @@ def certify_augmented_contraction(
         v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
         v_next = lyapunov(records[k + 1].f, f_star, x_next, x_k, G_k, rho_k, step_L)
         d = x_k - x_prev
-        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(H_k, G_k @ d)
+        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(H_k, precond_apply(G_k, d))
         report.entries.append(_score(k, v_k, v_next, xi_k * mu / step_L, xi_k, precondition_ok=range_ok))
     return report

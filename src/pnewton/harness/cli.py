@@ -138,28 +138,10 @@ def _cmd_solve(args) -> int:
         problem = {"path": args.dataset, "format": args.format}
     else:
         problem = {"builtin": args.problem, "n": args.n, "m": args.m}
-    spec = ExperimentSpec(
-        problem=problem,
-        solvers=[
-            SolverSpec(
-                name=args.method,
-                method=args.method,
-                precond=args.precond,
-                rho0=args.rho0,
-                c=args.c,
-                rho_max=args.rho_max,
-                step_L=args.step_L,
-                tol=args.tol,
-                max_iters=args.max_iters,
-            )
-        ],
-        link=args.link,
-        alpha=args.alpha,
-        seed=args.seed,
-        out=args.out,
-        diagnostics=args.diagnostics,
-        timing=args.timing,
-    )
+    sspec = SolverSpec(name=args.method, method=args.method, precond=args.precond, rho0=args.rho0, c=args.c,
+                       rho_max=args.rho_max, step_L=args.step_L, tol=args.tol, max_iters=args.max_iters)
+    spec = ExperimentSpec(problem=problem, solvers=[sspec], link=args.link, alpha=args.alpha, seed=args.seed,
+                          out=args.out, diagnostics=args.diagnostics, timing=args.timing)
     summary = run_experiment(spec)
     entry = summary["solvers"][0]
     print(

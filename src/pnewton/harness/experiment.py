@@ -179,9 +179,7 @@ def _resolve_fstar(spec: ExperimentSpec, model):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> None:
@@ -189,20 +187,8 @@ def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> 
     lines = [TRACE_HEADER]
     for rec in trace.records:
         gap = None if trace.f_star is None else rec.f - trace.f_star
-        lines.append(
-            ",".join(
-                [
-                    str(rec.k),
-                    _fmt(rec.f),
-                    _fmt(gap),
-                    _fmt(rec.grad_norm),
-                    _fmt(rec.rho),
-                    _fmt(rec.step_norm_g_sq),
-                    _fmt(rec.lyapunov),
-                    str(rec.elapsed_ns if timing else 0),
-                ]
-            )
-        )
+        floats = [rec.f, gap, rec.grad_norm, rec.rho, rec.step_norm_g_sq, rec.lyapunov]
+        lines.append(",".join([str(rec.k), *map(_fmt, floats), str(rec.elapsed_ns if timing else 0)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

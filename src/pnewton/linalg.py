@@ -7,8 +7,12 @@ application, PSD square roots and weighted norms.
 
 All functions are pure and operate on plain ``numpy`` arrays; no matrix is
 mutated. A matrix is checked by :func:`as_symmetric` once, where it enters
-pnewton; :func:`sym_eig` (so every eigen route) checks its input, while
+pnewton, and an exactly symmetric one is returned as is, not copied;
+:func:`sym_eig` (so every eigen route) checks its input, while
 :func:`spd_solve` and :func:`weighted_norm_sq` trust theirs, as LAPACK does.
+A diagonal preconditioner ``G`` may be carried as its 1-D diagonal ``g``:
+:func:`precond_apply` and :func:`shifted` give ``G v`` and ``G/rho + H`` for
+either form, bitwise equal to the dense products.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ __all__ = [
     "psd_sqrt",
     "inv_sqrt_pd",
     "weighted_norm_sq",
+    "precond_apply",
+    "shifted",
     "nonzero_eigenvalues",
     "lambda_min_pos",
     "DEFAULT_RANK_TOL",
@@ -41,22 +47,40 @@ DEFAULT_RANK_TOL = 1e-10
 def as_symmetric(M) -> np.ndarray:
     """Validate that ``M`` is square, finite and symmetric; return ``(M + M^T)/2``.
 
-    Raises ``ValueError`` if the asymmetry exceeds ``SYMMETRY_RTOL * max|M|``
-    or any entry is non-finite.
+    An exactly symmetric ``M`` is returned as is, with no copy; otherwise the
+    result is a new array. Raises ``ValueError`` if the asymmetry exceeds
+    ``SYMMETRY_RTOL * max|M|`` or any entry is non-finite.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    hi, lo = (float(M.max()), float(M.min())) if M.size else (0.0, 0.0)
+    if not (np.isfinite(hi) and np.isfinite(lo)):  # NaN and inf reach max or min
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.abs(M).max()) if M.size else 0.0
-    skew = float(np.abs(M - M.T).max()) if M.size else 0.0
+    if (M == M.T).all():
+        return M
+    scale = max(hi, -lo)
+    skew = float(np.abs(M - M.T).max())
     if skew > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"matrix is not symmetric: max |M - M^T| = {skew:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * max|M| = {SYMMETRY_RTOL * scale:.3e}"
         )
     return 0.5 * (M + M.T)
+
+
+def precond_apply(G, v) -> np.ndarray:
+    """``G v`` for a matrix ``G`` or a 1-D ``G`` standing for ``diag(G)``."""
+    return G * v + 0.0 if G.ndim == 1 else G @ v  # + 0.0: a matrix product turns -0.0 into +0.0
+
+
+def shifted(H, G, rho: float) -> np.ndarray:
+    """The new matrix ``G/rho + H`` for a matrix ``G`` or a 1-D ``G`` standing for ``diag(G)``."""
+    if G.ndim == 2:
+        return G / rho + H
+    M = H + 0.0  # as adding the zeros of G/rho does: -0.0 becomes +0.0
+    np.fill_diagonal(M, G / rho + H.diagonal())
+    return M
 
 
 def spd_solve(M, b) -> np.ndarray:
@@ -160,13 +184,14 @@ def weighted_norm_sq(x, M) -> float:
     """Quadratic form ``x^T M x`` for PSD ``M``, clamped against tiny negative noise.
 
     Values in ``[-1e-12 * ||M||_F * ||x||^2, 0)`` are rounded up to zero.
-    ``M`` must be symmetric and finite; it is not re-checked.
+    ``M`` is a matrix or, for a diagonal one, its 1-D diagonal (see
+    :func:`precond_apply`); it must be symmetric and finite and is not re-checked.
     """
     M = np.asarray(M, dtype=float)
     x = np.asarray(x, dtype=float)
-    v = float(x @ (M @ x))
+    v = float(x @ precond_apply(M, x))
     if v < 0.0:
-        band = 1e-12 * float(np.linalg.norm(M, "fro")) * float(x @ x)
+        band = 1e-12 * float(np.linalg.norm(M)) * float(x @ x)
         if v >= -band:
             v = 0.0
     return v

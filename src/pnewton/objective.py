@@ -66,7 +66,8 @@ class ObjectiveModel:
     """Evaluatable triple ``(f, grad f, hess f)`` over R^n.
 
     ``hessian`` must return a symmetric, finite n x n matrix; pnewton checks it
-    once, with :func:`~pnewton.linalg.as_symmetric`, where it receives it.
+    once, with :func:`~pnewton.linalg.as_symmetric`, where it receives it, and
+    uses it as is, never mutating it, when it is exactly symmetric.
     ``constants`` optionally carries the relative smoothness/convexity pair
     ``(L, mu)`` with ``0 < mu <= L``; ``optimum`` optionally carries
     ``(x_star, f_star)`` when the minimizer is known.
@@ -183,8 +184,13 @@ class GlmProblem:
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         _, _, d2 = self._terms_at(x)
-        H = (self.A * d2) @ self.A.T / self.m + self.alpha * np.eye(self.n)
-        return 0.5 * (H + H.T)
+        # 0.5 (H + H^T) of H = (A diag(d2) A^T) / m + alpha I, finished in place, bitwise
+        H = (self.A * d2) @ self.A.T
+        H /= self.m
+        np.fill_diagonal(H, H.diagonal() + self.alpha)
+        H += H.T
+        H *= 0.5
+        return H
 
     def model(self) -> ObjectiveModel:
         """Bundle this problem as an :class:`ObjectiveModel` with its closed-form (L, mu)."""
@@ -211,11 +217,15 @@ def glm_constants(p: GlmProblem) -> RelativeConstants:
         L  = (ell*s + m*alpha) / (u*s + m*alpha)
         mu = (u*s + m*alpha) / (ell*s + m*alpha)
 
-    ``sigma_max^2(A)`` is the top eigenvalue of ``A A^T``.
+    ``sigma_max^2(A)`` is the top eigenvalue of ``A A^T``. Raises ``ValueError``
+    when that Gram product overflows, which finite but huge data can make it do.
     """
     u, ell = LINK_CURVATURE[p.link]
-    AAT = p.A @ p.A.T
-    w, _ = sym_eig(0.5 * (AAT + AAT.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        AAT = p.A @ p.A.T
+    if not np.isfinite(AAT).all():
+        raise ValueError(f"the data's Gram product A A^T overflows float64 (max |A| entry {np.abs(p.A).max():.3e})")
+    w, _ = sym_eig(AAT)
     sigma_max_sq = max(float(w[-1]), 0.0)
     num = ell * sigma_max_sq + p.m * p.alpha
     den = u * sigma_max_sq + p.m * p.alpha

@@ -32,7 +32,7 @@ from .errors import (
     NotPositiveDefinite,
     RangeViolation,
 )
-from .linalg import as_symmetric, pinv_apply, spd_solve, sym_eig, weighted_norm_sq
+from .linalg import as_symmetric, pinv_apply, precond_apply, shifted, spd_solve, sym_eig, weighted_norm_sq
 from .objective import ObjectiveModel
 
 __all__ = [
@@ -67,7 +67,7 @@ class PreconditionerPolicy:
 
     ``identity`` gives the Levenberg special case, ``hessian_diagonal`` the
     Levenberg-Marquardt one (G re-evaluated as diag(H(x_k)) every iterate),
-    and ``fixed`` uses a user-supplied PD matrix throughout.
+    and ``fixed`` uses a copy of a user-supplied PD matrix throughout.
     """
 
     kind: str = "identity"
@@ -79,7 +79,7 @@ class PreconditionerPolicy:
         if self.kind == "fixed":
             if self.matrix is None:
                 raise ValueError("fixed preconditioner needs a matrix")
-            M = as_symmetric(self.matrix)
+            M = as_symmetric(np.array(self.matrix, dtype=float))  # never the caller's array
             w, _ = sym_eig(M)
             if float(w[0]) <= 0.0:
                 raise NotPositiveDefinite(
@@ -97,21 +97,20 @@ class PreconditionerPolicy:
 
     @classmethod
     def fixed(cls, M) -> "PreconditionerPolicy":
-        return cls("fixed", np.asarray(M, dtype=float))
+        return cls("fixed", M)
 
     def materialize(self, H: np.ndarray) -> np.ndarray:
-        """Concrete G for an iterate whose Hessian is ``H``."""
-        n = H.shape[0]
+        """Concrete G for an iterate whose Hessian is ``H``: its 1-D diagonal unless ``fixed``."""
         if self.kind == "identity":
-            return np.eye(n)
+            return np.ones(H.shape[0])
         if self.kind == "hessian_diagonal":
-            d = np.diag(H).copy()
+            d = H.diagonal().copy()
             if np.any(d <= 0.0):
                 raise NotPositiveDefinite(
                     "hessian_diagonal preconditioner needs a strictly positive "
                     f"Hessian diagonal (min entry {d.min():.3e})"
                 )
-            return np.diag(d)
+            return d
         return self.matrix
 
 
@@ -212,12 +211,12 @@ def _range_checked_newton_direction(H, g, step_L: float) -> np.ndarray:
 
 
 def _pnm_update(x, g, H, G, rho: float, step_L: float) -> np.ndarray:
-    return x - spd_solve(G / rho + H, g) / step_L
+    return x - spd_solve(shifted(H, G, rho), g) / step_L
 
 
 def _anm_update(x, x_prev, g, H, G, rho: float, step_L: float) -> np.ndarray:
-    rhs = g / step_L - G @ (x - x_prev) / rho
-    return x - spd_solve(G / rho + H, rhs)
+    rhs = g / step_L - precond_apply(G, x - x_prev) / rho
+    return x - spd_solve(shifted(H, G, rho), rhs)
 
 
 def newton_step(model: ObjectiveModel, x, step_L: float = 1.0) -> np.ndarray:

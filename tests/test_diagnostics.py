@@ -82,13 +82,13 @@ def test_shifted_inverse_residual_self_check():
 def test_diagonal_g_whitening_matches_cholesky_route(n):
     rng = np.random.default_rng(90 + n)
     H = rand_psd(rng, n)
-    for G in (np.eye(n), np.diag(rng.uniform(0.25, 4.0, n))):
-        C_ref = scipy.linalg.cholesky(G, lower=True)
+    for g in (np.ones(n), rng.uniform(0.25, 4.0, n)):
+        C_ref = scipy.linalg.cholesky(np.diag(g), lower=True)
         X = scipy.linalg.solve_triangular(C_ref, H, lower=True)
         W_ref = scipy.linalg.solve_triangular(C_ref, X.T, lower=True)
         W_ref = 0.5 * (W_ref + W_ref.T)
-        C, W = _whiten(H, G)
-        assert np.array_equal(C, C_ref)
+        c, W = _whiten(H, g)  # a diagonal G is passed as its 1-D diagonal
+        assert np.array_equal(np.diag(c), C_ref)
         assert np.linalg.norm(W - W_ref) <= 1e-15 * np.linalg.norm(W_ref)
 
 

@@ -719,3 +719,19 @@ def test_parse_polynomial_forms():
 def test_parse_polynomial_rejects(bad):
     with pytest.raises(ValueError):
         parse_polynomial(bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_gram_overflow_is_input_error_without_warning(tmp_path, capsys, monkeypatch):
+    # finite entries whose Gram product A A^T overflows; any NumPy RuntimeWarning fails this test
+    _no_fstar_oracle(monkeypatch)
+    data = tmp_path / "huge.libsvm"
+    data.write_text("1 1:1e308 2:1\n-1 1:1e308\n")
+    out = tmp_path / "x"
+    code = cli_main(["solve", "--method", "pnm", "--dataset", str(data), "--format", "libsvm",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the data's Gram product A A^T overflows float64 (max |A| entry 1.000e+308)\n"
+    )
+    assert not list(out.glob("*.trace.csv"))

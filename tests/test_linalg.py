@@ -27,6 +27,44 @@ def test_as_symmetric_symmetrizes_and_validates():
         as_symmetric(np.ones((2, 3)))
 
 
+def test_as_symmetric_returns_an_exactly_symmetric_input_uncopied():
+    M = np.array([[2.0, -0.0, 1.5], [-0.0, 1.0, 0.25], [1.5, 0.25, 3.0]])
+    assert as_symmetric(M) is M
+
+
+def test_as_symmetric_symmetrizes_a_slightly_skewed_input_into_a_new_array():
+    M = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
+    before = M.copy()
+    out = as_symmetric(M)
+    assert not np.shares_memory(out, M)
+    assert np.array_equal(out, 0.5 * (M + M.T))
+    assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize(
+    "M, message",
+    [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "matrix has non-finite entries"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "matrix has non-finite entries"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix has non-finite entries"),
+        (np.array([[1.0, 0.0], [0.0, -np.inf]]), "matrix has non-finite entries"),
+        (
+            np.array([[1.0, 2.0], [0.5, 3.0]]),
+            "matrix is not symmetric: max |M - M^T| = 1.500e+00 exceeds 1e-12 * max|M| = 3.000e-12",
+        ),
+        (
+            np.array([[-4.0, 0.0], [1e-11, 1.0]]),
+            "matrix is not symmetric: max |M - M^T| = 1.000e-11 exceeds 1e-12 * max|M| = 4.000e-12",
+        ),
+    ],
+    ids=["nan", "nan-skewed", "inf", "minus-inf", "skew", "skew-negative-scale"],
+)
+def test_as_symmetric_error_messages(M, message):
+    with pytest.raises(ValueError) as info:
+        as_symmetric(M)
+    assert str(info.value) == message
+
+
 def test_spd_solve_identity():
     assert np.allclose(spd_solve(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 

@@ -9,9 +9,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_glm
+from pnewton.diagnostics import _whiten
 from pnewton.errors import BadLabel, EmptyDataset, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
+from pnewton.linalg import as_symmetric, precond_apply, shifted, weighted_norm_sq
+from pnewton.objective import glm_build
 from pnewton.solvers import PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
 
 GLMS = st.fixed_dictionaries({
@@ -98,6 +101,66 @@ def test_anm_lyapunov_never_increases_at_fixed_rho(glm, rho, precond):
 def test_anm_lyapunov_strictly_monotone_at_the_float_floor():
     values, _ = _anm_lyapunov(**FLOAT_FLOOR_CASE)
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values, NaN in the same places and the same sign on every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# The fast routes below must reproduce their dense references bit for bit:
+# run traces, meta and cert files are pinned byte for byte.
+BITWISE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@BITWISE_SETTINGS
+@given(glm=GLMS, zeros=st.sampled_from([0.0, 0.3, 0.9]))
+def test_hessian_in_place_matches_dense_expression(glm, zeros):
+    rng = np.random.default_rng(glm["seed"])
+    n, m = glm["n"], glm["m"]
+    A = np.where(rng.random((n, m)) < zeros, 0.0, rng.standard_normal((n, m)))
+    labels = np.where(rng.random(m) < 0.5, 1.0, -1.0) if glm["link"] == "logistic" else rng.standard_normal(m)
+    problem = glm_build(A, glm["link"], glm["alpha"], labels)
+    x = np.where(rng.random(n) < zeros, 0.0, 3.0 * rng.standard_normal(n))
+    _, _, d2 = problem._loss_terms(A.T @ x)
+    H_ref = (A * d2) @ A.T / m + glm["alpha"] * np.eye(n)
+    H = problem.hessian(x)
+    assert _same_bits(H, 0.5 * (H_ref + H_ref.T))
+    assert as_symmetric(H) is H  # exactly symmetric, so it passes through uncopied
+
+
+def _signed_zeros(rng, a, frac):
+    """``a`` with a fraction ``frac`` of its entries set to +0.0 or -0.0."""
+    return np.where(rng.random(a.shape) < frac, np.where(rng.random(a.shape) < 0.5, 0.0, -0.0), a)
+
+
+@BITWISE_SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 9),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+    g_scale=st.sampled_from([1.0, 1e-150, 1e150]),
+    rho=st.sampled_from([1e-3, 1.0, 7.5, 1e12]),
+)
+def test_diagonal_g_vector_routes_match_dense_diag(seed, n, zeros, g_scale, rho):
+    rng = np.random.default_rng(seed)
+    B = _signed_zeros(rng, rng.standard_normal((n, n)), zeros)
+    H = np.where(np.tri(n, dtype=bool), B, B.T)  # symmetric, zeros of both signs included
+    g = g_scale * rng.uniform(0.25, 4.0, n)
+    # no product g_i v_i underflows to zero: there a fused multiply-add in the
+    # BLAS kernel keeps the sign of the exact product, a plain multiply does not
+    v = _signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n), zeros)
+    G = np.diag(g)
+    assert _same_bits(precond_apply(g, v), G @ v)
+    assert _same_bits(shifted(H, g, rho), G / rho + H)
+    assert _same_bits(weighted_norm_sq(v, g), weighted_norm_sq(v, G))
+    # the rescaling route as it read when G came as a dense diagonal matrix
+    s = 1.0 / np.sqrt(np.diag(G))
+    W_ref = (H * s[:, None]) * s[None, :]
+    c, W = _whiten(H, g)
+    assert _same_bits(c, np.sqrt(g))
+    assert _same_bits(W, 0.5 * (W_ref + W_ref.T))
 
 
 INPUT_ERRORS = (ParseError, EmptyDataset, BadLabel, ValueError)

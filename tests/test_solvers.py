@@ -251,7 +251,7 @@ def test_anm_forms_agree_along_full_traces():
     # the primal/dual route, driven by hand along the same penalty schedule
     xs_dual, x, dual, rho = [x0, x1], x1, DualState(z=x0 - x1), cfg.schedule.rho0
     for _ in range(cfg.max_iters):
-        G = cfg.precond.materialize(model.hessian(x))
+        G = np.diag(cfg.precond.materialize(model.hessian(x)))  # the dual route takes G as a matrix
         x, dual = anm_step_dual(model, x, dual, rho, G, L)
         rho = cfg.schedule.next_rho(rho)
         xs_dual.append(x)
@@ -590,16 +590,25 @@ def test_solver_config_validation():
 
 def test_preconditioner_policies():
     H = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert np.array_equal(PreconditionerPolicy.identity().materialize(H), np.eye(2))
-    assert np.array_equal(
-        PreconditionerPolicy.hessian_diagonal().materialize(H), np.diag([2.0, 1.0])
-    )
+    # identity and hessian_diagonal carry G as its 1-D diagonal; fixed stays a matrix
+    assert np.array_equal(PreconditionerPolicy.identity().materialize(H), np.ones(2))
+    assert np.array_equal(PreconditionerPolicy.hessian_diagonal().materialize(H), np.array([2.0, 1.0]))
     fixed = PreconditionerPolicy.fixed(np.diag([1.0, 3.0]))
     assert np.array_equal(fixed.materialize(H), np.diag([1.0, 3.0]))
     with pytest.raises(NotPositiveDefinite):
         PreconditionerPolicy.fixed(np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
         PreconditionerPolicy.hessian_diagonal().materialize(np.diag([1.0, 0.0]))
+
+
+def test_fixed_preconditioner_keeps_its_own_copy():
+    H = np.eye(2)
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for policy in (PreconditionerPolicy.fixed(M), PreconditionerPolicy("fixed", M)):
+        assert not np.shares_memory(policy.matrix, M)
+    policy = PreconditionerPolicy.fixed(M)
+    M[0, 0] = -7.0  # the caller reuses its array
+    assert np.array_equal(policy.materialize(H), [[2.0, 0.5], [0.5, 1.0]])
 
 
 def test_trace_invariants():
