@@ -45,6 +45,7 @@ from .linalg import (
     pinv_apply,
     precond_apply,
     psd_sqrt,
+    range_check,
     spd_solve,
     sym_eig,
     weighted_norm_sq,
@@ -93,12 +94,11 @@ def _whiten(H, G):
 
     A 1-D ``G`` stands for ``diag(G)``: ``C`` is the vector ``sqrt(G)`` and
     ``W`` is ``H`` with rows and columns rescaled by ``1/C``, built in place:
-    O(n^2), no factorization. ``H`` and ``G`` must be symmetric and finite;
+    O(n^2), no factorization. ``H`` and ``G`` must be symmetric and finite,
+    and a 1-D ``G`` positive (``materialize`` checks it where ``G`` is made);
     they are not re-checked.
     """
     if G.ndim == 1:
-        if not (G > 0.0).all():
-            raise NotPositiveDefinite(f"preconditioner is not positive definite (min diagonal {G.min():.3e})")
         c = np.sqrt(G)
         s = 1.0 / c
         W = H * s[:, None]
@@ -266,12 +266,6 @@ def verify_gradient_energy_bound(
     return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi})
 
 
-def _in_range(H, v) -> bool:
-    """Whether ``v`` lies in ``Range(H)``: projection residual within ``1e-8 * (1 + ||v||)``."""
-    proj_residual = float(np.linalg.norm(H @ pinv_apply(H, v) - v))
-    return proj_residual <= 1e-8 * (1.0 + float(np.linalg.norm(v)))
-
-
 def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) -> CheckResult:
     """Check ``||x - x_prev||^2_F >= xi * ||x - x_prev||^2_G`` at one iterate.
 
@@ -289,7 +283,7 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
     G = as_symmetric(G)
     w, _ = sym_eig(H)
     pd = float(w[0]) > DEFAULT_RANK_TOL * max(float(w[-1]), 0.0)
-    range_ok = pd or _in_range(H, G @ d)
+    range_ok = pd or range_check(H, G @ d)[2]
     lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
     xi = min_filtered_curvature(H, G, rho)
     rhs = xi * weighted_norm_sq(d, G)
@@ -490,6 +484,6 @@ def certify_augmented_contraction(
         v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
         v_next = lyapunov(records[k + 1].f, f_star, x_next, x_k, G_k, rho_k, step_L)
         d = x_k - x_prev
-        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or _in_range(H_k, precond_apply(G_k, d))
+        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or range_check(H_k, precond_apply(G_k, d))[2]
         report.entries.append(_score(k, v_k, v_next, xi_k * mu / step_L, xi_k, precondition_ok=range_ok))
     return report

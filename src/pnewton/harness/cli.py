@@ -116,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    spec = ExperimentSpec.from_json_file(args.spec)
+def _run(spec: ExperimentSpec) -> int:
+    """Run ``spec`` and print one line per solver; 1 when a solver did not converge."""
     summary = run_experiment(spec)
     print(f"wrote {len(summary['solvers'])} trace(s) to {spec.out}")
     for entry in summary["solvers"]:
@@ -133,22 +133,16 @@ def _cmd_run(args) -> int:
     return 1 if unconverged else 0
 
 
-def _cmd_solve(args) -> int:
+def _solve_spec(args) -> ExperimentSpec:
+    """The one-solver spec a ``solve`` command line describes."""
     if args.dataset is not None:
         problem = {"path": args.dataset, "format": args.format}
     else:
         problem = {"builtin": args.problem, "n": args.n, "m": args.m}
     sspec = SolverSpec(name=args.method, method=args.method, precond=args.precond, rho0=args.rho0, c=args.c,
                        rho_max=args.rho_max, step_L=args.step_L, tol=args.tol, max_iters=args.max_iters)
-    spec = ExperimentSpec(problem=problem, solvers=[sspec], link=args.link, alpha=args.alpha, seed=args.seed,
+    return ExperimentSpec(problem=problem, solvers=[sspec], link=args.link, alpha=args.alpha, seed=args.seed,
                           out=args.out, diagnostics=args.diagnostics, timing=args.timing)
-    summary = run_experiment(spec)
-    entry = summary["solvers"][0]
-    print(
-        f"{entry['name']}: {entry['termination']} in {entry['iterations']} iterations, "
-        f"final ||grad|| = {entry['final_grad_norm']:.6e}"
-    )
-    return 0 if entry["termination"] == "converged" else 1
 
 
 def _cmd_certify(args) -> int:
@@ -202,9 +196,9 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            return _run(ExperimentSpec.from_json_file(args.spec))
         if args.command == "solve":
-            return _cmd_solve(args)
+            return _run(_solve_spec(args))
         if args.command == "certify":
             return _cmd_certify(args)
         return _cmd_demo_root(args)
@@ -219,7 +213,3 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

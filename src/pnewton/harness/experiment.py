@@ -164,10 +164,11 @@ def _build_model(problem: dict):
 
 
 def _resolve_fstar(spec: ExperimentSpec, model):
+    """``model`` with f* attached, and the record of where f* came from."""
     if spec.fstar["policy"] == "provided":
-        return float(spec.fstar["value"]), None, {"policy": "provided"}
+        return replace(model, optimum=(None, float(spec.fstar["value"]))), {"policy": "provided"}
     if model.f_star is not None:
-        return float(model.f_star), model.optimum[0], {"policy": "known"}
+        return model, {"policy": "known"}
     result = solvers.fstar_oracle(model)
     info = {
         "policy": "oracle",
@@ -175,7 +176,13 @@ def _resolve_fstar(spec: ExperimentSpec, model):
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    return result.f_star, result.x_star, info
+    return model.with_optimum(result.x_star, result.f_star), info
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:  # streamed: no whole-document string in memory
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _fmt(value) -> str:
@@ -230,9 +237,7 @@ def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, problem_de
         "fs": [rec.f for rec in trace.records],
         "rhos": [None if not np.isfinite(rec.rho) else rec.rho for rec in trace.records],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, meta)
 
 
 # method -> certifier, looked up on ``diagnostics`` per call so a wrapped attribute is the one called
@@ -273,8 +278,8 @@ def _share_start(model, x0: np.ndarray):
     )
 
 
-def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, problem_desc, fstar_info, outdir: Path):
-    config = sspec.to_config(default_step_L)
+def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, problem_desc, fstar_info, outdir: Path):
+    config = sspec.to_config(model.constants[0])
     trace = solvers.run(model, _start_point(problem_desc, model.dim), config)
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
     _write_meta(
@@ -284,9 +289,7 @@ def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, pro
     cert_summary = None
     if spec.diagnostics and trace.method in _CERTIFIERS:
         cert = _certify(trace, model, config).to_dict()
-        with open(outdir / f"{sspec.name}.cert.json", "w", encoding="utf-8") as fh:
-            json.dump(cert, fh, indent=2)
-            fh.write("\n")
+        _write_json(outdir / f"{sspec.name}.cert.json", cert)
         cert_summary = cert["aggregate"]
     final = trace.final
     return {
@@ -304,6 +307,8 @@ def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, default_step_L, pro
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run every solver in the spec, write traces/meta/cert files and summary.json.
 
+    The problem is built and f* resolved before the output directory is
+    created, so a spec that fails there leaves nothing on disk.
     The f* oracle, every solver and every certifier share one evaluation of
     ``f``, ``grad f`` and ``hess f`` at the start point. Solvers may run in
     parallel workers (capped by the ``PN_THREADS`` environment variable,
@@ -312,23 +317,18 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     depend on the worker count; the first failure is raised after
     ``summary.json`` is written.
     """
-    outdir = Path(spec.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     problem_desc = _problem_desc(spec)
     model = _build_model(problem_desc)
-    model = _share_start(model, _start_point(problem_desc, model.dim))
-    default_step_L = model.constants[0]
-    f_star, x_star, fstar_info = _resolve_fstar(spec, model)
-    model = model.with_optimum(
-        x_star if x_star is not None else np.full(model.dim, np.nan), f_star
-    )
+    model, fstar_info = _resolve_fstar(spec, _share_start(model, _start_point(problem_desc, model.dim)))
+    outdir = Path(spec.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     workers = min(len(spec.solvers), max(1, int(os.environ.get("PN_THREADS", "1"))))
 
     def attempt(sspec: SolverSpec):
         """``(summary entry, None)``, or ``(None, (name, error))`` when the solver fails."""
         try:
-            return _run_one(spec, sspec, model, default_step_L, problem_desc, fstar_info, outdir), None
+            return _run_one(spec, sspec, model, problem_desc, fstar_info, outdir), None
         except Exception as exc:
             return None, (sspec.name, exc)
 
@@ -342,15 +342,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     summary = {
         "problem": problem_desc,
         "seed": spec.seed,
-        "f_star": f_star,
+        "f_star": model.f_star,
         "f_star_provenance": fstar_info,
         "constants": {"L": model.constants[0], "mu": model.constants[1]},
         "solvers": [entry for entry, _ in outcomes if entry is not None],
         "failed": [{"name": name, "error": str(exc)} for name, exc in errors],
     }
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "summary.json", summary)
     if errors:
         raise errors[0][1]
     return summary

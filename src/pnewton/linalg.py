@@ -27,6 +27,7 @@ __all__ = [
     "spd_solve",
     "sym_eig",
     "pinv_apply",
+    "range_check",
     "psd_sqrt",
     "inv_sqrt_pd",
     "weighted_norm_sq",
@@ -146,6 +147,17 @@ def pinv_apply(M, b) -> np.ndarray:
     keep = w > DEFAULT_RANK_TOL * lam_max
     coeff = V[:, keep].T @ b
     return V[:, keep] @ (coeff / w[keep])
+
+
+def range_check(M, v) -> tuple[np.ndarray, float, bool]:
+    """``(M^+ v, residual, in_range)`` for a symmetric PSD ``M``.
+
+    ``v`` lies in ``Range(M)`` when the projection residual ``||M M^+ v - v||``
+    is at most ``1e-8 * (1 + ||v||)``.
+    """
+    p = pinv_apply(M, v)
+    residual = float(np.linalg.norm(M @ p - v))
+    return p, residual, residual <= 1e-8 * (1.0 + float(np.linalg.norm(v)))
 
 
 def psd_sqrt(M) -> np.ndarray:

@@ -70,7 +70,8 @@ class ObjectiveModel:
     uses it as is, never mutating it, when it is exactly symmetric.
     ``constants`` optionally carries the relative smoothness/convexity pair
     ``(L, mu)`` with ``0 < mu <= L``; ``optimum`` optionally carries
-    ``(x_star, f_star)`` when the minimizer is known.
+    ``(x_star, f_star)`` when the minimum is known, ``x_star`` None when only
+    ``f_star`` is.
     """
 
     dim: int
@@ -78,7 +79,7 @@ class ObjectiveModel:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     constants: tuple[float, float] | None = None
-    optimum: tuple[np.ndarray, float] | None = None
+    optimum: tuple[np.ndarray | None, float] | None = None
 
     def __post_init__(self):
         if self.constants is not None:
@@ -291,7 +292,7 @@ def check_relative_bounds(model: ObjectiveModel, x, y, L: float, mu: float) -> B
     )
 
 
-def quadratic_model(Q, optimum_known: bool = True) -> ObjectiveModel:
+def quadratic_model(Q) -> ObjectiveModel:
     """Convex quadratic ``f(x) = x^T Q x / 2`` with minimizer 0 and value 0.
 
     Exactly relative-smooth and relative-convex with ``L = mu = 1``.
@@ -310,10 +311,9 @@ def quadratic_model(Q, optimum_known: bool = True) -> ObjectiveModel:
     def hessian(x):
         return Q
 
-    optimum = (np.zeros(n), 0.0) if optimum_known else None
     return ObjectiveModel(
         dim=n, value=value, gradient=gradient, hessian=hessian,
-        constants=(1.0, 1.0), optimum=optimum,
+        constants=(1.0, 1.0), optimum=(np.zeros(n), 0.0),
     )
 
 

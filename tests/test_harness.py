@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pnewton.errors import BadLabel, EmptyDataset, ParseError
+import pnewton
+from pnewton.errors import BadLabel, EmptyDataset, ParseError, PnewtonError
 from pnewton.harness import (
     ExperimentSpec,
     SolverSpec,
@@ -538,6 +542,25 @@ def test_cli_solve_quadratic(tmp_path, capsys):
     assert (tmp_path / "cli" / "pnm.trace.csv").exists()
 
 
+def test_cli_solve_prints_the_run_report(tmp_path, capsys):
+    # solve is a one-solver run: same files, same report, same exit code
+    args = ["--method", "anm", "--precond", "diag", "--problem", "logistic", "--n", "5", "--m", "30",
+            "--seed", "4", "--diagnostics"]
+    assert cli_main(["solve", *args, "--out", str(tmp_path / "solve")]) == 0
+    solve_out = capsys.readouterr().out
+    spec = ExperimentSpec(problem={"builtin": "logistic", "n": 5, "m": 30}, seed=4, diagnostics=True,
+                          solvers=[SolverSpec(name="anm", method="anm", precond="diag")], out=str(tmp_path / "run"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert cli_main(["run", str(path)]) == 0
+    run_out = capsys.readouterr().out
+    assert solve_out.startswith(f"wrote 1 trace(s) to {tmp_path / 'solve'}\n  anm: converged in ")
+    assert solve_out.count("\n") == 2 and "||grad||=" in solve_out and "  gap=" in solve_out
+    assert solve_out.replace(str(tmp_path / "solve"), str(tmp_path / "run")) == run_out
+    for name in ("anm.trace.csv", "anm.meta.json", "anm.cert.json", "summary.json"):
+        assert (tmp_path / "solve" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
 def test_cli_solve_dataset(tmp_path):
     A, labels = make_logistic_dataset(5, 40, seed=2)
     data = tmp_path / "data.csv"
@@ -624,6 +647,7 @@ def test_cli_empty_builtin_shape_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == "error: need n >= 1 and m >= 1, got shape (0, 10)\n"
+    assert not (tmp_path / "x").exists()
 
 
 def _no_fstar_oracle(monkeypatch):
@@ -655,7 +679,7 @@ def test_cli_libsvm_index_above_cap_exits_before_any_trace(tmp_path, capsys, mon
                      "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: line 1: feature index 2000000 exceeds the limit of {MAX_FEATURES}\n"
-    assert not list(out.glob("*.trace.csv"))
+    assert not out.exists()
 
 
 def test_cli_missing_dataset(tmp_path):
@@ -666,12 +690,13 @@ def test_cli_missing_dataset(tmp_path):
     assert code == 2
 
 
-def test_cli_solve_unconverged_is_failure(tmp_path):
+def test_cli_solve_unconverged_is_failure(tmp_path, capsys):
     code = cli_main(
         ["solve", "--method", "pnm", "--problem", "logistic", "--n", "8", "--m", "60",
          "--c", "1", "--max-iters", "2", "--tol", "1e-12", "--out", str(tmp_path / "u")]
     )
     assert code == 1
+    assert capsys.readouterr().err == "solver failure: not converged: pnm\n"
 
 
 @pytest.mark.parametrize("method", ["pnm", "anm"])
@@ -734,4 +759,26 @@ def test_cli_gram_overflow_is_input_error_without_warning(tmp_path, capsys, monk
     assert capsys.readouterr().err == (
         "error: the data's Gram product A A^T overflows float64 (max |A| entry 1.000e+308)\n"
     )
-    assert not list(out.glob("*.trace.csv"))
+    assert not out.exists()
+
+
+def test_cli_fstar_oracle_failure_exits_1_before_any_output(tmp_path, capsys, monkeypatch):
+    import pnewton.solvers
+
+    def fail(model):
+        raise PnewtonError("f* oracle failed")
+    monkeypatch.setattr(pnewton.solvers, "fstar_oracle", fail)
+    out = tmp_path / "x"
+    assert cli_main(["solve", "--method", "pnm", "--problem", "logistic", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "solver failure: f* oracle failed\n"
+    assert not out.exists()
+
+
+def test_cli_module_entry_point_runs_without_warnings():
+    src = str(Path(pnewton.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pnewton", "demo-root", "--poly", "x^2-2", "--x0", "2"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "penalty: root = 1.4142135624" in proc.stdout and proc.stderr == ""

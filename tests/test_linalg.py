@@ -8,6 +8,7 @@ from pnewton.linalg import (
     lambda_min_pos,
     pinv_apply,
     psd_sqrt,
+    range_check,
     spd_solve,
     sym_eig,
     weighted_norm_sq,
@@ -148,15 +149,20 @@ def test_pinv_apply_examples():
 
 
 def test_pinv_apply_range_consistency():
-    # M (M^+ b) must reproduce b for every b in Range(M)
+    # M (M^+ b) must reproduce b for every b in Range(M), and range_check must say so
     rng = np.random.default_rng(5)
     for _ in range(40):
         n = int(rng.integers(2, 10))
         rank = int(rng.integers(1, n + 1))
         M = rand_psd(rng, n, rank)
         b = M @ rng.standard_normal(n)  # guaranteed in Range(M)
-        x = pinv_apply(M, b)
-        assert np.linalg.norm(M @ x - b) <= 1e-8 * (1 + np.linalg.norm(b))
+        x, residual, in_range = range_check(M, b)
+        assert np.array_equal(x, pinv_apply(M, b))
+        assert residual == np.linalg.norm(M @ x - b) <= 1e-8 * (1 + np.linalg.norm(b)) and in_range
+        if rank < n:  # a null-space component puts b + v outside Range(M)
+            v = np.linalg.eigh(M)[1][:, 0]
+            _, residual, in_range = range_check(M, b + v)
+            assert residual > 0.5 and not in_range
 
 
 def test_psd_sqrt_examples():

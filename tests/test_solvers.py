@@ -634,3 +634,16 @@ def test_fstar_oracle_provenance():
     assert res.converged
     assert res.grad_norm <= 1e-13
     assert res.f_star <= model.value(np.zeros(6))
+
+
+def test_fstar_oracle_returns_the_start_when_its_line_search_stalls():
+    # the Newton step from 0 always raises f = 1 + 1e20 |x|, so backtracking underflows at once
+    model = ObjectiveModel(
+        dim=1,
+        value=lambda x: 1.0 + 1e20 * abs(float(x[0])),
+        gradient=lambda x: np.ones(1),
+        hessian=lambda x: np.ones((1, 1)),
+    )
+    res = fstar_oracle(model)
+    assert res.iterations == 0 and res.converged is False
+    assert res.f_star == 1.0 and np.array_equal(res.x_star, [0.0])
