@@ -2,7 +2,8 @@
 
 Every error raised on purpose by this package derives from :class:`PnewtonError`
 so callers can catch the whole family at an API boundary (the CLI does exactly
-that to map failures onto exit codes).
+that to map failures onto exit codes). The input errors (``BadShape``,
+``BadLabel``, ``ParseError``, ``EmptyDataset``) subclass ``ValueError`` too.
 """
 
 
@@ -46,15 +47,15 @@ class ZeroHessian(PnewtonError):
     """The Hessian is numerically zero, so range-restricted spectral quantities are undefined."""
 
 
-class BadShape(PnewtonError):
+class BadShape(PnewtonError, ValueError):
     """Matrix/vector dimensions do not line up."""
 
 
-class BadLabel(PnewtonError):
+class BadLabel(PnewtonError, ValueError):
     """A logistic label is outside {-1, +1}."""
 
 
-class ParseError(PnewtonError):
+class ParseError(PnewtonError, ValueError):
     """A dataset file could not be parsed.
 
     Carries the 1-based line number of the offending line when known.
@@ -67,5 +68,5 @@ class ParseError(PnewtonError):
         self.line = line
 
 
-class EmptyDataset(PnewtonError):
+class EmptyDataset(PnewtonError, ValueError):
     """The dataset file contained no samples."""

@@ -13,11 +13,14 @@ Exit codes: 0 success, 1 solver failure, 2 usage, input or IO error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
-from ..errors import BadLabel, BadShape, EmptyDataset, ParseError, PnewtonError
+from ..errors import PnewtonError
+from ..objective import LINK_CURVATURE
+from ..solvers import METHODS, root_augmented_newton, root_penalty_newton
 from .experiment import ExperimentSpec, SolverSpec, certify_trace, run_experiment
 
 __all__ = ["cli_main", "main", "parse_polynomial", "poly_eval", "poly_derivative"]
@@ -72,48 +75,54 @@ def poly_derivative(coeffs: dict[int, float]) -> dict[int, float]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pnewton", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # an option not given stays out of ``args``, so the spec's or the library's default applies
+    add_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     p_run = sub.add_parser("run", help="run an experiment spec file")
     p_run.add_argument("spec", help="path to the experiment spec JSON")
 
-    p_solve = sub.add_parser("solve", help="run one solver on a dataset or builtin problem")
-    p_solve.add_argument("--method", choices=["newton", "damped_newton", "pnm", "anm"], required=True)
-    p_solve.add_argument("--precond", choices=["identity", "diag"], default="identity")
-    p_solve.add_argument("--rho0", type=float, default=1.0)
-    p_solve.add_argument("--c", type=float, default=2.0)
-    p_solve.add_argument("--rho-max", type=float, default=1e12)
-    p_solve.add_argument("--step-L", type=float, default=None)
-    p_solve.add_argument("--alpha", type=float, default=0.1)
-    p_solve.add_argument("--link", choices=["logistic", "squared"], default="logistic")
-    p_solve.add_argument("--tol", type=float, default=1e-8)
-    p_solve.add_argument("--max-iters", type=int, default=500)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--out", default="results")
+    p_solve = add_parser("solve", help="run one solver on a dataset or builtin problem")
+    p_solve.add_argument("--method", choices=METHODS, required=True)
+    p_solve.add_argument("--precond", choices=["identity", "diag"])
+    p_solve.add_argument("--rho0", type=float)
+    p_solve.add_argument("--c", type=float)
+    p_solve.add_argument("--rho-max", type=float)
+    p_solve.add_argument("--step-L", type=float)
+    p_solve.add_argument("--alpha", type=float)
+    p_solve.add_argument("--link", choices=sorted(LINK_CURVATURE))
+    p_solve.add_argument("--tol", type=float)
+    p_solve.add_argument("--max-iters", type=int)
+    p_solve.add_argument("--seed", type=int)
+    p_solve.add_argument("--out")
     p_solve.add_argument("--diagnostics", action="store_true")
     p_solve.add_argument("--timing", action="store_true",
                          help="record wall time in traces (breaks byte determinism)")
-    p_solve.add_argument("--dataset", default=None, help="dataset path (omit to use a builtin)")
-    p_solve.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-    p_solve.add_argument("--problem", choices=["quadratic", "logistic"], default="quadratic",
+    p_solve.add_argument("--dataset", dest="path", help="dataset path (omit to use a builtin)")
+    p_solve.add_argument("--format", choices=["csv", "libsvm"])
+    p_solve.add_argument("--problem", dest="builtin", choices=["quadratic", "logistic"], default="quadratic",
                          help="builtin problem when no dataset is given")
-    p_solve.add_argument("--n", type=int, default=8, help="builtin problem dimension")
-    p_solve.add_argument("--m", type=int, default=80, help="builtin problem sample count")
+    p_solve.add_argument("--n", type=int, help="builtin problem dimension")
+    p_solve.add_argument("--m", type=int, help="builtin problem sample count")
 
-    p_cert = sub.add_parser("certify", help="re-run certification on an existing trace")
-    p_cert.add_argument("--trace", required=True, help="path to a <name>.trace.csv")
-    p_cert.add_argument("--meta", default=None, help="meta sidecar (default: next to the trace)")
+    p_cert = add_parser("certify", help="re-run certification on an existing trace")
+    p_cert.add_argument("--trace", dest="trace_path", required=True, help="path to a <name>.trace.csv")
+    p_cert.add_argument("--meta", dest="meta_path", help="meta sidecar (default: next to the trace)")
 
-    p_root = sub.add_parser("demo-root", help="scalar root finding on a polynomial")
+    p_root = add_parser("demo-root", help="scalar root finding on a polynomial")
     p_root.add_argument("--poly", required=True, help='polynomial, e.g. "x^2-2"')
     p_root.add_argument("--rho", type=float, default=10.0)
     p_root.add_argument("--x0", type=float, required=True)
-    p_root.add_argument("--x1", type=float, default=None,
-                        help="second start for the augmented variant (default: x0)")
-    p_root.add_argument("--tol", type=float, default=1e-10)
-    p_root.add_argument("--max-iters", type=int, default=100)
+    p_root.add_argument("--x1", type=float, help="second start for the augmented variant (default: x0)")
+    p_root.add_argument("--tol", type=float)
+    p_root.add_argument("--max-iters", type=int)
     p_root.add_argument("--variant", choices=["penalty", "augmented", "both"], default="both")
 
     return parser
+
+
+def _given(args, names) -> dict:
+    """The options among ``names`` that the command line set."""
+    return {name: value for name, value in vars(args).items() if name in names}
 
 
 def _run(spec: ExperimentSpec) -> int:
@@ -134,19 +143,14 @@ def _run(spec: ExperimentSpec) -> int:
 
 
 def _solve_spec(args) -> ExperimentSpec:
-    """The one-solver spec a ``solve`` command line describes."""
-    if args.dataset is not None:
-        problem = {"path": args.dataset, "format": args.format}
-    else:
-        problem = {"builtin": args.problem, "n": args.n, "m": args.m}
-    sspec = SolverSpec(name=args.method, method=args.method, precond=args.precond, rho0=args.rho0, c=args.c,
-                       rho_max=args.rho_max, step_L=args.step_L, tol=args.tol, max_iters=args.max_iters)
-    return ExperimentSpec(problem=problem, solvers=[sspec], link=args.link, alpha=args.alpha, seed=args.seed,
-                          out=args.out, diagnostics=args.diagnostics, timing=args.timing)
+    """The one-solver spec a ``solve`` command line describes; options not given keep the spec's defaults."""
+    problem = _given(args, ("path", "format") if "path" in args else ("builtin", "n", "m"))
+    sspec = SolverSpec(name=args.method, **_given(args, SolverSpec.__dataclass_fields__))
+    return ExperimentSpec(problem=problem, solvers=[sspec], **_given(args, ExperimentSpec.__dataclass_fields__))
 
 
 def _cmd_certify(args) -> int:
-    report, matches = certify_trace(args.trace, args.meta)
+    report, matches = certify_trace(**_given(args, ("trace_path", "meta_path")))
     agg = report.to_dict()["aggregate"]
     print(json.dumps(agg, indent=2))
     if matches is not None:
@@ -157,8 +161,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_demo_root(args) -> int:
-    from ..solvers import root_augmented_newton, root_penalty_newton
-
     coeffs = parse_polynomial(args.poly)
     deriv = poly_derivative(coeffs)
 
@@ -172,17 +174,17 @@ def _cmd_demo_root(args) -> int:
 
     f = evaluator(coeffs, f"the polynomial {args.poly!r}")
     fp = evaluator(deriv, f"the derivative of {args.poly!r}")
-    x1 = args.x0 if args.x1 is None else args.x1
+    budget = _given(args, ("tol", "max_iters"))
 
     def report(name, root, xs):
         print(f"{name}: root = {root:.10f} after {len(xs) - 1} iterations, |f(root)| = {abs(f(root)):.3e}")
         print("  iterates: " + ", ".join(f"{v:.10g}" for v in xs))
 
     if args.variant in ("penalty", "both"):
-        root, xs = root_penalty_newton(f, fp, args.x0, args.rho, args.tol, args.max_iters)
+        root, xs = root_penalty_newton(f, fp, args.x0, args.rho, **budget)
         report("penalty", root, xs)
     if args.variant in ("augmented", "both"):
-        root, xs = root_augmented_newton(f, fp, args.x0, x1, args.rho, args.tol, args.max_iters)
+        root, xs = root_augmented_newton(f, fp, args.x0, getattr(args, "x1", args.x0), args.rho, **budget)
         report("augmented", root, xs)
     return 0
 
@@ -202,8 +204,7 @@ def cli_main(argv=None) -> int:
         if args.command == "certify":
             return _cmd_certify(args)
         return _cmd_demo_root(args)
-    except (ParseError, EmptyDataset, BadLabel, BadShape,
-            OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PnewtonError, OverflowError) as exc:

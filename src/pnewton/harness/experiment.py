@@ -64,6 +64,8 @@ class SolverSpec:
     max_iters: int = 500
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+            raise ValueError(f"solver name {self.name!r} is not a plain file name")
         if self.precond not in _PRECOND_ALIASES:
             raise ValueError(f"unknown preconditioner {self.precond!r}; choose identity or diag")
         self.to_config(1.0)  # a bad method, penalty, step, tolerance or budget fails on load
@@ -131,6 +133,8 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
     """The problem description a run writes to its meta and summary files."""
     problem = spec.problem
     kind = problem.get("builtin")
+    if kind is not None and spec.link != "logistic":
+        raise ValueError(f"a builtin problem takes only the default link 'logistic', got {spec.link!r}")
     if kind == "quadratic":
         return {"builtin": "quadratic", "n": int(problem.get("n", 8)), "seed": spec.seed}
     if kind == "logistic":
@@ -141,8 +145,9 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
             "seed": spec.seed,
             "alpha": spec.alpha,
         }
-    if kind is not None:
-        raise ValueError(f"unknown builtin problem {kind!r}")
+    if kind is not None or "path" not in problem:
+        raise ValueError('problem must be {"path": ..., "format": "csv"|"libsvm"} or '
+                         f'{{"builtin": "quadratic"|"logistic", "n": ..., "m": ...}}, got {problem}')
     return {
         "path": str(problem["path"]),
         "format": problem.get("format", "csv"),

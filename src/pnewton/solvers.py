@@ -19,6 +19,7 @@ the composite descent value ``f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G`
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,9 +67,10 @@ BT_BETA = 0.5
 class PreconditionerPolicy:
     """How to realize the penalty-norm matrix G at each iterate.
 
-    ``identity`` gives the Levenberg special case, ``hessian_diagonal`` the
-    Levenberg-Marquardt one (G re-evaluated as diag(H(x_k)) every iterate),
-    and ``fixed`` uses a copy of a user-supplied PD matrix throughout.
+    ``identity`` (the default) gives the Levenberg special case,
+    ``hessian_diagonal`` the Levenberg-Marquardt one (G re-evaluated as
+    diag(H(x_k)) every iterate), and ``PreconditionerPolicy("fixed", M)`` uses
+    a copy of the PD matrix ``M`` throughout.
     """
 
     kind: str = "identity"
@@ -87,18 +89,6 @@ class PreconditionerPolicy:
                     f"fixed preconditioner must be PD (lambda_min = {w[0]:.3e})"
                 )
             object.__setattr__(self, "matrix", M)
-
-    @classmethod
-    def identity(cls) -> "PreconditionerPolicy":
-        return cls("identity")
-
-    @classmethod
-    def hessian_diagonal(cls) -> "PreconditionerPolicy":
-        return cls("hessian_diagonal")
-
-    @classmethod
-    def fixed(cls, M) -> "PreconditionerPolicy":
-        return cls("fixed", M)
 
     def materialize(self, H: np.ndarray) -> np.ndarray:
         """Concrete G for an iterate whose Hessian is ``H``: its 1-D diagonal unless ``fixed``."""
@@ -144,7 +134,7 @@ class SolverConfig:
     """Method selection plus every knob the runs need."""
 
     method: str = "pnm"
-    precond: PreconditionerPolicy = field(default_factory=PreconditionerPolicy.identity)
+    precond: PreconditionerPolicy = field(default_factory=PreconditionerPolicy)
     schedule: PenaltySchedule = field(default_factory=PenaltySchedule)
     step_L: float = 1.0
     max_iters: int = 100
@@ -155,8 +145,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not self.step_L > 0.0:
             raise ValueError(f"step constant L must be > 0, got {self.step_L}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be > 0")
 

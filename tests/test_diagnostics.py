@@ -183,7 +183,7 @@ def test_certifier_entries_match_spectral_definitions():
         x0 = np.random.default_rng(0).standard_normal(H.shape[0])
         for method, certify in (("pnm", certify_penalty_contraction), ("anm", certify_augmented_contraction)):
             cfg = SolverConfig(
-                method=method, precond=PreconditionerPolicy.fixed(G),
+                method=method, precond=PreconditionerPolicy("fixed", G),
                 schedule=PenaltySchedule.fixed(rho), grad_tol=1e-300, max_iters=3,
             )
             report = certify(run(model, x0, cfg), model, cfg.precond, mu=1.0, step_L=1.0)
@@ -461,7 +461,7 @@ def _certify_glm_run(method, precond, patch):
 
 @pytest.mark.parametrize("method", ["pnm", "anm"])
 @pytest.mark.parametrize(
-    "precond", [PreconditionerPolicy.identity(), PreconditionerPolicy.hessian_diagonal()], ids=["identity", "diag"]
+    "precond", [PreconditionerPolicy("identity"), PreconditionerPolicy("hessian_diagonal")], ids=["identity", "diag"]
 )
 def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, precond):
     solved, hessians, materialized = [], [], []
@@ -492,9 +492,9 @@ def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, preco
 @pytest.mark.parametrize(
     "precond, cholesky_per_entry",
     [
-        (PreconditionerPolicy.identity(), 0),
-        (PreconditionerPolicy.hessian_diagonal(), 0),
-        (PreconditionerPolicy.fixed(rand_pd(np.random.default_rng(79), 6)), 1),
+        (PreconditionerPolicy("identity"), 0),
+        (PreconditionerPolicy("hessian_diagonal"), 0),
+        (PreconditionerPolicy("fixed", rand_pd(np.random.default_rng(79), 6)), 1),
     ],
     ids=["identity", "diag", "dense"],
 )
@@ -579,7 +579,7 @@ def test_bad_hessian_raises_where_it_is_received(method, bad):
     assert len(trace.records) == 4
     for certify in (certify_penalty_contraction, certify_augmented_contraction):
         with pytest.raises(ValueError):
-            certify(trace, model, PreconditionerPolicy.identity(), mu=1.0, step_L=1.0)
+            certify(trace, model, PreconditionerPolicy("identity"), mu=1.0, step_L=1.0)
     with pytest.raises(ValueError):
         check_relative_bounds(model, x0, np.zeros(3), 1.0, 1.0)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pnewton
-from pnewton.errors import BadLabel, EmptyDataset, ParseError, PnewtonError
+from pnewton.errors import BadLabel, BadShape, EmptyDataset, ParseError, PnewtonError
 from pnewton.harness import (
     ExperimentSpec,
     SolverSpec,
@@ -496,10 +496,13 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="unknown preconditioner"):
         SolverSpec(name="x", precond="cholesky")
     bad_fields = [{"rho0": -1.0}, {"rho0": 0.0}, {"c": 0.5}, {"rho0": 2.0, "rho_max": 1.0},
-                  {"tol": 0.0}, {"max_iters": 0}, {"step_L": -1.0}]
+                  {"tol": 0.0}, {"max_iters": 0}, {"max_iters": 2.5}, {"step_L": -1.0}]
     for fields in bad_fields:
         with pytest.raises(ValueError):
             SolverSpec(name="x", method="pnm", **fields)
+    for name in ("", ".", "..", "../../x", "a/b", "/x"):  # a name becomes a file name under ``out``
+        with pytest.raises(ValueError, match="not a plain file name"):
+            SolverSpec(name=name)
     with pytest.raises(ValueError):
         ExperimentSpec(
             problem={"builtin": "quadratic"},
@@ -526,6 +529,16 @@ def test_cli_demo_root(capsys):
     assert code == 0
     assert "1.4142135624" in out
     assert "penalty" in out and "augmented" in out
+
+
+def test_cli_demo_root_budget_defaults_are_the_library_defaults(capsys):
+    args = ["demo-root", "--poly", "x^3-2x-5", "--x0", "2"]
+    assert cli_main(args) == 0
+    default_out = capsys.readouterr().out
+    assert cli_main([*args, "--tol", "1e-10", "--max-iters", "100"]) == 0
+    assert capsys.readouterr().out == default_out
+    assert cli_main([*args, "--max-iters", "1"]) == 1  # a flag that is given still reaches the solver
+    assert capsys.readouterr().err.startswith("solver failure:")
 
 
 def test_cli_demo_root_bad_poly(capsys):
@@ -559,6 +572,21 @@ def test_cli_solve_prints_the_run_report(tmp_path, capsys):
     assert solve_out.replace(str(tmp_path / "solve"), str(tmp_path / "run")) == run_out
     for name in ("anm.trace.csv", "anm.meta.json", "anm.cert.json", "summary.json"):
         assert (tmp_path / "solve" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+@pytest.mark.parametrize("problem", ["logistic", "quadratic"])
+def test_cli_solve_defaults_are_the_spec_defaults(tmp_path, capsys, problem):
+    # every flag left off takes the spec's default: builtin logistic is 20 x 200, not a CLI-only size
+    assert cli_main(["solve", "--method", "pnm", "--problem", problem, "--out", str(tmp_path / "solve")]) == 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"problem": {"builtin": problem}, "out": str(tmp_path / "run"),
+                                "solvers": [{"name": "pnm", "method": "pnm"}]}))
+    assert cli_main(["run", str(path)]) == 0
+    for name in ("pnm.trace.csv", "pnm.meta.json", "summary.json"):
+        assert (tmp_path / "solve" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    if problem == "logistic":
+        summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+        assert (summary["problem"]["n"], summary["problem"]["m"]) == (20, 200)
 
 
 def test_cli_solve_dataset(tmp_path):
@@ -660,14 +688,63 @@ def _no_fstar_oracle(monkeypatch):
 
 def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypatch):
     _no_fstar_oracle(monkeypatch)
+    out = tmp_path / "a" / "b" / "x"  # "../../x" would land in tmp_path / "a"
+    bad = [({"rho0": -1.0}, "rho0 must be > 0, got -1.0"),
+           ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
+           ({"name": "../../x"}, "solver name '../../x' is not a plain file name"),
+           ({"name": ""}, "solver name '' is not a plain file name")]
+    for fields, message in bad:
+        spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
+                "solvers": [{"name": "a", "method": "pnm"}, {"name": "b", "method": "pnm", **fields}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"problem": {"builtin": "logistic"}, "link": "squared"},
+     "a builtin problem takes only the default link 'logistic', got 'squared'"),
+    ({"problem": {"builtin": "quadratic"}, "link": "squared"},
+     "a builtin problem takes only the default link 'logistic', got 'squared'"),
+    ({"problem": {}},
+     'problem must be {"path": ..., "format": "csv"|"libsvm"} '
+     'or {"builtin": "quadratic"|"logistic", "n": ..., "m": ...}, got {}'),
+    ({"problem": {"builtin": "cubic"}},
+     'problem must be {"path": ..., "format": "csv"|"libsvm"} '
+     'or {"builtin": "quadratic"|"logistic", "n": ..., "m": ...}, got {\'builtin\': \'cubic\'}'),
+], ids=["logistic-squared", "quadratic-squared", "empty", "unknown-builtin"])
+def test_cli_problem_it_would_misread_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
+    _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"
-    spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
-            "solvers": [{"name": "a", "method": "pnm"}, {"name": "b", "method": "pnm", "rho0": -1.0}]}
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps({**fields, "out": str(out), "solvers": [{"name": "pnm", "method": "pnm"}]}))
     assert cli_main(["run", str(path)]) == 2
-    assert capsys.readouterr().err == "error: rho0 must be > 0, got -1.0\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_cli_solve_builtin_with_squared_link_is_input_error(tmp_path, capsys, monkeypatch):
+    _no_fstar_oracle(monkeypatch)
+    out = tmp_path / "x"
+    code = cli_main(["solve", "--method", "pnm", "--problem", "logistic", "--link", "squared", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: a builtin problem takes only the default link")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [BadShape, BadLabel, ParseError, EmptyDataset])
+def test_cli_input_error_classes_are_value_errors_and_exit_2(tmp_path, capsys, monkeypatch, error):
+    import pnewton.harness.cli
+
+    assert issubclass(error, ValueError) and issubclass(error, PnewtonError)
+
+    def fail(spec):
+        raise error("bad input")
+    monkeypatch.setattr(pnewton.harness.cli, "run_experiment", fail)
+    assert cli_main(["solve", "--method", "pnm", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_cli_libsvm_index_above_cap_exits_before_any_trace(tmp_path, capsys, monkeypatch):

@@ -498,8 +498,8 @@ def test_anm_run_specializations_match_reference_loops():
     L = model.constants[0]
     rho = 2.0
     for precond, reference in (
-        (PreconditionerPolicy.identity(), _aug_levenberg),
-        (PreconditionerPolicy.hessian_diagonal(), _aug_levenberg_marquardt),
+        (PreconditionerPolicy("identity"), _aug_levenberg),
+        (PreconditionerPolicy("hessian_diagonal"), _aug_levenberg_marquardt),
     ):
         cfg = SolverConfig(
             method="anm", precond=precond, schedule=PenaltySchedule.fixed(rho),
@@ -591,22 +591,21 @@ def test_solver_config_validation():
 def test_preconditioner_policies():
     H = np.array([[2.0, 0.3], [0.3, 1.0]])
     # identity and hessian_diagonal carry G as its 1-D diagonal; fixed stays a matrix
-    assert np.array_equal(PreconditionerPolicy.identity().materialize(H), np.ones(2))
-    assert np.array_equal(PreconditionerPolicy.hessian_diagonal().materialize(H), np.array([2.0, 1.0]))
-    fixed = PreconditionerPolicy.fixed(np.diag([1.0, 3.0]))
+    assert np.array_equal(PreconditionerPolicy("identity").materialize(H), np.ones(2))
+    assert np.array_equal(PreconditionerPolicy("hessian_diagonal").materialize(H), np.array([2.0, 1.0]))
+    fixed = PreconditionerPolicy("fixed", np.diag([1.0, 3.0]))
     assert np.array_equal(fixed.materialize(H), np.diag([1.0, 3.0]))
     with pytest.raises(NotPositiveDefinite):
-        PreconditionerPolicy.fixed(np.diag([1.0, -1.0]))
+        PreconditionerPolicy("fixed", np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
-        PreconditionerPolicy.hessian_diagonal().materialize(np.diag([1.0, 0.0]))
+        PreconditionerPolicy("hessian_diagonal").materialize(np.diag([1.0, 0.0]))
 
 
 def test_fixed_preconditioner_keeps_its_own_copy():
     H = np.eye(2)
     M = np.array([[2.0, 0.5], [0.5, 1.0]])
-    for policy in (PreconditionerPolicy.fixed(M), PreconditionerPolicy("fixed", M)):
-        assert not np.shares_memory(policy.matrix, M)
-    policy = PreconditionerPolicy.fixed(M)
+    policy = PreconditionerPolicy("fixed", M)
+    assert not np.shares_memory(policy.matrix, M)
     M[0, 0] = -7.0  # the caller reuses its array
     assert np.array_equal(policy.materialize(H), [[2.0, 0.5], [0.5, 1.0]])
 
