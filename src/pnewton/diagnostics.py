@@ -396,12 +396,10 @@ class ContractionReport:
         }
 
 
-def _resolve_f_star(trace: "IterateTrace", model: ObjectiveModel) -> float:
-    if trace.f_star is not None:
-        return float(trace.f_star)
-    if model.f_star is not None:
-        return float(model.f_star)
-    raise MissingOptimum("certification needs f*; attach an optimum to the model or trace")
+def _resolve_f_star(trace: "IterateTrace") -> float:
+    if trace.f_star is None:
+        raise MissingOptimum("certification needs f*; run the solver on a model that carries f_star")
+    return float(trace.f_star)
 
 
 def _iterate_constants(H, G, rho: float) -> tuple[float, float, bool]:
@@ -441,7 +439,7 @@ def certify_penalty_contraction(
     ``gap_{k+1} <= (1 - eta_k) * gap_k + SLACK_TOL``. Iterations where
     ``eta_k`` falls outside (0, 1] are flagged vacuous.
     """
-    f_star = _resolve_f_star(trace, model)
+    f_star = _resolve_f_star(trace)
     report = ContractionReport(kind="penalty", f_star=f_star, mu=mu, step_L=step_L)
     records = trace.records
     for k in range(len(records) - 1):
@@ -470,7 +468,7 @@ def certify_augmented_contraction(
     ``G (x_k - x_{k-1})`` is annotated per iterate: it holds when the whitened
     spectrum shows ``H`` is PD, and is checked by projection otherwise.
     """
-    f_star = _resolve_f_star(trace, model)
+    f_star = _resolve_f_star(trace)
     if len(trace.records) < 2:
         raise ValueError("augmented certification needs a trace with at least two points")
     report = ContractionReport(kind="augmented", f_star=f_star, mu=mu, step_L=step_L)

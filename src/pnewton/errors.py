@@ -40,7 +40,7 @@ class MaxIterationsExceeded(PnewtonError):
 
 
 class MissingOptimum(PnewtonError):
-    """A certification needs f* but neither the trace nor the model carries one."""
+    """A certification needs f* but the trace carries none (the optimum value is unknown)."""
 
 
 class ZeroHessian(PnewtonError):

@@ -18,6 +18,8 @@ elapsed column stays zero unless timing is explicitly requested.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -64,7 +66,7 @@ class SolverSpec:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
             raise ValueError(f"solver name {self.name!r} is not a plain file name")
         if self.precond not in _PRECOND_ALIASES:
             raise ValueError(f"unknown preconditioner {self.precond!r}; choose identity or diag")
@@ -88,8 +90,10 @@ class ExperimentSpec:
 
     ``problem`` is either ``{"path": ..., "format": "csv"|"libsvm"}`` for a
     dataset on disk or ``{"builtin": "logistic"|"quadratic", "n": ..., "m": ...}``
-    for a seeded synthetic instance. ``fstar`` is ``{"policy": "oracle"}`` or
-    ``{"policy": "provided", "value": ...}``.
+    (integer sizes) for a seeded synthetic instance; it is checked on
+    construction and stored as the description every meta file and the summary
+    record. ``fstar`` is ``{"policy": "oracle"}`` or
+    ``{"policy": "provided", "value": <number>}``.
     """
 
     problem: dict
@@ -108,11 +112,13 @@ class ExperimentSpec:
         names = [s.name for s in self.solvers]
         if len(set(names)) != len(names):
             raise ValueError(f"solver names must be unique, got {names}")
-        policy = self.fstar.get("policy")
-        if policy not in ("oracle", "provided"):
-            raise ValueError(f"unknown fstar policy {policy!r}")
-        if policy == "provided" and "value" not in self.fstar:
-            raise ValueError("fstar policy 'provided' needs a 'value'")
+        fstar = self.fstar if isinstance(self.fstar, dict) else {}
+        value = fstar.get("value")
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        if fstar.get("policy") not in ("oracle", "provided") or (fstar["policy"] == "provided" and not number):
+            raise ValueError('fstar must be {"policy": "oracle"} or '
+                             f'{{"policy": "provided", "value": <finite number>}}, got {self.fstar!r}')
+        self.problem = _problem_desc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -129,25 +135,32 @@ class ExperimentSpec:
         return asdict(self)
 
 
+def _size(problem: dict, key: str, default: int) -> int:
+    value = problem.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"a builtin problem's {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _problem_desc(spec: ExperimentSpec) -> dict:
-    """The problem description a run writes to its meta and summary files."""
-    problem = spec.problem
+    """The problem description of ``spec`` that meta and summary files record; a description maps to itself."""
+    problem = spec.problem if isinstance(spec.problem, dict) else {}
     kind = problem.get("builtin")
     if kind is not None and spec.link != "logistic":
         raise ValueError(f"a builtin problem takes only the default link 'logistic', got {spec.link!r}")
     if kind == "quadratic":
-        return {"builtin": "quadratic", "n": int(problem.get("n", 8)), "seed": spec.seed}
+        return {"builtin": "quadratic", "n": _size(problem, "n", 8), "seed": spec.seed}
     if kind == "logistic":
         return {
             "builtin": "logistic",
-            "n": int(problem.get("n", 20)),
-            "m": int(problem.get("m", 200)),
+            "n": _size(problem, "n", 20),
+            "m": _size(problem, "m", 200),
             "seed": spec.seed,
             "alpha": spec.alpha,
         }
     if kind is not None or "path" not in problem:
         raise ValueError('problem must be {"path": ..., "format": "csv"|"libsvm"} or '
-                         f'{{"builtin": "quadratic"|"logistic", "n": ..., "m": ...}}, got {problem}')
+                         f'{{"builtin": "quadratic"|"logistic", "n": ..., "m": ...}}, got {spec.problem!r}')
     return {
         "path": str(problem["path"]),
         "format": problem.get("format", "csv"),
@@ -171,7 +184,7 @@ def _build_model(problem: dict):
 def _resolve_fstar(spec: ExperimentSpec, model):
     """``model`` with f* attached, and the record of where f* came from."""
     if spec.fstar["policy"] == "provided":
-        return replace(model, optimum=(None, float(spec.fstar["value"]))), {"policy": "provided"}
+        return replace(model, f_star=float(spec.fstar["value"])), {"policy": "provided"}
     if model.f_star is not None:
         return model, {"policy": "known"}
     result = solvers.fstar_oracle(model)
@@ -181,7 +194,7 @@ def _resolve_fstar(spec: ExperimentSpec, model):
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    return model.with_optimum(result.x_star, result.f_star), info
+    return replace(model, f_star=result.f_star), info
 
 
 def _write_json(path, obj) -> None:
@@ -225,11 +238,11 @@ def read_trace_csv(path) -> list[dict]:
     return rows
 
 
-def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, problem_desc, step_L, fstar_info):
+def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, step_L, fstar_info):
     meta = {
         "solver": asdict(sspec),
         "resolved_step_L": step_L,
-        "problem": problem_desc,
+        "problem": spec.problem,
         "link": spec.link,
         "alpha": spec.alpha,
         "seed": spec.seed,
@@ -254,11 +267,11 @@ def _certify(trace, model, config: solvers.SolverConfig) -> diagnostics.Contract
     return certify(trace, model, config.precond, model.constants[1], config.step_L)
 
 
-def _start_point(problem_desc: dict, dim: int) -> np.ndarray:
+def _start_point(problem: dict, dim: int) -> np.ndarray:
     """The point every solver of a run starts from; the f* oracle starts at zeros too."""
     # zeros is the conventional GLM start; the builtin quadratic is minimized
     # at the origin, so start it from the all-ones point instead
-    if problem_desc.get("builtin") == "quadratic":
+    if problem.get("builtin") == "quadratic":
         return np.ones(dim)
     return np.zeros(dim)
 
@@ -283,14 +296,11 @@ def _share_start(model, x0: np.ndarray):
     )
 
 
-def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, problem_desc, fstar_info, outdir: Path):
+def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, fstar_info, outdir: Path):
     config = sspec.to_config(model.constants[0])
-    trace = solvers.run(model, _start_point(problem_desc, model.dim), config)
+    trace = solvers.run(model, _start_point(spec.problem, model.dim), config)
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
-    _write_meta(
-        outdir / f"{sspec.name}.meta.json",
-        spec, sspec, trace, problem_desc, config.step_L, fstar_info,
-    )
+    _write_meta(outdir / f"{sspec.name}.meta.json", spec, sspec, trace, config.step_L, fstar_info)
     cert_summary = None
     if spec.diagnostics and trace.method in _CERTIFIERS:
         cert = _certify(trace, model, config).to_dict()
@@ -322,9 +332,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     depend on the worker count; the first failure is raised after
     ``summary.json`` is written.
     """
-    problem_desc = _problem_desc(spec)
-    model = _build_model(problem_desc)
-    model, fstar_info = _resolve_fstar(spec, _share_start(model, _start_point(problem_desc, model.dim)))
+    model = _build_model(spec.problem)
+    model, fstar_info = _resolve_fstar(spec, _share_start(model, _start_point(spec.problem, model.dim)))
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -333,7 +342,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     def attempt(sspec: SolverSpec):
         """``(summary entry, None)``, or ``(None, (name, error))`` when the solver fails."""
         try:
-            return _run_one(spec, sspec, model, problem_desc, fstar_info, outdir), None
+            return _run_one(spec, sspec, model, fstar_info, outdir), None
         except Exception as exc:
             return None, (sspec.name, exc)
 
@@ -345,7 +354,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     errors = [error for _, error in outcomes if error is not None]
 
     summary = {
-        "problem": problem_desc,
+        "problem": spec.problem,
         "seed": spec.seed,
         "f_star": model.f_star,
         "f_star_provenance": fstar_info,

@@ -15,7 +15,7 @@ route.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,9 +69,8 @@ class ObjectiveModel:
     once, with :func:`~pnewton.linalg.as_symmetric`, where it receives it, and
     uses it as is, never mutating it, when it is exactly symmetric.
     ``constants`` optionally carries the relative smoothness/convexity pair
-    ``(L, mu)`` with ``0 < mu <= L``; ``optimum`` optionally carries
-    ``(x_star, f_star)`` when the minimum is known, ``x_star`` None when only
-    ``f_star`` is.
+    ``(L, mu)`` with ``0 < mu <= L``; ``f_star`` carries the minimum value
+    when it is known (attach one with ``dataclasses.replace(model, f_star=...)``).
     """
 
     dim: int
@@ -79,20 +78,13 @@ class ObjectiveModel:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     constants: tuple[float, float] | None = None
-    optimum: tuple[np.ndarray | None, float] | None = None
+    f_star: float | None = None
 
     def __post_init__(self):
         if self.constants is not None:
             L, mu = self.constants
             if not (0.0 < mu <= L):
                 raise ValueError(f"need 0 < mu <= L, got L={L}, mu={mu}")
-
-    @property
-    def f_star(self) -> float | None:
-        return None if self.optimum is None else float(self.optimum[1])
-
-    def with_optimum(self, x_star, f_star: float) -> "ObjectiveModel":
-        return replace(self, optimum=(np.asarray(x_star, dtype=float), float(f_star)))
 
 
 class GlmProblem:
@@ -293,7 +285,7 @@ def check_relative_bounds(model: ObjectiveModel, x, y, L: float, mu: float) -> B
 
 
 def quadratic_model(Q) -> ObjectiveModel:
-    """Convex quadratic ``f(x) = x^T Q x / 2`` with minimizer 0 and value 0.
+    """Convex quadratic ``f(x) = x^T Q x / 2`` with minimizer 0, so ``f_star = 0.0``.
 
     Exactly relative-smooth and relative-convex with ``L = mu = 1``.
     """
@@ -313,7 +305,7 @@ def quadratic_model(Q) -> ObjectiveModel:
 
     return ObjectiveModel(
         dim=n, value=value, gradient=gradient, hessian=hessian,
-        constants=(1.0, 1.0), optimum=(np.zeros(n), 0.0),
+        constants=(1.0, 1.0), f_star=0.0,
     )
 
 

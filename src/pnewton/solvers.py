@@ -145,7 +145,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not self.step_L > 0.0:
             raise ValueError(f"step constant L must be > 0, got {self.step_L}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be > 0")

@@ -5,6 +5,7 @@ Run with ``pytest -v tests/test_acceptance.py`` (the pass/fail lines appear
 in the PASSES summary section, or directly with ``-s``).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -250,7 +251,7 @@ def _fixed_rho_problems():
     for i, seed in enumerate(range(800, 805)):
         problem, model = rand_glm(seed, n=10 + 2 * i, m=80 + 20 * i, alpha=0.2)
         res = fstar_oracle(model)
-        model = model.with_optimum(res.x_star, res.f_star)
+        model = dataclasses.replace(model, f_star=res.f_star)
         yield model, rhos[i]
 
 

@@ -388,7 +388,7 @@ def test_certify_penalty_missing_optimum():
 def test_certify_penalty_glm_run():
     _, model = rand_glm(73, n=6, m=50)
     res = fstar_oracle(model)
-    model = model.with_optimum(res.x_star, res.f_star)
+    model = dataclasses.replace(model, f_star=res.f_star)
     L, mu = model.constants
     cfg = SolverConfig(
         method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
@@ -427,7 +427,7 @@ def test_certify_augmented_at_optimum():
 def test_certify_augmented_glm_run():
     _, model = rand_glm(74, n=6, m=50)
     res = fstar_oracle(model)
-    model = model.with_optimum(res.x_star, res.f_star)
+    model = dataclasses.replace(model, f_star=res.f_star)
     L, mu = model.constants
     cfg = SolverConfig(
         method="anm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
@@ -450,7 +450,7 @@ def _certify_glm_run(method, precond, patch):
     """Run ``method`` on a PD GLM, call ``patch()``, then certify the trace."""
     _, model = rand_glm(78, n=6, m=40)  # ridge term: every Hessian is PD
     res = fstar_oracle(model)
-    model = model.with_optimum(res.x_star, res.f_star)
+    model = dataclasses.replace(model, f_star=res.f_star)
     L, mu = model.constants
     cfg = SolverConfig(method=method, precond=precond, step_L=L, grad_tol=1e-10, max_iters=50)
     trace = run(model, np.zeros(6), cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -511,6 +512,20 @@ def test_spec_validation():
         )
 
 
+def test_spec_problem_is_the_description_every_file_records(tmp_path):
+    out = tmp_path / "x"
+    spec = ExperimentSpec(problem={"builtin": "logistic"}, seed=3, out=str(out),
+                          solvers=[SolverSpec(name="pnm"), SolverSpec(name="newton", method="newton")])
+    desc = {"builtin": "logistic", "n": 20, "m": 200, "seed": 3, "alpha": 0.1}
+    assert spec.problem == desc
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    assert dataclasses.replace(spec, seed=4).problem == {**desc, "seed": 4}
+    summary = run_experiment(spec)
+    assert summary["problem"] == json.loads((out / "summary.json").read_text())["problem"] == desc
+    for name in ("pnm", "newton"):
+        assert json.loads((out / f"{name}.meta.json").read_text())["problem"] == desc
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = _quadratic_spec(tmp_path / "json", diagnostics=True)
     path = tmp_path / "spec.json"
@@ -720,6 +735,39 @@ def test_cli_problem_it_would_misread_exits_before_any_output(tmp_path, capsys, 
     out = tmp_path / "x"
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**fields, "out": str(out), "solvers": [{"name": "pnm", "method": "pnm"}]}))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+_FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "value": <finite number>}'
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"problem": [1]},
+     'problem must be {"path": ..., "format": "csv"|"libsvm"} '
+     'or {"builtin": "quadratic"|"logistic", "n": ..., "m": ...}, got [1]'),
+    ({"fstar": "oracle"}, f"{_FSTAR_FORMS}, got 'oracle'"),
+    ({"fstar": {"policy": "provided", "value": "0.5"}},
+     f"{_FSTAR_FORMS}, got {{'policy': 'provided', 'value': '0.5'}}"),
+    ({"fstar": {"policy": "provided", "value": float("nan")}},
+     f"{_FSTAR_FORMS}, got {{'policy': 'provided', 'value': nan}}"),
+    ({"problem": {"builtin": "logistic", "n": 2.5}}, "a builtin problem's n must be an integer, got 2.5"),
+    ({"problem": {"builtin": "logistic", "n": "7"}}, "a builtin problem's n must be an integer, got '7'"),
+    ({"problem": {"builtin": "quadratic", "n": True}}, "a builtin problem's n must be an integer, got True"),
+    ({"problem": {"builtin": "logistic", "m": True}}, "a builtin problem's m must be an integer, got True"),
+    ({"solvers": [{"name": 5, "method": "pnm"}]}, "solver name 5 is not a plain file name"),
+    ({"solvers": [{"name": "pnm", "method": "pnm", "max_iters": True}]},
+     "max_iters must be an integer >= 1, got True"),
+], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
+        "quadratic-n-bool", "m-bool", "name-int", "max-iters-bool"])
+def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
+    _no_fstar_oracle(monkeypatch)
+    out = tmp_path / "x"
+    spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
+            "solvers": [{"name": "pnm", "method": "pnm"}], **fields}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

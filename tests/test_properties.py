@@ -3,6 +3,8 @@
 Every property runs derandomized, so a failing draw reproduces on every run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -35,7 +37,7 @@ GLM_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 def _model_with_fstar(glm):
     _, model = rand_glm(**glm)
     res = fstar_oracle(model)
-    return model.with_optimum(res.x_star, res.f_star)
+    return dataclasses.replace(model, f_star=res.f_star)
 
 
 def _config(method, precond, model, max_iters=200, **kwargs):

@@ -35,7 +35,7 @@ SCALAR = quadratic_model(np.eye(1))
 
 def with_fstar(model):
     res = fstar_oracle(model)
-    return model.with_optimum(res.x_star, res.f_star)
+    return dataclasses.replace(model, f_star=res.f_star)
 
 
 # ---------------------------------------------------------------------------
