@@ -91,9 +91,11 @@ class ExperimentSpec:
     ``problem`` is either ``{"path": ..., "format": "csv"|"libsvm"}`` for a
     dataset on disk or ``{"builtin": "logistic"|"quadratic", "n": ..., "m": ...}``
     (integer sizes) for a seeded synthetic instance; it is checked on
-    construction and stored as the description every meta file and the summary
-    record. ``fstar`` is ``{"policy": "oracle"}`` or
-    ``{"policy": "provided", "value": <number>}``.
+    construction (a key outside its description is an error) and stored as the
+    description every meta file and the summary record. ``fstar`` is
+    ``{"policy": "oracle"}`` or ``{"policy": "provided", "value": <number>}``.
+    ``alpha`` is a finite number, ``seed`` an integer >= 0, ``diagnostics`` and
+    ``timing`` bools.
     """
 
     problem: dict
@@ -113,18 +115,29 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"solver names must be unique, got {names}")
         fstar = self.fstar if isinstance(self.fstar, dict) else {}
-        value = fstar.get("value")
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-        if fstar.get("policy") not in ("oracle", "provided") or (fstar["policy"] == "provided" and not number):
+        provided = fstar.keys() == {"policy", "value"} and fstar["policy"] == "provided" and _number(fstar["value"])
+        if fstar != {"policy": "oracle"} and not provided:
             raise ValueError('fstar must be {"policy": "oracle"} or '
                              f'{{"policy": "provided", "value": <finite number>}}, got {self.fstar!r}')
+        for name, ok, wanted in (("alpha", _number(self.alpha), "a finite number"),
+                                 ("seed", _integer(self.seed) and self.seed >= 0, "an integer >= 0"),
+                                 ("diagnostics", isinstance(self.diagnostics, bool), "true or false"),
+                                 ("timing", isinstance(self.timing, bool), "true or false")):
+            if not ok:
+                raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
         self.problem = _problem_desc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
         d["solvers"] = [SolverSpec(**s) for s in d.get("solvers", [])]
-        return cls(**d)
+        spec = cls(**d)
+        # checked here, not on construction, so dataclasses.replace(spec, seed=...) re-derives the description
+        given = d["problem"]
+        for key in ("seed", "alpha", "link"):
+            if key in given and given[key] != spec.problem[key]:
+                raise ValueError(f"problem {key} {given[key]!r} differs from the spec's {key} {spec.problem[key]!r}")
+        return spec
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentSpec":
@@ -135,9 +148,19 @@ class ExperimentSpec:
         return asdict(self)
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _size(problem: dict, key: str, default: int) -> int:
     value = problem.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _integer(value):
         raise ValueError(f"a builtin problem's {key} must be an integer, got {value!r}")
     return int(value)
 
@@ -149,24 +172,29 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
     if kind is not None and spec.link != "logistic":
         raise ValueError(f"a builtin problem takes only the default link 'logistic', got {spec.link!r}")
     if kind == "quadratic":
-        return {"builtin": "quadratic", "n": _size(problem, "n", 8), "seed": spec.seed}
-    if kind == "logistic":
-        return {
+        desc = {"builtin": "quadratic", "n": _size(problem, "n", 8), "seed": spec.seed}
+    elif kind == "logistic":
+        desc = {
             "builtin": "logistic",
             "n": _size(problem, "n", 20),
             "m": _size(problem, "m", 200),
             "seed": spec.seed,
             "alpha": spec.alpha,
         }
-    if kind is not None or "path" not in problem:
+    elif kind is not None or "path" not in problem:
         raise ValueError('problem must be {"path": ..., "format": "csv"|"libsvm"} or '
                          f'{{"builtin": "quadratic"|"logistic", "n": ..., "m": ...}}, got {spec.problem!r}')
-    return {
-        "path": str(problem["path"]),
-        "format": problem.get("format", "csv"),
-        "link": spec.link,
-        "alpha": spec.alpha,
-    }
+    else:
+        desc = {
+            "path": str(problem["path"]),
+            "format": problem.get("format", "csv"),
+            "link": spec.link,
+            "alpha": spec.alpha,
+        }
+    unknown = [key for key in problem if key not in desc]
+    if unknown:
+        raise ValueError(f"unknown problem key {unknown[0]!r}; this problem takes only {list(desc)}")
+    return desc
 
 
 def _build_model(problem: dict):
@@ -176,9 +204,10 @@ def _build_model(problem: dict):
         return quadratic_model(make_quadratic_matrix(problem["n"], seed=problem["seed"]))
     if kind == "logistic":
         A, labels = make_logistic_dataset(problem["n"], problem["m"], seed=problem["seed"])
-        return glm_build(A, "logistic", problem["alpha"], labels).model()
-    A, labels = load_dataset(problem["path"], problem["format"], link=problem["link"])
-    return glm_build(A, problem["link"], problem["alpha"], labels).model()
+    else:
+        A, labels = load_dataset(problem["path"], problem["format"], link=problem["link"])
+    A.setflags(write=False)  # nothing else holds A, so GlmProblem keeps it instead of copying it
+    return glm_build(A, problem.get("link", "logistic"), problem["alpha"], labels).model()
 
 
 def _resolve_fstar(spec: ExperimentSpec, model):

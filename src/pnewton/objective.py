@@ -95,19 +95,24 @@ class GlmProblem:
     is ``log(1 + exp(-y_i t))``; absent labels default to +1. For the squared
     link the loss is ``(t - y_i)^2 / 2`` with labels defaulting to 0.
 
-    The data matrix and labels are read-only copies, so instances are safe to
-    share across threads. The only mutable state is a per-thread memo of the
-    loss terms at the last point evaluated: ``f``, ``grad f`` and ``hess f``
-    at one point share one margin product ``A^T x`` and one loss-term pass.
+    The data matrix and labels are read-only, so instances are safe to share
+    across threads. A read-only, C-contiguous float64 ``ndarray`` that owns its
+    memory is kept as ``A`` without a copy (the caller hands it over); anything
+    else is copied and the copy frozen. The only mutable state is a per-thread
+    memo of the loss terms at the last point evaluated: ``f``, ``grad f`` and
+    ``hess f`` at one point share one margin product ``A^T x`` and one
+    loss-term pass.
     """
 
     def __init__(self, A, link: str, alpha: float, labels=None):
-        A = np.array(A, dtype=float)  # own copy; frozen below
+        if not (type(A) is np.ndarray and A.dtype == np.float64 and A.flags.c_contiguous
+                and A.flags.owndata and not A.flags.writeable):
+            A = np.array(A, dtype=float)  # own copy; frozen below
         if A.ndim != 2:
             raise BadShape(f"data matrix must be 2-D, got shape {A.shape}")
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise BadShape(f"need n >= 1 and m >= 1, got shape {A.shape}")
-        if not np.isfinite(A).all():
+        if not (np.isfinite(A.max()) and np.isfinite(A.min())):  # NaN and inf reach max or min
             raise ValueError("data matrix has non-finite entries")
         if link not in LINK_CURVATURE:
             raise ValueError(f"unknown link {link!r}; choose from {sorted(LINK_CURVATURE)}")

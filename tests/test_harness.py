@@ -532,6 +532,8 @@ def test_spec_json_round_trip(tmp_path):
     path.write_text(json.dumps(spec.to_dict()))
     loaded = ExperimentSpec.from_json_file(path)
     assert loaded.to_dict() == spec.to_dict()
+    dataset = ExperimentSpec(problem={"path": "d.csv"}, link="squared", alpha=0.5, solvers=[SolverSpec(name="a")])
+    assert ExperimentSpec.from_dict(dataset.to_dict()) == dataset  # its description records link and alpha
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +761,28 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     ({"solvers": [{"name": 5, "method": "pnm"}]}, "solver name 5 is not a plain file name"),
     ({"solvers": [{"name": "pnm", "method": "pnm", "max_iters": True}]},
      "max_iters must be an integer >= 1, got True"),
+    ({"problem": {"builtin": "logistic", "N": 5, "m": 30}},
+     "unknown problem key 'N'; this problem takes only ['builtin', 'n', 'm', 'seed', 'alpha']"),
+    ({"problem": {"builtin": "quadratic", "m": 30}},
+     "unknown problem key 'm'; this problem takes only ['builtin', 'n', 'seed']"),
+    ({"problem": {"path": "data.csv", "seed": 1}},
+     "unknown problem key 'seed'; this problem takes only ['path', 'format', 'link', 'alpha']"),
+    ({"fstar": {"policy": "oracle", "value": 3}}, f"{_FSTAR_FORMS}, got {{'policy': 'oracle', 'value': 3}}"),
+    ({"problem": {"builtin": "logistic", "seed": 5}}, "problem seed 5 differs from the spec's seed 0"),
+    ({"problem": {"builtin": "logistic", "alpha": 0.5}}, "problem alpha 0.5 differs from the spec's alpha 0.1"),
+    ({"problem": {"path": "data.csv", "link": "squared"}},
+     "problem link 'squared' differs from the spec's link 'logistic'"),
+    ({"diagnostics": "no"}, "diagnostics must be true or false, got 'no'"),
+    ({"timing": 1}, "timing must be true or false, got 1"),
+    ({"alpha": "0.1"}, "alpha must be a finite number, got '0.1'"),
+    ({"alpha": True}, "alpha must be a finite number, got True"),
+    ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
 ], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
-        "quadratic-n-bool", "m-bool", "name-int", "max-iters-bool"])
+        "quadratic-n-bool", "m-bool", "name-int", "max-iters-bool", "logistic-unknown-key",
+        "quadratic-unknown-key", "dataset-unknown-key", "fstar-oracle-value", "problem-seed", "problem-alpha",
+        "problem-link", "diagnostics-string", "timing-int", "alpha-string", "alpha-bool", "seed-float",
+        "seed-negative"])
 def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -48,8 +49,57 @@ def test_glm_build_validation():
         glm_build(np.ones((2, 2)), "logistic", 1.0, labels=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         glm_build(np.ones((2, 2)), "squared", 0.0)
-    with pytest.raises(ValueError):
-        glm_build(np.array([[np.nan, 1.0]]), "squared", 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="data matrix has non-finite entries"):
+            glm_build(np.array([[bad, 1.0]]), "squared", 1.0)
+
+
+def _handover(kind):
+    """``(the A given to GlmProblem, the caller's own array or list behind it)``."""
+    data = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    if kind == "read-only view":
+        view = data.view()
+        view.setflags(write=False)
+        return view, data
+    if kind == "list":
+        rows = data.tolist()
+        return rows, rows
+    A = {"frozen": data, "writeable": data, "float32": data.astype(np.float32),
+         "fortran": np.asfortranarray(data)}[kind]
+    A.setflags(write=kind == "writeable")
+    return A, A
+
+
+@pytest.mark.parametrize("kind", ["frozen", "writeable", "read-only view", "float32", "fortran", "list"])
+def test_glm_keeps_a_frozen_owning_matrix_and_copies_anything_else(kind):
+    A, original = _handover(kind)
+    p = glm_build(A, "squared", 1.0)
+    assert not p.A.flags.writeable and p.A.dtype == np.float64
+    if kind == "frozen":
+        assert np.shares_memory(p.A, A)
+        return
+    if isinstance(original, list):
+        original[0][0] = -1.0
+    else:
+        assert original.flags.owndata  # so the caller may make it writeable again
+        original.setflags(write=True)
+        original[0, 0] = -1.0
+        assert not np.shares_memory(p.A, original)
+    assert p.A[0, 0] == 0.0
+
+
+def test_glm_build_of_a_frozen_matrix_copies_none_of_it():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((50, 4000))
+    A.setflags(write=False)
+    labels = np.where(rng.standard_normal(4000) >= 0.0, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        glm_build(A, "logistic", 0.1, labels).model()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * A.nbytes
 
 
 def test_glm_constants_against_svd_oracle():
