@@ -4,9 +4,8 @@ Outputs per solver, under the experiment's output directory:
 
   <name>.trace.csv  one row per iteration, header ``k,f,gap,grad_norm,rho,
                     step_norm_G,lyapunov,elapsed_ns``
-  <name>.meta.json  everything needed to re-run diagnostics offline: the
-                    resolved solver config, problem description, f*, and the
-                    full iterate/penalty history
+  <name>.meta.json  what a replay needs besides the trace: the resolved
+                    solver config, problem description, f* and every iterate
   <name>.cert.json  contraction certification report (penalty/augmented
                     methods with diagnostics enabled)
 
@@ -94,8 +93,8 @@ class ExperimentSpec:
     construction (a key outside its description is an error) and stored as the
     description every meta file and the summary record. ``fstar`` is
     ``{"policy": "oracle"}`` or ``{"policy": "provided", "value": <number>}``.
-    ``alpha`` is a finite number, ``seed`` an integer >= 0, ``diagnostics`` and
-    ``timing`` bools.
+    ``alpha`` is a finite number, ``seed`` an integer >= 0, ``out`` a non-empty
+    string, ``diagnostics`` and ``timing`` bools.
     """
 
     problem: dict
@@ -121,6 +120,7 @@ class ExperimentSpec:
                              f'{{"policy": "provided", "value": <finite number>}}, got {self.fstar!r}')
         for name, ok, wanted in (("alpha", _number(self.alpha), "a finite number"),
                                  ("seed", _integer(self.seed) and self.seed >= 0, "an integer >= 0"),
+                                 ("out", isinstance(self.out, str) and self.out != "", "a non-empty string"),
                                  ("diagnostics", isinstance(self.diagnostics, bool), "true or false"),
                                  ("timing", isinstance(self.timing, bool), "true or false")):
             if not ok:
@@ -129,9 +129,12 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
-        d["solvers"] = [SolverSpec(**s) for s in d.get("solvers", [])]
-        spec = cls(**d)
+        if not isinstance(d, dict):
+            raise ValueError(f"a spec must be a JSON object, got {d!r}")
+        solver_dicts = d.get("solvers", [])
+        if not isinstance(solver_dicts, list) or not all(isinstance(s, dict) for s in solver_dicts):
+            raise ValueError(f"solvers must be a list of objects, got {solver_dicts!r}")
+        spec = cls(**{**d, "solvers": [SolverSpec(**s) for s in solver_dicts]})
         # checked here, not on construction, so dataclasses.replace(spec, seed=...) re-derives the description
         given = d["problem"]
         for key in ("seed", "alpha", "link"):
@@ -272,17 +275,11 @@ def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, step_L, fs
         "solver": asdict(sspec),
         "resolved_step_L": step_L,
         "problem": spec.problem,
-        "link": spec.link,
-        "alpha": spec.alpha,
-        "seed": spec.seed,
-        "method": trace.method,
         "termination": trace.termination,
         "steps_taken": trace.steps_taken,
         "f_star": trace.f_star,
         "f_star_provenance": fstar_info,
         "iterates": [[float(v) for v in rec.x] for rec in trace.records],
-        "fs": [rec.f for rec in trace.records],
-        "rhos": [None if not np.isfinite(rec.rho) else rec.rho for rec in trace.records],
     }
     _write_json(path, meta)
 
@@ -361,12 +358,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     depend on the worker count; the first failure is raised after
     ``summary.json`` is written.
     """
+    threads = os.environ.get("PN_THREADS", "1")
+    if not threads.strip().isdecimal() or int(threads) < 1:
+        raise ValueError(f"PN_THREADS must be an integer >= 1, got {threads!r}")
+    workers = min(len(spec.solvers), int(threads))
     model = _build_model(spec.problem)
     model, fstar_info = _resolve_fstar(spec, _share_start(model, _start_point(spec.problem, model.dim)))
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    workers = min(len(spec.solvers), max(1, int(os.environ.get("PN_THREADS", "1"))))
 
     def attempt(sspec: SolverSpec):
         """``(summary entry, None)``, or ``(None, (name, error))`` when the solver fails."""
@@ -384,7 +383,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     summary = {
         "problem": spec.problem,
-        "seed": spec.seed,
         "f_star": model.f_star,
         "f_star_provenance": fstar_info,
         "constants": {"L": model.constants[0], "mu": model.constants[1]},
@@ -400,37 +398,30 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionReport, bool | None]:
     """Re-run contraction certification for a written trace.
 
-    Rebuilds the problem from the meta sidecar, reconstructs the recorded
-    iterates exactly and recomputes the certification report. Returns the
-    report plus, when a cert file already sits next to the trace, whether the
-    recomputed report reproduces it exactly (None when no cert exists).
+    Takes each iterate's ``f`` and ``rho`` from the trace, which must hold rows
+    ``k = 0..N-1`` for the ``N`` iterates ``x`` of the meta sidecar; the meta
+    also gives the solver settings, the problem to rebuild and f*. Returns the
+    report plus, when a cert file sits next to the trace, whether the report
+    reproduces it exactly (None when no cert exists).
     """
     trace_path = Path(trace_path)
     if meta_path is None:
         meta_path = trace_path.with_name(trace_path.name.replace(".trace.csv", ".meta.json"))
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta["method"] not in _CERTIFIERS:
-        raise ValueError(f"certification applies to pnm/anm traces, not {meta['method']!r}")
+    sspec = SolverSpec(**meta["solver"])
+    if sspec.method not in _CERTIFIERS:
+        raise ValueError(f"certification applies to pnm/anm traces, not {sspec.method!r}")
+    rows, iterates = read_trace_csv(trace_path), meta["iterates"]
+    if [row["k"] for row in rows] != list(range(len(iterates))):
+        raise ValueError(f"{trace_path} does not hold rows k = 0..{len(iterates) - 1}, "
+                         f"one per iterate of {meta_path}")
 
-    model = _build_model(meta["problem"])
-    trace = solvers.IterateTrace(method=meta["method"], f_star=meta["f_star"])
-    for k, (x, f, rho) in enumerate(zip(meta["iterates"], meta["fs"], meta["rhos"])):
-        trace.records.append(
-            solvers.IterateRecord(
-                k=k,
-                x=np.asarray(x, dtype=float),
-                f=float(f),
-                grad_norm=np.nan,
-                rho=np.inf if rho is None else float(rho),
-                step_norm_g_sq=np.nan,
-                lyapunov=None,
-                elapsed_ns=0,
-            )
-        )
-
-    config = SolverSpec(**meta["solver"]).to_config(meta["resolved_step_L"])
-    report = _certify(trace, model, config)
+    records = [solvers.IterateRecord(row["k"], np.asarray(x, dtype=float), row["f"], row["grad_norm"], row["rho"],
+                                     row["step_norm_G"], row["lyapunov"], row["elapsed_ns"])
+               for row, x in zip(rows, iterates)]
+    trace = solvers.IterateTrace(sspec.method, records, f_star=meta["f_star"])
+    report = _certify(trace, _build_model(meta["problem"]), sspec.to_config(meta["resolved_step_L"]))
 
     cert_path = trace_path.with_name(trace_path.name.replace(".trace.csv", ".cert.json"))
     matches = None

@@ -62,6 +62,10 @@ METHODS = ("newton", "damped_newton", "pnm", "anm")
 BT_ALPHA = 0.25
 BT_BETA = 0.5
 
+#: The f* oracle's gradient-norm target and iteration budget (see ``fstar_oracle``).
+FSTAR_GRAD_TOL = 1e-13
+FSTAR_MAX_ITERS = 10_000
+
 
 @dataclass(frozen=True)
 class PreconditionerPolicy:
@@ -114,12 +118,12 @@ class PenaltySchedule:
     rho_max: float = 1e12
 
     def __post_init__(self):
-        if not self.rho0 > 0.0:
-            raise ValueError(f"rho0 must be > 0, got {self.rho0}")
-        if self.c < 1.0:
-            raise ValueError(f"growth factor c must be >= 1, got {self.c}")
-        if self.rho_max < self.rho0:
-            raise ValueError("rho_max must be >= rho0")
+        if not 0.0 < self.rho0 < np.inf:
+            raise ValueError(f"rho0 must be finite and > 0, got {self.rho0}")
+        if not 1.0 <= self.c < np.inf:
+            raise ValueError(f"growth factor c must be finite and >= 1, got {self.c}")
+        if not self.rho0 <= self.rho_max:
+            raise ValueError(f"rho_max must be >= rho0, got {self.rho_max}")
 
     @classmethod
     def fixed(cls, rho: float) -> "PenaltySchedule":
@@ -143,12 +147,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not self.step_L > 0.0:
-            raise ValueError(f"step constant L must be > 0, got {self.step_L}")
+        if not 0.0 < self.step_L < np.inf:
+            raise ValueError(f"step constant L must be finite and > 0, got {self.step_L}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be > 0")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
 
 @dataclass
@@ -465,14 +469,14 @@ class FStarResult:
     converged: bool
 
 
-def fstar_oracle(model: ObjectiveModel, grad_tol: float = 1e-13, max_iters: int = 10_000) -> FStarResult:
-    """Resolve f* by damped Newton driven to ``||grad f|| <= grad_tol``.
+def fstar_oracle(model: ObjectiveModel) -> FStarResult:
+    """Resolve f* by damped Newton driven to ``||grad f|| <= FSTAR_GRAD_TOL``.
 
     The terminal gradient norm is reported so downstream optimality gaps
     carry their provenance. A line-search stall near the floating-point
     floor returns the best point reached instead of failing.
     """
-    config = SolverConfig(method="damped_newton", grad_tol=grad_tol, max_iters=max_iters)
+    config = SolverConfig(method="damped_newton", grad_tol=FSTAR_GRAD_TOL, max_iters=FSTAR_MAX_ITERS)
     x0 = np.zeros(model.dim)
     try:
         trace = run(model, x0, config)
@@ -484,5 +488,5 @@ def fstar_oracle(model: ObjectiveModel, grad_tol: float = 1e-13, max_iters: int 
         f_star=last.f,
         grad_norm=last.grad_norm,
         iterations=trace.steps_taken,
-        converged=last.grad_norm <= grad_tol,
+        converged=last.grad_norm <= FSTAR_GRAD_TOL,
     )

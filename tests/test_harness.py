@@ -481,7 +481,12 @@ def test_trace_csv_schema(tmp_path):
         assert row["elapsed_ns"] == 0  # timing off by default keeps bytes deterministic
     with open(tmp_path / "schema" / "summary.json") as fh:
         summary = json.load(fh)
-    assert {"problem", "f_star", "solvers"} <= set(summary)
+    assert set(summary) == {"problem", "f_star", "f_star_provenance", "constants", "solvers", "failed"}
+    # f and rho have one owner, the trace; link, alpha and seed the problem; the method the solver record
+    meta = json.loads((tmp_path / "schema" / "pnm.meta.json").read_text())
+    assert set(meta) == {"solver", "resolved_step_L", "problem", "termination", "steps_taken", "f_star",
+                         "f_star_provenance", "iterates"}
+    assert len(meta["iterates"]) == len(rows)
 
 
 def test_spec_validation():
@@ -496,11 +501,15 @@ def test_spec_validation():
         SolverSpec(name="x", method="sgd")
     with pytest.raises(ValueError, match="unknown preconditioner"):
         SolverSpec(name="x", precond="cholesky")
+    nan, inf = float("nan"), float("inf")
     bad_fields = [{"rho0": -1.0}, {"rho0": 0.0}, {"c": 0.5}, {"rho0": 2.0, "rho_max": 1.0},
-                  {"tol": 0.0}, {"max_iters": 0}, {"max_iters": 2.5}, {"step_L": -1.0}]
+                  {"tol": 0.0}, {"max_iters": 0}, {"max_iters": 2.5}, {"step_L": -1.0},
+                  {"rho0": nan}, {"rho0": inf}, {"c": nan}, {"c": inf}, {"rho_max": nan},
+                  {"step_L": nan}, {"step_L": inf}, {"tol": nan}, {"tol": inf}]
     for fields in bad_fields:
         with pytest.raises(ValueError):
             SolverSpec(name="x", method="pnm", **fields)
+    assert SolverSpec(name="x", rho_max=inf).rho_max == inf  # an uncapped penalty stays allowed
     for name in ("", ".", "..", "../../x", "a/b", "/x"):  # a name becomes a file name under ``out``
         with pytest.raises(ValueError, match="not a plain file name"):
             SolverSpec(name=name)
@@ -632,6 +641,65 @@ def test_cli_certify(tmp_path, capsys):
     assert "matches stored certification: True" in out
 
 
+def _halve_f_on_row_3(lines):
+    fields = lines[4].split(",")
+    fields[1] = repr(float(fields[1]) / 2)
+    return [*lines[:4], ",".join(fields), *lines[5:]]
+
+
+def _renumber_row_1(lines):
+    return [lines[0], "7" + lines[1][lines[1].index(","):], *lines[2:]]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (_halve_f_on_row_3, 1), (None, 2), (lambda lines: lines[:-2], 2), (_renumber_row_1, 2),
+], ids=["f-edited", "deleted", "two-rows-short", "misnumbered"])
+def test_cli_certify_replays_the_trace_it_is_given(tmp_path, capsys, edit, code):
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 6, "m": 40},
+        solvers=[SolverSpec(name="pnm", method="pnm", c=1.0, max_iters=100)],
+        seed=3,
+        out=str(tmp_path / "c"),
+        diagnostics=True,
+    )
+    run_experiment(spec)
+    trace, meta = tmp_path / "c" / "pnm.trace.csv", tmp_path / "c" / "pnm.meta.json"
+    n_iterates = len(json.loads(meta.read_text())["iterates"])
+    if edit is None:
+        trace.unlink()
+    else:
+        trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+    assert cli_main(["certify", "--trace", str(trace)]) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out.endswith("matches stored certification: False\n") and err == ""
+    elif edit is None:
+        assert out == "" and err.startswith("error: ") and str(trace) in err
+    else:
+        assert out == ""
+        assert err == f"error: {trace} does not hold rows k = 0..{n_iterates - 1}, one per iterate of {meta}\n"
+
+
+def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
+    # meta files written before f, rho and the method had one owner also held these keys
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 6, "m": 40},
+        solvers=[SolverSpec(name="anm", method="anm", max_iters=100)],
+        seed=3,
+        out=str(tmp_path / "c"),
+        diagnostics=True,
+    )
+    run_experiment(spec)
+    meta_path = tmp_path / "c" / "anm.meta.json"
+    rows = read_trace_csv(tmp_path / "c" / "anm.trace.csv")
+    meta = json.loads(meta_path.read_text())
+    meta.update(link=spec.link, alpha=spec.alpha, seed=spec.seed, method="anm", fs=[row["f"] for row in rows],
+                rhos=[None if row["rho"] == float("inf") else row["rho"] for row in rows])
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    report, matches = certify_trace(tmp_path / "c" / "anm.trace.csv")
+    assert matches is True and report.all_certified
+
+
 def test_cli_run_spec_file(tmp_path, capsys):
     spec = _quadratic_spec(tmp_path / "runout")
     path = tmp_path / "spec.json"
@@ -706,7 +774,7 @@ def _no_fstar_oracle(monkeypatch):
 def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypatch):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "a" / "b" / "x"  # "../../x" would land in tmp_path / "a"
-    bad = [({"rho0": -1.0}, "rho0 must be > 0, got -1.0"),
+    bad = [({"rho0": -1.0}, "rho0 must be finite and > 0, got -1.0"),
            ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
            ({"name": "../../x"}, "solver name '../../x' is not a plain file name"),
            ({"name": ""}, "solver name '' is not a plain file name")]
@@ -778,11 +846,20 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     ({"alpha": True}, "alpha must be a finite number, got True"),
     ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"solvers": "pnm"}, "solvers must be a list of objects, got 'pnm'"),
+    ({"solvers": ["pnm"]}, "solvers must be a list of objects, got ['pnm']"),
+    ({"solvers": {"name": "a"}}, "solvers must be a list of objects, got {'name': 'a'}"),
+    ({"out": 5}, "out must be a non-empty string, got 5"),
+    ({"out": ""}, "out must be a non-empty string, got ''"),
+    ({"solvers": [{"name": "pnm", "c": float("nan")}]}, "growth factor c must be finite and >= 1, got nan"),
+    ({"solvers": [{"name": "pnm", "rho_max": float("nan")}]}, "rho_max must be >= rho0, got nan"),
+    ({"solvers": [{"name": "pnm", "step_L": float("inf")}]}, "step constant L must be finite and > 0, got inf"),
 ], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
         "quadratic-n-bool", "m-bool", "name-int", "max-iters-bool", "logistic-unknown-key",
         "quadratic-unknown-key", "dataset-unknown-key", "fstar-oracle-value", "problem-seed", "problem-alpha",
         "problem-link", "diagnostics-string", "timing-int", "alpha-string", "alpha-bool", "seed-float",
-        "seed-negative"])
+        "seed-negative", "solvers-string", "solvers-list-of-strings", "solvers-object", "out-int", "out-empty",
+        "c-nan", "rho-max-nan", "step-l-inf"])
 def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"
@@ -792,6 +869,24 @@ def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, 
     path.write_text(json.dumps(spec))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_spec_that_is_not_an_object_exits_before_any_output(tmp_path, capsys, monkeypatch):
+    _no_fstar_oracle(monkeypatch)
+    path = tmp_path / "spec.json"
+    path.write_text("[1]")
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a spec must be a JSON object, got [1]\n"
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "", "2.5"])
+def test_cli_bad_pn_threads_exits_before_any_output(tmp_path, capsys, monkeypatch, threads):
+    _no_fstar_oracle(monkeypatch)
+    monkeypatch.setenv("PN_THREADS", threads)
+    out = tmp_path / "x"
+    assert cli_main(["solve", "--method", "pnm", "--problem", "logistic", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: PN_THREADS must be an integer >= 1, got {threads!r}\n"
     assert not out.exists()
 
 
