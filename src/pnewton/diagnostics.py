@@ -36,17 +36,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, MissingOptimum, NotPositiveDefinite, NotPSD, ZeroHessian
+from .errors import ConvergenceFailure, MissingOptimum, NotPositiveDefinite, ZeroHessian
 from .linalg import (
-    DEFAULT_RANK_TOL,
     as_symmetric,
     inv_sqrt_pd,
     nonzero_eigenvalues,
+    nonzero_mask,
     pinv_apply,
     precond_apply,
+    psd_spectrum,
     psd_sqrt,
     range_check,
     spd_solve,
+    spectral_matrix,
     sym_eig,
     weighted_norm_sq,
 )
@@ -115,18 +117,11 @@ def _whiten(H, G):
     return C, 0.5 * (W + W.T)
 
 
-def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
-    lam_max = max(float(lam[-1]), 0.0)
-    if float(lam[0]) < -1e-10 * lam_max:
-        raise NotPSD(f"Hessian is not PSD on the whitened scale (lambda_min = {lam[0]:.3e})")
-    return np.clip(lam, 0.0, None)
-
-
 def _whitened_spectrum(H, G):
     """Check ``H`` and ``G``; return ``(C, lam, U)`` of the whitened Hessian ``W = U diag(lam) U^T``."""
     C, W = _whiten(as_symmetric(H), as_symmetric(G))
     lam, U = sym_eig(W)
-    return C, _psd_spectrum(lam), U
+    return C, psd_spectrum(lam), U
 
 
 def _whitened_eigenvalues(H, G) -> np.ndarray:
@@ -136,13 +131,12 @@ def _whitened_eigenvalues(H, G) -> np.ndarray:
         lam = np.linalg.eigvalsh(W)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    return _psd_spectrum(lam)
+    return psd_spectrum(lam)
 
 
 def _xi(lam: np.ndarray, rho: float) -> float:
-    lam_max = float(lam[-1])
-    nonzero = lam[lam > DEFAULT_RANK_TOL * lam_max]
-    if lam_max <= 0.0 or nonzero.size == 0:
+    nonzero = lam[nonzero_mask(lam)]
+    if nonzero.size == 0:
         raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
     lam_min = float(nonzero[0])
     return rho * lam_min / (1.0 + rho * lam_min)
@@ -156,8 +150,7 @@ def shifted_inverse(H, G, rho: float) -> np.ndarray:
     """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD."""
     C, lam, U = _whitened_spectrum(H, G)
     B = scipy.linalg.solve_triangular(C, U, lower=True, trans="T", check_finite=False)
-    K = (B * (1.0 / (1.0 / rho + lam))) @ B.T
-    return 0.5 * (K + K.T)
+    return spectral_matrix(B, 1.0 / (1.0 / rho + lam))
 
 
 def filtered_curvature(H, G, rho: float) -> np.ndarray:
@@ -167,9 +160,7 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     shifted inverse: ``G K G = rho G - rho F``.
     """
     C, lam, U = _whitened_spectrum(H, G)
-    B = C @ U
-    F = (B * (lam / (1.0 / rho + lam))) @ B.T
-    return 0.5 * (F + F.T)
+    return spectral_matrix(C @ U, lam / (1.0 / rho + lam))
 
 
 def min_filtered_curvature(H, G, rho: float) -> float:
@@ -282,7 +273,7 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
     H = as_symmetric(H)
     G = as_symmetric(G)
     w, _ = sym_eig(H)
-    pd = float(w[0]) > DEFAULT_RANK_TOL * max(float(w[-1]), 0.0)
+    pd = bool(nonzero_mask(w)[0])
     range_ok = pd or range_check(H, G @ d)[2]
     lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
     xi = min_filtered_curvature(H, G, rho)
@@ -405,7 +396,7 @@ def _resolve_f_star(trace: "IterateTrace") -> float:
 def _iterate_constants(H, G, rho: float) -> tuple[float, float, bool]:
     """``(xi, beta, pd)`` of a checked ``H`` and its ``G`` from one whitened spectrum; ``pd``: ``H`` is PD."""
     lam = _whitened_eigenvalues(H, G)
-    return _xi(lam, rho), _beta(lam, rho), float(lam[0]) > DEFAULT_RANK_TOL * float(lam[-1])
+    return _xi(lam, rho), _beta(lam, rho), bool(nonzero_mask(lam)[0])
 
 
 def _score(k: int, v: float, v_next: float, factor: float, xi: float, **extra) -> ContractionEntry:

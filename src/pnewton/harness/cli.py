@@ -106,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = add_parser("certify", help="re-run certification on an existing trace")
     p_cert.add_argument("--trace", dest="trace_path", required=True, help="path to a <name>.trace.csv")
-    p_cert.add_argument("--meta", dest="meta_path", help="meta sidecar (default: next to the trace)")
 
     p_root = add_parser("demo-root", help="scalar root finding on a polynomial")
     p_root.add_argument("--poly", required=True, help='polynomial, e.g. "x^2-2"')
@@ -150,7 +149,7 @@ def _solve_spec(args) -> ExperimentSpec:
 
 
 def _cmd_certify(args) -> int:
-    report, matches = certify_trace(**_given(args, ("trace_path", "meta_path")))
+    report, matches = certify_trace(args.trace_path)
     agg = report.to_dict()["aggregate"]
     print(json.dumps(agg, indent=2))
     if matches is not None:

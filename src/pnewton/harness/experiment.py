@@ -17,8 +17,6 @@ elapsed column stays zero unless timing is explicitly requested.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -29,6 +27,7 @@ import numpy as np
 from .. import diagnostics, solvers
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import glm_build, glm_constants, quadratic_model  # noqa: F401
+from ..solvers import is_integer, is_number
 from .datasets import load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [
@@ -114,12 +113,12 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"solver names must be unique, got {names}")
         fstar = self.fstar if isinstance(self.fstar, dict) else {}
-        provided = fstar.keys() == {"policy", "value"} and fstar["policy"] == "provided" and _number(fstar["value"])
+        provided = fstar.keys() == {"policy", "value"} and fstar["policy"] == "provided" and is_number(fstar["value"])
         if fstar != {"policy": "oracle"} and not provided:
             raise ValueError('fstar must be {"policy": "oracle"} or '
                              f'{{"policy": "provided", "value": <finite number>}}, got {self.fstar!r}')
-        for name, ok, wanted in (("alpha", _number(self.alpha), "a finite number"),
-                                 ("seed", _integer(self.seed) and self.seed >= 0, "an integer >= 0"),
+        for name, ok, wanted in (("alpha", is_number(self.alpha), "a finite number"),
+                                 ("seed", is_integer(self.seed) and self.seed >= 0, "an integer >= 0"),
                                  ("out", isinstance(self.out, str) and self.out != "", "a non-empty string"),
                                  ("diagnostics", isinstance(self.diagnostics, bool), "true or false"),
                                  ("timing", isinstance(self.timing, bool), "true or false")):
@@ -144,26 +143,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer (a bool is not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _number(value) -> bool:
-    """Whether ``value`` is a finite real number (a bool is not one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _size(problem: dict, key: str, default: int) -> int:
     value = problem.get(key, default)
-    if not _integer(value):
+    if not is_integer(value):
         raise ValueError(f"a builtin problem's {key} must be an integer, got {value!r}")
     return int(value)
 
@@ -229,6 +217,15 @@ def _resolve_fstar(spec: ExperimentSpec, model):
     return replace(model, f_star=result.f_star), info
 
 
+def _read_json(path):
+    """The JSON document in the file at ``path``; a document that does not parse is an error naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError while reading
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:  # streamed: no whole-document string in memory
         json.dump(obj, fh, indent=2)
@@ -250,14 +247,16 @@ def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> 
 
 
 def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV back into a list of per-iteration dicts."""
+    """Parse a trace CSV back into a list of per-iteration dicts; each row must have one field per header field."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text or text[0] != TRACE_HEADER:
         raise ValueError(f"{path} does not start with the trace header {TRACE_HEADER!r}")
     keys = TRACE_HEADER.split(",")
     rows = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         fields = line.split(",")
+        if len(fields) != len(keys):
+            raise ValueError(f"{path} line {lineno} has {len(fields)} fields, the header {len(keys)}")
         row = {}
         for key, val in zip(keys, fields):
             if val == "":
@@ -395,20 +394,21 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return summary
 
 
-def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionReport, bool | None]:
-    """Re-run contraction certification for a written trace.
+def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | None]:
+    """Re-run contraction certification for a written trace ``<name>.trace.csv``.
 
     Takes each iterate's ``f`` and ``rho`` from the trace, which must hold rows
-    ``k = 0..N-1`` for the ``N`` iterates ``x`` of the meta sidecar; the meta
-    also gives the solver settings, the problem to rebuild and f*. Returns the
-    report plus, when a cert file sits next to the trace, whether the report
-    reproduces it exactly (None when no cert exists).
+    ``k = 0..N-1`` for the ``N`` iterates ``x`` of the meta sidecar
+    ``<name>.meta.json``; the meta also gives the solver settings, the problem
+    to rebuild and f*. Returns the report plus whether it reproduces
+    ``<name>.cert.json`` exactly (None when no cert exists).
     """
     trace_path = Path(trace_path)
-    if meta_path is None:
-        meta_path = trace_path.with_name(trace_path.name.replace(".trace.csv", ".meta.json"))
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    stem = trace_path.name.removesuffix(".trace.csv")
+    if stem == trace_path.name:
+        raise ValueError(f"{trace_path} is not named <name>.trace.csv, so it has no meta or cert file")
+    meta_path = trace_path.with_name(f"{stem}.meta.json")
+    meta = _read_json(meta_path)
     sspec = SolverSpec(**meta["solver"])
     if sspec.method not in _CERTIFIERS:
         raise ValueError(f"certification applies to pnm/anm traces, not {sspec.method!r}")
@@ -423,10 +423,8 @@ def certify_trace(trace_path, meta_path=None) -> tuple[diagnostics.ContractionRe
     trace = solvers.IterateTrace(sspec.method, records, f_star=meta["f_star"])
     report = _certify(trace, _build_model(meta["problem"]), sspec.to_config(meta["resolved_step_L"]))
 
-    cert_path = trace_path.with_name(trace_path.name.replace(".trace.csv", ".cert.json"))
+    cert_path = trace_path.with_name(f"{stem}.cert.json")
     matches = None
     if cert_path.exists():
-        with open(cert_path, "r", encoding="utf-8") as fh:
-            existing = json.load(fh)
-        matches = existing == report.to_dict()
+        matches = _read_json(cert_path) == report.to_dict()
     return report, matches

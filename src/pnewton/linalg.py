@@ -35,6 +35,9 @@ __all__ = [
     "shifted",
     "nonzero_eigenvalues",
     "lambda_min_pos",
+    "nonzero_mask",
+    "psd_spectrum",
+    "spectral_matrix",
     "DEFAULT_RANK_TOL",
 ]
 
@@ -133,18 +136,37 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def nonzero_mask(w) -> np.ndarray:
+    """Which ascending eigenvalues ``w`` count as nonzero: those above ``DEFAULT_RANK_TOL * lambda_max``, if any."""
+    return w > DEFAULT_RANK_TOL * (w[-1] if w.size else 0.0)
+
+
+def psd_spectrum(w) -> np.ndarray:
+    """Ascending PSD eigenvalues ``w`` clipped at zero; one below ``-1e-10 * lambda_max`` raises :class:`NotPSD`."""
+    lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
+    if w.size and float(w[0]) < -1e-10 * lam_max:
+        raise NotPSD(
+            f"matrix has eigenvalue {w[0]:.3e} below -1e-10 * lambda_max = "
+            f"{-1e-10 * lam_max:.3e}"
+        )
+    return np.clip(w, 0.0, None)
+
+
+def spectral_matrix(B, d) -> np.ndarray:
+    """The symmetric matrix ``B diag(d) B^T``, symmetrized against rounding."""
+    S = (B * d) @ B.T
+    return 0.5 * (S + S.T)
+
+
 def pinv_apply(M, b) -> np.ndarray:
     """Apply the Moore-Penrose pseudo-inverse of a symmetric PSD ``M`` to ``b``.
 
-    Eigenvalues at or below ``DEFAULT_RANK_TOL * lambda_max`` are treated as zero, so
-    the result is exact on ``Range(M)`` and annihilates ``Null(M)``.
+    Eigenvalues that :func:`nonzero_mask` counts as zero are dropped, so the
+    result is exact on ``Range(M)`` and annihilates ``Null(M)``.
     """
     w, V = sym_eig(M)
     b = np.asarray(b, dtype=float)
-    lam_max = float(w[-1]) if w.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros_like(b)
-    keep = w > DEFAULT_RANK_TOL * lam_max
+    keep = nonzero_mask(w)
     coeff = V[:, keep].T @ b
     return V[:, keep] @ (coeff / w[keep])
 
@@ -161,21 +183,9 @@ def range_check(M, v) -> tuple[np.ndarray, float, bool]:
 
 
 def psd_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root ``S`` with ``S @ S ~= M``.
-
-    Tiny negative eigenvalues within ``-1e-10 * lambda_max`` are clamped to
-    zero; anything more negative raises :class:`NotPSD`.
-    """
+    """Symmetric PSD square root ``S`` with ``S @ S ~= M``; the spectrum is clipped by :func:`psd_spectrum`."""
     w, V = sym_eig(M)
-    lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -1e-10 * lam_max:
-        raise NotPSD(
-            f"matrix has eigenvalue {w[0]:.3e} below -1e-10 * lambda_max = "
-            f"{-1e-10 * lam_max:.3e}"
-        )
-    root = np.sqrt(np.clip(w, 0.0, None))
-    S = (V * root) @ V.T
-    return 0.5 * (S + S.T)
+    return spectral_matrix(V, np.sqrt(psd_spectrum(w)))
 
 
 def inv_sqrt_pd(M) -> np.ndarray:
@@ -188,8 +198,7 @@ def inv_sqrt_pd(M) -> np.ndarray:
         raise NotPositiveDefinite(
             f"inverse square root needs a PD matrix (lambda_min = {w[0] if w.size else 'n/a'})"
         )
-    W = (V * w**-0.5) @ V.T
-    return 0.5 * (W + W.T)
+    return spectral_matrix(V, w**-0.5)
 
 
 def weighted_norm_sq(x, M) -> float:
@@ -210,10 +219,9 @@ def weighted_norm_sq(x, M) -> float:
 
 
 def nonzero_eigenvalues(M) -> np.ndarray:
-    """Ascending eigenvalues of PSD ``M`` above ``DEFAULT_RANK_TOL * lambda_max``; empty when ``lambda_max <= 0``."""
+    """Ascending eigenvalues of PSD ``M`` that :func:`nonzero_mask` counts as nonzero."""
     w, _ = sym_eig(M)
-    lam_max = float(w[-1]) if w.size else 0.0
-    return w[w > DEFAULT_RANK_TOL * lam_max] if lam_max > 0.0 else w[:0]
+    return w[nonzero_mask(w)]
 
 
 def lambda_min_pos(M) -> float:

@@ -19,6 +19,7 @@ the composite descent value ``f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G`
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -65,6 +66,16 @@ BT_BETA = 0.5
 #: The f* oracle's gradient-norm target and iteration budget (see ``fstar_oracle``).
 FSTAR_GRAD_TOL = 1e-13
 FSTAR_MAX_ITERS = 10_000
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -118,12 +129,12 @@ class PenaltySchedule:
     rho_max: float = 1e12
 
     def __post_init__(self):
-        if not 0.0 < self.rho0 < np.inf:
-            raise ValueError(f"rho0 must be finite and > 0, got {self.rho0}")
-        if not 1.0 <= self.c < np.inf:
-            raise ValueError(f"growth factor c must be finite and >= 1, got {self.c}")
-        if not self.rho0 <= self.rho_max:
-            raise ValueError(f"rho_max must be >= rho0, got {self.rho_max}")
+        if not (is_number(self.rho0) and self.rho0 > 0.0):
+            raise ValueError(f"rho0 must be finite and > 0, got {self.rho0!r}")
+        if not (is_number(self.c) and self.c >= 1.0):
+            raise ValueError(f"growth factor c must be finite and >= 1, got {self.c!r}")
+        if not (self.rho_max == np.inf or is_number(self.rho_max) and self.rho0 <= self.rho_max):
+            raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
 
     @classmethod
     def fixed(cls, rho: float) -> "PenaltySchedule":
@@ -147,12 +158,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not 0.0 < self.step_L < np.inf:
-            raise ValueError(f"step constant L must be finite and > 0, got {self.step_L}")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if not (is_number(self.step_L) and self.step_L > 0.0):
+            raise ValueError(f"step constant L must be finite and > 0, got {self.step_L!r}")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not 0.0 < self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
+        if not (is_number(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -403,6 +414,14 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
 def _scalar_root(
     f, fprime, x_prev: float, x: float, rho: float, tol: float, max_iters: int, momentum: bool
 ) -> tuple[float, list[float]]:
+    for name, value in (("rho", rho), ("tol", tol)):
+        if not (is_number(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (is_integer(max_iters) and max_iters >= 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    for name, value in (("x0", x_prev), ("x1", x)):
+        if not is_number(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     xs = [x_prev, x] if x_prev != x else [x]
     for k in range(max_iters + 1):
         fx = f(x)
@@ -436,7 +455,9 @@ def root_penalty_newton(
     Update: ``x+ = x - rho f(x) / (1 + rho f'(x))``. Stops when
     ``|f(x)| <= tol``; raises :class:`DenominatorVanished` when
     ``|1 + rho f'(x)| <= 1e-14`` and :class:`MaxIterationsExceeded` when the
-    budget runs out. Returns the root and the iterate sequence.
+    budget runs out. Returns the root and the iterate sequence. ``rho`` and
+    ``tol`` must be finite and > 0, ``max_iters`` an integer >= 1 and the
+    start finite, or ``ValueError`` is raised.
     """
     return _scalar_root(f, fprime, float(x0), float(x0), rho, tol, max_iters, momentum=False)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
+    _iterate_constants,
     _whiten,
     certify_augmented_contraction,
     certify_penalty_contraction,
@@ -322,6 +323,14 @@ def test_step_energy_bound_flags_range_violation():
     H = np.diag([1.0, 0.0])
     check = verify_step_energy_bound(np.array([0.0, 1.0]), np.zeros(2), H, np.eye(2), 1.0)
     assert not check.precondition_ok
+
+
+@pytest.mark.parametrize("H, pd", [(np.diag([2.0, 1.0]), True), (np.diag([2.0, 0.0]), False)], ids=["pd", "singular"])
+def test_pd_and_precondition_ok_are_python_bools(H, pd):
+    # a cert file holds precondition_ok, and json cannot serialize a numpy bool
+    check = verify_step_energy_bound(np.ones(2), np.zeros(2), H, np.eye(2), 1.0)
+    assert _iterate_constants(H, np.ones(2), 1.0)[2] is pd
+    assert check.precondition_ok is pd
 
 
 # ---------------------------------------------------------------------------

@@ -572,6 +572,21 @@ def test_cli_demo_root_bad_poly(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--max-iters", "-1"], "max_iters must be an integer >= 1, got -1"),
+    (["--max-iters", "0"], "max_iters must be an integer >= 1, got 0"),
+    (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+    (["--tol", "inf"], "tol must be finite and > 0, got inf"),
+    (["--rho", "nan"], "rho must be finite and > 0, got nan"),
+    (["--rho", "0"], "rho must be finite and > 0, got 0.0"),
+    (["--x0", "inf"], "x0 must be finite, got inf"),
+    (["--x1", "nan", "--variant", "augmented"], "x1 must be finite, got nan"),
+], ids=["max-iters-negative", "max-iters-zero", "tol-negative", "tol-inf", "rho-nan", "rho-zero", "x0-inf", "x1-nan"])
+def test_cli_demo_root_bad_input_exits_2_before_any_output(capsys, args, message):
+    assert cli_main(["demo-root", "--poly", "x^2-2", "--x0", "1", *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_solve_quadratic(tmp_path, capsys):
     code = cli_main(
         ["solve", "--method", "pnm", "--precond", "identity", "--problem", "quadratic",
@@ -698,6 +713,53 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
     meta_path.write_text(json.dumps(meta, indent=2) + "\n")
     report, matches = certify_trace(tmp_path / "c" / "anm.trace.csv")
     assert matches is True and report.all_certified
+
+
+def _break_a_replay_file(case, out):
+    """Break one file that ``certify`` reads in the run ``out``; return its arguments and the error it must print."""
+    trace = out / "pnm.trace.csv"
+    lines = trace.read_text().splitlines()
+    if case in ("extra-field", "short-row"):
+        lines[4] = lines[4] + ",999" if case == "extra-field" else ",".join(lines[4].split(",")[:4])
+        trace.write_text("\n".join(lines) + "\n")
+        width = 9 if case == "extra-field" else 4
+        return ["--trace", str(trace)], f"{trace} line 5 has {width} fields, the header 8"
+    if case == "misnamed":
+        renamed = out / "pnm.csv"
+        trace.rename(renamed)
+        return ["--trace", str(renamed)], f"{renamed} is not named <name>.trace.csv, so it has no meta or cert file"
+    if case == "meta-option":
+        return ["--trace", str(trace), "--meta", str(out / "pnm.meta.json")], "unrecognized arguments: --meta"
+    broken = out / f"pnm.{case}.json"
+    broken.write_text(broken.read_text()[:-20])
+    return ["--trace", str(trace)], f"{broken} is not valid JSON: "
+
+
+@pytest.mark.parametrize("case", ["extra-field", "short-row", "misnamed", "meta-option", "meta", "cert"])
+def test_cli_certify_names_the_file_it_refuses(tmp_path, capsys, case):
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 6, "m": 40},
+        solvers=[SolverSpec(name="pnm", method="pnm", c=1.0, max_iters=100)],
+        seed=3,
+        out=str(tmp_path / "c"),
+        diagnostics=True,
+    )
+    run_experiment(spec)
+    args, message = _break_a_replay_file(case, tmp_path / "c")
+    assert cli_main(["certify", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err
+
+
+def test_cli_spec_that_does_not_parse_names_the_file(tmp_path, capsys, monkeypatch):
+    _no_fstar_oracle(monkeypatch)
+    path = tmp_path / "spec.json"
+    path.write_text('{"problem": {')
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 14 (char 13)\n"
+    )
 
 
 def test_cli_run_spec_file(tmp_path, capsys):
@@ -854,12 +916,21 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     ({"solvers": [{"name": "pnm", "c": float("nan")}]}, "growth factor c must be finite and >= 1, got nan"),
     ({"solvers": [{"name": "pnm", "rho_max": float("nan")}]}, "rho_max must be >= rho0, got nan"),
     ({"solvers": [{"name": "pnm", "step_L": float("inf")}]}, "step constant L must be finite and > 0, got inf"),
+    ({"solvers": [{"name": "a", "method": "pnm", "tol": True, "rho0": True}]}, "rho0 must be finite and > 0, got True"),
+    ({"solvers": [{"name": "a", "tol": True}]}, "grad_tol must be finite and > 0, got True"),
+    ({"solvers": [{"name": "a", "tol": "1e-8"}]}, "grad_tol must be finite and > 0, got '1e-8'"),
+    ({"solvers": [{"name": "a", "step_L": True}]}, "step constant L must be finite and > 0, got True"),
+    ({"solvers": [{"name": "a", "c": True}]}, "growth factor c must be finite and >= 1, got True"),
+    ({"solvers": [{"name": "a", "rho0": "1"}]}, "rho0 must be finite and > 0, got '1'"),
+    ({"solvers": [{"name": "a", "rho_max": "1"}]}, "rho_max must be >= rho0, got '1'"),
+    ({"solvers": [{"name": "a", "rho_max": True}]}, "rho_max must be >= rho0, got True"),
 ], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
         "quadratic-n-bool", "m-bool", "name-int", "max-iters-bool", "logistic-unknown-key",
         "quadratic-unknown-key", "dataset-unknown-key", "fstar-oracle-value", "problem-seed", "problem-alpha",
         "problem-link", "diagnostics-string", "timing-int", "alpha-string", "alpha-bool", "seed-float",
         "seed-negative", "solvers-string", "solvers-list-of-strings", "solvers-object", "out-int", "out-empty",
-        "c-nan", "rho-max-nan", "step-l-inf"])
+        "c-nan", "rho-max-nan", "step-l-inf", "tol-and-rho0-bool", "tol-bool", "tol-string", "step-l-bool",
+        "c-bool", "rho0-string", "rho-max-string", "rho-max-bool"])
 def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"

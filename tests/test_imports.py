@@ -1,0 +1,48 @@
+"""No unused imports in ``src/pnewton``, checked with the standard library alone.
+
+Every name an import statement binds must appear again in its module, as a
+name the code reads (string annotations included) or an entry of the module's
+``__all__``. An import on a line marked ``# noqa: F401`` is exempt: it keeps a
+binding that a tool outside the package patches.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "pnewton"
+
+
+def _imported(tree: ast.Module, lines: list[str]):
+    """``(name, line)`` for each name an import binds, skipping ``__future__`` and ``# noqa: F401`` lines."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """The names ``tree`` reads, the names inside its string annotations and the entries of its ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval")) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_every_imported_name_is_used(path):
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree, source.splitlines()) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_psd
 from pnewton.errors import NotPSD, NotPositiveDefinite
 from pnewton.linalg import (
+    DEFAULT_RANK_TOL,
     as_symmetric,
     lambda_min_pos,
+    nonzero_eigenvalues,
+    nonzero_mask,
     pinv_apply,
+    psd_spectrum,
     psd_sqrt,
     range_check,
     spd_solve,
@@ -148,6 +154,52 @@ def test_pinv_apply_examples():
     assert np.allclose(pinv_apply(np.diag([4.0, 1.0, 0.0]), np.array([8.0, 3.0, 0.0])), [2.0, 3.0, 0.0])
 
 
+def test_nonzero_mask_counts_an_eigenvalue_at_the_cutoff_as_zero():
+    cutoff = DEFAULT_RANK_TOL * 2.0
+    assert nonzero_mask(np.array([cutoff, 2.0])).tolist() == [False, True]
+    assert nonzero_mask(np.array([np.nextafter(cutoff, 1.0), 2.0])).tolist() == [True, True]
+    assert nonzero_mask(np.array([-1.0, 0.5, 2.0])).tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize("w", [np.zeros(3), np.zeros(0), np.array([-2.0, -1.0])], ids=["zero", "empty", "negative"])
+def test_nonzero_mask_finds_nothing_when_lambda_max_is_not_positive(w):
+    mask = nonzero_mask(w)
+    assert mask.dtype == bool and mask.shape == w.shape and not mask.any()
+
+
+def test_pinv_apply_of_a_zero_matrix_is_zero():
+    assert pinv_apply(np.zeros((3, 3)), np.array([1.0, -2.0, 3.0])).tobytes() == np.zeros(3).tobytes()
+
+
+def _pinv_apply_reference(M, b):
+    """``pinv_apply`` with the rank rule written inline, as it was before :func:`nonzero_mask` owned it."""
+    w, V = sym_eig(M)
+    b = np.asarray(b, dtype=float)
+    lam_max = float(w[-1]) if w.size else 0.0
+    if lam_max <= 0.0:
+        return np.zeros_like(b)
+    keep = w > DEFAULT_RANK_TOL * lam_max
+    coeff = V[:, keep].T @ b
+    return V[:, keep] @ (coeff / w[keep])
+
+
+def _nonzero_eigenvalues_reference(M):
+    """``nonzero_eigenvalues`` with the rank rule written inline, as it was before :func:`nonzero_mask` owned it."""
+    w, _ = sym_eig(M)
+    lam_max = float(w[-1]) if w.size else 0.0
+    return w[w > DEFAULT_RANK_TOL * lam_max] if lam_max > 0.0 else w[:0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**16), scale=st.sampled_from([1e-12, 1.0, 1e12]))
+def test_rank_rule_reproduces_the_inline_expressions_bitwise(n, data, seed, scale):
+    rng = np.random.default_rng(seed)
+    M = scale * rand_psd(rng, n, data.draw(st.integers(0, n), label="rank"))
+    b = rng.standard_normal(n)
+    assert pinv_apply(M, b).tobytes() == _pinv_apply_reference(M, b).tobytes()
+    assert nonzero_eigenvalues(M).tobytes() == _nonzero_eigenvalues_reference(M).tobytes()
+
+
 def test_pinv_apply_range_consistency():
     # M (M^+ b) must reproduce b for every b in Range(M), and range_check must say so
     rng = np.random.default_rng(5)
@@ -174,6 +226,14 @@ def test_psd_sqrt_examples():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def test_psd_spectrum_clips_within_the_floor_and_raises_below_it():
+    assert psd_spectrum(np.array([-1e-10, 0.5, 1.0])).tolist() == [0.0, 0.5, 1.0]  # at the floor: rounding
+    assert psd_spectrum(np.zeros(0)).size == 0
+    for w in (np.array([-2e-10, 1.0]), np.array([-2.0, -1.0])):
+        with pytest.raises(NotPSD, match="below -1e-10 \\* lambda_max"):
+            psd_spectrum(w)
 
 
 def test_psd_sqrt_idempotent_on_diagonal():
