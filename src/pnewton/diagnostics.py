@@ -263,7 +263,8 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
     Requires H to be PD, or ``G (x - x_prev)`` to lie in ``Range(H)``
     (projection residual below ``1e-8 * (1 + ||G d||)``); the verdict carries
     ``precondition_ok = False`` when neither holds, in which case the bound
-    itself is not guaranteed.
+    itself is not guaranteed. Whether H is PD, and ``xi``, are read off the
+    whitened spectrum, as the augmented certificate reads them.
     """
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
@@ -272,11 +273,9 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
     H = as_symmetric(H)
     G = as_symmetric(G)
-    w, _ = sym_eig(H)
-    pd = bool(nonzero_mask(w)[0])
+    xi, _, pd = _iterate_constants(H, G, rho)
     range_ok = pd or range_check(H, G @ d)[2]
     lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
-    xi = min_filtered_curvature(H, G, rho)
     rhs = xi * weighted_norm_sq(d, G)
     return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi}, precondition_ok=range_ok)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .. import diagnostics, solvers
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import glm_build, glm_constants, quadratic_model  # noqa: F401
-from ..solvers import is_integer, is_number
+from ..solvers import is_integer, is_number, positive_number
 from .datasets import load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [
@@ -78,7 +78,7 @@ class SolverSpec:
             schedule=solvers.PenaltySchedule(rho0=self.rho0, c=self.c, rho_max=self.rho_max),
             step_L=self.step_L if self.step_L is not None else default_step_L,
             max_iters=self.max_iters,
-            grad_tol=self.tol,
+            grad_tol=positive_number("tol", self.tol),  # named as the spec names it
         )
 
 
@@ -257,15 +257,11 @@ def read_trace_csv(path) -> list[dict]:
         fields = line.split(",")
         if len(fields) != len(keys):
             raise ValueError(f"{path} line {lineno} has {len(fields)} fields, the header {len(keys)}")
-        row = {}
-        for key, val in zip(keys, fields):
-            if val == "":
-                row[key] = None
-            elif key in ("k", "elapsed_ns"):
-                row[key] = int(val)
-            else:
-                row[key] = float(val)
-        rows.append(row)
+        try:
+            rows.append({key: None if val == "" else int(val) if key in ("k", "elapsed_ns") else float(val)
+                         for key, val in zip(keys, fields)})
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return rows
 
 
@@ -409,10 +405,14 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
         raise ValueError(f"{trace_path} is not named <name>.trace.csv, so it has no meta or cert file")
     meta_path = trace_path.with_name(f"{stem}.meta.json")
     meta = _read_json(meta_path)
-    sspec = SolverSpec(**meta["solver"])
+    try:
+        sspec, iterates, problem = SolverSpec(**meta["solver"]), meta["iterates"], meta["problem"]
+        f_star, step_L = meta["f_star"], meta["resolved_step_L"]
+    except KeyError as exc:
+        raise ValueError(f"{meta_path} has no {exc} key") from None
     if sspec.method not in _CERTIFIERS:
         raise ValueError(f"certification applies to pnm/anm traces, not {sspec.method!r}")
-    rows, iterates = read_trace_csv(trace_path), meta["iterates"]
+    rows = read_trace_csv(trace_path)
     if [row["k"] for row in rows] != list(range(len(iterates))):
         raise ValueError(f"{trace_path} does not hold rows k = 0..{len(iterates) - 1}, "
                          f"one per iterate of {meta_path}")
@@ -420,8 +420,8 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
     records = [solvers.IterateRecord(row["k"], np.asarray(x, dtype=float), row["f"], row["grad_norm"], row["rho"],
                                      row["step_norm_G"], row["lyapunov"], row["elapsed_ns"])
                for row, x in zip(rows, iterates)]
-    trace = solvers.IterateTrace(sspec.method, records, f_star=meta["f_star"])
-    report = _certify(trace, _build_model(meta["problem"]), sspec.to_config(meta["resolved_step_L"]))
+    trace = solvers.IterateTrace(sspec.method, records, f_star=f_star)
+    report = _certify(trace, _build_model(problem), sspec.to_config(step_L))
 
     cert_path = trace_path.with_name(f"{stem}.cert.json")
     matches = None

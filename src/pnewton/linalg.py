@@ -159,7 +159,7 @@ def spectral_matrix(B, d) -> np.ndarray:
 
 
 def pinv_apply(M, b) -> np.ndarray:
-    """Apply the Moore-Penrose pseudo-inverse of a symmetric PSD ``M`` to ``b``.
+    """Apply the Moore-Penrose pseudo-inverse of a symmetric PSD ``M`` to a vector or a matrix ``b``.
 
     Eigenvalues that :func:`nonzero_mask` counts as zero are dropped, so the
     result is exact on ``Range(M)`` and annihilates ``Null(M)``.
@@ -168,7 +168,7 @@ def pinv_apply(M, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     keep = nonzero_mask(w)
     coeff = V[:, keep].T @ b
-    return V[:, keep] @ (coeff / w[keep])
+    return V[:, keep] @ (coeff.T / w[keep]).T  # each column of a matrix coeff divided by w
 
 
 def range_check(M, v) -> tuple[np.ndarray, float, bool]:

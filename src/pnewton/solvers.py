@@ -78,6 +78,13 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def positive_number(name: str, value):
+    """``value`` if it is a finite number > 0; otherwise a ``ValueError`` that calls it ``name``."""
+    if not (is_number(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PreconditionerPolicy:
     """How to realize the penalty-norm matrix G at each iterate.
@@ -129,8 +136,7 @@ class PenaltySchedule:
     rho_max: float = 1e12
 
     def __post_init__(self):
-        if not (is_number(self.rho0) and self.rho0 > 0.0):
-            raise ValueError(f"rho0 must be finite and > 0, got {self.rho0!r}")
+        positive_number("rho0", self.rho0)
         if not (is_number(self.c) and self.c >= 1.0):
             raise ValueError(f"growth factor c must be finite and >= 1, got {self.c!r}")
         if not (self.rho_max == np.inf or is_number(self.rho_max) and self.rho0 <= self.rho_max):
@@ -158,12 +164,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not (is_number(self.step_L) and self.step_L > 0.0):
-            raise ValueError(f"step constant L must be finite and > 0, got {self.step_L!r}")
+        positive_number("step constant L", self.step_L)
         if not (is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (is_number(self.grad_tol) and self.grad_tol > 0.0):
-            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol!r}")
+        positive_number("grad_tol", self.grad_tol)
 
 
 @dataclass
@@ -215,34 +219,32 @@ def _range_checked_newton_direction(H, g, step_L: float) -> np.ndarray:
     return d / step_L
 
 
-def _pnm_update(x, g, H, G, rho: float, step_L: float) -> np.ndarray:
-    return x - spd_solve(shifted(H, G, rho), g) / step_L
-
-
-def _anm_update(x, x_prev, g, H, G, rho: float, step_L: float) -> np.ndarray:
-    rhs = g / step_L - precond_apply(G, x - x_prev) / rho
-    return x - spd_solve(shifted(H, G, rho), rhs)
+def _one_step(model: ObjectiveModel, x0, x1=None, **settings) -> np.ndarray:
+    """Where one step of :func:`run` goes from ``x0`` (and ``x1``); at this ``grad_tol`` only a zero gradient stays."""
+    trace = run(model, x0, SolverConfig(max_iters=1, grad_tol=math.ulp(0.0), **settings), x1)
+    if trace.termination == "diverged":
+        raise FloatingPointError(f"{trace.method} step: an iterate, or f or grad f there, is not finite")
+    return trace.final.x
 
 
 def newton_step(model: ObjectiveModel, x, step_L: float = 1.0) -> np.ndarray:
-    """Pseudo-inverse Newton update ``x - (1/L) H(x)^+ grad f(x)``.
+    """Pseudo-inverse Newton update ``x - (1/L) H(x)^+ grad f(x)``, as one ``newton`` step of :func:`run`.
 
     Raises :class:`RangeViolation` when the gradient has a component outside
     ``Range(H)`` (the range assumption fails), detected by the projection
-    residual exceeding ``1e-8 * (1 + ||grad||)``.
+    residual exceeding ``1e-8 * (1 + ||grad||)``; ``ValueError`` on a bad
+    ``step_L`` or start, and ``FloatingPointError`` on a step to a non-finite point.
     """
-    x = np.asarray(x, dtype=float)
-    H = as_symmetric(model.hessian(x))
-    g = model.gradient(x)
-    return x - _range_checked_newton_direction(H, g, step_L)
+    return _one_step(model, x, method="newton", step_L=step_L)
 
 
 def pnm_step(model: ObjectiveModel, x, rho: float, G, step_L: float) -> np.ndarray:
-    """Penalty Newton update ``x - (1/L) (G/rho + H(x))^{-1} grad f(x)``."""
-    x = np.asarray(x, dtype=float)
-    H = as_symmetric(model.hessian(x))
-    g = model.gradient(x)
-    return _pnm_update(x, g, H, as_symmetric(G), rho, step_L)
+    """Penalty Newton update ``x - (1/L) (G/rho + H(x))^{-1} grad f(x)``, as one ``pnm`` step of :func:`run`.
+
+    Raises as :func:`newton_step`, and ``ValueError`` or :class:`NotPositiveDefinite` on a bad ``rho`` or ``G``.
+    """
+    return _one_step(model, x, method="pnm", precond=PreconditionerPolicy("fixed", G),
+                     schedule=PenaltySchedule.fixed(rho), step_L=step_L)
 
 
 def anm_step_dual(
@@ -265,16 +267,15 @@ def anm_step_dual(
 
 
 def anm_step_momentum(model: ObjectiveModel, x, x_prev, rho: float, G, step_L: float) -> np.ndarray:
-    """Momentum-form augmented update.
+    """Momentum-form augmented update, as one ``anm`` step of :func:`run` from ``x_prev`` and ``x``.
 
     Solves one shifted system against ``(1/L) grad f(x) - (1/rho) G (x - x_prev)``;
     algebraically this equals the penalty step plus
     ``Theta(x) (x - x_prev)`` with ``Theta = (1/rho) (G/rho + H)^{-1} G``.
+    Raises as :func:`pnm_step`, with ``x_prev`` as the start and ``x`` as the first iterate.
     """
-    x = np.asarray(x, dtype=float)
-    H = as_symmetric(model.hessian(x))
-    g = model.gradient(x)
-    return _anm_update(x, np.asarray(x_prev, dtype=float), g, H, as_symmetric(G), rho, step_L)
+    return _one_step(model, x_prev, x, method="anm", precond=PreconditionerPolicy("fixed", G),
+                     schedule=PenaltySchedule.fixed(rho), step_L=step_L)
 
 
 def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float) -> float:
@@ -344,8 +345,9 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
 
     All four methods share this loop: each iterate is recorded once with its
     value and gradient, the gradient is carried into the step that leaves it,
-    and that step evaluates the Hessian once. Only the update rule differs
-    (see :func:`newton_step`, :func:`pnm_step`, :func:`anm_step_momentum`);
+    and that step evaluates the Hessian once. Only the update rule differs,
+    and this loop is the one place each is applied (:func:`newton_step`,
+    :func:`pnm_step` and :func:`anm_step_momentum` are one step of it);
     damped Newton backtracks on the Newton decrement and raises
     :class:`LineSearchStall` with the partial trace attached. ANM starts from
     ``x0`` and ``x1`` (default ``x1 = x0``, recorded as iterate 1); the penalty
@@ -390,9 +392,9 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
         elif method == "damped_newton":
             x_next, f_next = _backtrack(model, x, g, H, trace)
         elif method == "pnm":
-            x_next = _pnm_update(x, g, H, G, rho, step_L)
+            x_next = x - spd_solve(shifted(H, G, rho), g) / step_L
         else:
-            x_next = _anm_update(x, x_prev, g, H, G, rho, step_L)
+            x_next = x - spd_solve(shifted(H, G, rho), g / step_L - precond_apply(G, x - x_prev) / rho)
         if penalized:
             step_sq = weighted_norm_sq(x_next - x, G)
             rho = config.schedule.next_rho(rho)
@@ -414,9 +416,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
 def _scalar_root(
     f, fprime, x_prev: float, x: float, rho: float, tol: float, max_iters: int, momentum: bool
 ) -> tuple[float, list[float]]:
-    for name, value in (("rho", rho), ("tol", tol)):
-        if not (is_number(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    positive_number("rho", rho)
+    positive_number("tol", tol)
     if not (is_integer(max_iters) and max_iters >= 1):
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     for name, value in (("x0", x_prev), ("x1", x)):

@@ -325,6 +325,15 @@ def test_step_energy_bound_flags_range_violation():
     assert not check.precondition_ok
 
 
+def test_step_energy_bound_reads_pd_off_the_whitened_spectrum_as_the_certificate_does():
+    # H's own spectrum puts 1e-11 below the rank cutoff; whitened by G = H it is the identity
+    H = np.diag([1.0, 1e-11])
+    check = verify_step_energy_bound(np.array([0.0, 1e4]), np.zeros(2), H, H, 1.0)
+    xi, _, pd = _iterate_constants(H, H, 1.0)
+    assert pd and check.precondition_ok is True
+    assert check.values["xi"] == xi
+
+
 @pytest.mark.parametrize("H, pd", [(np.diag([2.0, 1.0]), True), (np.diag([2.0, 0.0]), False)], ids=["pd", "singular"])
 def test_pd_and_precondition_ok_are_python_bools(H, pd):
     # a cert file holds precondition_ok, and json cannot serialize a numpy bool

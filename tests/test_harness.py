@@ -715,6 +715,10 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
     assert matches is True and report.all_certified
 
 
+#: The meta keys a replay reads.
+REPLAY_META_KEYS = ("solver", "problem", "iterates", "f_star", "resolved_step_L")
+
+
 def _break_a_replay_file(case, out):
     """Break one file that ``certify`` reads in the run ``out``; return its arguments and the error it must print."""
     trace = out / "pnm.trace.csv"
@@ -730,12 +734,23 @@ def _break_a_replay_file(case, out):
         return ["--trace", str(renamed)], f"{renamed} is not named <name>.trace.csv, so it has no meta or cert file"
     if case == "meta-option":
         return ["--trace", str(trace), "--meta", str(out / "pnm.meta.json")], "unrecognized arguments: --meta"
+    if case == "not-a-number":
+        lines[4] = ",".join(["3", "abc", *lines[4].split(",")[2:]])
+        trace.write_text("\n".join(lines) + "\n")
+        return ["--trace", str(trace)], f"{trace} line 5: could not convert string to float: 'abc'"
+    if case.startswith("meta-without-"):
+        meta_path, key = out / "pnm.meta.json", case.removeprefix("meta-without-")
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        return ["--trace", str(trace)], f"{meta_path} has no '{key}' key"
     broken = out / f"pnm.{case}.json"
     broken.write_text(broken.read_text()[:-20])
     return ["--trace", str(trace)], f"{broken} is not valid JSON: "
 
 
-@pytest.mark.parametrize("case", ["extra-field", "short-row", "misnamed", "meta-option", "meta", "cert"])
+@pytest.mark.parametrize("case", ["extra-field", "short-row", "misnamed", "meta-option", "meta", "cert", "not-a-number",
+                                  *(f"meta-without-{key}" for key in REPLAY_META_KEYS)])
 def test_cli_certify_names_the_file_it_refuses(tmp_path, capsys, case):
     spec = ExperimentSpec(
         problem={"builtin": "logistic", "n": 6, "m": 40},
@@ -833,6 +848,26 @@ def _no_fstar_oracle(monkeypatch):
     monkeypatch.setattr(pnewton.solvers, "fstar_oracle", refuse)
 
 
+def test_provided_fstar_is_used_without_the_oracle_and_replays(tmp_path, capsys, monkeypatch):
+    def spec(out, fstar):
+        return ExperimentSpec(problem={"builtin": "logistic", "n": 6, "m": 40}, seed=3, out=str(tmp_path / out),
+                              solvers=[SolverSpec(name=m, method=m, max_iters=200) for m in ("pnm", "anm")],
+                              diagnostics=True, fstar=fstar)
+
+    v = run_experiment(spec("oracle", {"policy": "oracle"}))["f_star"]
+    _no_fstar_oracle(monkeypatch)
+    summary = run_experiment(spec("provided", {"policy": "provided", "value": v}))
+    out = tmp_path / "provided"
+    assert summary["f_star"] == v and summary["f_star_provenance"] == {"policy": "provided"}
+    for name in ("pnm", "anm"):
+        meta = json.loads((out / f"{name}.meta.json").read_text())
+        assert meta["f_star"] == v and meta["f_star_provenance"] == {"policy": "provided"}
+        rows = read_trace_csv(out / f"{name}.trace.csv")
+        assert all(row["gap"] == row["f"] - v for row in rows)
+        assert cli_main(["certify", "--trace", str(out / f"{name}.trace.csv")]) == 0
+        assert "matches stored certification: True" in capsys.readouterr().out
+
+
 def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypatch):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "a" / "b" / "x"  # "../../x" would land in tmp_path / "a"
@@ -917,8 +952,8 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     ({"solvers": [{"name": "pnm", "rho_max": float("nan")}]}, "rho_max must be >= rho0, got nan"),
     ({"solvers": [{"name": "pnm", "step_L": float("inf")}]}, "step constant L must be finite and > 0, got inf"),
     ({"solvers": [{"name": "a", "method": "pnm", "tol": True, "rho0": True}]}, "rho0 must be finite and > 0, got True"),
-    ({"solvers": [{"name": "a", "tol": True}]}, "grad_tol must be finite and > 0, got True"),
-    ({"solvers": [{"name": "a", "tol": "1e-8"}]}, "grad_tol must be finite and > 0, got '1e-8'"),
+    ({"solvers": [{"name": "a", "tol": True}]}, "tol must be finite and > 0, got True"),
+    ({"solvers": [{"name": "a", "tol": "1e-8"}]}, "tol must be finite and > 0, got '1e-8'"),
     ({"solvers": [{"name": "a", "step_L": True}]}, "step constant L must be finite and > 0, got True"),
     ({"solvers": [{"name": "a", "c": True}]}, "growth factor c must be finite and >= 1, got True"),
     ({"solvers": [{"name": "a", "rho0": "1"}]}, "rho0 must be finite and > 0, got '1'"),

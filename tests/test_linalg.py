@@ -154,6 +154,16 @@ def test_pinv_apply_examples():
     assert np.allclose(pinv_apply(np.diag([4.0, 1.0, 0.0]), np.array([8.0, 3.0, 0.0])), [2.0, 3.0, 0.0])
 
 
+@pytest.mark.parametrize("cols", [3, 2])
+def test_pinv_apply_solves_each_column_of_a_matrix_rhs(cols):
+    rng = np.random.default_rng(11)
+    M = rand_psd(rng, 3) + np.eye(3)
+    R = rng.standard_normal((3, cols))
+    assert np.abs(pinv_apply(M, R) - np.linalg.solve(M, R)).max() <= 1e-12
+    singular = rand_psd(rng, 3, 2)
+    assert np.abs(pinv_apply(singular, R) - np.linalg.pinv(singular) @ R).max() <= 1e-10
+
+
 def test_nonzero_mask_counts_an_eigenvalue_at_the_cutoff_as_zero():
     cutoff = DEFAULT_RANK_TOL * 2.0
     assert nonzero_mask(np.array([cutoff, 2.0])).tolist() == [False, True]

@@ -295,6 +295,60 @@ def test_anm_fixed_point_needs_matching_history():
 
 
 # ---------------------------------------------------------------------------
+# The single-step functions are one step of ``run``
+# ---------------------------------------------------------------------------
+
+TINY_G = np.array([[1e-300]])
+STEPS = {
+    "newton": lambda model, x: newton_step(model, x, 1.0),
+    "pnm": lambda model, x: pnm_step(model, x, 1.0, TINY_G, 1.0),
+    "anm": lambda model, x: anm_step_momentum(model, x, x, 1.0, TINY_G, 1.0),
+}
+
+
+def _finite_only_at_the_start(bad):
+    """A 1-D model, started at x = 2, whose step reaches a point where ``bad`` (x, f or grad f) is not finite."""
+    if bad == "x":  # a huge gradient over a tiny curvature: the step lands at -inf
+        return ObjectiveModel(dim=1, value=lambda x: 0.0, gradient=lambda x: np.array([1e300]),
+                              hessian=lambda x: np.array([[1e-300]]))
+    return ObjectiveModel(
+        dim=1,
+        value=lambda x: float(x @ x) if bad != "f" or x[0] == 2.0 else np.inf,
+        gradient=lambda x: 2.0 * x if bad != "grad" or x[0] == 2.0 else np.array([np.nan]),
+        hessian=lambda x: 2.0 * np.eye(1),
+    )
+
+
+# Newton's pseudo-inverse route refuses the "x" model's gradient as outside Range(H) before it steps
+@pytest.mark.parametrize("method, bad", [
+    (method, bad) for method in sorted(STEPS) for bad in ("x", "f", "grad") if (method, bad) != ("newton", "x")
+])
+def test_a_step_to_a_non_finite_point_raises(method, bad):
+    with pytest.raises(FloatingPointError, match=f"{method} step: an iterate, or f or grad f there, is not finite"):
+        STEPS[method](_finite_only_at_the_start(bad), np.array([2.0]))
+
+
+@pytest.mark.parametrize("method", ["pnm", "anm"])
+def test_penalty_steps_reject_what_run_rejects(method):
+    model = quadratic_model(10.0 * np.eye(2))
+
+    def step(G, rho=1.0, L=1.0, x0=np.ones(2)):
+        if method == "pnm":
+            return pnm_step(model, x0, rho, G, L)
+        return anm_step_momentum(model, np.zeros(2), x0, rho, G, L)  # x_prev = x0 is ANM's start
+
+    with pytest.raises(NotPositiveDefinite):  # G/rho + H is still PD, but G is not
+        step(np.diag([1.0, -0.5]))
+    for rho in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho0 must be finite and > 0"):
+            step(np.eye(2), rho=rho)
+    with pytest.raises(ValueError, match="step constant L must be finite and > 0"):
+        step(np.eye(2), L=0.0)
+    with pytest.raises(ValueError, match="starting point"):
+        step(np.eye(2), x0=np.array([np.nan, 1.0]))
+
+
+# ---------------------------------------------------------------------------
 # The shared run loop: oracle work per iterate, divergence
 # ---------------------------------------------------------------------------
 
