@@ -23,8 +23,9 @@ several digits. Both rate constants are functions of the same spectrum:
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
 ``1 - eta`` on optimality gaps for penalty runs and ``1 - xi*mu/L`` on the
-composite descent value for augmented runs. Both read ``(xi, beta, pd)`` per
-iterate from one kernel and score through one inequality. Bounds outside
+composite descent value for augmented runs. Both are one loop over the
+trace's records that forms ``H`` and ``G`` once per iterate, reads
+``(xi, beta, pd)`` from one kernel and scores one inequality. Bounds outside
 (0, 1) are reported as vacuous, never silently passed.
 """
 
@@ -386,31 +387,47 @@ class ContractionReport:
         }
 
 
-def _resolve_f_star(trace: "IterateTrace") -> float:
-    if trace.f_star is None:
-        raise MissingOptimum("certification needs f*; run the solver on a model that carries f_star")
-    return float(trace.f_star)
-
-
 def _iterate_constants(H, G, rho: float) -> tuple[float, float, bool]:
     """``(xi, beta, pd)`` of a checked ``H`` and its ``G`` from one whitened spectrum; ``pd``: ``H`` is PD."""
     lam = _whitened_eigenvalues(H, G)
     return _xi(lam, rho), _beta(lam, rho), bool(nonzero_mask(lam)[0])
 
 
-def _score(k: int, v: float, v_next: float, factor: float, xi: float, **extra) -> ContractionEntry:
-    """Score ``v_next <= (1 - factor) v + SLACK_TOL``; a factor outside (0, 1] is vacuous."""
-    rhs = (1.0 - factor) * v + SLACK_TOL
-    return ContractionEntry(
-        k=k,
-        lhs=v_next / v if v > 0.0 else np.nan,
-        bound=1.0 - factor,
-        satisfied=v_next <= rhs,
-        vacuous=not (0.0 < factor <= 1.0),
-        slack=rhs - v_next,
-        xi=xi,
-        **extra,
-    )
+def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, precond: "PreconditionerPolicy",
+                     mu: float, step_L: float) -> ContractionReport:
+    """Score ``v_{k+1} <= (1 - factor) v_k + SLACK_TOL`` per iterate, vacuous for a factor outside (0, 1].
+
+    One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor
+    depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), the composite value
+    and ``xi mu / L`` for ``"augmented"`` (from ``k = 1``).
+    """
+    if trace.f_star is None:
+        raise MissingOptimum("certification needs f*; run the solver on a model that carries f_star")
+    f_star, records, penalty = float(trace.f_star), trace.records, kind == "penalty"
+    if not penalty and len(records) < 2:
+        raise ValueError("augmented certification needs a trace with at least two points")
+    report = ContractionReport(kind=kind, f_star=f_star, mu=mu, step_L=step_L)
+    for k in range(0 if penalty else 1, len(records) - 1):
+        x_k, rho_k = records[k].x, records[k].rho
+        H_k = as_symmetric(model.hessian(x_k))
+        G_k = precond.materialize(H_k)
+        xi_k, beta_k, pd = _iterate_constants(H_k, G_k, rho_k)
+        if penalty:
+            factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L)
+            v_k, v_next = records[k].f - f_star, records[k + 1].f - f_star
+            extra = {"beta": beta_k, "eta": factor}
+        else:
+            x_prev, factor = records[k - 1].x, xi_k * mu / step_L
+            v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
+            v_next = lyapunov(records[k + 1].f, f_star, records[k + 1].x, x_k, G_k, rho_k, step_L)
+            d = x_k - x_prev
+            extra = {"precondition_ok": pd or float(np.linalg.norm(d)) == 0.0
+                     or range_check(H_k, precond_apply(G_k, d))[2]}
+        rhs = (1.0 - factor) * v_k + SLACK_TOL
+        report.entries.append(ContractionEntry(
+            k=k, lhs=v_next / v_k if v_k > 0.0 else np.nan, bound=1.0 - factor, satisfied=v_next <= rhs,
+            vacuous=not (0.0 < factor <= 1.0), slack=rhs - v_next, xi=xi_k, **extra))
+    return report
 
 
 def certify_penalty_contraction(
@@ -429,17 +446,7 @@ def certify_penalty_contraction(
     ``gap_{k+1} <= (1 - eta_k) * gap_k + SLACK_TOL``. Iterations where
     ``eta_k`` falls outside (0, 1] are flagged vacuous.
     """
-    f_star = _resolve_f_star(trace)
-    report = ContractionReport(kind="penalty", f_star=f_star, mu=mu, step_L=step_L)
-    records = trace.records
-    for k in range(len(records) - 1):
-        rho_k = records[k].rho
-        H_k = as_symmetric(model.hessian(records[k].x))
-        xi_k, beta_k, _ = _iterate_constants(H_k, precond.materialize(H_k), rho_k)
-        eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L)
-        gap_k, gap_next = records[k].f - f_star, records[k + 1].f - f_star
-        report.entries.append(_score(k, gap_k, gap_next, eta_k, xi_k, beta=beta_k, eta=eta_k))
-    return report
+    return _certify_records("penalty", trace, model, precond, mu, step_L)
 
 
 def certify_augmented_contraction(
@@ -458,20 +465,4 @@ def certify_augmented_contraction(
     ``G (x_k - x_{k-1})`` is annotated per iterate: it holds when the whitened
     spectrum shows ``H`` is PD, and is checked by projection otherwise.
     """
-    f_star = _resolve_f_star(trace)
-    if len(trace.records) < 2:
-        raise ValueError("augmented certification needs a trace with at least two points")
-    report = ContractionReport(kind="augmented", f_star=f_star, mu=mu, step_L=step_L)
-    records = trace.records
-    for k in range(1, len(records) - 1):
-        x_prev, x_k, x_next = records[k - 1].x, records[k].x, records[k + 1].x
-        rho_k = records[k].rho
-        H_k = as_symmetric(model.hessian(x_k))
-        G_k = precond.materialize(H_k)
-        xi_k, _, pd = _iterate_constants(H_k, G_k, rho_k)
-        v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
-        v_next = lyapunov(records[k + 1].f, f_star, x_next, x_k, G_k, rho_k, step_L)
-        d = x_k - x_prev
-        range_ok = pd or float(np.linalg.norm(d)) == 0.0 or range_check(H_k, precond_apply(G_k, d))[2]
-        report.entries.append(_score(k, v_k, v_next, xi_k * mu / step_L, xi_k, precondition_ok=range_ok))
-    return report
+    return _certify_records("augmented", trace, model, precond, mu, step_L)

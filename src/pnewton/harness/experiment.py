@@ -390,38 +390,70 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return summary
 
 
+def _read_meta(meta_path) -> tuple[SolverSpec, dict, float, solvers.SolverConfig, list]:
+    """A meta file's solver spec, problem, f*, config and iterates, each checked as a run writes it."""
+    meta = _read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} does not hold a JSON object")
+    try:
+        solver, problem, f_star, step_L, iterates = (
+            meta[key] for key in ("solver", "problem", "f_star", "resolved_step_L", "iterates"))
+    except KeyError as exc:
+        raise ValueError(f"{meta_path} has no {exc} key") from None
+    try:
+        if not isinstance(solver, dict):
+            raise ValueError(f"solver must be an object, got {solver!r}")
+        sspec, given = SolverSpec(**solver), problem if isinstance(problem, dict) else {}
+        spec = ExperimentSpec(problem, [sspec], **{k: given[k] for k in ("link", "alpha", "seed") if k in given})
+        config = sspec.to_config(step_L)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+    if spec.problem != problem:
+        raise ValueError(f"{meta_path}: problem {problem!r} is not the description a run records, {spec.problem!r}")
+    if not is_number(f_star):
+        raise ValueError(f"{meta_path}: f_star must be a finite number, got {f_star!r}")
+    if not isinstance(iterates, list):
+        raise ValueError(f"{meta_path}: iterates must be a list, got {iterates!r}")
+    if sspec.method not in _CERTIFIERS:
+        raise ValueError(f"{meta_path}: certification applies to pnm/anm traces, not {sspec.method!r}")
+    return sspec, problem, f_star, config, iterates
+
+
 def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | None]:
     """Re-run contraction certification for a written trace ``<name>.trace.csv``.
 
     Takes each iterate's ``f`` and ``rho`` from the trace, which must hold rows
     ``k = 0..N-1`` for the ``N`` iterates ``x`` of the meta sidecar
     ``<name>.meta.json``; the meta also gives the solver settings, the problem
-    to rebuild and f*. Returns the report plus whether it reproduces
-    ``<name>.cert.json`` exactly (None when no cert exists).
+    to rebuild and f*. A value no run writes is an error naming its file: a
+    meta problem that is not its own description (after a spec's problem
+    checks), an iterate that is not a finite vector of the problem's
+    dimension, a ``rho`` that is NaN or <= 0. Returns the report plus whether
+    it reproduces ``<name>.cert.json`` exactly (None when no cert exists).
     """
     trace_path = Path(trace_path)
     stem = trace_path.name.removesuffix(".trace.csv")
     if stem == trace_path.name:
         raise ValueError(f"{trace_path} is not named <name>.trace.csv, so it has no meta or cert file")
     meta_path = trace_path.with_name(f"{stem}.meta.json")
-    meta = _read_json(meta_path)
-    try:
-        sspec, iterates, problem = SolverSpec(**meta["solver"]), meta["iterates"], meta["problem"]
-        f_star, step_L = meta["f_star"], meta["resolved_step_L"]
-    except KeyError as exc:
-        raise ValueError(f"{meta_path} has no {exc} key") from None
-    if sspec.method not in _CERTIFIERS:
-        raise ValueError(f"certification applies to pnm/anm traces, not {sspec.method!r}")
+    sspec, problem, f_star, config, iterates = _read_meta(meta_path)
     rows = read_trace_csv(trace_path)
     if [row["k"] for row in rows] != list(range(len(iterates))):
         raise ValueError(f"{trace_path} does not hold rows k = 0..{len(iterates) - 1}, "
                          f"one per iterate of {meta_path}")
+    for lineno, row in enumerate(rows, start=2):  # inf stays: an uncapped schedule can overflow to it
+        if row["rho"] is None or not row["rho"] > 0.0:
+            raise ValueError(f"{trace_path} line {lineno}: rho must be > 0, got {row['rho']!r}")
+    model = _build_model(problem)
+    for i, x in enumerate(iterates):
+        if not (isinstance(x, list) and len(x) == model.dim and all(map(is_number, x))):
+            raise ValueError(f"{meta_path}: iterate {i} is not a list of {model.dim} finite numbers")
 
     records = [solvers.IterateRecord(row["k"], np.asarray(x, dtype=float), row["f"], row["grad_norm"], row["rho"],
                                      row["step_norm_G"], row["lyapunov"], row["elapsed_ns"])
                for row, x in zip(rows, iterates)]
     trace = solvers.IterateTrace(sspec.method, records, f_star=f_star)
-    report = _certify(trace, _build_model(problem), sspec.to_config(step_L))
+    report = _certify(trace, model, config)
 
     cert_path = trace_path.with_name(f"{stem}.cert.json")
     matches = None

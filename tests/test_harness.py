@@ -719,6 +719,28 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
 REPLAY_META_KEYS = ("solver", "problem", "iterates", "f_star", "resolved_step_L")
 
 
+def _with_iterate(i, value):
+    def edit(meta):
+        meta["iterates"][i] = value(meta["iterates"][i])
+        return meta
+    return edit
+
+
+#: Meta contents that no run writes: the edit, and the rest of the error line after the meta file's name.
+META_NO_RUN_WRITES = {
+    "meta-list": (lambda meta: [1], " does not hold a JSON object"),
+    "problem-without-m": (
+        lambda meta: {**meta, "problem": {key: v for key, v in meta["problem"].items() if key != "m"}},
+        ": problem {'builtin': 'logistic', 'n': 6, 'seed': 3, 'alpha': 0.1} is not the description a run records",
+    ),
+    "problem-list": (lambda meta: {**meta, "problem": [1]}, ': problem must be {"path": ...'),
+    "solver-number": (lambda meta: {**meta, "solver": 5}, ": solver must be an object, got 5"),
+    "f_star-null": (lambda meta: {**meta, "f_star": None}, ": f_star must be a finite number, got None"),
+    "iterate-cut": (_with_iterate(2, lambda x: x[:1]), ": iterate 2 is not a list of 6 finite numbers"),
+    "iterate-nan": (_with_iterate(3, lambda x: [float("nan"), *x[1:]]), ": iterate 3 is not a list of 6 finite numbers"),
+}
+
+
 def _break_a_replay_file(case, out):
     """Break one file that ``certify`` reads in the run ``out``; return its arguments and the error it must print."""
     trace = out / "pnm.trace.csv"
@@ -738,6 +760,17 @@ def _break_a_replay_file(case, out):
         lines[4] = ",".join(["3", "abc", *lines[4].split(",")[2:]])
         trace.write_text("\n".join(lines) + "\n")
         return ["--trace", str(trace)], f"{trace} line 5: could not convert string to float: 'abc'"
+    if case in META_NO_RUN_WRITES:
+        meta_path, (edit, message) = out / "pnm.meta.json", META_NO_RUN_WRITES[case]
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        return ["--trace", str(trace)], f"{meta_path}{message}"
+    if case.startswith("rho-"):
+        # a run without diagnostics leaves no cert, so only the rho check stands between this trace and exit 0
+        (out / "pnm.cert.json").unlink()
+        rho = "nan" if case == "rho-nan" else "-3.0"
+        rows = [line.split(",") for line in lines[1:]]
+        trace.write_text("\n".join([lines[0], *(",".join([*row[:4], rho, *row[5:]]) for row in rows)]) + "\n")
+        return ["--trace", str(trace)], f"{trace} line 2: rho must be > 0, got {float(rho)!r}"
     if case.startswith("meta-without-"):
         meta_path, key = out / "pnm.meta.json", case.removeprefix("meta-without-")
         meta = json.loads(meta_path.read_text())
@@ -750,7 +783,8 @@ def _break_a_replay_file(case, out):
 
 
 @pytest.mark.parametrize("case", ["extra-field", "short-row", "misnamed", "meta-option", "meta", "cert", "not-a-number",
-                                  *(f"meta-without-{key}" for key in REPLAY_META_KEYS)])
+                                  *(f"meta-without-{key}" for key in REPLAY_META_KEYS), *META_NO_RUN_WRITES,
+                                  "rho-nan", "rho-negative"])
 def test_cli_certify_names_the_file_it_refuses(tmp_path, capsys, case):
     spec = ExperimentSpec(
         problem={"builtin": "logistic", "n": 6, "m": 40},
@@ -764,6 +798,43 @@ def test_cli_certify_names_the_file_it_refuses(tmp_path, capsys, case):
     assert cli_main(["certify", *args]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"error: {message}" in err
+
+
+def _anm_and_pnm_runs(out):
+    """An ``anm`` run with diagnostics and a ``pnm`` run without, as ``pnewton run`` writes them into ``out``."""
+    spec = ExperimentSpec(
+        problem={"builtin": "logistic", "n": 6, "m": 40},
+        solvers=[SolverSpec(name="anm", method="anm", max_iters=100), SolverSpec(name="pnm", method="pnm")],
+        seed=3,
+        out=str(out),
+        diagnostics=True,
+    )
+    run_experiment(spec)
+    (out / "pnm.cert.json").unlink()
+
+
+def test_cli_certify_refuses_an_anm_iterate_cut_short(tmp_path, capsys):
+    # the ANM certificate reads the last iterate; cut to one entry, it used to be broadcast into a report
+    _anm_and_pnm_runs(tmp_path / "c")
+    meta_path = tmp_path / "c" / "anm.meta.json"
+    meta = json.loads(meta_path.read_text())
+    last = len(meta["iterates"]) - 1
+    meta["iterates"][last] = meta["iterates"][last][:1]
+    meta_path.write_text(json.dumps(meta))
+    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "anm.trace.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {meta_path}: iterate {last} is not a list of 6 finite numbers\n"
+
+
+def test_cli_certify_reads_an_infinite_rho(tmp_path, capsys):
+    # an uncapped schedule (rho_max = Infinity) can overflow to inf, so the trace may hold it
+    _anm_and_pnm_runs(tmp_path / "c")
+    trace = tmp_path / "c" / "pnm.trace.csv"
+    lines = trace.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    trace.write_text("\n".join([lines[0], *(",".join([*row[:4], "inf", *row[5:]]) for row in rows)]) + "\n")
+    assert cli_main(["certify", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_spec_that_does_not_parse_names_the_file(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
-"""No unused imports in ``src/pnewton``, checked with the standard library alone.
+"""No unused imports or private names in ``src/pnewton``, checked with the standard library alone.
 
 Every name an import statement binds must appear again in its module, as a
 name the code reads (string annotations included) or an entry of the module's
 ``__all__``. An import on a line marked ``# noqa: F401`` is exempt: it keeps a
-binding that a tool outside the package patches.
+binding that a tool outside the package patches. Every private (``_``-prefixed)
+function, class or constant defined at a module's top level must be read in
+that module too, so a helper that a merge leaves behind fails here.
 """
 
 import ast
@@ -29,7 +31,7 @@ def _used(tree: ast.Module) -> set[str]:
     """The names ``tree`` reads, the names inside its string annotations and the entries of its ``__all__``."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
@@ -46,3 +48,24 @@ def test_every_imported_name_is_used(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree, source.splitlines()) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """``(name, line)`` for each private function, class or constant a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for target in assigned for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in targets if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_every_private_module_name_is_read_in_its_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = _used(tree)
+    unread = [f"{name} (line {line})" for name, line in _private_definitions(tree) if name not in read]
+    assert not unread, f"{path.name} defines private names it never reads: {', '.join(unread)}"
