@@ -25,8 +25,9 @@ iteration, the contraction factors that the convergence analysis predicts:
 ``1 - eta`` on optimality gaps for penalty runs and ``1 - xi*mu/L`` on the
 composite descent value for augmented runs. Both are one loop over the
 trace's records that forms ``H`` and ``G`` once per iterate, reads
-``(xi, beta, pd)`` from one kernel and scores one inequality. Bounds outside
-(0, 1) are reported as vacuous, never silently passed.
+``(xi, beta, pd)`` from one kernel and scores one inequality. At ``rho = inf``
+both take their limits, ``xi = 1`` and ``eta = mu*xi/L``: Newton's ``1 - mu/L``.
+Bounds outside (0, 1) are reported as vacuous, never silently passed.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _xi(lam: np.ndarray, rho: float) -> float:
     if nonzero.size == 0:
         raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
     lam_min = float(nonzero[0])
-    return rho * lam_min / (1.0 + rho * lam_min)
+    return 1.0 if rho == np.inf else rho * lam_min / (1.0 + rho * lam_min)  # the limit, not inf/inf
 
 
 def _beta(lam: np.ndarray, rho: float) -> float:
@@ -413,7 +414,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, pr
         G_k = precond.materialize(H_k)
         xi_k, beta_k, pd = _iterate_constants(H_k, G_k, rho_k)
         if penalty:
-            factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L)
+            factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L) if rho_k < np.inf else mu * xi_k / step_L
             v_k, v_next = records[k].f - f_star, records[k + 1].f - f_star
             extra = {"beta": beta_k, "eta": factor}
         else:

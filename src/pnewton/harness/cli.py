@@ -21,7 +21,8 @@ import sys
 from ..errors import PnewtonError
 from ..objective import LINK_CURVATURE
 from ..solvers import METHODS, root_augmented_newton, root_penalty_newton
-from .experiment import ExperimentSpec, SolverSpec, certify_trace, run_experiment
+from .datasets import READERS
+from .experiment import BUILTINS, PRECONDITIONERS, ExperimentSpec, SolverSpec, certify_trace, run_experiment
 
 __all__ = ["cli_main", "main", "parse_polynomial", "poly_eval", "poly_derivative"]
 
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = add_parser("solve", help="run one solver on a dataset or builtin problem")
     p_solve.add_argument("--method", choices=METHODS, required=True)
-    p_solve.add_argument("--precond", choices=["identity", "diag"])
+    p_solve.add_argument("--precond", choices=list(PRECONDITIONERS))
     p_solve.add_argument("--rho0", type=float)
     p_solve.add_argument("--c", type=float)
     p_solve.add_argument("--rho-max", type=float)
@@ -98,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--timing", action="store_true",
                          help="record wall time in traces (breaks byte determinism)")
     p_solve.add_argument("--dataset", dest="path", help="dataset path (omit to use a builtin)")
-    p_solve.add_argument("--format", choices=["csv", "libsvm"])
-    p_solve.add_argument("--problem", dest="builtin", choices=["quadratic", "logistic"], default="quadratic",
+    p_solve.add_argument("--format", choices=list(READERS))
+    p_solve.add_argument("--problem", dest="builtin", choices=list(BUILTINS), default=next(iter(BUILTINS)),
                          help="builtin problem when no dataset is given")
     p_solve.add_argument("--n", type=int, help="builtin problem dimension")
     p_solve.add_argument("--m", type=int, help="builtin problem sample count")

@@ -109,7 +109,12 @@ def _load_libsvm(path: str):
     return A, np.asarray(labels, dtype=float)
 
 
-def load_dataset(path: str, fmt: str = "csv", link: str | None = None):
+#: Dataset format -> the reader of its ``(A, labels)``; the first is the default format.
+READERS = {"csv": _load_csv, "libsvm": _load_libsvm}
+DEFAULT_FORMAT = next(iter(READERS))
+
+
+def load_dataset(path: str, fmt: str = DEFAULT_FORMAT, link: str | None = None):
     """Read a dataset file into a dense ``(A, labels)`` pair.
 
     ``csv`` expects a numeric matrix with the label in the last column;
@@ -117,12 +122,9 @@ def load_dataset(path: str, fmt: str = "csv", link: str | None = None):
     indices, densified here. When ``link == "logistic"`` the labels are mapped
     onto {-1, +1} (0/1 inputs remapped).
     """
-    if fmt == "csv":
-        A, labels = _load_csv(path)
-    elif fmt == "libsvm":
-        A, labels = _load_libsvm(path)
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}; choose csv or libsvm")
+    if fmt not in READERS:
+        raise ValueError(f"unknown dataset format {fmt!r}; choose {' or '.join(READERS)}")
+    A, labels = READERS[fmt](path)
     if link == "logistic":
         labels = normalize_binary_labels(labels)
     return A, labels

@@ -28,7 +28,7 @@ from .. import diagnostics, solvers
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import glm_build, glm_constants, quadratic_model  # noqa: F401
 from ..solvers import is_integer, is_number, positive_number
-from .datasets import load_dataset, make_logistic_dataset, make_quadratic_matrix
+from .datasets import DEFAULT_FORMAT, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [
     "SolverSpec",
@@ -42,39 +42,38 @@ __all__ = [
 
 TRACE_HEADER = "k,f,gap,grad_norm,rho,step_norm_G,lyapunov,elapsed_ns"
 
-_PRECOND_ALIASES = {
-    "identity": "identity",
-    "diag": "hessian_diagonal",
-    "hessian_diagonal": "hessian_diagonal",
-}
+#: Spec spelling of a preconditioner -> its ``PreconditionerPolicy`` kind.
+PRECONDITIONERS = {"identity": "identity", "diag": "hessian_diagonal"}
+
+#: Builtin problem -> its sizes and their defaults; the first is ``solve``'s default.
+BUILTINS = {"quadratic": {"n": 8}, "logistic": {"n": 20, "m": 200}}
 
 
 @dataclass
 class SolverSpec:
-    """One solver configuration within an experiment."""
+    """One solver configuration within an experiment; the defaults are the library's but for ``max_iters``."""
 
     name: str
-    method: str = "pnm"
-    precond: str = "identity"
-    rho0: float = 1.0
-    c: float = 2.0
-    rho_max: float = 1e12
+    method: str = solvers.SolverConfig.method
+    precond: str = solvers.PreconditionerPolicy.kind  # its kind, "identity", is also its spelling
+    rho0: float = solvers.PenaltySchedule.rho0
+    c: float = solvers.PenaltySchedule.c
+    rho_max: float = solvers.PenaltySchedule.rho_max
     step_L: float | None = None
-    tol: float = 1e-8
-    max_iters: int = 500
+    tol: float = solvers.SolverConfig.grad_tol
+    max_iters: int = 500  # the harness's own budget, on purpose above the library's 100
 
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
             raise ValueError(f"solver name {self.name!r} is not a plain file name")
-        if self.precond not in _PRECOND_ALIASES:
-            raise ValueError(f"unknown preconditioner {self.precond!r}; choose identity or diag")
+        if not (isinstance(self.precond, str) and self.precond in PRECONDITIONERS):
+            raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
         self.to_config(1.0)  # a bad method, penalty, step, tolerance or budget fails on load
 
     def to_config(self, default_step_L: float) -> solvers.SolverConfig:
-        kind = _PRECOND_ALIASES[self.precond]
         return solvers.SolverConfig(
             method=self.method,
-            precond=solvers.PreconditionerPolicy(kind),
+            precond=solvers.PreconditionerPolicy(PRECONDITIONERS[self.precond]),
             schedule=solvers.PenaltySchedule(rho0=self.rho0, c=self.c, rho_max=self.rho_max),
             step_L=self.step_L if self.step_L is not None else default_step_L,
             max_iters=self.max_iters,
@@ -86,11 +85,12 @@ class SolverSpec:
 class ExperimentSpec:
     """Declarative description of one experiment.
 
-    ``problem`` is either ``{"path": ..., "format": "csv"|"libsvm"}`` for a
-    dataset on disk or ``{"builtin": "logistic"|"quadratic", "n": ..., "m": ...}``
-    (integer sizes) for a seeded synthetic instance; it is checked on
-    construction (a key outside its description is an error) and stored as the
-    description every meta file and the summary record. ``fstar`` is
+    ``problem`` is either ``{"path": ..., "format": ...}`` (a non-empty path, a
+    format of ``READERS``) for a dataset on disk or ``{"builtin": ..., "n": ...,
+    "m": ...}`` (one of ``BUILTINS``, integer sizes) for a seeded synthetic
+    instance; it is checked on construction (a key outside its description is
+    an error) and stored as the description every meta file and the summary
+    record. ``fstar`` is
     ``{"policy": "oracle"}`` or ``{"policy": "provided", "value": <number>}``.
     ``alpha`` is a finite number, ``seed`` an integer >= 0, ``out`` a non-empty
     string, ``diagnostics`` and ``timing`` bools.
@@ -162,26 +162,22 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
     kind = problem.get("builtin")
     if kind is not None and spec.link != "logistic":
         raise ValueError(f"a builtin problem takes only the default link 'logistic', got {spec.link!r}")
-    if kind == "quadratic":
-        desc = {"builtin": "quadratic", "n": _size(problem, "n", 8), "seed": spec.seed}
-    elif kind == "logistic":
-        desc = {
-            "builtin": "logistic",
-            "n": _size(problem, "n", 20),
-            "m": _size(problem, "m", 200),
-            "seed": spec.seed,
-            "alpha": spec.alpha,
-        }
+    if isinstance(kind, str) and kind in BUILTINS:
+        sizes = {key: _size(problem, key, default) for key, default in BUILTINS[kind].items()}
+        desc = {"builtin": kind, **sizes, "seed": spec.seed}
+        if kind == "logistic":
+            desc["alpha"] = spec.alpha
     elif kind is not None or "path" not in problem:
-        raise ValueError('problem must be {"path": ..., "format": "csv"|"libsvm"} or '
-                         f'{{"builtin": "quadratic"|"logistic", "n": ..., "m": ...}}, got {spec.problem!r}')
+        raise ValueError(f'problem must be {{"path": ..., "format": {"|".join(map(json.dumps, READERS))}}} or '
+                         f'{{"builtin": {"|".join(map(json.dumps, BUILTINS))}, "n": ..., "m": ...}}, '
+                         f'got {spec.problem!r}')
     else:
-        desc = {
-            "path": str(problem["path"]),
-            "format": problem.get("format", "csv"),
-            "link": spec.link,
-            "alpha": spec.alpha,
-        }
+        desc = {"path": problem["path"], "format": problem.get("format", DEFAULT_FORMAT),
+                "link": spec.link, "alpha": spec.alpha}
+        if not (isinstance(desc["path"], str) and desc["path"]):
+            raise ValueError(f"problem path must be a non-empty string, got {desc['path']!r}")
+        if not (isinstance(desc["format"], str) and desc["format"] in READERS):
+            raise ValueError(f"unknown problem format {desc['format']!r}; choose {' or '.join(READERS)}")
     unknown = [key for key in problem if key not in desc]
     if unknown:
         raise ValueError(f"unknown problem key {unknown[0]!r}; this problem takes only {list(desc)}")
@@ -427,9 +423,10 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
     ``<name>.meta.json``; the meta also gives the solver settings, the problem
     to rebuild and f*. A value no run writes is an error naming its file: a
     meta problem that is not its own description (after a spec's problem
-    checks), an iterate that is not a finite vector of the problem's
-    dimension, a ``rho`` that is NaN or <= 0. Returns the report plus whether
-    it reproduces ``<name>.cert.json`` exactly (None when no cert exists).
+    checks) or that the library refuses to build, an iterate that is not a
+    finite vector of the problem's dimension, a ``rho`` that is NaN or <= 0.
+    Returns the report plus whether it reproduces ``<name>.cert.json``
+    exactly (None when no cert exists).
     """
     trace_path = Path(trace_path)
     stem = trace_path.name.removesuffix(".trace.csv")
@@ -444,7 +441,10 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
     for lineno, row in enumerate(rows, start=2):  # inf stays: an uncapped schedule can overflow to it
         if row["rho"] is None or not row["rho"] > 0.0:
             raise ValueError(f"{trace_path} line {lineno}: rho must be > 0, got {row['rho']!r}")
-    model = _build_model(problem)
+    try:
+        model = _build_model(problem)
+    except (OSError, ValueError) as exc:  # a problem the library refuses: a missing file, a bad alpha or link
+        raise ValueError(f"{meta_path}: {exc}") from None
     for i, x in enumerate(iterates):
         if not (isinstance(x, list) and len(x) == model.dim and all(map(is_number, x))):
             raise ValueError(f"{meta_path}: iterate {i} is not a list of {model.dim} finite numbers")

@@ -92,7 +92,8 @@ def spd_solve(M, b) -> np.ndarray:
 
     A marginally indefinite ``M`` (e.g. a shifted system ``G/rho + H`` with a
     huge penalty ``rho``) gets up to three jittered retries: the jitter starts
-    at ``1e-12 * trace(M)/n`` and escalates tenfold per retry.
+    at ``1e-12 * trace(M)/n`` and escalates tenfold per retry; a ``trace(M) <= 0``
+    gets none.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides. ``M`` must
     be symmetric and finite; it is not re-checked (Cholesky reads one triangle).
@@ -106,18 +107,18 @@ def spd_solve(M, b) -> np.ndarray:
         raise ValueError(f"rhs length {b.shape[0]} does not match order {n}")
     base = 1e-12 * float(np.trace(M)) / n
     jitter = 0.0
-    for _ in range(4):
+    for retries in range(4):
         try:
             shifted = M if jitter == 0.0 else M + jitter * np.eye(n)
             factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError:
-            if base <= 0.0:
+            if base <= 0.0 or retries == 3:  # trace(M) <= 0 leaves no jitter to try
                 break
             jitter = base if jitter == 0.0 else 10.0 * jitter
             continue
         return scipy.linalg.cho_solve(factor, b, check_finite=False)
     raise NotPositiveDefinite(
-        f"Cholesky failed after 3 jittered retries (final jitter {jitter:.3e}); "
+        f"Cholesky failed after {retries} jittered retries (final jitter {jitter:.3e}); "
         "matrix is not positive definite"
     )
 

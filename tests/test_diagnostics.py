@@ -124,6 +124,12 @@ def test_min_filtered_curvature_examples():
     assert abs(min_filtered_curvature(H, np.eye(5), 1e12) - 1.0) <= 1e-10
 
 
+def test_rate_constants_at_infinite_rho_are_their_limits():
+    # rho*lam / (1 + rho*lam) is inf/inf at rho = inf; its limit is 1, and beta's is 1/lam_max
+    assert min_filtered_curvature(H_DIAG, np.eye(3), np.inf) == 1.0
+    assert precond_floor(H_DIAG, np.eye(3), np.inf) == 1.0 / float(np.max(np.diag(H_DIAG)))
+
+
 def test_min_filtered_curvature_dual_route():
     for H, G, rho in sweep_instances(40, [0.1, 1.0, 10.0], seed=3):
         xi = min_filtered_curvature(H, G, rho)

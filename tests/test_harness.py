@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -726,6 +727,9 @@ def _with_iterate(i, value):
     return edit
 
 
+#: A dataset problem as a meta file records it.
+_CSV_PROBLEM = {"path": "d.csv", "format": "csv", "link": "logistic", "alpha": 0.1}
+
 #: Meta contents that no run writes: the edit, and the rest of the error line after the meta file's name.
 META_NO_RUN_WRITES = {
     "meta-list": (lambda meta: [1], " does not hold a JSON object"),
@@ -738,6 +742,14 @@ META_NO_RUN_WRITES = {
     "f_star-null": (lambda meta: {**meta, "f_star": None}, ": f_star must be a finite number, got None"),
     "iterate-cut": (_with_iterate(2, lambda x: x[:1]), ": iterate 2 is not a list of 6 finite numbers"),
     "iterate-nan": (_with_iterate(3, lambda x: [float("nan"), *x[1:]]), ": iterate 3 is not a list of 6 finite numbers"),
+    "precond-hessian_diagonal": (lambda meta: {**meta, "solver": {**meta["solver"], "precond": "hessian_diagonal"}},
+                                 ": unknown preconditioner 'hessian_diagonal'; choose identity or diag"),
+    "format-xml": (lambda meta: {**meta, "problem": {**_CSV_PROBLEM, "format": "xml"}},
+                   ": unknown problem format 'xml'; choose csv or libsvm"),
+    "path-null": (lambda meta: {**meta, "problem": {**_CSV_PROBLEM, "path": None}},
+                  ": problem path must be a non-empty string, got None"),
+    "alpha-negative": (lambda meta: {**meta, "problem": {**meta["problem"], "alpha": -1.0}},
+                       ": regularization alpha must be > 0, got -1.0"),
 }
 
 
@@ -771,6 +783,17 @@ def _break_a_replay_file(case, out):
         rows = [line.split(",") for line in lines[1:]]
         trace.write_text("\n".join([lines[0], *(",".join([*row[:4], rho, *row[5:]]) for row in rows)]) + "\n")
         return ["--trace", str(trace)], f"{trace} line 2: rho must be > 0, got {float(rho)!r}"
+    if case.startswith("dataset-"):
+        # a dataset problem the library refuses to build: its file is missing, or its link is unknown
+        meta_path, data = out / "pnm.meta.json", out / "data.csv"
+        data.write_text("1.0,1.0\n")
+        path, link = (out / "missing.csv", "logistic") if case == "dataset-missing" else (data, "cubic")
+        meta = json.loads(meta_path.read_text())
+        meta["problem"] = {**_CSV_PROBLEM, "path": str(path), "link": link}
+        meta_path.write_text(json.dumps(meta))
+        message = (f"[Errno 2] No such file or directory: '{path}'" if case == "dataset-missing"
+                   else "unknown link 'cubic'; choose from ['logistic', 'squared']")
+        return ["--trace", str(trace)], f"{meta_path}: {message}"
     if case.startswith("meta-without-"):
         meta_path, key = out / "pnm.meta.json", case.removeprefix("meta-without-")
         meta = json.loads(meta_path.read_text())
@@ -784,6 +807,7 @@ def _break_a_replay_file(case, out):
 
 @pytest.mark.parametrize("case", ["extra-field", "short-row", "misnamed", "meta-option", "meta", "cert", "not-a-number",
                                   *(f"meta-without-{key}" for key in REPLAY_META_KEYS), *META_NO_RUN_WRITES,
+                                  "dataset-missing", "dataset-link",
                                   "rho-nan", "rho-negative"])
 def test_cli_certify_names_the_file_it_refuses(tmp_path, capsys, case):
     spec = ExperimentSpec(
@@ -833,8 +857,26 @@ def test_cli_certify_reads_an_infinite_rho(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     trace.write_text("\n".join([lines[0], *(",".join([*row[:4], "inf", *row[5:]]) for row in rows)]) + "\n")
-    assert cli_main(["certify", "--trace", str(trace)]) == 0
-    assert capsys.readouterr().err == ""
+    # scored at the rho = inf limit (xi = 1), the steps actually taken at finite rho fall short of the bound
+    assert cli_main(["certify", "--trace", str(trace)]) == 1
+    assert "error:" not in capsys.readouterr().err
+    report, _ = certify_trace(trace)
+    assert report.entries and all(not e.vacuous and e.xi == 1.0 for e in report.entries)
+
+
+def test_an_uncapped_schedule_is_scored_at_its_rho_inf_limit(tmp_path, capsys):
+    # c = 1e100 overflows rho to inf at k = 3; there xi -> 1 and eta -> mu/L, the Newton factor 1 - mu/L
+    out = tmp_path / "c"
+    run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 10, "m": 80}, out=str(out), diagnostics=True,
+                                  solvers=[SolverSpec(name="pnm", method="pnm", c=1e100, rho_max=float("inf"))]))
+    cert = json.loads((out / "pnm.cert.json").read_text())
+    rhos = [row["rho"] for row in read_trace_csv(out / "pnm.trace.csv")]
+    at_inf = [e for e in cert["entries"] if rhos[e["k"]] == float("inf")]
+    assert len(at_inf) == 11 and cert["aggregate"]["all_certified"] and cert["aggregate"]["n_vacuous"] == 0
+    assert all(e["xi"] == 1.0 and e["eta"] == cert["mu"] / cert["step_L"] for e in at_inf)
+    assert "nan" not in json.dumps(cert)
+    assert cli_main(["certify", "--trace", str(out / "pnm.trace.csv")]) == 0
+    assert "matches stored certification: True" in capsys.readouterr().out
 
 
 def test_cli_spec_that_does_not_parse_names_the_file(tmp_path, capsys, monkeypatch):
@@ -967,7 +1009,9 @@ def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypa
     ({"problem": {"builtin": "cubic"}},
      'problem must be {"path": ..., "format": "csv"|"libsvm"} '
      'or {"builtin": "quadratic"|"logistic", "n": ..., "m": ...}, got {\'builtin\': \'cubic\'}'),
-], ids=["logistic-squared", "quadratic-squared", "empty", "unknown-builtin"])
+    ({"problem": {"path": None}}, "problem path must be a non-empty string, got None"),
+    ({"problem": {"path": ""}}, "problem path must be a non-empty string, got ''"),
+], ids=["logistic-squared", "quadratic-squared", "empty", "unknown-builtin", "path-null", "path-empty"])
 def test_cli_problem_it_would_misread_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"
@@ -975,6 +1019,55 @@ def test_cli_problem_it_would_misread_exits_before_any_output(tmp_path, capsys, 
     path.write_text(json.dumps({**fields, "out": str(out), "solvers": [{"name": "pnm", "method": "pnm"}]}))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _write_libsvm(path, A, labels):
+    lines = [" ".join([repr(float(y)), *(f"{i + 1}:{float(v)!r}" for i, v in enumerate(col))])
+             for col, y in zip(A.T, labels)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+#: How a test writes a dataset in each format; a format the parser offers without one here fails the test below.
+_DATASET_WRITERS = {"csv": write_csv_dataset, "libsvm": _write_libsvm}
+
+
+@pytest.mark.parametrize("flag, field, offered_args, unoffered, refusal", [
+    ("--precond", "preconditioner",
+     lambda name, tmp: ["--precond", name, "--problem", "logistic", "--n", "4", "--m", "20"],
+     "hessian_diagonal", lambda bad, tmp: {"solvers": [{"name": "a", "method": "pnm", "precond": bad}]}),
+    ("--format", "problem format",
+     lambda name, tmp: ["--dataset", str(tmp / f"data.{name}"), "--format", name],
+     "xml", lambda bad, tmp: {"problem": {"path": str(tmp / "data.xml"), "format": bad}}),
+    ("--problem", "builtin",
+     lambda name, tmp: ["--problem", name, "--n", "4"],
+     "cubic", lambda bad, tmp: {"problem": {"builtin": bad}}),
+], ids=["precond", "format", "builtin"])
+def test_every_name_solve_offers_runs_and_a_spec_name_it_does_not_offer_is_refused(
+        tmp_path, capsys, monkeypatch, flag, field, offered_args, unoffered, refusal):
+    assert cli_main(["solve", "--help"]) == 0
+    offered = re.search(rf"{flag} {{([^}}]*)}}", capsys.readouterr().out).group(1).split(",")
+    A, labels = make_logistic_dataset(3, 12, seed=0)
+    for name in offered:
+        if flag == "--format":
+            _DATASET_WRITERS[name](tmp_path / f"data.{name}", A, labels)
+        out = tmp_path / f"solve-{name}"
+        assert cli_main(["solve", "--method", "pnm", *offered_args(name, tmp_path), "--out", str(out)]) == 0, name
+        assert (out / "pnm.trace.csv").exists()
+    capsys.readouterr()
+
+    _no_fstar_oracle(monkeypatch)
+    out = tmp_path / "refused"
+    path = tmp_path / "spec.json"
+    spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
+            "solvers": [{"name": "a", "method": "pnm"}], **refusal(unoffered, tmp_path)}
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError) as info:  # refused where the spec is read, before any file is opened
+        ExperimentSpec.from_json_file(path)
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {info.value}\n"
+    assert field in err and repr(unoffered) in err and all(name in err for name in offered)
     assert not out.exists()
 
 

@@ -108,6 +108,17 @@ def test_spd_solve_rejects_indefinite():
         spd_solve(np.diag([1.0, -1.0]), np.ones(2))
 
 
+@pytest.mark.parametrize("M, message", [
+    ([[-1.0]], "after 0 jittered retries (final jitter 0.000e+00)"),
+    ([[0.0, 1.0], [1.0, 0.0]], "after 0 jittered retries (final jitter 0.000e+00)"),
+    ([[2.0, 0.0], [0.0, -1.0]], "after 3 jittered retries (final jitter 5.000e-11)"),  # 100 * 1e-12 * trace/n
+], ids=["negative", "zero-trace", "indefinite"])
+def test_spd_solve_reports_the_retries_it_made(M, message):
+    with pytest.raises(NotPositiveDefinite) as info:
+        spd_solve(np.array(M), np.ones(len(M)))
+    assert message in str(info.value)
+
+
 def test_spd_solve_jitter_recovers_marginal_matrix():
     # PD in exact arithmetic, numerically indefinite: the jitter ladder must engage
     M = np.diag([1.0, -1e-16])
