@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     PnewtonError,
     RangeViolation,
+    ReplayMismatch,
     ZeroHessian,
 )
 from .objective import GlmProblem, ObjectiveModel, glm_build, glm_constants, quadratic_model
@@ -61,6 +62,7 @@ __all__ = [
     "MaxIterationsExceeded",
     "MissingOptimum",
     "ZeroHessian",
+    "ReplayMismatch",
     "BadShape",
     "BadLabel",
     "ParseError",

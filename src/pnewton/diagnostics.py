@@ -162,7 +162,7 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     shifted inverse: ``G K G = rho G - rho F``.
     """
     C, lam, U = _whitened_spectrum(H, G)
-    return spectral_matrix(C @ U, lam / (1.0 / rho + lam))
+    return spectral_matrix(C @ U, 1.0 * (lam > 0.0) if rho == np.inf else lam / (1.0 / rho + lam))  # limit, not 0/0
 
 
 def min_filtered_curvature(H, G, rho: float) -> float:

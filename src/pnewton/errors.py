@@ -47,6 +47,10 @@ class ZeroHessian(PnewtonError):
     """The Hessian is numerically zero, so range-restricted spectral quantities are undefined."""
 
 
+class ReplayMismatch(PnewtonError):
+    """A replayed run does not reproduce the files it is replayed from."""
+
+
 class BadShape(PnewtonError, ValueError):
     """Matrix/vector dimensions do not line up."""
 

@@ -4,10 +4,10 @@ Subcommands:
 
   run        execute an experiment spec file (JSON)
   solve      run a single solver on a dataset or a bundled synthetic problem
-  certify    re-run contraction certification on an existing trace
+  certify    re-run the solver of a trace, check that it reproduces its files, and certify it
   demo-root  scalar penalty/augmented root finding on a polynomial
 
-Exit codes: 0 success, 1 solver failure, 2 usage, input or IO error.
+Exit codes: 0 success, 1 solver or replay failure, 2 usage, input or IO error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import re
 import sys
 
-from ..errors import PnewtonError
+from ..errors import PnewtonError, ReplayMismatch
 from ..objective import LINK_CURVATURE
 from ..solvers import METHODS, root_augmented_newton, root_penalty_newton
 from .datasets import READERS
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--n", type=int, help="builtin problem dimension")
     p_solve.add_argument("--m", type=int, help="builtin problem sample count")
 
-    p_cert = add_parser("certify", help="re-run certification on an existing trace")
+    p_cert = add_parser("certify", help="re-run the solver of an existing trace, check it and certify it")
     p_cert.add_argument("--trace", dest="trace_path", required=True, help="path to a <name>.trace.csv")
 
     p_root = add_parser("demo-root", help="scalar root finding on a polynomial")
@@ -208,7 +208,7 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PnewtonError, OverflowError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        print(f"{'replay' if isinstance(exc, ReplayMismatch) else 'solver'} failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,8 +4,8 @@ Outputs per solver, under the experiment's output directory:
 
   <name>.trace.csv  one row per iteration, header ``k,f,gap,grad_norm,rho,
                     step_norm_G,lyapunov,elapsed_ns``
-  <name>.meta.json  what a replay needs besides the trace: the resolved
-                    solver config, problem description, f* and every iterate
+  <name>.meta.json  what a replay needs to re-run the solver (the resolved solver
+                    config, problem description and f*) and its final iterate
   <name>.cert.json  contraction certification report (penalty/augmented
                     methods with diagnostics enabled)
 
@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .. import diagnostics, solvers
+from ..errors import ReplayMismatch
 # glm_constants stays bound here: perfbench's tracer patches this binding
-from ..objective import glm_build, glm_constants, quadratic_model  # noqa: F401
+from ..objective import ObjectiveModel, glm_build, glm_constants, quadratic_model  # noqa: F401
 from ..solvers import is_integer, is_number, positive_number
 from .datasets import DEFAULT_FORMAT, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
 
@@ -232,14 +235,19 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> None:
-    """Write a trace in the documented CSV schema (deterministic bytes by default)."""
+def _trace_lines(trace: solvers.IterateTrace, timing: bool) -> list[str]:
+    """The lines of ``trace``'s CSV file, header first; ``elapsed_ns`` is 0 unless ``timing``."""
     lines = [TRACE_HEADER]
     for rec in trace.records:
         gap = None if trace.f_star is None else rec.f - trace.f_star
         floats = [rec.f, gap, rec.grad_norm, rec.rho, rec.step_norm_g_sq, rec.lyapunov]
         lines.append(",".join([str(rec.k), *map(_fmt, floats), str(rec.elapsed_ns if timing else 0)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
+
+
+def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> None:
+    """Write a trace in the documented CSV schema (deterministic bytes by default)."""
+    Path(path).write_text("\n".join(_trace_lines(trace, timing)) + "\n", encoding="utf-8")
 
 
 def read_trace_csv(path) -> list[dict]:
@@ -270,7 +278,7 @@ def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, step_L, fs
         "steps_taken": trace.steps_taken,
         "f_star": trace.f_star,
         "f_star_provenance": fstar_info,
-        "iterates": [[float(v) for v in rec.x] for rec in trace.records],
+        "x_final": trace.final.x.tolist(),
     }
     _write_json(path, meta)
 
@@ -386,14 +394,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return summary
 
 
-def _read_meta(meta_path) -> tuple[SolverSpec, dict, float, solvers.SolverConfig, list]:
-    """A meta file's solver spec, problem, f*, config and iterates, each checked as a run writes it."""
+def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, solvers.SolverConfig, object]:
+    """The model with f*, problem, config and ``x_final`` of a meta file; an error in all but ``x_final`` names it."""
     meta = _read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path} does not hold a JSON object")
     try:
-        solver, problem, f_star, step_L, iterates = (
-            meta[key] for key in ("solver", "problem", "f_star", "resolved_step_L", "iterates"))
+        solver, problem, f_star, step_L, x_final = (
+            meta[key] for key in ("solver", "problem", "f_star", "resolved_step_L", "x_final"))
     except KeyError as exc:
         raise ValueError(f"{meta_path} has no {exc} key") from None
     try:
@@ -402,61 +410,45 @@ def _read_meta(meta_path) -> tuple[SolverSpec, dict, float, solvers.SolverConfig
         sspec, given = SolverSpec(**solver), problem if isinstance(problem, dict) else {}
         spec = ExperimentSpec(problem, [sspec], **{k: given[k] for k in ("link", "alpha", "seed") if k in given})
         config = sspec.to_config(step_L)
-    except (TypeError, ValueError) as exc:
+        if spec.problem != problem:
+            raise ValueError(f"problem {problem!r} is not the description a run records, {spec.problem!r}")
+        if not is_number(f_star):
+            raise ValueError(f"f_star must be a finite number, got {f_star!r}")
+        if sspec.method not in _CERTIFIERS:
+            raise ValueError(f"certification applies to pnm/anm traces, not {sspec.method!r}")
+        model = replace(_build_model(problem), f_star=f_star)  # the library may refuse: no file, a bad alpha or link
+    except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    if spec.problem != problem:
-        raise ValueError(f"{meta_path}: problem {problem!r} is not the description a run records, {spec.problem!r}")
-    if not is_number(f_star):
-        raise ValueError(f"{meta_path}: f_star must be a finite number, got {f_star!r}")
-    if not isinstance(iterates, list):
-        raise ValueError(f"{meta_path}: iterates must be a list, got {iterates!r}")
-    if sspec.method not in _CERTIFIERS:
-        raise ValueError(f"{meta_path}: certification applies to pnm/anm traces, not {sspec.method!r}")
-    return sspec, problem, f_star, config, iterates
+    return model, problem, config, x_final
 
 
 def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | None]:
-    """Re-run contraction certification for a written trace ``<name>.trace.csv``.
+    """Re-run the solver of a written trace ``<name>.trace.csv`` as a run does, and certify the re-run.
 
-    Takes each iterate's ``f`` and ``rho`` from the trace, which must hold rows
-    ``k = 0..N-1`` for the ``N`` iterates ``x`` of the meta sidecar
-    ``<name>.meta.json``; the meta also gives the solver settings, the problem
-    to rebuild and f*. A value no run writes is an error naming its file: a
-    meta problem that is not its own description (after a spec's problem
-    checks) or that the library refuses to build, an iterate that is not a
-    finite vector of the problem's dimension, a ``rho`` that is NaN or <= 0.
-    Returns the report plus whether it reproduces ``<name>.cert.json``
-    exactly (None when no cert exists).
+    The meta ``<name>.meta.json`` gives the solver settings, the problem and
+    f*; one that no run writes is an input error naming the file. A re-run
+    that does not reproduce the trace's bytes (any digits in ``elapsed_ns``,
+    which ``--timing`` fills, aside) or the meta's ``x_final`` bit for bit
+    raises :class:`ReplayMismatch`, naming the first differing, missing or
+    extra line, or the key. Returns the report plus whether it reproduces
+    ``<name>.cert.json`` (None when there is none).
     """
     trace_path = Path(trace_path)
     stem = trace_path.name.removesuffix(".trace.csv")
     if stem == trace_path.name:
         raise ValueError(f"{trace_path} is not named <name>.trace.csv, so it has no meta or cert file")
     meta_path = trace_path.with_name(f"{stem}.meta.json")
-    sspec, problem, f_star, config, iterates = _read_meta(meta_path)
-    rows = read_trace_csv(trace_path)
-    if [row["k"] for row in rows] != list(range(len(iterates))):
-        raise ValueError(f"{trace_path} does not hold rows k = 0..{len(iterates) - 1}, "
-                         f"one per iterate of {meta_path}")
-    for lineno, row in enumerate(rows, start=2):  # inf stays: an uncapped schedule can overflow to it
-        if row["rho"] is None or not row["rho"] > 0.0:
-            raise ValueError(f"{trace_path} line {lineno}: rho must be > 0, got {row['rho']!r}")
-    try:
-        model = _build_model(problem)
-    except (OSError, ValueError) as exc:  # a problem the library refuses: a missing file, a bad alpha or link
-        raise ValueError(f"{meta_path}: {exc}") from None
-    for i, x in enumerate(iterates):
-        if not (isinstance(x, list) and len(x) == model.dim and all(map(is_number, x))):
-            raise ValueError(f"{meta_path}: iterate {i} is not a list of {model.dim} finite numbers")
-
-    records = [solvers.IterateRecord(row["k"], np.asarray(x, dtype=float), row["f"], row["grad_norm"], row["rho"],
-                                     row["step_norm_G"], row["lyapunov"], row["elapsed_ns"])
-               for row, x in zip(rows, iterates)]
-    trace = solvers.IterateTrace(sspec.method, records, f_star=f_star)
+    lines = [re.sub(rb",\d+\Z", b",0", line) for line in trace_path.read_bytes().splitlines()]
+    model, problem, config, x_final = _read_meta(meta_path)
+    trace = solvers.run(model, _start_point(problem, model.dim), config)
+    rerun = [line.encode() for line in _trace_lines(trace, timing=False)]
+    for lineno, (want, got) in enumerate(zip_longest(rerun, lines), start=1):
+        if got != want:
+            what = "is missing" if got is None else "is extra" if want is None else "differs"
+            raise ReplayMismatch(f"{trace_path} line {lineno} {what}, against the re-run of {meta_path} "
+                                 f"({len(rerun)} lines)")
+    if json.dumps(x_final) != json.dumps(trace.final.x.tolist()):
+        raise ReplayMismatch(f"{meta_path}: x_final is not the re-run's final iterate")
     report = _certify(trace, model, config)
-
     cert_path = trace_path.with_name(f"{stem}.cert.json")
-    matches = None
-    if cert_path.exists():
-        matches = _read_json(cert_path) == report.to_dict()
-    return report, matches
+    return report, _read_json(cert_path) == report.to_dict() if cert_path.exists() else None

@@ -117,6 +117,14 @@ def test_filtered_curvature_zero_hessian():
     assert np.allclose(filtered_curvature(np.zeros((2, 2)), np.eye(2), 4.0), 0.0)
 
 
+def test_filtered_curvature_at_rho_inf_takes_the_limit_on_a_singular_hessian():
+    # lam / (1/rho + lam) is 0/0 on a zero eigenvalue at rho = inf; its limit there is 0, and 1 where lam > 0
+    H = np.diag([1.0, 0.0])
+    assert np.array_equal(filtered_curvature(H, np.eye(2), np.inf), H)
+    check = verify_step_energy_bound(np.array([1.0, 0.0]), np.zeros(2), H, np.eye(2), np.inf)
+    assert check.ok and check.values["lhs"] == 1.0 == check.values["rhs"]
+
+
 def test_min_filtered_curvature_examples():
     assert min_filtered_curvature(H_DIAG, np.eye(3), 1.0) == pytest.approx(0.5)
     rng = np.random.default_rng(2)

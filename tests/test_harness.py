@@ -483,11 +483,12 @@ def test_trace_csv_schema(tmp_path):
     with open(tmp_path / "schema" / "summary.json") as fh:
         summary = json.load(fh)
     assert set(summary) == {"problem", "f_star", "f_star_provenance", "constants", "solvers", "failed"}
-    # f and rho have one owner, the trace; link, alpha and seed the problem; the method the solver record
+    # f and rho have one owner, the trace; link, alpha and seed the problem; the method the solver record;
+    # of the iterates only the last is kept, for the replay to check its re-run against
     meta = json.loads((tmp_path / "schema" / "pnm.meta.json").read_text())
     assert set(meta) == {"solver", "resolved_step_L", "problem", "termination", "steps_taken", "f_star",
-                         "f_star_provenance", "iterates"}
-    assert len(meta["iterates"]) == len(rows)
+                         "f_star_provenance", "x_final"}
+    assert len(meta["x_final"]) == 6 and all(type(v) is float for v in meta["x_final"])
 
 
 def test_spec_validation():
@@ -667,10 +668,12 @@ def _renumber_row_1(lines):
     return [lines[0], "7" + lines[1][lines[1].index(","):], *lines[2:]]
 
 
-@pytest.mark.parametrize("edit, code", [
-    (_halve_f_on_row_3, 1), (None, 2), (lambda lines: lines[:-2], 2), (_renumber_row_1, 2),
+@pytest.mark.parametrize("edit, line", [
+    (_halve_f_on_row_3, "line 5 differs"), (None, None), (lambda lines: lines[:-2], "line {n_less_1} is missing"),
+    (_renumber_row_1, "line 2 differs"),
 ], ids=["f-edited", "deleted", "two-rows-short", "misnumbered"])
-def test_cli_certify_replays_the_trace_it_is_given(tmp_path, capsys, edit, code):
+def test_cli_certify_replays_the_trace_it_is_given(tmp_path, capsys, edit, line):
+    # the replay re-runs the solver and holds the trace to it; a missing trace is an input error
     spec = ExperimentSpec(
         problem={"builtin": "logistic", "n": 6, "m": 40},
         solvers=[SolverSpec(name="pnm", method="pnm", c=1.0, max_iters=100)],
@@ -680,24 +683,24 @@ def test_cli_certify_replays_the_trace_it_is_given(tmp_path, capsys, edit, code)
     )
     run_experiment(spec)
     trace, meta = tmp_path / "c" / "pnm.trace.csv", tmp_path / "c" / "pnm.meta.json"
-    n_iterates = len(json.loads(meta.read_text())["iterates"])
+    n = len(trace.read_text().splitlines())
     if edit is None:
         trace.unlink()
     else:
         trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
-    assert cli_main(["certify", "--trace", str(trace)]) == code
+    assert cli_main(["certify", "--trace", str(trace)]) == (2 if edit is None else 1)
     out, err = capsys.readouterr()
-    if code == 1:
-        assert out.endswith("matches stored certification: False\n") and err == ""
-    elif edit is None:
-        assert out == "" and err.startswith("error: ") and str(trace) in err
+    assert out == ""
+    if edit is None:
+        assert err.startswith("error: ") and str(trace) in err
     else:
-        assert out == ""
-        assert err == f"error: {trace} does not hold rows k = 0..{n_iterates - 1}, one per iterate of {meta}\n"
+        line = line.format(n_less_1=n - 1)
+        assert err == f"replay failure: {trace} {line}, against the re-run of {meta} ({n} lines)\n"
 
 
 def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
-    # meta files written before f, rho and the method had one owner also held these keys
+    # meta files written before f, rho and the method had one owner, or before the replay re-ran the
+    # solver, also held these keys
     spec = ExperimentSpec(
         problem={"builtin": "logistic", "n": 6, "m": 40},
         solvers=[SolverSpec(name="anm", method="anm", max_iters=100)],
@@ -710,25 +713,22 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
     rows = read_trace_csv(tmp_path / "c" / "anm.trace.csv")
     meta = json.loads(meta_path.read_text())
     meta.update(link=spec.link, alpha=spec.alpha, seed=spec.seed, method="anm", fs=[row["f"] for row in rows],
-                rhos=[None if row["rho"] == float("inf") else row["rho"] for row in rows])
+                rhos=[None if row["rho"] == float("inf") else row["rho"] for row in rows],
+                iterates=[meta["x_final"]] * len(rows))
     meta_path.write_text(json.dumps(meta, indent=2) + "\n")
     report, matches = certify_trace(tmp_path / "c" / "anm.trace.csv")
     assert matches is True and report.all_certified
 
 
 #: The meta keys a replay reads.
-REPLAY_META_KEYS = ("solver", "problem", "iterates", "f_star", "resolved_step_L")
-
-
-def _with_iterate(i, value):
-    def edit(meta):
-        meta["iterates"][i] = value(meta["iterates"][i])
-        return meta
-    return edit
+REPLAY_META_KEYS = ("solver", "problem", "x_final", "f_star", "resolved_step_L")
 
 
 #: A dataset problem as a meta file records it.
 _CSV_PROBLEM = {"path": "d.csv", "format": "csv", "link": "logistic", "alpha": 0.1}
+
+#: The rest of the replay failure line after the meta file's name when its x_final is not the re-run's.
+_NOT_THE_FINAL_ITERATE = ": x_final is not the re-run's final iterate"
 
 #: Meta contents that no run writes: the edit, and the rest of the error line after the meta file's name.
 META_NO_RUN_WRITES = {
@@ -740,8 +740,8 @@ META_NO_RUN_WRITES = {
     "problem-list": (lambda meta: {**meta, "problem": [1]}, ': problem must be {"path": ...'),
     "solver-number": (lambda meta: {**meta, "solver": 5}, ": solver must be an object, got 5"),
     "f_star-null": (lambda meta: {**meta, "f_star": None}, ": f_star must be a finite number, got None"),
-    "iterate-cut": (_with_iterate(2, lambda x: x[:1]), ": iterate 2 is not a list of 6 finite numbers"),
-    "iterate-nan": (_with_iterate(3, lambda x: [float("nan"), *x[1:]]), ": iterate 3 is not a list of 6 finite numbers"),
+    "iterate-cut": (lambda meta: {**meta, "x_final": meta["x_final"][:1]}, _NOT_THE_FINAL_ITERATE),
+    "iterate-nan": (lambda meta: {**meta, "x_final": [float("nan"), *meta["x_final"][1:]]}, _NOT_THE_FINAL_ITERATE),
     "precond-hessian_diagonal": (lambda meta: {**meta, "solver": {**meta["solver"], "precond": "hessian_diagonal"}},
                                  ": unknown preconditioner 'hessian_diagonal'; choose identity or diag"),
     "format-xml": (lambda meta: {**meta, "problem": {**_CSV_PROBLEM, "format": "xml"}},
@@ -760,8 +760,7 @@ def _break_a_replay_file(case, out):
     if case in ("extra-field", "short-row"):
         lines[4] = lines[4] + ",999" if case == "extra-field" else ",".join(lines[4].split(",")[:4])
         trace.write_text("\n".join(lines) + "\n")
-        width = 9 if case == "extra-field" else 4
-        return ["--trace", str(trace)], f"{trace} line 5 has {width} fields, the header 8"
+        return ["--trace", str(trace)], f"{trace} line 5 differs"
     if case == "misnamed":
         renamed = out / "pnm.csv"
         trace.rename(renamed)
@@ -771,18 +770,18 @@ def _break_a_replay_file(case, out):
     if case == "not-a-number":
         lines[4] = ",".join(["3", "abc", *lines[4].split(",")[2:]])
         trace.write_text("\n".join(lines) + "\n")
-        return ["--trace", str(trace)], f"{trace} line 5: could not convert string to float: 'abc'"
+        return ["--trace", str(trace)], f"{trace} line 5 differs"
     if case in META_NO_RUN_WRITES:
         meta_path, (edit, message) = out / "pnm.meta.json", META_NO_RUN_WRITES[case]
         meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
         return ["--trace", str(trace)], f"{meta_path}{message}"
     if case.startswith("rho-"):
-        # a run without diagnostics leaves no cert, so only the rho check stands between this trace and exit 0
+        # a run without diagnostics leaves no cert, so only the re-run stands between this trace and exit 0
         (out / "pnm.cert.json").unlink()
         rho = "nan" if case == "rho-nan" else "-3.0"
         rows = [line.split(",") for line in lines[1:]]
         trace.write_text("\n".join([lines[0], *(",".join([*row[:4], rho, *row[5:]]) for row in rows)]) + "\n")
-        return ["--trace", str(trace)], f"{trace} line 2: rho must be > 0, got {float(rho)!r}"
+        return ["--trace", str(trace)], f"{trace} line 2 differs"
     if case.startswith("dataset-"):
         # a dataset problem the library refuses to build: its file is missing, or its link is unknown
         meta_path, data = out / "pnm.meta.json", out / "data.csv"
@@ -805,6 +804,10 @@ def _break_a_replay_file(case, out):
     return ["--trace", str(trace)], f"{broken} is not valid JSON: "
 
 
+#: Broken replay inputs that the re-run does not reproduce: exit 1, not an input error.
+REPLAY_FAILURES = ("extra-field", "short-row", "not-a-number", "iterate-cut", "iterate-nan", "rho-nan", "rho-negative")
+
+
 @pytest.mark.parametrize("case", ["extra-field", "short-row", "misnamed", "meta-option", "meta", "cert", "not-a-number",
                                   *(f"meta-without-{key}" for key in REPLAY_META_KEYS), *META_NO_RUN_WRITES,
                                   "dataset-missing", "dataset-link",
@@ -819,9 +822,10 @@ def test_cli_certify_names_the_file_it_refuses(tmp_path, capsys, case):
     )
     run_experiment(spec)
     args, message = _break_a_replay_file(case, tmp_path / "c")
-    assert cli_main(["certify", *args]) == 2
+    failed = case in REPLAY_FAILURES
+    assert cli_main(["certify", *args]) == (1 if failed else 2)
     out, err = capsys.readouterr()
-    assert out == "" and f"error: {message}" in err
+    assert out == "" and f"{'replay failure' if failed else 'error'}: {message}" in err
 
 
 def _anm_and_pnm_runs(out):
@@ -838,30 +842,102 @@ def _anm_and_pnm_runs(out):
 
 
 def test_cli_certify_refuses_an_anm_iterate_cut_short(tmp_path, capsys):
-    # the ANM certificate reads the last iterate; cut to one entry, it used to be broadcast into a report
+    # the ANM certificate reads the last iterate; cut to one entry, x_final is no longer the re-run's
     _anm_and_pnm_runs(tmp_path / "c")
     meta_path = tmp_path / "c" / "anm.meta.json"
     meta = json.loads(meta_path.read_text())
-    last = len(meta["iterates"]) - 1
-    meta["iterates"][last] = meta["iterates"][last][:1]
+    meta["x_final"] = meta["x_final"][:1]
     meta_path.write_text(json.dumps(meta))
-    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "anm.trace.csv")]) == 2
+    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "anm.trace.csv")]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {meta_path}: iterate {last} is not a list of 6 finite numbers\n"
+    assert out == "" and err == f"replay failure: {meta_path}{_NOT_THE_FINAL_ITERATE}\n"
 
 
 def test_cli_certify_reads_an_infinite_rho(tmp_path, capsys):
-    # an uncapped schedule (rho_max = Infinity) can overflow to inf, so the trace may hold it
-    _anm_and_pnm_runs(tmp_path / "c")
-    trace = tmp_path / "c" / "pnm.trace.csv"
+    # an uncapped schedule (rho_max = Infinity) overflows to inf: a run's own inf replays, one written in does not
+    out = tmp_path / "c"
+    run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 6, "m": 40}, seed=3, out=str(out),
+                                  solvers=[SolverSpec(name="inf", method="pnm", c=1e100, rho_max=float("inf")),
+                                           SolverSpec(name="pnm", method="pnm")]))
+    assert "inf" in [line.split(",")[4] for line in (out / "inf.trace.csv").read_text().splitlines()]
+    assert cli_main(["certify", "--trace", str(out / "inf.trace.csv")]) == 0
+    trace = out / "pnm.trace.csv"
     lines = trace.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     trace.write_text("\n".join([lines[0], *(",".join([*row[:4], "inf", *row[5:]]) for row in rows)]) + "\n")
-    # scored at the rho = inf limit (xi = 1), the steps actually taken at finite rho fall short of the bound
     assert cli_main(["certify", "--trace", str(trace)]) == 1
-    assert "error:" not in capsys.readouterr().err
-    report, _ = certify_trace(trace)
-    assert report.entries and all(not e.vacuous and e.xi == 1.0 for e in report.entries)
+    err = capsys.readouterr().err
+    assert err.startswith(f"replay failure: {trace} line 2 differs, against the re-run of {out / 'pnm.meta.json'}")
+
+
+def _nudge_cell(column):
+    """An edit moving ``column`` of row 3 (line 4) one float up, and where the replay must point."""
+    def edit(lines):
+        fields = lines[3].split(",")
+        i = TRACE_HEADER.split(",").index(column)
+        fields[i] = repr(float(np.nextafter(float(fields[i]), np.inf)))
+        return [*lines[:3], ",".join(fields), *lines[4:]], "line 4 differs"
+    return edit
+
+
+def _append_a_row(lines):
+    k, rest = lines[-1].split(",", 1)
+    return [*lines, f"{int(k) + 1},{rest}"], f"line {len(lines) + 1} is extra"
+
+
+#: Trace edits that no run writes: the edit, returning the new lines and where the replay must point.
+TRACE_EDITS = {
+    **{column: _nudge_cell(column) for column in ("f", "gap", "grad_norm", "rho", "step_norm_G", "lyapunov")},
+    "row-dropped": lambda lines: ([*lines[:3], *lines[4:]], "line 4 differs"),
+    "row-appended": _append_a_row,
+    "not-utf-8": lambda lines: ([*lines[:3], "\udcff" + lines[3], *lines[4:]], "line 4 differs"),
+    "elapsed_ns-not-digits": lambda lines: ([*lines[:3], lines[3][:-1] + "-1", *lines[4:]], "line 4 differs"),
+}
+
+
+@pytest.mark.parametrize("cert", [True, False], ids=["with-cert", "without-cert"])
+@pytest.mark.parametrize("case", [*TRACE_EDITS, "x_final"])
+def test_replay_refuses_what_the_re_run_does_not_reproduce(tmp_path, capsys, case, cert):
+    # one float up in any recorded value, a row dropped or added: the re-run writes otherwise, with or without a cert
+    out = tmp_path / "c"
+    run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 6, "m": 40}, seed=3, out=str(out),
+                                  diagnostics=True, solvers=[SolverSpec(name="pnm", method="pnm")]))
+    if not cert:
+        (out / "pnm.cert.json").unlink()
+    trace, meta_path = out / "pnm.trace.csv", out / "pnm.meta.json"
+    if case == "x_final":
+        meta = json.loads(meta_path.read_text())
+        meta["x_final"][2] = float(np.nextafter(meta["x_final"][2], np.inf))
+        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+        where = f"{meta_path}{_NOT_THE_FINAL_ITERATE}\n"
+    else:
+        lines, at = TRACE_EDITS[case](trace.read_text().splitlines())
+        trace.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
+        where = f"{trace} {at}, against the re-run of {meta_path}"
+    assert cli_main(["certify", "--trace", str(trace)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"replay failure: {where}")
+
+
+@pytest.mark.parametrize("spec", [
+    {"timing": True},
+    {"solvers": [{"name": m, "method": m, "c": 1e100, "rho_max": float("inf")} for m in ("pnm", "anm")]},
+], ids=["timing", "uncapped"])
+def test_a_timed_and_an_uncapped_run_replay(tmp_path, capsys, spec):
+    # the replay skips elapsed_ns, which --timing fills, and re-runs a schedule that overflows rho to inf
+    path, out = tmp_path / "spec.json", tmp_path / "c"
+    path.write_text(json.dumps({"problem": {"builtin": "logistic", "n": 6, "m": 40}, "seed": 3, "diagnostics": True,
+                                "out": str(out), "solvers": [{"name": m, "method": m} for m in ("pnm", "anm")],
+                                **spec}))
+    timed = "timing" in spec
+    assert timed or '"rho_max": Infinity' in path.read_text()
+    assert cli_main(["run", str(path)]) == 0
+    rows = [row for name in ("pnm", "anm") for row in read_trace_csv(out / f"{name}.trace.csv")]
+    assert any(row["elapsed_ns"] > 0 if timed else row["rho"] == float("inf") for row in rows)
+    capsys.readouterr()
+    for name in ("pnm", "anm"):
+        assert cli_main(["certify", "--trace", str(out / f"{name}.trace.csv")]) == 0
+        assert capsys.readouterr().out.endswith("matches stored certification: True\n")
 
 
 def test_an_uncapped_schedule_is_scored_at_its_rho_inf_limit(tmp_path, capsys):
