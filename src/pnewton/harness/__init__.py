@@ -5,14 +5,12 @@ from .datasets import (
     make_logistic_dataset,
     make_quadratic_matrix,
     normalize_binary_labels,
-    write_csv_dataset,
 )
 from .experiment import (
     ExperimentSpec,
     SolverSpec,
     TRACE_HEADER,
     certify_trace,
-    read_trace_csv,
     run_experiment,
     write_trace_csv,
 )
@@ -23,12 +21,10 @@ __all__ = [
     "make_logistic_dataset",
     "make_quadratic_matrix",
     "normalize_binary_labels",
-    "write_csv_dataset",
     "ExperimentSpec",
     "SolverSpec",
     "TRACE_HEADER",
     "certify_trace",
-    "read_trace_csv",
     "run_experiment",
     "write_trace_csv",
     "cli_main",

@@ -16,7 +16,6 @@ __all__ = [
     "normalize_binary_labels",
     "make_logistic_dataset",
     "make_quadratic_matrix",
-    "write_csv_dataset",
 ]
 
 #: Largest libsvm feature index accepted: one dense n x n Hessian is 800 MB at this width.
@@ -152,12 +151,3 @@ def make_quadratic_matrix(n: int, seed: int = 0) -> np.ndarray:
     Q = B @ B.T + np.eye(n)
     return 0.5 * (Q + Q.T)
 
-
-def write_csv_dataset(path: str, A, labels) -> None:
-    """Write ``(A, labels)`` in the CSV layout expected by :func:`load_dataset`."""
-    A = np.asarray(A, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in range(A.shape[1]):
-            fields = [repr(float(v)) for v in A[:, j]] + [repr(float(labels[j]))]
-            fh.write(",".join(fields) + "\n")

@@ -39,7 +39,6 @@ __all__ = [
     "TRACE_HEADER",
     "run_experiment",
     "write_trace_csv",
-    "read_trace_csv",
     "certify_trace",
 ]
 
@@ -248,25 +247,6 @@ def _trace_lines(trace: solvers.IterateTrace, timing: bool) -> list[str]:
 def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> None:
     """Write a trace in the documented CSV schema (deterministic bytes by default)."""
     Path(path).write_text("\n".join(_trace_lines(trace, timing)) + "\n", encoding="utf-8")
-
-
-def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV back into a list of per-iteration dicts; each row must have one field per header field."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or text[0] != TRACE_HEADER:
-        raise ValueError(f"{path} does not start with the trace header {TRACE_HEADER!r}")
-    keys = TRACE_HEADER.split(",")
-    rows = []
-    for lineno, line in enumerate(text[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(keys):
-            raise ValueError(f"{path} line {lineno} has {len(fields)} fields, the header {len(keys)}")
-        try:
-            rows.append({key: None if val == "" else int(val) if key in ("k", "elapsed_ns") else float(val)
-                         for key, val in zip(keys, fields)})
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return rows
 
 
 def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, step_L, fstar_info):

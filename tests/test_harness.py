@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -21,12 +22,19 @@ from pnewton.harness import (
     load_dataset,
     make_logistic_dataset,
     normalize_binary_labels,
-    read_trace_csv,
     run_experiment,
-    write_csv_dataset,
 )
 from pnewton.harness.cli import parse_polynomial, poly_derivative, poly_eval
 from pnewton.harness.datasets import MAX_FEATURES
+
+
+def _read_trace(path):
+    """A trace file's rows as dicts under ``TRACE_HEADER``: ``k`` and ``elapsed_ns`` ints, "" None, the rest floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == TRACE_HEADER.split(",")
+        return [{key: None if val == "" else int(val) if key in ("k", "elapsed_ns") else float(val)
+                 for key, val in row.items()} for row in reader]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +114,7 @@ def test_logistic_label_remap(tmp_path):
 def test_csv_dataset_round_trip(tmp_path):
     A, labels = make_logistic_dataset(4, 9, seed=5)
     path = tmp_path / "round.csv"
-    write_csv_dataset(path, A, labels)
+    _write_csv(path, A, labels)
     A2, labels2 = load_dataset(path, "csv")
     assert np.array_equal(A, A2)
     assert np.array_equal(labels, labels2)
@@ -140,7 +148,7 @@ def test_run_experiment_quadratic(tmp_path):
     assert (tmp_path / "exp" / "summary.json").exists()
     newton = summary["solvers"][0]
     assert newton["name"] == "newton"
-    rows = read_trace_csv(tmp_path / "exp" / "newton.trace.csv")
+    rows = _read_trace(tmp_path / "exp" / "newton.trace.csv")
     assert rows[1]["gap"] <= 1e-15  # quadratic: one full Newton step closes the gap
     assert rows[0]["k"] == 0 and rows[-1]["k"] == len(rows) - 1
 
@@ -211,7 +219,7 @@ def test_certify_round_trip(tmp_path):
 def test_certify_round_trip_from_dataset_file(tmp_path):
     A, labels = make_logistic_dataset(6, 50, seed=13)
     data = tmp_path / "data.csv"
-    write_csv_dataset(data, A, labels)
+    _write_csv(data, A, labels)
     spec = ExperimentSpec(
         problem={"path": str(data), "format": "csv"},
         solvers=[SolverSpec(name="pnm", method="pnm", c=1.0, max_iters=120)],
@@ -241,7 +249,7 @@ def test_one_glm_constants_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(objective_mod, "glm_constants", counting)
     monkeypatch.setattr(experiment_mod, "glm_constants", counting)
     A, labels = make_logistic_dataset(6, 50, seed=13)
-    write_csv_dataset(tmp_path / "data.csv", A, labels)
+    _write_csv(tmp_path / "data.csv", A, labels)
     problems = [{"builtin": "logistic", "n": 6, "m": 50}, {"path": str(tmp_path / "data.csv"), "format": "csv"}]
     for i, problem in enumerate(problems):
         calls.clear()
@@ -475,7 +483,7 @@ def test_trace_csv_schema(tmp_path):
     run_experiment(spec)
     text = (tmp_path / "schema" / "pnm.trace.csv").read_text()
     assert text.splitlines()[0] == TRACE_HEADER
-    rows = read_trace_csv(tmp_path / "schema" / "pnm.trace.csv")
+    rows = _read_trace(tmp_path / "schema" / "pnm.trace.csv")
     ks = [r["k"] for r in rows]
     assert ks == list(range(len(ks)))
     for row in rows:
@@ -635,7 +643,7 @@ def test_cli_solve_defaults_are_the_spec_defaults(tmp_path, capsys, problem):
 def test_cli_solve_dataset(tmp_path):
     A, labels = make_logistic_dataset(5, 40, seed=2)
     data = tmp_path / "data.csv"
-    write_csv_dataset(data, A, labels)
+    _write_csv(data, A, labels)
     code = cli_main(
         ["solve", "--method", "damped_newton", "--dataset", str(data), "--link", "logistic",
          "--alpha", "0.2", "--out", str(tmp_path / "ds")]
@@ -710,7 +718,7 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
     )
     run_experiment(spec)
     meta_path = tmp_path / "c" / "anm.meta.json"
-    rows = read_trace_csv(tmp_path / "c" / "anm.trace.csv")
+    rows = _read_trace(tmp_path / "c" / "anm.trace.csv")
     meta = json.loads(meta_path.read_text())
     meta.update(link=spec.link, alpha=spec.alpha, seed=spec.seed, method="anm", fs=[row["f"] for row in rows],
                 rhos=[None if row["rho"] == float("inf") else row["rho"] for row in rows],
@@ -932,7 +940,7 @@ def test_a_timed_and_an_uncapped_run_replay(tmp_path, capsys, spec):
     timed = "timing" in spec
     assert timed or '"rho_max": Infinity' in path.read_text()
     assert cli_main(["run", str(path)]) == 0
-    rows = [row for name in ("pnm", "anm") for row in read_trace_csv(out / f"{name}.trace.csv")]
+    rows = [row for name in ("pnm", "anm") for row in _read_trace(out / f"{name}.trace.csv")]
     assert any(row["elapsed_ns"] > 0 if timed else row["rho"] == float("inf") for row in rows)
     capsys.readouterr()
     for name in ("pnm", "anm"):
@@ -946,7 +954,7 @@ def test_an_uncapped_schedule_is_scored_at_its_rho_inf_limit(tmp_path, capsys):
     run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 10, "m": 80}, out=str(out), diagnostics=True,
                                   solvers=[SolverSpec(name="pnm", method="pnm", c=1e100, rho_max=float("inf"))]))
     cert = json.loads((out / "pnm.cert.json").read_text())
-    rhos = [row["rho"] for row in read_trace_csv(out / "pnm.trace.csv")]
+    rhos = [row["rho"] for row in _read_trace(out / "pnm.trace.csv")]
     at_inf = [e for e in cert["entries"] if rhos[e["k"]] == float("inf")]
     assert len(at_inf) == 11 and cert["aggregate"]["all_certified"] and cert["aggregate"]["n_vacuous"] == 0
     assert all(e["xi"] == 1.0 and e["eta"] == cert["mu"] / cert["step_L"] for e in at_inf)
@@ -1051,7 +1059,7 @@ def test_provided_fstar_is_used_without_the_oracle_and_replays(tmp_path, capsys,
     for name in ("pnm", "anm"):
         meta = json.loads((out / f"{name}.meta.json").read_text())
         assert meta["f_star"] == v and meta["f_star_provenance"] == {"policy": "provided"}
-        rows = read_trace_csv(out / f"{name}.trace.csv")
+        rows = _read_trace(out / f"{name}.trace.csv")
         assert all(row["gap"] == row["f"] - v for row in rows)
         assert cli_main(["certify", "--trace", str(out / f"{name}.trace.csv")]) == 0
         assert "matches stored certification: True" in capsys.readouterr().out
@@ -1098,6 +1106,11 @@ def test_cli_problem_it_would_misread_exits_before_any_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _write_csv(path, A, labels):
+    lines = [",".join([*(repr(float(v)) for v in col), repr(float(y))]) for col, y in zip(A.T, labels)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _write_libsvm(path, A, labels):
     lines = [" ".join([repr(float(y)), *(f"{i + 1}:{float(v)!r}" for i, v in enumerate(col))])
              for col, y in zip(A.T, labels)]
@@ -1105,7 +1118,7 @@ def _write_libsvm(path, A, labels):
 
 
 #: How a test writes a dataset in each format; a format the parser offers without one here fails the test below.
-_DATASET_WRITERS = {"csv": write_csv_dataset, "libsvm": _write_libsvm}
+_DATASET_WRITERS = {"csv": _write_csv, "libsvm": _write_libsvm}
 
 
 @pytest.mark.parametrize("flag, field, offered_args, unoffered, refusal", [
@@ -1297,7 +1310,7 @@ def test_cli_solve_diverging_is_failure_with_finite_trace(tmp_path, method):
     assert code == 1
     with open(out / "summary.json") as fh:
         assert json.load(fh)["solvers"][0]["termination"] == "diverged"
-    rows = read_trace_csv(out / f"{method}.trace.csv")
+    rows = _read_trace(out / f"{method}.trace.csv")
     assert len(rows) > 2
     for row in rows:
         values = [row[key] for key in ("f", "gap", "grad_norm", "rho", "step_norm_G", "lyapunov")]

@@ -5,13 +5,19 @@ name the code reads (string annotations included) or an entry of the module's
 ``__all__``. An import on a line marked ``# noqa: F401`` is exempt: it keeps a
 binding that a tool outside the package patches. Every private (``_``-prefixed)
 function, class or constant defined at a module's top level must be read in
-that module too, so a helper that a merge leaves behind fails here.
+that module too, so a helper that a merge leaves behind fails here. Every name
+``pnewton.harness`` exports must have a caller outside the tests: a read in
+``src/pnewton``, a mention in the README or the console-script entry.
 """
 
 import ast
+import re
+import tomllib
 from pathlib import Path
 
 import pytest
+
+import pnewton.harness
 
 SRC = Path(__file__).parents[1] / "src" / "pnewton"
 
@@ -69,3 +75,25 @@ def test_every_private_module_name_is_read_in_its_module(path):
     read = _used(tree)
     unread = [f"{name} (line {line})" for name, line in _private_definitions(tree) if name not in read]
     assert not unread, f"{path.name} defines private names it never reads: {', '.join(unread)}"
+
+
+def _read_outside_definition(tree: ast.Module):
+    """The names and attributes ``tree`` reads, each outside the top-level definition of that same name."""
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) else getattr(sub, "attr", None)
+            if name is not None and name != own:
+                yield name
+
+
+def test_every_harness_export_has_a_caller_outside_the_tests():
+    # import and __all__ lines bind or list a name without reading it, so neither counts as a caller
+    called = {name for path in SRC.rglob("*.py")
+              for name in _read_outside_definition(ast.parse(path.read_text(encoding="utf-8")))}
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = {entry.rpartition(":")[2] for entry in tomllib.load(fh)["project"]["scripts"].values()}
+    uncalled = [name for name in pnewton.harness.__all__
+                if name not in called | scripts and not re.search(rf"\b{name}\b", readme)]
+    assert not uncalled, f"pnewton.harness exports names only the tests call: {', '.join(uncalled)}"

@@ -1,9 +1,12 @@
-"""Property tests: solver invariants on random small GLMs, and parser fuzzing.
+"""Property tests: solver invariants on random small GLMs, parser fuzzing and the run contract.
 
 Every property runs derandomized, so a failing draw reproduces on every run.
 """
 
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from pnewton.diagnostics import _whiten
 from pnewton.errors import BadLabel, EmptyDataset, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
+from pnewton.harness.experiment import PRECONDITIONERS
 from pnewton.linalg import as_symmetric, precond_apply, shifted, weighted_norm_sq
 from pnewton.objective import glm_build
 from pnewton.solvers import PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
@@ -222,3 +226,46 @@ def test_libsvm_reader_raises_only_input_errors(tmp_path, data):
         code = cli_main(["solve", "--method", "pnm", "--dataset", str(path), "--format", "libsvm",
                          "--link", "logistic", "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+RUN_SPECS = st.fixed_dictionaries({
+    "problem": st.fixed_dictionaries({"builtin": st.just("logistic"), "n": st.integers(1, 11),
+                                      "m": st.integers(1, 39)}),
+    "alpha": _log_uniform(1e-3, 10.0),
+    "seed": st.integers(0, 2**16),
+    "diagnostics": st.just(True),
+    "solvers": st.lists(st.fixed_dictionaries({
+        "method": st.sampled_from(["pnm", "anm"]),
+        "precond": st.sampled_from(sorted(PRECONDITIONERS)),
+        "rho0": _log_uniform(1e-2, 1e2),
+        "c": st.floats(1.0, 4.0),
+        "max_iters": st.integers(1, 200),  # small alpha needs thousands of steps: keep exit 1 cheap
+    }), min_size=1, max_size=3).map(lambda solvers: [{"name": f"s{i}", **s} for i, s in enumerate(solvers)]),
+})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=RUN_SPECS)
+def test_run_contract_over_builtin_logistic_specs(tmp_path, monkeypatch, capsys, spec):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        written = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PN_THREADS", threads)
+            out = Path(tmp) / threads
+            path = Path(tmp) / f"spec{threads}.json"
+            path.write_text(json.dumps({**spec, "out": str(out)}))
+            code = cli_main(["run", str(path)])
+            summary = json.loads((out / "summary.json").read_text())
+            converged = all(entry["termination"] == "converged" for entry in summary["solvers"])
+            assert code == (0 if converged else 1), summary
+            written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert written["1"] == written["2"]
+        capsys.readouterr()
+        for solver in spec["solvers"]:
+            assert cli_main(["certify", "--trace", str(out / f"{solver['name']}.trace.csv")]) == 0
+            assert capsys.readouterr().out.endswith("matches stored certification: True\n"), solver
