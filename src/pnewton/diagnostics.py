@@ -356,9 +356,9 @@ class ContractionReport:
         return min((e.xi for e in self.entries), default=np.nan)
 
     @property
-    def beta_min(self) -> float:
-        betas = [e.beta for e in self.entries if e.beta is not None]
-        return min(betas) if betas else np.nan
+    def beta_min(self) -> float | None:
+        """The smallest ``beta``; None when no entry has one, as in every augmented report."""
+        return min((e.beta for e in self.entries if e.beta is not None), default=None)
 
     def to_dict(self) -> dict:
         def _f(v):

@@ -89,7 +89,7 @@ class ExperimentSpec:
 
     ``problem`` is either ``{"path": ..., "format": ...}`` (a non-empty path, a
     format of ``READERS``) for a dataset on disk or ``{"builtin": ..., "n": ...,
-    "m": ...}`` (one of ``BUILTINS``, integer sizes) for a seeded synthetic
+    "m": ...}`` (one of ``BUILTINS``, integer sizes >= 1) for a seeded synthetic
     instance; it is checked on construction (a key outside its description is
     an error) and stored as the description every meta file and the summary
     record. ``fstar`` is
@@ -153,8 +153,8 @@ class ExperimentSpec:
 
 def _size(problem: dict, key: str, default: int) -> int:
     value = problem.get(key, default)
-    if not is_integer(value):
-        raise ValueError(f"a builtin problem's {key} must be an integer, got {value!r}")
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"a builtin problem's {key} must be an integer >= 1, got {value!r}")
     return int(value)
 
 
@@ -205,14 +205,14 @@ def _resolve_fstar(spec: ExperimentSpec, model):
         return replace(model, f_star=float(spec.fstar["value"])), {"policy": "provided"}
     if model.f_star is not None:
         return model, {"policy": "known"}
-    result = solvers.fstar_oracle(model)
+    trace = solvers.fstar_oracle(model)
     info = {
         "policy": "oracle",
-        "terminal_grad_norm": result.grad_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
+        "terminal_grad_norm": trace.final.grad_norm,
+        "iterations": trace.steps_taken,
+        "converged": trace.termination == "converged",
     }
-    return replace(model, f_star=result.f_star), info
+    return replace(model, f_star=trace.final.f), info
 
 
 def _read_json(path):

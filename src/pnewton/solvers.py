@@ -51,7 +51,6 @@ __all__ = [
     "anm_step_momentum",
     "root_penalty_newton",
     "root_augmented_newton",
-    "FStarResult",
     "fstar_oracle",
     "run",
     "METHODS",
@@ -291,7 +290,7 @@ def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace) -> tuple[np.
     tolerates ties within a few ulps of ``f`` so that, once the required
     decrease falls below float resolution, the iteration can still take the
     Newton step and reach the numerical optimum instead of stalling. Raises
-    :class:`LineSearchStall` (partial trace attached) if ``t`` falls below 1e-16.
+    :class:`LineSearchStall` (partial trace attached, ``stalled``) if ``t`` falls below 1e-16.
     """
     d = _range_checked_newton_direction(H, g, 1.0)
     decrement_sq = float(g @ d)
@@ -305,6 +304,7 @@ def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace) -> tuple[np.
                 f"backtracking step underflowed at ||grad|| = {trace.records[-1].grad_norm:.3e}"
             )
             exc.trace = trace
+            trace.termination = "stalled"
             raise exc
         x_next = x - t * d
     return x_next, f_next
@@ -357,7 +357,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     the G-weighted step norm) is at most ``grad_tol``; ``diverged`` when a
     step produces a point whose value, gradient or step norm is not finite
     (that point is not recorded; the overflow behind it raises no NumPy
-    warning); ``max_iters`` otherwise.
+    warning); ``stalled`` on the trace a :class:`LineSearchStall` carries;
+    ``max_iters`` otherwise.
     """
     t0 = time.perf_counter_ns()
     method = config.method
@@ -480,35 +481,16 @@ def root_augmented_newton(
     return _scalar_root(f, fprime, float(x0), float(x1), rho, tol, max_iters, momentum=True)
 
 
-@dataclass(frozen=True)
-class FStarResult:
-    """Reference optimum produced by the damped-Newton oracle."""
+def fstar_oracle(model: ObjectiveModel) -> IterateTrace:
+    """The trace of damped Newton from zeros to ``||grad f|| <= FSTAR_GRAD_TOL``; f* is ``trace.final.f``.
 
-    x_star: np.ndarray
-    f_star: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-
-
-def fstar_oracle(model: ObjectiveModel) -> FStarResult:
-    """Resolve f* by damped Newton driven to ``||grad f|| <= FSTAR_GRAD_TOL``.
-
-    The terminal gradient norm is reported so downstream optimality gaps
-    carry their provenance. A line-search stall near the floating-point
-    floor returns the best point reached instead of failing.
+    Its ``final.grad_norm``, ``steps_taken`` and ``termination`` are the
+    provenance that downstream optimality gaps carry. A line-search stall
+    near the floating-point floor returns the partial trace, ``stalled`` and
+    ending at the best point reached, instead of failing.
     """
     config = SolverConfig(method="damped_newton", grad_tol=FSTAR_GRAD_TOL, max_iters=FSTAR_MAX_ITERS)
-    x0 = np.zeros(model.dim)
     try:
-        trace = run(model, x0, config)
+        return run(model, np.zeros(model.dim), config)
     except LineSearchStall as exc:
-        trace = exc.trace
-    last = trace.final
-    return FStarResult(
-        x_star=last.x,
-        f_star=last.f,
-        grad_norm=last.grad_norm,
-        iterations=trace.steps_taken,
-        converged=last.grad_norm <= FSTAR_GRAD_TOL,
-    )
+        return exc.trace

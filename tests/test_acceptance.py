@@ -224,7 +224,7 @@ def test_criterion_07_relative_bound_sampling():
     for seed in range(700, 705):
         problem, model = rand_glm(seed, n=6, m=50)
         rc = glm_constants(problem)
-        x_star = fstar_oracle(model).x_star
+        x_star = fstar_oracle(model).final.x
         x0 = 1.5 * np.ones(6)
         rng = np.random.default_rng(seed)
         pairs = []
@@ -250,8 +250,7 @@ def _fixed_rho_problems():
     rhos = (0.5, 1.0, 2.0, 10.0, 100.0)
     for i, seed in enumerate(range(800, 805)):
         problem, model = rand_glm(seed, n=10 + 2 * i, m=80 + 20 * i, alpha=0.2)
-        res = fstar_oracle(model)
-        model = dataclasses.replace(model, f_star=res.f_star)
+        model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
         yield model, rhos[i]
 
 

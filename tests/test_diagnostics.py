@@ -419,8 +419,7 @@ def test_certify_penalty_missing_optimum():
 
 def test_certify_penalty_glm_run():
     _, model = rand_glm(73, n=6, m=50)
-    res = fstar_oracle(model)
-    model = dataclasses.replace(model, f_star=res.f_star)
+    model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
     L, mu = model.constants
     cfg = SolverConfig(
         method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
@@ -458,8 +457,7 @@ def test_certify_augmented_at_optimum():
 
 def test_certify_augmented_glm_run():
     _, model = rand_glm(74, n=6, m=50)
-    res = fstar_oracle(model)
-    model = dataclasses.replace(model, f_star=res.f_star)
+    model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
     L, mu = model.constants
     cfg = SolverConfig(
         method="anm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
@@ -481,8 +479,7 @@ def _recording(calls, fn):
 def _certify_glm_run(method, precond, patch):
     """Run ``method`` on a PD GLM, call ``patch()``, then certify the trace."""
     _, model = rand_glm(78, n=6, m=40)  # ridge term: every Hessian is PD
-    res = fstar_oracle(model)
-    model = dataclasses.replace(model, f_star=res.f_star)
+    model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
     L, mu = model.constants
     cfg = SolverConfig(method=method, precond=precond, step_L=L, grad_tol=1e-10, max_iters=50)
     trace = run(model, np.zeros(6), cfg)

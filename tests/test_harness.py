@@ -943,7 +943,12 @@ def test_a_timed_and_an_uncapped_run_replay(tmp_path, capsys, spec):
     rows = [row for name in ("pnm", "anm") for row in _read_trace(out / f"{name}.trace.csv")]
     assert any(row["elapsed_ns"] > 0 if timed else row["rho"] == float("inf") for row in rows)
     capsys.readouterr()
-    for name in ("pnm", "anm"):
+    entries = json.loads((out / "summary.json").read_text())["solvers"]
+    for name, entry in zip(("pnm", "anm"), entries):
+        # augmented entries carry no beta, so only a penalty aggregate has a smallest one
+        beta_min = json.loads((out / f"{name}.cert.json").read_text())["aggregate"]["beta_min"]
+        assert entry["certification"]["beta_min"] == beta_min
+        assert beta_min is None if name == "anm" else beta_min > 0.0
         assert cli_main(["certify", "--trace", str(out / f"{name}.trace.csv")]) == 0
         assert capsys.readouterr().out.endswith("matches stored certification: True\n")
 
@@ -1033,7 +1038,7 @@ def test_cli_empty_builtin_shape_is_input_error(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli_main(["run", str(path)]) == 2
-    assert capsys.readouterr().err == "error: need n >= 1 and m >= 1, got shape (0, 10)\n"
+    assert capsys.readouterr().err == "error: a builtin problem's n must be an integer >= 1, got 0\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -1172,10 +1177,13 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
      f"{_FSTAR_FORMS}, got {{'policy': 'provided', 'value': '0.5'}}"),
     ({"fstar": {"policy": "provided", "value": float("nan")}},
      f"{_FSTAR_FORMS}, got {{'policy': 'provided', 'value': nan}}"),
-    ({"problem": {"builtin": "logistic", "n": 2.5}}, "a builtin problem's n must be an integer, got 2.5"),
-    ({"problem": {"builtin": "logistic", "n": "7"}}, "a builtin problem's n must be an integer, got '7'"),
-    ({"problem": {"builtin": "quadratic", "n": True}}, "a builtin problem's n must be an integer, got True"),
-    ({"problem": {"builtin": "logistic", "m": True}}, "a builtin problem's m must be an integer, got True"),
+    ({"problem": {"builtin": "logistic", "n": 2.5}}, "a builtin problem's n must be an integer >= 1, got 2.5"),
+    ({"problem": {"builtin": "logistic", "n": "7"}}, "a builtin problem's n must be an integer >= 1, got '7'"),
+    ({"problem": {"builtin": "quadratic", "n": True}}, "a builtin problem's n must be an integer >= 1, got True"),
+    ({"problem": {"builtin": "logistic", "m": True}}, "a builtin problem's m must be an integer >= 1, got True"),
+    ({"problem": {"builtin": "quadratic", "n": 0}}, "a builtin problem's n must be an integer >= 1, got 0"),
+    ({"problem": {"builtin": "logistic", "n": -3}}, "a builtin problem's n must be an integer >= 1, got -3"),
+    ({"problem": {"builtin": "logistic", "m": 0}}, "a builtin problem's m must be an integer >= 1, got 0"),
     ({"solvers": [{"name": 5, "method": "pnm"}]}, "solver name 5 is not a plain file name"),
     ({"solvers": [{"name": "pnm", "method": "pnm", "max_iters": True}]},
      "max_iters must be an integer >= 1, got True"),
@@ -1213,7 +1221,8 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     ({"solvers": [{"name": "a", "rho_max": "1"}]}, "rho_max must be >= rho0, got '1'"),
     ({"solvers": [{"name": "a", "rho_max": True}]}, "rho_max must be >= rho0, got True"),
 ], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
-        "quadratic-n-bool", "m-bool", "name-int", "max-iters-bool", "logistic-unknown-key",
+        "quadratic-n-bool", "m-bool", "quadratic-n-zero", "n-negative", "m-zero", "name-int", "max-iters-bool",
+        "logistic-unknown-key",
         "quadratic-unknown-key", "dataset-unknown-key", "fstar-oracle-value", "problem-seed", "problem-alpha",
         "problem-link", "diagnostics-string", "timing-int", "alpha-string", "alpha-bool", "seed-float",
         "seed-negative", "solvers-string", "solvers-list-of-strings", "solvers-object", "out-int", "out-empty",

@@ -205,7 +205,7 @@ def _level_set_pairs(problem, model, n_pairs, seed):
     rc = glm_constants(problem)
     n = problem.n
     x0 = 1.5 * np.ones(n)
-    x_star = fstar_oracle(model).x_star
+    x_star = fstar_oracle(model).final.x
     rng = np.random.default_rng(seed)
     G = np.eye(n)
     pairs = []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_glm
@@ -21,7 +21,7 @@ from pnewton.harness.cli import parse_polynomial
 from pnewton.harness.experiment import PRECONDITIONERS
 from pnewton.linalg import as_symmetric, precond_apply, shifted, weighted_norm_sq
 from pnewton.objective import glm_build
-from pnewton.solvers import PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
+from pnewton.solvers import METHODS, PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
 
 GLMS = st.fixed_dictionaries({
     "seed": st.integers(0, 2**16),
@@ -40,8 +40,7 @@ GLM_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 
 def _model_with_fstar(glm):
     _, model = rand_glm(**glm)
-    res = fstar_oracle(model)
-    return dataclasses.replace(model, f_star=res.f_star)
+    return dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
 
 
 def _config(method, precond, model, max_iters=200, **kwargs):
@@ -269,3 +268,68 @@ def test_run_contract_over_builtin_logistic_specs(tmp_path, monkeypatch, capsys,
         for solver in spec["solvers"]:
             assert cli_main(["certify", "--trace", str(out / f"{solver['name']}.trace.csv")]) == 0
             assert capsys.readouterr().out.endswith("matches stored certification: True\n"), solver
+
+
+ACCEPTED_SPECS = st.fixed_dictionaries({
+    "problem": st.one_of(
+        st.fixed_dictionaries({"builtin": st.just("quadratic"), "n": st.integers(1, 9)}),
+        st.fixed_dictionaries({"builtin": st.just("logistic"), "n": st.integers(1, 11), "m": st.integers(1, 39)}),
+    ),
+    "alpha": _log_uniform(1e-3, 10.0),
+    "seed": st.integers(0, 2**16),
+    "diagnostics": st.booleans(),
+    "timing": st.booleans(),
+    "fstar": st.just({"policy": "oracle"}),
+    "solvers": st.lists(st.fixed_dictionaries({
+        "method": st.sampled_from(METHODS),
+        "precond": st.sampled_from(sorted(PRECONDITIONERS)),
+        "rho0": _log_uniform(1e-2, 1e2),
+        "c": st.floats(1.0, 4.0),
+        "tol": _log_uniform(1e-12, 1e-4),
+        "max_iters": st.integers(1, 200),
+    }), min_size=1, max_size=3).map(lambda solvers: [{"name": f"s{i}", **s} for i, s in enumerate(solvers)]),
+})
+
+#: (field, a value the spec reader refuses, the words of the error line that name the field);
+#: ``n`` and ``m`` sit in the problem, a solver's fields in one of the solvers, the rest at the top
+REFUSALS = [
+    ("n", 0, "problem's n "), ("n", -3, "problem's n "), ("n", 2.5, "problem's n "), ("m", 0, "problem's m "),
+    ("alpha", "0.1", "alpha "), ("seed", -1, "seed "), ("out", "", "out "), ("diagnostics", "no", "diagnostics "),
+    ("timing", 1, "timing "), ("fstar", {"policy": "oracle", "value": 3}, "fstar "),
+    ("name", "a/b", "solver name "), ("method", "bfgs", "method "), ("precond", "hessian_diagonal", "preconditioner "),
+    ("rho0", 0.0, "rho0 "), ("c", 0.5, "growth factor c "), ("rho_max", 1e-3, "rho_max "),
+    ("step_L", float("inf"), "step constant L "), ("tol", -1.0, "tol "), ("max_iters", 0, "max_iters "),
+]
+
+#: an accepted quadratic spec, tried with every refusal: its n = 0 must be refused like the logistic's
+QUADRATIC = {"problem": {"builtin": "quadratic", "n": 8}, "alpha": 0.1, "seed": 0, "diagnostics": False,
+             "timing": False, "fstar": {"policy": "oracle"},
+             "solvers": [{"name": "s0", "method": "pnm", "precond": "identity", "rho0": 1.0, "c": 2.0, "tol": 1e-8,
+                          "max_iters": 100}]}
+
+
+@pytest.mark.parametrize("field, value, words", REFUSALS, ids=[f"{f}={v!r}" for f, v, _ in REFUSALS])
+@settings(max_examples=4, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=ACCEPTED_SPECS, which=st.integers(0, 2))
+@example(spec=QUADRATIC, which=0)
+def test_a_refused_field_exits_2_naming_it_before_any_output(tmp_path, monkeypatch, capsys, field, value, words,
+                                                            spec, which):
+    assume(field != "m" or "m" in spec["problem"])
+    monkeypatch.setattr("pnewton.solvers.fstar_oracle", lambda model: pytest.fail("the f* oracle ran"))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        out = Path(tmp) / "out"
+        spec = json.loads(json.dumps({**spec, "out": str(out)}))  # a deep copy: QUADRATIC is shared by every case
+        if field in ("n", "m"):
+            spec["problem"][field] = value
+        elif field in spec:
+            spec[field] = value
+        else:
+            spec["solvers"][which % len(spec["solvers"])][field] = value
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli_main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert words in captured.err, captured.err
+        assert not out.exists() and not any(p.is_dir() for p in Path(tmp).iterdir())

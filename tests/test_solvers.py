@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pnewton.errors import (
     RangeViolation,
 )
 from pnewton.harness import make_logistic_dataset
+from pnewton.harness.experiment import _resolve_fstar
 from pnewton.linalg import spd_solve, weighted_norm_sq
 from pnewton.objective import GlmProblem, ObjectiveModel, glm_build, quadratic_model
 from pnewton.solvers import (
@@ -34,8 +36,7 @@ SCALAR = quadratic_model(np.eye(1))
 
 
 def with_fstar(model):
-    res = fstar_oracle(model)
-    return dataclasses.replace(model, f_star=res.f_star)
+    return dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +378,21 @@ RUN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("method,precond", RUN_CASES)
+@pytest.mark.parametrize("method,precond", [*RUN_CASES, ("fstar_oracle", "identity")])
 def test_run_one_hessian_per_step_one_gradient_per_record(method, precond):
     _, base = rand_glm(70, n=6, m=50)
     model, calls = _counted(base)
-    cfg = SolverConfig(
-        method=method, precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
-    )
-    trace = run(model, np.zeros(6), cfg)
+    if method == "fstar_oracle":  # damped Newton run by the oracle, from zeros to its own tolerance
+        trace = fstar_oracle(model)
+    else:
+        cfg = SolverConfig(
+            method=method, precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+        )
+        trace = run(model, np.zeros(6), cfg)
     assert trace.termination == "converged" and trace.steps_taken >= 1
     assert calls["hessian"] == trace.steps_taken
     assert calls["gradient"] == len(trace.records)
-    if method != "damped_newton":
+    if trace.method != "damped_newton":
         assert calls["value"] == len(trace.records)
 
 
@@ -683,10 +687,13 @@ def test_trace_invariants():
 
 def test_fstar_oracle_provenance():
     _, model = rand_glm(61, n=6, m=40)
-    res = fstar_oracle(model)
-    assert res.converged
-    assert res.grad_norm <= 1e-13
-    assert res.f_star <= model.value(np.zeros(6))
+    trace = fstar_oracle(model)
+    assert trace.method == "damped_newton" and trace.termination == "converged"
+    assert trace.final.grad_norm <= 1e-13 and trace.f_star is None
+    assert trace.final.f <= model.value(np.zeros(6))
+    _, info = _resolve_fstar(types.SimpleNamespace(fstar={"policy": "oracle"}), model)
+    assert info == {"policy": "oracle", "terminal_grad_norm": trace.final.grad_norm,
+                    "iterations": trace.steps_taken, "converged": True}
 
 
 def test_fstar_oracle_returns_the_start_when_its_line_search_stalls():
@@ -697,6 +704,9 @@ def test_fstar_oracle_returns_the_start_when_its_line_search_stalls():
         gradient=lambda x: np.ones(1),
         hessian=lambda x: np.ones((1, 1)),
     )
-    res = fstar_oracle(model)
-    assert res.iterations == 0 and res.converged is False
-    assert res.f_star == 1.0 and np.array_equal(res.x_star, [0.0])
+    trace = fstar_oracle(model)
+    assert trace.steps_taken == 0 and trace.termination == "stalled"
+    assert trace.final.f == 1.0 and np.array_equal(trace.final.x, [0.0])
+    resolved, info = _resolve_fstar(types.SimpleNamespace(fstar={"policy": "oracle"}), model)
+    assert resolved.f_star == 1.0
+    assert info == {"policy": "oracle", "terminal_grad_norm": 1.0, "iterations": 0, "converged": False}
