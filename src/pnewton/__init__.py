@@ -14,7 +14,6 @@ from .errors import (
     ConvergenceFailure,
     DenominatorVanished,
     EmptyDataset,
-    LineSearchStall,
     MaxIterationsExceeded,
     MissingOptimum,
     NotPSD,
@@ -57,7 +56,6 @@ __all__ = [
     "NotPSD",
     "ConvergenceFailure",
     "RangeViolation",
-    "LineSearchStall",
     "DenominatorVanished",
     "MaxIterationsExceeded",
     "MissingOptimum",

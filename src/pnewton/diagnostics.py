@@ -361,11 +361,8 @@ class ContractionReport:
         return min((e.beta for e in self.entries if e.beta is not None), default=None)
 
     def to_dict(self) -> dict:
-        def _f(v):
-            if v is None:
-                return None
-            v = float(v)
-            return v if np.isfinite(v) else repr(v)
+        def _f(v):  # an undefined value (None, NaN or an infinity) is null
+            return float(v) if v is not None and np.isfinite(v) else None
 
         return {
             "kind": self.kind,

@@ -27,10 +27,6 @@ class RangeViolation(PnewtonError):
     """A gradient fell outside the range of the Hessian (range assumption broken)."""
 
 
-class LineSearchStall(PnewtonError):
-    """Backtracking shrank the step below the representable floor without acceptance."""
-
-
 class DenominatorVanished(PnewtonError):
     """Scalar root-finding denominator 1 + rho*f'(x) came too close to zero."""
 

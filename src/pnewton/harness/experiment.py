@@ -30,7 +30,7 @@ from .. import diagnostics, solvers
 from ..errors import ReplayMismatch
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import ObjectiveModel, glm_build, glm_constants, quadratic_model  # noqa: F401
-from ..solvers import is_integer, is_number, positive_number
+from ..solvers import is_integer, is_number, positive_integer, positive_number
 from .datasets import DEFAULT_FORMAT, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [
@@ -152,10 +152,7 @@ class ExperimentSpec:
 
 
 def _size(problem: dict, key: str, default: int) -> int:
-    value = problem.get(key, default)
-    if not (is_integer(value) and value >= 1):
-        raise ValueError(f"a builtin problem's {key} must be an integer >= 1, got {value!r}")
-    return int(value)
+    return positive_integer(f"a builtin problem's {key}", problem.get(key, default))
 
 
 def _problem_desc(spec: ExperimentSpec) -> dict:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DenominatorVanished,
-    LineSearchStall,
     MaxIterationsExceeded,
     NotPositiveDefinite,
     RangeViolation,
@@ -82,6 +81,13 @@ def positive_number(name: str, value):
     if not (is_number(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
+
+
+def positive_integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer >= 1; otherwise a ``ValueError`` that calls it ``name``."""
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -164,8 +170,7 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         positive_number("step constant L", self.step_L)
-        if not (is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        positive_integer("max_iters", self.max_iters)
         positive_number("grad_tol", self.grad_tol)
 
 
@@ -282,30 +287,24 @@ def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float
     return 0.0 if -1e-9 < v < 0.0 else v
 
 
-def _backtrack(model: ObjectiveModel, x, g, H, trace: IterateTrace) -> tuple[np.ndarray, float]:
+def _backtrack(model: ObjectiveModel, x, g, H, f_curr: float) -> tuple[np.ndarray | None, float | None]:
     """Damped Newton point ``x - t d`` and its value, with ``t`` from backtracking on the decrement.
 
     The step starts at ``t = 1`` and shrinks by ``BT_BETA`` while
-    ``f(x - t d) > f(x) - BT_ALPHA * t * decrement^2``. The comparison
-    tolerates ties within a few ulps of ``f`` so that, once the required
-    decrease falls below float resolution, the iteration can still take the
-    Newton step and reach the numerical optimum instead of stalling. Raises
-    :class:`LineSearchStall` (partial trace attached, ``stalled``) if ``t`` falls below 1e-16.
+    ``f(x - t d) > f_curr - BT_ALPHA * t * decrement^2`` (``f_curr = f(x)``).
+    The comparison tolerates ties within a few ulps of ``f`` so that, once the
+    required decrease falls below float resolution, the iteration can still
+    take the Newton step and reach the numerical optimum instead of stalling.
+    Returns ``(None, None)``, a stall, if ``t`` falls below 1e-16.
     """
     d = _range_checked_newton_direction(H, g, 1.0)
     decrement_sq = float(g @ d)
-    f_curr = trace.records[-1].f
     tie_slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f_curr))
     t, x_next = 1.0, x - d
     while (f_next := model.value(x_next)) > f_curr - BT_ALPHA * t * decrement_sq + tie_slack:
         t *= BT_BETA
         if t < 1e-16:
-            exc = LineSearchStall(
-                f"backtracking step underflowed at ||grad|| = {trace.records[-1].grad_norm:.3e}"
-            )
-            exc.trace = trace
-            trace.termination = "stalled"
-            raise exc
+            return None, None
         x_next = x - t * d
     return x_next, f_next
 
@@ -348,8 +347,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     and that step evaluates the Hessian once. Only the update rule differs,
     and this loop is the one place each is applied (:func:`newton_step`,
     :func:`pnm_step` and :func:`anm_step_momentum` are one step of it);
-    damped Newton backtracks on the Newton decrement and raises
-    :class:`LineSearchStall` with the partial trace attached. ANM starts from
+    damped Newton backtracks on the Newton decrement. ANM starts from
     ``x0`` and ``x1`` (default ``x1 = x0``, recorded as iterate 1); the penalty
     methods advance ``rho`` by ``config.schedule`` after every step.
 
@@ -357,8 +355,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     the G-weighted step norm) is at most ``grad_tol``; ``diverged`` when a
     step produces a point whose value, gradient or step norm is not finite
     (that point is not recorded; the overflow behind it raises no NumPy
-    warning); ``stalled`` on the trace a :class:`LineSearchStall` carries;
-    ``max_iters`` otherwise.
+    warning); ``stalled`` when damped Newton's backtracking accepts no step
+    (the trace ends at the iterate it left); ``max_iters`` otherwise.
     """
     t0 = time.perf_counter_ns()
     method = config.method
@@ -391,7 +389,10 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
         if method == "newton":
             x_next = x - _range_checked_newton_direction(H, g, step_L)
         elif method == "damped_newton":
-            x_next, f_next = _backtrack(model, x, g, H, trace)
+            x_next, f_next = _backtrack(model, x, g, H, trace.records[-1].f)
+            if x_next is None:
+                trace.termination = "stalled"
+                return trace
         elif method == "pnm":
             x_next = x - spd_solve(shifted(H, G, rho), g) / step_L
         else:
@@ -419,8 +420,7 @@ def _scalar_root(
 ) -> tuple[float, list[float]]:
     positive_number("rho", rho)
     positive_number("tol", tol)
-    if not (is_integer(max_iters) and max_iters >= 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    positive_integer("max_iters", max_iters)
     for name, value in (("x0", x_prev), ("x1", x)):
         if not is_number(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -486,11 +486,8 @@ def fstar_oracle(model: ObjectiveModel) -> IterateTrace:
 
     Its ``final.grad_norm``, ``steps_taken`` and ``termination`` are the
     provenance that downstream optimality gaps carry. A line-search stall
-    near the floating-point floor returns the partial trace, ``stalled`` and
-    ending at the best point reached, instead of failing.
+    near the floating-point floor ends the run like any other stopping rule:
+    the trace reads ``stalled`` and ends at the best point reached.
     """
     config = SolverConfig(method="damped_newton", grad_tol=FSTAR_GRAD_TOL, max_iters=FSTAR_MAX_ITERS)
-    try:
-        return run(model, np.zeros(model.dim), config)
-    except LineSearchStall as exc:
-        return exc.trace
+    return run(model, np.zeros(model.dim), config)

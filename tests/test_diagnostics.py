@@ -551,6 +551,20 @@ def test_report_serialization_round_trip():
     assert loaded["aggregate"]["all_certified"] is True
 
 
+def test_undefined_report_values_serialize_as_null():
+    import json
+
+    # converged at its start: no entries, so xi_min is NaN and worst_slack inf before serialization
+    model = quadratic_model(np.eye(2))
+    trace = run(model, np.zeros(2), SolverConfig(method="pnm"))
+    report = certify_penalty_contraction(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
+    assert report.entries == [] and np.isnan(report.xi_min) and report.worst_slack == np.inf
+    blob = json.dumps(report.to_dict(), allow_nan=False)
+    assert '"nan"' not in blob and '"inf"' not in blob
+    aggregate = json.loads(blob)["aggregate"]
+    assert aggregate["xi_min"] is None and aggregate["worst_slack"] is None and aggregate["beta_min"] is None
+
+
 # ---------------------------------------------------------------------------
 # Momentum matrix
 # ---------------------------------------------------------------------------

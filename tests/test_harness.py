@@ -1309,6 +1309,31 @@ def test_cli_solve_unconverged_is_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "solver failure: not converged: pnm\n"
 
 
+def test_stalled_solver_keeps_its_trace_and_meta_and_exits_1(tmp_path, capsys, monkeypatch):
+    import pnewton.harness.experiment as experiment_mod
+    from pnewton.objective import ObjectiveModel
+
+    # value jumps up everywhere away from the start 0, so damped Newton's line search accepts no step
+    jump = ObjectiveModel(dim=1, value=lambda x: 0.0 if x[0] == 0.0 else 1.0, gradient=lambda x: np.array([-1.0]),
+                          hessian=lambda x: np.eye(1), constants=(1.0, 1.0))
+    monkeypatch.setattr(experiment_mod, "_build_model", lambda problem: jump)
+    _no_fstar_oracle(monkeypatch)
+    spec = {"problem": {"builtin": "logistic", "n": 1, "m": 1}, "fstar": {"policy": "provided", "value": 0.0},
+            "solvers": [{"name": "dn", "method": "damped_newton"}]}
+    out = tmp_path / "lib"
+    summary = run_experiment(ExperimentSpec.from_dict({**spec, "out": str(out)}))
+    assert summary["failed"] == []
+    assert [(e["name"], e["termination"], e["iterations"]) for e in summary["solvers"]] == [("dn", "stalled", 0)]
+    meta = json.loads((out / "dn.meta.json").read_text())
+    assert meta["termination"] == "stalled" and meta["steps_taken"] == 0 and meta["x_final"] == [0.0]
+    assert [row["k"] for row in _read_trace(out / "dn.trace.csv")] == [0]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "out": str(tmp_path / "cli")}))
+    assert cli_main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "solver failure: not converged: dn\n"
+    assert (tmp_path / "cli" / "dn.trace.csv").read_bytes() == (out / "dn.trace.csv").read_bytes()
+
+
 @pytest.mark.parametrize("method", ["pnm", "anm"])
 def test_cli_solve_diverging_is_failure_with_finite_trace(tmp_path, method):
     out = tmp_path / "div"

@@ -7,7 +7,9 @@ binding that a tool outside the package patches. Every private (``_``-prefixed)
 function, class or constant defined at a module's top level must be read in
 that module too, so a helper that a merge leaves behind fails here. Every name
 ``pnewton.harness`` exports must have a caller outside the tests: a read in
-``src/pnewton``, a mention in the README or the console-script entry.
+``src/pnewton``, a mention in the README or the console-script entry. Every
+error class but the base ``PnewtonError`` must be constructed somewhere in the
+package outside ``errors.py``, so an error that nothing raises any more goes.
 """
 
 import ast
@@ -97,3 +99,14 @@ def test_every_harness_export_has_a_caller_outside_the_tests():
     uncalled = [name for name in pnewton.harness.__all__
                 if name not in called | scripts and not re.search(rf"\b{name}\b", readme)]
     assert not uncalled, f"pnewton.harness exports names only the tests call: {', '.join(uncalled)}"
+
+
+def test_every_error_class_is_constructed_outside_errors_py():
+    errors = SRC / "errors.py"
+    defined = [node.name for node in ast.parse(errors.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef) and node.name != "PnewtonError"]
+    constructed = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                   for path in SRC.rglob("*.py") if path != errors
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)}
+    unused = [name for name in defined if name not in constructed]
+    assert unused == [], f"errors.py defines classes the package never constructs: {', '.join(unused)}"

@@ -18,7 +18,7 @@ from pnewton.diagnostics import _whiten
 from pnewton.errors import BadLabel, EmptyDataset, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
-from pnewton.harness.experiment import PRECONDITIONERS
+from pnewton.harness.experiment import PRECONDITIONERS, ExperimentSpec, _build_model
 from pnewton.linalg import as_symmetric, precond_apply, shifted, weighted_norm_sq
 from pnewton.objective import glm_build
 from pnewton.solvers import METHODS, PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
@@ -242,6 +242,7 @@ RUN_SPECS = st.fixed_dictionaries({
         "precond": st.sampled_from(sorted(PRECONDITIONERS)),
         "rho0": _log_uniform(1e-2, 1e2),
         "c": st.floats(1.0, 4.0),
+        "rho_max": st.sampled_from([PenaltySchedule.rho_max, float("inf")]),  # inf: an uncapped penalty
         "max_iters": st.integers(1, 200),  # small alpha needs thousands of steps: keep exit 1 cheap
     }), min_size=1, max_size=3).map(lambda solvers: [{"name": f"s{i}", **s} for i, s in enumerate(solvers)]),
 })
@@ -249,8 +250,11 @@ RUN_SPECS = st.fixed_dictionaries({
 
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(spec=RUN_SPECS)
-def test_run_contract_over_builtin_logistic_specs(tmp_path, monkeypatch, capsys, spec):
+@given(spec=RUN_SPECS, provided=st.booleans())
+def test_run_contract_over_builtin_logistic_specs(tmp_path, monkeypatch, capsys, spec, provided):
+    if provided:  # the oracle's own value, so the run converges as with the oracle
+        model = _build_model(ExperimentSpec.from_dict(spec).problem)
+        spec = {**spec, "fstar": {"policy": "provided", "value": fstar_oracle(model).final.f}}
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         written = {}
         for threads in ("1", "2"):

@@ -7,7 +7,6 @@ import pytest
 from conftest import rand_glm
 from pnewton.errors import (
     DenominatorVanished,
-    LineSearchStall,
     MaxIterationsExceeded,
     NotPositiveDefinite,
     RangeViolation,
@@ -104,9 +103,9 @@ def test_damped_newton_stall_on_jump_model():
         gradient=lambda x: np.array([-1.0]),
         hessian=lambda x: np.eye(1),
     )
-    with pytest.raises(LineSearchStall) as err:
-        run(model, np.zeros(1), SolverConfig(method="damped_newton"))
-    assert err.value.trace.records  # partial trace is attached
+    trace = run(model, np.zeros(1), SolverConfig(method="damped_newton"))
+    assert trace.termination == "stalled" and trace.steps_taken == 0
+    assert len(trace.records) == 1 and np.array_equal(trace.final.x, [0.0])  # the partial trace ends where it stalled
 
 
 # ---------------------------------------------------------------------------
