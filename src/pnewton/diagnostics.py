@@ -149,8 +149,10 @@ def _beta(lam: np.ndarray, rho: float) -> float:
 
 
 def shifted_inverse(H, G, rho: float) -> np.ndarray:
-    """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD."""
+    """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD; ``H^{-1}`` at ``rho = inf``."""
     C, lam, U = _whitened_spectrum(H, G)
+    if rho == np.inf and not nonzero_mask(lam).all():  # a singular H has no inverse
+        raise NotPositiveDefinite("(G/rho + H)^{-1} does not exist at rho = inf: H is singular")
     B = scipy.linalg.solve_triangular(C, U, lower=True, trans="T", check_finite=False)
     return spectral_matrix(B, 1.0 / (1.0 / rho + lam))
 
@@ -158,11 +160,12 @@ def shifted_inverse(H, G, rho: float) -> np.ndarray:
 def filtered_curvature(H, G, rho: float) -> np.ndarray:
     """The matrix ``H^{1/2} (I/rho + H^{1/2} G^{-1} H^{1/2})^{-1} H^{1/2}``, PSD.
 
-    Built as ``C U diag(lam/(1/rho + lam)) U^T C^T``; complementary to the
-    shifted inverse: ``G K G = rho G - rho F``.
+    Built as ``C U diag(lam/(1/rho + lam)) U^T C^T``; at ``rho = inf`` the filter's
+    limit is 1 on the eigenvalues that ``nonzero_mask`` counts as nonzero and 0
+    elsewhere. Complementary to the shifted inverse: ``G K G = rho G - rho F``.
     """
     C, lam, U = _whitened_spectrum(H, G)
-    return spectral_matrix(C @ U, 1.0 * (lam > 0.0) if rho == np.inf else lam / (1.0 / rho + lam))  # limit, not 0/0
+    return spectral_matrix(C @ U, 1.0 * nonzero_mask(lam) if rho == np.inf else lam / (1.0 / rho + lam))  # not 0/0
 
 
 def min_filtered_curvature(H, G, rho: float) -> float:

@@ -4,8 +4,8 @@ Outputs per solver, under the experiment's output directory:
 
   <name>.trace.csv  one row per iteration, header ``k,f,gap,grad_norm,rho,
                     step_norm_G,lyapunov,elapsed_ns``
-  <name>.meta.json  what a replay needs to re-run the solver (the resolved solver
-                    config, problem description and f*) and its final iterate
+  <name>.meta.json  what a replay needs to re-run the solver (its settings, the
+                    problem description and f*; not L) and its final iterate
   <name>.cert.json  contraction certification report (penalty/augmented
                     methods with diagnostics enabled)
 
@@ -246,10 +246,9 @@ def write_trace_csv(trace: solvers.IterateTrace, path, timing: bool = False) -> 
     Path(path).write_text("\n".join(_trace_lines(trace, timing)) + "\n", encoding="utf-8")
 
 
-def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, step_L, fstar_info):
+def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, fstar_info):
     meta = {
         "solver": asdict(sspec),
-        "resolved_step_L": step_L,
         "problem": spec.problem,
         "termination": trace.termination,
         "steps_taken": trace.steps_taken,
@@ -302,7 +301,7 @@ def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, fstar_info, outdir:
     config = sspec.to_config(model.constants[0])
     trace = solvers.run(model, _start_point(spec.problem, model.dim), config)
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
-    _write_meta(outdir / f"{sspec.name}.meta.json", spec, sspec, trace, config.step_L, fstar_info)
+    _write_meta(outdir / f"{sspec.name}.meta.json", spec, sspec, trace, fstar_info)
     cert_summary = None
     if spec.diagnostics and trace.method in _CERTIFIERS:
         cert = _certify(trace, model, config).to_dict()
@@ -371,14 +370,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return summary
 
 
-def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, solvers.SolverConfig, object]:
-    """The model with f*, problem, config and ``x_final`` of a meta file; an error in all but ``x_final`` names it."""
+def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, SolverSpec, object]:
+    """The model with f*, problem, solver and ``x_final`` of a meta file; an error in all but ``x_final`` names it."""
     meta = _read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path} does not hold a JSON object")
     try:
-        solver, problem, f_star, step_L, x_final = (
-            meta[key] for key in ("solver", "problem", "f_star", "resolved_step_L", "x_final"))
+        solver, problem, f_star, x_final = (meta[key] for key in ("solver", "problem", "f_star", "x_final"))
     except KeyError as exc:
         raise ValueError(f"{meta_path} has no {exc} key") from None
     try:
@@ -386,7 +384,6 @@ def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, solvers.SolverConfig, o
             raise ValueError(f"solver must be an object, got {solver!r}")
         sspec, given = SolverSpec(**solver), problem if isinstance(problem, dict) else {}
         spec = ExperimentSpec(problem, [sspec], **{k: given[k] for k in ("link", "alpha", "seed") if k in given})
-        config = sspec.to_config(step_L)
         if spec.problem != problem:
             raise ValueError(f"problem {problem!r} is not the description a run records, {spec.problem!r}")
         if not is_number(f_star):
@@ -396,7 +393,7 @@ def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, solvers.SolverConfig, o
         model = replace(_build_model(problem), f_star=f_star)  # the library may refuse: no file, a bad alpha or link
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    return model, problem, config, x_final
+    return model, problem, sspec, x_final
 
 
 def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | None]:
@@ -416,7 +413,8 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
         raise ValueError(f"{trace_path} is not named <name>.trace.csv, so it has no meta or cert file")
     meta_path = trace_path.with_name(f"{stem}.meta.json")
     lines = [re.sub(rb",\d+\Z", b",0", line) for line in trace_path.read_bytes().splitlines()]
-    model, problem, config, x_final = _read_meta(meta_path)
+    model, problem, sspec, x_final = _read_meta(meta_path)
+    config = sspec.to_config(model.constants[0])
     trace = solvers.run(model, _start_point(problem, model.dim), config)
     rerun = [line.encode() for line in _trace_lines(trace, timing=False)]
     for lineno, (want, got) in enumerate(zip_longest(rerun, lines), start=1):

@@ -46,19 +46,11 @@ LINK_CURVATURE = {
 }
 
 
-@dataclass(frozen=True)
-class RelativeConstants:
-    """Relative smoothness/convexity constants of a GLM instance.
-
-    ``L * mu == 1`` holds by construction (the two are reciprocal ratios of
-    the same pair of numbers).
-    """
+class RelativeConstants(NamedTuple):
+    """The relative smoothness/convexity pair ``(L, mu)`` of a GLM, reciprocal by construction: ``L * mu == 1``."""
 
     L: float
     mu: float
-    u: float
-    ell: float
-    sigma_max_sq: float
 
 
 @dataclass(frozen=True)
@@ -192,13 +184,12 @@ class GlmProblem:
 
     def model(self) -> ObjectiveModel:
         """Bundle this problem as an :class:`ObjectiveModel` with its closed-form (L, mu)."""
-        rc = glm_constants(self)
         return ObjectiveModel(
             dim=self.n,
             value=self.value,
             gradient=self.gradient,
             hessian=self.hessian,
-            constants=(rc.L, rc.mu),
+            constants=glm_constants(self),
         )
 
 
@@ -227,7 +218,7 @@ def glm_constants(p: GlmProblem) -> RelativeConstants:
     sigma_max_sq = max(float(w[-1]), 0.0)
     num = ell * sigma_max_sq + p.m * p.alpha
     den = u * sigma_max_sq + p.m * p.alpha
-    return RelativeConstants(L=num / den, mu=den / num, u=u, ell=ell, sigma_max_sq=sigma_max_sq)
+    return RelativeConstants(L=num / den, mu=den / num)
 
 
 def fd_gradient(model: ObjectiveModel, x, h: float | None = None) -> np.ndarray:

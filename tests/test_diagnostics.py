@@ -125,6 +125,28 @@ def test_filtered_curvature_at_rho_inf_takes_the_limit_on_a_singular_hessian():
     assert check.ok and check.values["lhs"] == 1.0 == check.values["rhs"]
 
 
+def test_filtered_curvature_at_rho_inf_counts_zero_eigenvalues_by_the_rank_rule():
+    # the limit is 0 on each eigenvalue that nonzero_mask counts as zero, as xi counts it: 1e-20 is one
+    assert np.array_equal(filtered_curvature(np.diag([1.0, 1e-20]), np.eye(2), np.inf), np.diag([1.0, 0.0]))
+    # rotated diag(0, 0, 1, 2, 3): the zero eigenvalues come out at rounding level, of either sign
+    for seed in range(10):
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))
+        H = Q @ np.diag([0.0, 0.0, 1.0, 2.0, 3.0]) @ Q.T
+        H = 0.5 * (H + H.T)
+        F = filtered_curvature(H, np.eye(5), np.inf)
+        assert np.allclose(np.linalg.eigvalsh(F), [0.0, 0.0, 1.0, 1.0, 1.0], atol=1e-12), seed
+        check = verify_step_energy_bound(Q[:, 0], np.zeros(5), H, np.eye(5), np.inf)  # along a null direction
+        assert abs(check.values["lhs"]) <= 1e-12 and not check.precondition_ok, seed
+
+
+def test_shifted_inverse_at_rho_inf_refuses_a_singular_hessian():
+    # (G/rho + H)^{-1} is H^{-1} at rho = inf, which a singular H does not have
+    for fn in (shifted_inverse, verify_inverse_identities, verify_spectrum_match):
+        with pytest.raises(NotPositiveDefinite, match="rho = inf"):
+            fn(np.diag([1.0, 0.0]), np.eye(2), np.inf)
+    assert np.array_equal(shifted_inverse(np.diag([2.0, 4.0]), np.eye(2), np.inf), np.diag([0.5, 0.25]))
+
+
 def test_min_filtered_curvature_examples():
     assert min_filtered_curvature(H_DIAG, np.eye(3), 1.0) == pytest.approx(0.5)
     rng = np.random.default_rng(2)
@@ -453,6 +475,15 @@ def test_certify_augmented_at_optimum():
     assert report.all_certified
     for e in report.entries:
         assert e.satisfied
+
+
+def test_certify_augmented_refuses_a_one_record_trace():
+    model = quadratic_model(np.eye(2))
+    cfg = SolverConfig(method="anm", max_iters=5)
+    trace = run(model, np.ones(2), cfg)
+    trace = dataclasses.replace(trace, records=trace.records[:1])  # x0 alone: no x_{k-1} to score V_k against
+    with pytest.raises(ValueError, match="^augmented certification needs a trace with at least two points$"):
+        certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
 
 
 def test_certify_augmented_glm_run():

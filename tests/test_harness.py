@@ -263,8 +263,8 @@ def test_one_glm_constants_per_run(tmp_path, monkeypatch):
         summary = run_experiment(spec)
         assert len(calls) == 1
         assert summary["constants"]["L"] == real(calls[0]).L
-        meta = json.loads((tmp_path / f"run{i}" / "pnm.meta.json").read_text())
-        assert meta["resolved_step_L"] == summary["constants"]["L"]
+        cert = json.loads((tmp_path / f"run{i}" / "pnm.cert.json").read_text())
+        assert cert["step_L"] == summary["constants"]["L"]
         calls.clear()
         _, matches = certify_trace(tmp_path / f"run{i}" / "pnm.trace.csv")
         assert matches is True and len(calls) == 1
@@ -494,8 +494,8 @@ def test_trace_csv_schema(tmp_path):
     # f and rho have one owner, the trace; link, alpha and seed the problem; the method the solver record;
     # of the iterates only the last is kept, for the replay to check its re-run against
     meta = json.loads((tmp_path / "schema" / "pnm.meta.json").read_text())
-    assert set(meta) == {"solver", "resolved_step_L", "problem", "termination", "steps_taken", "f_star",
-                         "f_star_provenance", "x_final"}
+    assert set(meta) == {"solver", "problem", "termination", "steps_taken", "f_star", "f_star_provenance",
+                         "x_final"}
     assert len(meta["x_final"]) == 6 and all(type(v) is float for v in meta["x_final"])
 
 
@@ -666,6 +666,17 @@ def test_cli_certify(tmp_path, capsys):
     assert "matches stored certification: True" in out
 
 
+@pytest.mark.parametrize("method", ["newton", "damped_newton"])
+def test_cli_certify_refuses_a_newton_trace(tmp_path, capsys, method):
+    # certification applies to pnm/anm traces; a Newton baseline's is an input error naming its meta
+    run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 6, "m": 40}, seed=3, out=str(tmp_path / "c"),
+                                  solvers=[SolverSpec(name="base", method=method)], diagnostics=True))
+    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "base.trace.csv")]) == 2
+    out, err = capsys.readouterr()
+    meta_path = tmp_path / "c" / "base.meta.json"
+    assert out == "" and err == f"error: {meta_path}: certification applies to pnm/anm traces, not {method!r}\n"
+
+
 def _halve_f_on_row_3(lines):
     fields = lines[4].split(",")
     fields[1] = repr(float(fields[1]) / 2)
@@ -707,8 +718,8 @@ def test_cli_certify_replays_the_trace_it_is_given(tmp_path, capsys, edit, line)
 
 
 def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
-    # meta files written before f, rho and the method had one owner, or before the replay re-ran the
-    # solver, also held these keys
+    # meta files written before f, rho and the method had one owner, before the replay re-ran the
+    # solver, or before the replay derived L as the run does, also held these keys; the L is not the run's
     spec = ExperimentSpec(
         problem={"builtin": "logistic", "n": 6, "m": 40},
         solvers=[SolverSpec(name="anm", method="anm", max_iters=100)],
@@ -722,14 +733,14 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
     meta = json.loads(meta_path.read_text())
     meta.update(link=spec.link, alpha=spec.alpha, seed=spec.seed, method="anm", fs=[row["f"] for row in rows],
                 rhos=[None if row["rho"] == float("inf") else row["rho"] for row in rows],
-                iterates=[meta["x_final"]] * len(rows))
+                iterates=[meta["x_final"]] * len(rows), resolved_step_L=123.0)
     meta_path.write_text(json.dumps(meta, indent=2) + "\n")
     report, matches = certify_trace(tmp_path / "c" / "anm.trace.csv")
-    assert matches is True and report.all_certified
+    assert matches is True and report.all_certified and report.step_L != 123.0
 
 
 #: The meta keys a replay reads.
-REPLAY_META_KEYS = ("solver", "problem", "x_final", "f_star", "resolved_step_L")
+REPLAY_META_KEYS = ("solver", "problem", "x_final", "f_star")
 
 
 #: A dataset problem as a meta file records it.

@@ -13,6 +13,7 @@ from pnewton.errors import BadLabel, BadShape
 from pnewton.objective import (
     GlmProblem,
     ObjectiveModel,
+    RelativeConstants,
     check_relative_bounds,
     fd_gradient,
     fd_hessian,
@@ -110,7 +111,6 @@ def test_glm_constants_against_svd_oracle():
     p = glm_build(A, "logistic", 1.0)
     rc = glm_constants(p)
     # (0.25*4 + 2) / (0*4 + 2) and its reciprocal
-    assert rc.sigma_max_sq == pytest.approx(sigma_sq, rel=1e-12)
     assert rc.L == pytest.approx(1.5)
     assert rc.mu == pytest.approx(2.0 / 3.0)
 
@@ -126,9 +126,26 @@ def test_glm_constants_squared_link_trivial():
 def test_glm_constants_large_alpha_limit():
     p = glm_build(np.array([[1.0]]), "logistic", 1e6, labels=np.array([1.0]))
     rc = glm_constants(p)
-    assert rc.sigma_max_sq == pytest.approx(1.0)
     assert abs(rc.L - 1.0) <= 1e-6
     assert abs(rc.mu - 1.0) <= 1e-6
+
+
+def test_a_glm_model_holds_the_glm_constants_as_they_are_returned(monkeypatch):
+    import pnewton.objective as objective_mod
+
+    p = glm_build(np.diag([2.0, 1.0]), "logistic", 1.0)
+    returned = []
+
+    def recording(q):
+        returned.append(glm_constants(q))
+        return returned[-1]
+
+    monkeypatch.setattr(objective_mod, "glm_constants", recording)
+    model = p.model()
+    assert RelativeConstants._fields == ("L", "mu")
+    assert model.constants is returned[0] and type(model.constants) is RelativeConstants
+    L, mu = model.constants
+    assert (L, mu) == (model.constants.L, model.constants.mu) == (1.5, 2.0 / 3.0)
 
 
 def test_glm_constants_reciprocity_sweep():

@@ -5,6 +5,7 @@ Every property runs derandomized, so a failing draw reproduces on every run.
 
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -232,28 +233,40 @@ def _log_uniform(lo, hi):
 
 
 RUN_SPECS = st.fixed_dictionaries({
-    "problem": st.fixed_dictionaries({"builtin": st.just("logistic"), "n": st.integers(1, 11),
-                                      "m": st.integers(1, 39)}),
+    "problem": st.one_of(  # the quadratic knows its f* and starts at ones, the logistic at zeros
+        st.fixed_dictionaries({"builtin": st.just("quadratic"), "n": st.integers(1, 11)}),
+        st.fixed_dictionaries({"builtin": st.just("logistic"), "n": st.integers(1, 11), "m": st.integers(1, 39)}),
+    ),
     "alpha": _log_uniform(1e-3, 10.0),
     "seed": st.integers(0, 2**16),
     "diagnostics": st.just(True),
+    "timing": st.booleans(),
     "solvers": st.lists(st.fixed_dictionaries({
         "method": st.sampled_from(["pnm", "anm"]),
         "precond": st.sampled_from(sorted(PRECONDITIONERS)),
         "rho0": _log_uniform(1e-2, 1e2),
         "c": st.floats(1.0, 4.0),
         "rho_max": st.sampled_from([PenaltySchedule.rho_max, float("inf")]),  # inf: an uncapped penalty
+        "step_L": st.one_of(st.none(), st.floats(1.0, 4.0)),  # null, or a multiple of the model's L (see below)
         "max_iters": st.integers(1, 200),  # small alpha needs thousands of steps: keep exit 1 cheap
     }), min_size=1, max_size=3).map(lambda solvers: [{"name": f"s{i}", **s} for i, s in enumerate(solvers)]),
 })
 
 
+def _zero_elapsed(name: str, data: bytes) -> bytes:
+    """``data`` of the output file ``name``, a trace's ``elapsed_ns`` column zeroed as an untimed run writes it."""
+    return re.sub(rb",\d+$", b",0", data, flags=re.M) if name.endswith(".trace.csv") else data
+
+
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(spec=RUN_SPECS, provided=st.booleans())
-def test_run_contract_over_builtin_logistic_specs(tmp_path, monkeypatch, capsys, spec, provided):
+def test_run_contract_over_builtin_specs(tmp_path, monkeypatch, capsys, spec, provided):
+    model = _build_model(ExperimentSpec.from_dict(spec).problem)
+    # a drawn step_L is a multiple >= 1 of the model's L: the replay runs both the L it derives and the L it is given
+    spec = {**spec, "solvers": [{**s, "step_L": None if s["step_L"] is None else s["step_L"] * model.constants[0]}
+                                for s in spec["solvers"]]}
     if provided:  # the oracle's own value, so the run converges as with the oracle
-        model = _build_model(ExperimentSpec.from_dict(spec).problem)
         spec = {**spec, "fstar": {"policy": "provided", "value": fstar_oracle(model).final.f}}
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         written = {}
@@ -266,7 +279,7 @@ def test_run_contract_over_builtin_logistic_specs(tmp_path, monkeypatch, capsys,
             summary = json.loads((out / "summary.json").read_text())
             converged = all(entry["termination"] == "converged" for entry in summary["solvers"])
             assert code == (0 if converged else 1), summary
-            written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            written[threads] = {p.name: _zero_elapsed(p.name, p.read_bytes()) for p in sorted(out.iterdir())}
         assert written["1"] == written["2"]
         capsys.readouterr()
         for solver in spec["solvers"]:
