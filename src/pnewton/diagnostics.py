@@ -33,7 +33,7 @@ Bounds outside (0, 1) are reported as vacuous, never silently passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +61,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CheckResult",
+    "ContractionAggregate",
     "ContractionEntry",
     "ContractionReport",
     "shifted_inverse",
@@ -201,9 +202,10 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     """Check the two algebraic identities tying H, G, K and F together.
 
     ``||H K - (I - G K / rho)||_F <= tol`` and
-    ``||G K G - rho G + rho F||_F <= tol * (1 + ||G||_F^2)``.
-    ``K``/``F`` may be supplied explicitly (e.g. to show a corrupted matrix
-    fails); by default they are computed here.
+    ``||G K G - rho G + rho F||_F <= tol * (1 + ||G||_F^2)``; at ``rho = inf`` the
+    second is its limit divided by ``rho``, ``||F - G||_F``. ``K``/``F`` may be
+    supplied explicitly (e.g. to show a corrupted matrix fails); by default they
+    are computed here.
     """
     H = as_symmetric(H)
     G = as_symmetric(G)
@@ -213,7 +215,7 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
         F = filtered_curvature(H, G, rho)
     n = H.shape[0]
     res_hk = float(np.linalg.norm(H @ K - (np.eye(n) - G @ K / rho), "fro"))
-    res_gkg = float(np.linalg.norm(G @ K @ G - rho * G + rho * F, "fro"))
+    res_gkg = float(np.linalg.norm(F - G if rho == np.inf else G @ K @ G - rho * G + rho * F, "fro"))  # no inf * 0
     scale = 1.0 + float(np.linalg.norm(G, "fro")) ** 2
     ok = res_hk <= tol and res_gkg <= tol * scale
     return CheckResult(ok, {"res_hk": res_hk, "res_gkg": res_gkg, "gkg_scale": scale})
@@ -299,10 +301,6 @@ def lyapunov(f_x: float, f_star: float, x, x_prev, G, rho: float, step_L: float)
     return max(v, 0.0)
 
 
-#: ContractionEntry fields serialized as they are; the others are floats (see ``to_dict``).
-_EXACT_FIELDS = ("k", "satisfied", "vacuous", "precondition_ok")
-
-
 @dataclass
 class ContractionEntry:
     k: int
@@ -315,6 +313,23 @@ class ContractionEntry:
     beta: float | None = None
     eta: float | None = None
     precondition_ok: bool = True
+
+
+class ContractionAggregate(NamedTuple):
+    """A report's aggregate; its fields are the cert file's ``aggregate`` keys, in file order.
+
+    ``all_certified``, ``fraction_satisfied`` (1.0 with none) and ``worst_slack`` (``inf`` with none) are
+    over the scored entries, those not vacuous; ``beta_min`` is None when no entry has a ``beta``, as in
+    every augmented report.
+    """
+
+    iterations: int
+    all_certified: bool
+    fraction_satisfied: float
+    worst_slack: float
+    n_vacuous: int
+    xi_min: float
+    beta_min: float | None
 
 
 @dataclass
@@ -334,58 +349,26 @@ class ContractionReport:
     step_L: float = np.nan
 
     @property
-    def n_vacuous(self) -> int:
-        return sum(e.vacuous for e in self.entries)
-
-    @property
-    def fraction_satisfied(self) -> float:
+    def aggregate(self) -> ContractionAggregate:
         scored = [e for e in self.entries if not e.vacuous]
-        if not scored:
-            return 1.0
-        return sum(e.satisfied for e in scored) / len(scored)
-
-    @property
-    def worst_slack(self) -> float:
-        scored = [e.slack for e in self.entries if not e.vacuous]
-        return min(scored) if scored else np.inf
-
-    @property
-    def all_certified(self) -> bool:
-        """Every iteration either satisfied its bound or was flagged vacuous."""
-        return all(e.satisfied or e.vacuous for e in self.entries)
-
-    @property
-    def xi_min(self) -> float:
-        return min((e.xi for e in self.entries), default=np.nan)
-
-    @property
-    def beta_min(self) -> float | None:
-        """The smallest ``beta``; None when no entry has one, as in every augmented report."""
-        return min((e.beta for e in self.entries if e.beta is not None), default=None)
+        return ContractionAggregate(
+            iterations=len(self.entries),
+            all_certified=all(e.satisfied for e in scored),
+            fraction_satisfied=sum(e.satisfied for e in scored) / len(scored) if scored else 1.0,
+            worst_slack=min((e.slack for e in scored), default=np.inf),
+            n_vacuous=len(self.entries) - len(scored),
+            xi_min=min((e.xi for e in self.entries), default=np.nan),
+            beta_min=min((e.beta for e in self.entries if e.beta is not None), default=None),
+        )
 
     def to_dict(self) -> dict:
-        def _f(v):  # an undefined value (None, NaN or an infinity) is null
-            return float(v) if v is not None and np.isfinite(v) else None
+        """The cert file's document: a float that is not finite is null; every other value is written as it is."""
+        def doc(items) -> dict:
+            return {key: None if isinstance(v, float) and not np.isfinite(v) else v for key, v in items}
 
-        return {
-            "kind": self.kind,
-            "f_star": _f(self.f_star),
-            "mu": _f(self.mu),
-            "step_L": _f(self.step_L),
-            "aggregate": {
-                "iterations": len(self.entries),
-                "all_certified": self.all_certified,
-                "fraction_satisfied": _f(self.fraction_satisfied),
-                "worst_slack": _f(self.worst_slack),
-                "n_vacuous": self.n_vacuous,
-                "xi_min": _f(self.xi_min),
-                "beta_min": _f(self.beta_min),
-            },
-            "entries": [
-                {key: v if key in _EXACT_FIELDS else _f(v) for key, v in vars(e).items()}
-                for e in self.entries
-            ],
-        }
+        header = doc((key, v) for key, v in vars(self).items() if key != "entries")
+        return {**header, "aggregate": doc(self.aggregate._asdict().items()),
+                "entries": [doc(vars(e).items()) for e in self.entries]}
 
 
 def _iterate_constants(H, G, rho: float) -> tuple[float, float, bool]:
@@ -407,7 +390,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, pr
     f_star, records, penalty = float(trace.f_star), trace.records, kind == "penalty"
     if not penalty and len(records) < 2:
         raise ValueError("augmented certification needs a trace with at least two points")
-    report = ContractionReport(kind=kind, f_star=f_star, mu=mu, step_L=step_L)
+    report = ContractionReport(kind=kind, f_star=f_star, mu=float(mu), step_L=float(step_L))  # written as floats
     for k in range(0 if penalty else 1, len(records) - 1):
         x_k, rho_k = records[k].x, records[k].rho
         H_k = as_symmetric(model.hessian(x_k))

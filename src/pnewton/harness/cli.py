@@ -151,13 +151,11 @@ def _solve_spec(args) -> ExperimentSpec:
 
 def _cmd_certify(args) -> int:
     report, matches = certify_trace(args.trace_path)
-    agg = report.to_dict()["aggregate"]
-    print(json.dumps(agg, indent=2))
+    aggregate = report.to_dict()["aggregate"]
+    print(json.dumps(aggregate, indent=2))
     if matches is not None:
         print(f"matches stored certification: {matches}")
-        if not matches:
-            return 1
-    return 0 if report.all_certified else 1
+    return 0 if matches is not False and aggregate["all_certified"] else 1
 
 
 def _cmd_demo_root(args) -> int:

@@ -265,7 +265,7 @@ _CERTIFIERS = {"pnm": "certify_penalty_contraction", "anm": "certify_augmented_c
 
 def _certify(trace, model, config: solvers.SolverConfig) -> diagnostics.ContractionReport:
     certify = getattr(diagnostics, _CERTIFIERS[trace.method])
-    return certify(trace, model, config.precond, model.constants[1], config.step_L)
+    return certify(trace, model, config.precond, model.constants.mu, config.step_L)
 
 
 def _start_point(problem: dict, dim: int) -> np.ndarray:
@@ -298,7 +298,7 @@ def _share_start(model, x0: np.ndarray):
 
 
 def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, fstar_info, outdir: Path):
-    config = sspec.to_config(model.constants[0])
+    config = sspec.to_config(model.constants.L)
     trace = solvers.run(model, _start_point(spec.problem, model.dim), config)
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
     _write_meta(outdir / f"{sspec.name}.meta.json", spec, sspec, trace, fstar_info)
@@ -360,7 +360,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "problem": spec.problem,
         "f_star": model.f_star,
         "f_star_provenance": fstar_info,
-        "constants": {"L": model.constants[0], "mu": model.constants[1]},
+        "constants": model.constants._asdict(),
         "solvers": [entry for entry, _ in outcomes if entry is not None],
         "failed": [{"name": name, "error": str(exc)} for name, exc in errors],
     }
@@ -414,7 +414,7 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
     meta_path = trace_path.with_name(f"{stem}.meta.json")
     lines = [re.sub(rb",\d+\Z", b",0", line) for line in trace_path.read_bytes().splitlines()]
     model, problem, sspec, x_final = _read_meta(meta_path)
-    config = sspec.to_config(model.constants[0])
+    config = sspec.to_config(model.constants.L)
     trace = solvers.run(model, _start_point(problem, model.dim), config)
     rerun = [line.encode() for line in _trace_lines(trace, timing=False)]
     for lineno, (want, got) in enumerate(zip_longest(rerun, lines), start=1):

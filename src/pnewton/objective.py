@@ -47,7 +47,7 @@ LINK_CURVATURE = {
 
 
 class RelativeConstants(NamedTuple):
-    """The relative smoothness/convexity pair ``(L, mu)`` of a GLM, reciprocal by construction: ``L * mu == 1``."""
+    """A model's relative smoothness/convexity pair ``(L, mu)``; a GLM's is reciprocal: ``L * mu == 1``."""
 
     L: float
     mu: float
@@ -61,19 +61,22 @@ class ObjectiveModel:
     once, with :func:`~pnewton.linalg.as_symmetric`, where it receives it, and
     uses it as is, never mutating it, when it is exactly symmetric.
     ``constants`` optionally carries the relative smoothness/convexity pair
-    ``(L, mu)`` with ``0 < mu <= L``; ``f_star`` carries the minimum value
-    when it is known (attach one with ``dataclasses.replace(model, f_star=...)``).
+    ``(L, mu)`` with ``0 < mu <= L`` as :class:`RelativeConstants` (a plain pair is
+    converted); ``f_star`` carries the minimum value when it is known (attach one
+    with ``dataclasses.replace(model, f_star=...)``).
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    constants: tuple[float, float] | None = None
+    constants: RelativeConstants | None = None
     f_star: float | None = None
 
     def __post_init__(self):
         if self.constants is not None:
+            if not isinstance(self.constants, RelativeConstants):  # a plain pair; the dataclass is frozen
+                object.__setattr__(self, "constants", RelativeConstants(*self.constants))
             L, mu = self.constants
             if not (0.0 < mu <= L):
                 raise ValueError(f"need 0 < mu <= L, got L={L}, mu={mu}")
@@ -301,7 +304,7 @@ def quadratic_model(Q) -> ObjectiveModel:
 
     return ObjectiveModel(
         dim=n, value=value, gradient=gradient, hessian=hessian,
-        constants=(1.0, 1.0), f_star=0.0,
+        constants=RelativeConstants(1.0, 1.0), f_star=0.0,
     )
 
 

@@ -267,10 +267,10 @@ def test_criterion_08_penalty_contraction_certification():
         )
         trace = run(model, np.zeros(model.dim), cfg)
         report = certify_penalty_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
-        all_ok = all_ok and report.all_certified
-        if report.n_vacuous == 0 and report.fraction_satisfied == 1.0 and report.entries:
+        all_ok = all_ok and report.aggregate.all_certified
+        if report.aggregate.n_vacuous == 0 and report.aggregate.fraction_satisfied == 1.0 and report.entries:
             nonvacuous_clean += 1
-        details.append(f"rho={rho:g}: {len(report.entries)} iters, vacuous={report.n_vacuous}")
+        details.append(f"rho={rho:g}: {len(report.entries)} iters, vacuous={report.aggregate.n_vacuous}")
     ok = all_ok and nonvacuous_clean >= 3
     _report(8, "penalty-contraction", ok,
             f"{nonvacuous_clean}/5 configurations fully non-vacuous; " + "; ".join(details),
@@ -290,7 +290,7 @@ def test_criterion_09_augmented_contraction_certification():
         )
         trace = run(model, np.zeros(model.dim), cfg)
         report = certify_augmented_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
-        all_ok = all_ok and report.all_certified and report.n_vacuous == 0
+        all_ok = all_ok and report.aggregate.all_certified and report.aggregate.n_vacuous == 0
         lyap = [r.lyapunov for r in trace.records[1:]]
         monotone = monotone and all(b <= a + 1e-12 for a, b in zip(lyap, lyap[1:]))
         total_iters += len(report.entries)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
+    SLACK_TOL,
     _iterate_constants,
     _whiten,
     certify_augmented_contraction,
@@ -247,6 +248,17 @@ def test_inverse_identities_sweep():
     assert count == 100
 
 
+def test_inverse_identities_at_rho_inf_take_their_limit():
+    # divided by rho, G K G = rho G - rho F reads F = G at rho = inf for a PD H; no inf * 0 is formed
+    check = verify_inverse_identities(np.diag([2.0, 4.0]), np.eye(2), np.inf)
+    assert check and check.values["res_hk"] <= 1e-15 and check.values["res_gkg"] <= 1e-15
+    rng = np.random.default_rng(12)
+    H, G = rand_pd(rng, 4), rand_pd(rng, 4)
+    assert verify_inverse_identities(H, G, np.inf, tol=1e-8)
+    bad = verify_inverse_identities(H, G, np.inf, F=2.0 * G)
+    assert not bad and bad.values["res_gkg"] == pytest.approx(np.linalg.norm(G, "fro"), rel=1e-12)
+
+
 def test_inverse_identities_reject_corrupted_matrix():
     rng = np.random.default_rng(7)
     H = rand_psd(rng, 4, 3)
@@ -402,8 +414,8 @@ def _scalar_pnm_trace(n_steps=4):
 def test_certify_penalty_scalar_quadratic_tight():
     model, cfg, trace = _scalar_pnm_trace()
     report = certify_penalty_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
-    assert report.all_certified
-    assert report.n_vacuous == 0
+    assert report.aggregate.all_certified
+    assert report.aggregate.n_vacuous == 0
     for e in report.entries:
         assert e.xi == pytest.approx(0.5, abs=1e-12)
         assert e.beta == pytest.approx(0.5, abs=1e-12)
@@ -419,16 +431,16 @@ def test_certify_penalty_single_point_trace():
     trace = run(model, np.zeros(2), cfg)  # converged immediately
     report = certify_penalty_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
     assert report.entries == []
-    assert report.all_certified
-    assert report.fraction_satisfied == 1.0
+    assert report.aggregate.all_certified
+    assert report.aggregate.fraction_satisfied == 1.0
 
 
 def test_certify_penalty_flags_vacuous_bound():
     # an inflated mu drives eta above 1; the report must flag, not fake, it
     model, cfg, trace = _scalar_pnm_trace()
     report = certify_penalty_contraction(trace, model, cfg.precond, mu=10.0, step_L=1.0)
-    assert report.n_vacuous == len(report.entries) > 0
-    assert report.fraction_satisfied == 1.0  # nothing scored
+    assert report.aggregate.n_vacuous == len(report.entries) > 0
+    assert report.aggregate.fraction_satisfied == 1.0  # nothing scored
 
 
 def test_certify_penalty_missing_optimum():
@@ -448,23 +460,49 @@ def test_certify_penalty_glm_run():
     )
     trace = run(model, np.zeros(6), cfg)
     report = certify_penalty_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
-    assert report.all_certified
-    assert report.n_vacuous == 0
-    assert report.worst_slack >= 0.0
+    assert report.aggregate.all_certified
+    assert report.aggregate.n_vacuous == 0
+    assert report.aggregate.worst_slack >= 0.0
 
 
-def test_certify_augmented_scalar_quadratic():
+def _scalar_anm_trace():
     model = quadratic_model(np.eye(1))
     cfg = SolverConfig(
         method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3
     )
-    trace = run(model, np.array([2.0]), cfg)
+    return model, cfg, run(model, np.array([2.0]), cfg)
+
+
+def test_certify_augmented_scalar_quadratic():
+    model, cfg, trace = _scalar_anm_trace()
     report = certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
-    assert report.all_certified
+    assert report.aggregate.all_certified
     first = report.entries[0]
     assert first.bound == pytest.approx(0.5, abs=1e-12)
     assert first.lhs == pytest.approx(0.5, abs=1e-12)  # V halves exactly here
     assert all(e.precondition_ok for e in report.entries)
+
+
+@pytest.mark.parametrize("kind", ["penalty", "augmented"])
+def test_a_raised_mu_fails_an_attained_bound_by_its_scale(kind):
+    # where the bound is attained, scoring with mu raised by a relative delta moves the slack by
+    # -delta * factor * v_k: the entry fails, and its slack shows SLACK_TOL, not some looser slack
+    if kind == "penalty":
+        model, cfg, trace = _scalar_pnm_trace()
+        certify, v = certify_penalty_contraction, [r.f - trace.f_star for r in trace.records]
+    else:
+        model, cfg, trace = _scalar_anm_trace()
+        certify, v = certify_augmented_contraction, [r.lyapunov for r in trace.records]
+    delta = 0.01
+    base = certify(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+    raised = certify(trace, model, cfg.precond, mu=1.0 + delta, step_L=1.0)
+    shifts = []
+    for e, entry in zip(base.entries, raised.to_dict()["entries"]):
+        if abs(e.lhs - e.bound) <= 1e-12:  # attained
+            shifts.append(delta * (1.0 - e.bound) * v[e.k])
+            assert entry["satisfied"] is False and abs(entry["slack"] - (SLACK_TOL - shifts[-1])) <= 1e-12
+    assert max(shifts) > 1e-3  # so a slack of 1e-3 in place of SLACK_TOL cannot pass the entry either
+    assert base.aggregate.all_certified and not raised.aggregate.all_certified
 
 
 def test_certify_augmented_at_optimum():
@@ -472,7 +510,7 @@ def test_certify_augmented_at_optimum():
     cfg = SolverConfig(method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3)
     trace = run(model, np.zeros(2), cfg)
     report = certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
-    assert report.all_certified
+    assert report.aggregate.all_certified
     for e in report.entries:
         assert e.satisfied
 
@@ -495,8 +533,8 @@ def test_certify_augmented_glm_run():
     )
     trace = run(model, np.zeros(6), cfg)
     report = certify_augmented_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
-    assert report.all_certified
-    assert report.n_vacuous == 0
+    assert report.aggregate.all_certified
+    assert report.aggregate.n_vacuous == 0
 
 
 def _recording(calls, fn):
@@ -589,7 +627,7 @@ def test_undefined_report_values_serialize_as_null():
     model = quadratic_model(np.eye(2))
     trace = run(model, np.zeros(2), SolverConfig(method="pnm"))
     report = certify_penalty_contraction(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
-    assert report.entries == [] and np.isnan(report.xi_min) and report.worst_slack == np.inf
+    assert report.entries == [] and np.isnan(report.aggregate.xi_min) and report.aggregate.worst_slack == np.inf
     blob = json.dumps(report.to_dict(), allow_nan=False)
     assert '"nan"' not in blob and '"inf"' not in blob
     aggregate = json.loads(blob)["aggregate"]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pnewton
+from pnewton.diagnostics import ContractionAggregate
 from pnewton.errors import BadLabel, BadShape, EmptyDataset, ParseError, PnewtonError
 from pnewton.harness import (
     ExperimentSpec,
@@ -213,7 +214,7 @@ def test_certify_round_trip(tmp_path):
     for name in ("pnm_fixed", "anm_fixed"):
         report, matches = certify_trace(tmp_path / "cert" / f"{name}.trace.csv")
         assert matches is True  # byte-for-byte reproduction of the stored report
-        assert report.all_certified
+        assert report.aggregate.all_certified
 
 
 def test_certify_round_trip_from_dataset_file(tmp_path):
@@ -232,7 +233,7 @@ def test_certify_round_trip_from_dataset_file(tmp_path):
     run_experiment(spec)
     report, matches = certify_trace(tmp_path / "certds" / "pnm.trace.csv")
     assert matches is True
-    assert report.all_certified
+    assert report.aggregate.all_certified
 
 
 def test_one_glm_constants_per_run(tmp_path, monkeypatch):
@@ -666,6 +667,49 @@ def test_cli_certify(tmp_path, capsys):
     assert "matches stored certification: True" in out
 
 
+def test_cli_certify_exits_1_when_the_stored_cert_differs(tmp_path, capsys):
+    # the re-run reproduces the trace and x_final but not the edited cert: the replay says so and exits 1,
+    # although the certificate itself holds
+    spec = ExperimentSpec(problem={"builtin": "logistic", "n": 6, "m": 40}, seed=3, out=str(tmp_path / "c"),
+                          solvers=[SolverSpec(name="pnm", method="pnm", c=1.0, max_iters=100)], diagnostics=True)
+    run_experiment(spec)
+    cert_path = tmp_path / "c" / "pnm.cert.json"
+    cert = json.loads(cert_path.read_text())
+    assert list(cert) == ["kind", "f_star", "mu", "step_L", "aggregate", "entries"]
+    assert list(cert["aggregate"]) == list(ContractionAggregate._fields)
+    cert["entries"][0]["lhs"] /= 2.0
+    cert_path.write_text(json.dumps(cert, indent=2) + "\n")
+    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "pnm.trace.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nmatches stored certification: False\n")
+    assert json.loads(out.removesuffix("matches stored certification: False\n"))["all_certified"] is True
+
+
+def test_a_step_below_L_fails_its_certificate_where_it_is_read(tmp_path, capsys):
+    # step_L = 0.6 is below this problem's L (1.197): pnm and anm converge, yet their certificates fail;
+    # every pnm_diag entry is vacuous (eta > 1), so it reads true with nothing scored
+    out = tmp_path / "s"
+    solvers = [SolverSpec(name="pnm", method="pnm", step_L=0.6),
+               SolverSpec(name="pnm_diag", method="pnm", precond="diag", step_L=0.6),
+               SolverSpec(name="anm", method="anm", step_L=0.6)]
+    summary = run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 20, "m": 200}, solvers=solvers,
+                                            seed=0, alpha=0.1, out=str(out), diagnostics=True))
+    assert summary["constants"]["L"] > 0.6
+    worst = {"pnm": -1.97e-5, "pnm_diag": None, "anm": -4.49e-3}
+    for entry in summary["solvers"]:
+        name = entry["name"]
+        aggregate = json.loads((out / f"{name}.cert.json").read_text())["aggregate"]
+        assert entry["termination"] == "converged" and entry["certification"] == aggregate
+        if worst[name] is None:
+            assert aggregate["all_certified"] is True and aggregate["worst_slack"] is None
+            assert aggregate["n_vacuous"] == aggregate["iterations"] == 29
+        else:
+            assert aggregate["all_certified"] is False
+            assert aggregate["worst_slack"] == pytest.approx(worst[name], rel=0.01)
+        assert cli_main(["certify", "--trace", str(out / f"{name}.trace.csv")]) == (1 if worst[name] else 0)
+        assert capsys.readouterr().out.endswith("matches stored certification: True\n")
+
+
 @pytest.mark.parametrize("method", ["newton", "damped_newton"])
 def test_cli_certify_refuses_a_newton_trace(tmp_path, capsys, method):
     # certification applies to pnm/anm traces; a Newton baseline's is an input error naming its meta
@@ -736,7 +780,7 @@ def test_certify_replays_a_meta_that_still_holds_the_dropped_keys(tmp_path):
                 iterates=[meta["x_final"]] * len(rows), resolved_step_L=123.0)
     meta_path.write_text(json.dumps(meta, indent=2) + "\n")
     report, matches = certify_trace(tmp_path / "c" / "anm.trace.csv")
-    assert matches is True and report.all_certified and report.step_L != 123.0
+    assert matches is True and report.aggregate.all_certified and report.step_L != 123.0
 
 
 #: The meta keys a replay reads.

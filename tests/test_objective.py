@@ -148,6 +148,16 @@ def test_a_glm_model_holds_the_glm_constants_as_they_are_returned(monkeypatch):
     assert (L, mu) == (model.constants.L, model.constants.mu) == (1.5, 2.0 / 3.0)
 
 
+def test_every_model_holds_its_constants_as_relative_constants():
+    # the builtin quadratic's pair and a plain pair given to ObjectiveModel are read by name, as a GLM's are
+    q = quadratic_model(np.eye(2)).constants
+    assert type(q) is RelativeConstants and (q.L, q.mu) == (1.0, 1.0)
+    model = ObjectiveModel(dim=1, value=abs, gradient=np.sign, hessian=np.zeros_like, constants=(2.0, 0.5))
+    assert type(model.constants) is RelativeConstants and model.constants._asdict() == {"L": 2.0, "mu": 0.5}
+    with pytest.raises(ValueError, match="need 0 < mu <= L"):
+        ObjectiveModel(dim=1, value=abs, gradient=np.sign, hessian=np.zeros_like, constants=(0.5, 2.0))
+
+
 def test_glm_constants_reciprocity_sweep():
     for seed in range(20):
         p, _ = rand_glm(seed, n=5, m=30)

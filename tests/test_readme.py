@@ -20,7 +20,7 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:  # later blocks use names the earlier ones define
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["trace"].termination == "converged"
-    assert namespace["report"].all_certified
+    assert namespace["report"].aggregate.all_certified
 
 
 def test_readme_experiment_spec_runs(tmp_path, capsys, monkeypatch):
