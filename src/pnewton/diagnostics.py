@@ -18,14 +18,15 @@ and one symmetric eigensolve of ``W``, which keeps the algebraic identities
 accurate to ~1e-11 even at extreme penalties where a naive inversion loses
 several digits. Both rate constants are functions of the same spectrum:
 ``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero ``lam`` and
-``beta = rho / (1 + rho*lam_max)``.
+``beta = rho / (1 + rho*lam_max)``; :func:`rate_constants` is the one reader of
+``(xi, beta, pd)``, from one eigenvalue solve without eigenvectors.
 
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
 ``1 - eta`` on optimality gaps for penalty runs and ``1 - xi*mu/L`` on the
 composite descent value for augmented runs. Both are one loop over the
 trace's records that forms ``H`` and ``G`` once per iterate, reads
-``(xi, beta, pd)`` from one kernel and scores one inequality. At ``rho = inf``
+``(xi, beta, pd)`` from that kernel and scores one inequality. At ``rho = inf``
 both take their limits, ``xi = 1`` and ``eta = mu*xi/L``: Newton's ``1 - mu/L``.
 Bounds outside (0, 1) are reported as vacuous, never silently passed.
 """
@@ -66,8 +67,8 @@ __all__ = [
     "ContractionReport",
     "shifted_inverse",
     "filtered_curvature",
-    "min_filtered_curvature",
-    "precond_floor",
+    "RateConstants",
+    "rate_constants",
     "momentum_matrix",
     "verify_inverse_identities",
     "verify_spectrum_match",
@@ -127,28 +128,6 @@ def _whitened_spectrum(H, G):
     return C, psd_spectrum(lam), U
 
 
-def _whitened_eigenvalues(H, G) -> np.ndarray:
-    """Ascending, PSD-clipped eigenvalues of the whitened Hessian, without eigenvectors."""
-    _, W = _whiten(H, G)
-    try:
-        lam = np.linalg.eigvalsh(W)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    return psd_spectrum(lam)
-
-
-def _xi(lam: np.ndarray, rho: float) -> float:
-    nonzero = lam[nonzero_mask(lam)]
-    if nonzero.size == 0:
-        raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
-    lam_min = float(nonzero[0])
-    return 1.0 if rho == np.inf else rho * lam_min / (1.0 + rho * lam_min)  # the limit, not inf/inf
-
-
-def _beta(lam: np.ndarray, rho: float) -> float:
-    return 1.0 / (1.0 / rho + float(lam[-1]))
-
-
 def shifted_inverse(H, G, rho: float) -> np.ndarray:
     """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD; ``H^{-1}`` at ``rho = inf``."""
     C, lam, U = _whitened_spectrum(H, G)
@@ -169,23 +148,37 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     return spectral_matrix(C @ U, 1.0 * nonzero_mask(lam) if rho == np.inf else lam / (1.0 / rho + lam))  # not 0/0
 
 
-def min_filtered_curvature(H, G, rho: float) -> float:
-    """Smallest nonzero filtered eigenvalue ``xi = rho*lam / (1 + rho*lam)``.
+class RateConstants(NamedTuple):
+    """The rate constants of one ``(H, G, rho)``; ``pd``: ``H`` is PD on the whitened scale."""
 
-    ``lam`` ranges over the nonzero spectrum of ``G^{-1/2} H G^{-1/2}``;
-    the result lies in (0, 1]. Raises :class:`ZeroHessian` when the Hessian
-    is numerically zero (no nonzero eigenvalue to take a minimum over).
+    xi: float
+    beta: float
+    pd: bool
+
+
+def _rate_constants(H, G, rho: float) -> RateConstants:
+    """:func:`rate_constants` of a checked ``H`` and a dense or 1-D ``G``: one whitening, one ``eigvalsh``."""
+    _, W = _whiten(H, G)
+    try:
+        lam = psd_spectrum(np.linalg.eigvalsh(W))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+    nonzero = nonzero_mask(lam)
+    if not nonzero.any():
+        raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
+    lam_min = float(lam[nonzero][0])
+    xi = 1.0 if rho == np.inf else rho * lam_min / (1.0 + rho * lam_min)  # the limit, not inf/inf
+    return RateConstants(xi, 1.0 / (1.0 / rho + float(lam[-1])), bool(nonzero[0]))
+
+
+def rate_constants(H, G, rho: float) -> RateConstants:
+    """``(xi, beta, pd)`` off the spectrum ``lam`` of ``G^{-1/2} H G^{-1/2}``; ``H`` and ``G`` are checked here.
+
+    ``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero ``lam`` lies in (0, 1] (1 at ``rho = inf``);
+    with no nonzero ``lam`` it is undefined and :class:`ZeroHessian` is raised. ``beta = rho / (1 + rho*lam_max)``
+    is the smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (similar to ``G K``); ``pd``: ``lam_min`` is nonzero.
     """
-    return _xi(_whitened_eigenvalues(as_symmetric(H), as_symmetric(G)), rho)
-
-
-def precond_floor(H, G, rho: float) -> float:
-    """Smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (the beta of the gap bound).
-
-    ``K^{1/2} G K^{1/2}`` is similar to ``G K``, whose eigenvalues are
-    ``1/(1/rho + lam)``, so beta is ``rho / (1 + rho * lam_max)``.
-    """
-    return _beta(_whitened_eigenvalues(as_symmetric(H), as_symmetric(G)), rho)
+    return _rate_constants(as_symmetric(H), as_symmetric(G), rho)
 
 
 def momentum_matrix(H, G, rho: float) -> np.ndarray:
@@ -259,7 +252,7 @@ def verify_gradient_energy_bound(
     H = model.hessian(x)
     K = shifted_inverse(H, G, rho)
     lhs = weighted_norm_sq(g, K)
-    xi = min_filtered_curvature(H, G, rho)
+    xi = rate_constants(H, G, rho).xi
     rhs = xi * float(g @ pinv_apply(H, g))
     return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi})
 
@@ -280,7 +273,7 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
     H = as_symmetric(H)
     G = as_symmetric(G)
-    xi, _, pd = _iterate_constants(H, G, rho)
+    xi, _, pd = _rate_constants(H, G, rho)
     range_ok = pd or range_check(H, G @ d)[2]
     lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
     rhs = xi * weighted_norm_sq(d, G)
@@ -371,20 +364,18 @@ class ContractionReport:
                 "entries": [doc(vars(e).items()) for e in self.entries]}
 
 
-def _iterate_constants(H, G, rho: float) -> tuple[float, float, bool]:
-    """``(xi, beta, pd)`` of a checked ``H`` and its ``G`` from one whitened spectrum; ``pd``: ``H`` is PD."""
-    lam = _whitened_eigenvalues(H, G)
-    return _xi(lam, rho), _beta(lam, rho), bool(nonzero_mask(lam)[0])
-
-
 def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, precond: "PreconditionerPolicy",
                      mu: float, step_L: float) -> ContractionReport:
     """Score ``v_{k+1} <= (1 - factor) v_k + SLACK_TOL`` per iterate, vacuous for a factor outside (0, 1].
 
     One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor
-    depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), the composite value
-    and ``xi mu / L`` for ``"augmented"`` (from ``k = 1``).
+    depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``; a ``pnm`` trace, or a
+    ``newton`` one at its ``rho = inf`` limit), the composite value and ``xi mu / L`` for ``"augmented"``
+    (from ``k = 1``; an ``anm`` trace). Another method's trace is a ``ValueError``.
     """
+    methods = ("pnm", "newton") if kind == "penalty" else ("anm",)
+    if trace.method not in methods:
+        raise ValueError(f"{kind} certification applies to {'/'.join(methods)} traces, not {trace.method!r}")
     if trace.f_star is None:
         raise MissingOptimum("certification needs f*; run the solver on a model that carries f_star")
     f_star, records, penalty = float(trace.f_star), trace.records, kind == "penalty"
@@ -395,7 +386,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, pr
         x_k, rho_k = records[k].x, records[k].rho
         H_k = as_symmetric(model.hessian(x_k))
         G_k = precond.materialize(H_k)
-        xi_k, beta_k, pd = _iterate_constants(H_k, G_k, rho_k)
+        xi_k, beta_k, pd = _rate_constants(H_k, G_k, rho_k)
         if penalty:
             factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L) if rho_k < np.inf else mu * xi_k / step_L
             v_k, v_next = records[k].f - f_star, records[k + 1].f - f_star
@@ -421,7 +412,7 @@ def certify_penalty_contraction(
     mu: float,
     step_L: float,
 ) -> ContractionReport:
-    """Certify per-iteration gap contraction of a penalty-Newton trace.
+    """Certify per-iteration gap contraction of a ``pnm`` trace, or of a ``newton`` one (``rho = inf``).
 
     At each recorded iterate the contraction margin is
     ``eta_k = mu * xi_k * (beta_k + rho_k) / (rho_k * L)`` with
@@ -440,7 +431,7 @@ def certify_augmented_contraction(
     mu: float,
     step_L: float,
 ) -> ContractionReport:
-    """Certify per-iteration composite-value contraction of an augmented trace.
+    """Certify per-iteration composite-value contraction of an ``anm`` trace.
 
     For each interior iterate the composite value
     ``V_k = f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G`` must contract

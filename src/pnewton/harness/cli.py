@@ -126,20 +126,25 @@ def _given(args, names) -> dict:
 
 
 def _run(spec: ExperimentSpec) -> int:
-    """Run ``spec`` and print one line per solver; 1 when a solver did not converge."""
+    """Run ``spec`` and print one line per solver; 1 when a solver did not converge or its certificate failed."""
     summary = run_experiment(spec)
     print(f"wrote {len(summary['solvers'])} trace(s) to {spec.out}")
+    unconverged = [entry["name"] for entry in summary["solvers"] if entry["termination"] != "converged"]
+    failed = [f"not converged: {', '.join(unconverged)}"] if unconverged else []
     for entry in summary["solvers"]:
-        gap = entry["final_gap"]
-        gap_str = "" if gap is None else f"  gap={gap:.3e}"
+        gap, cert = entry["final_gap"], entry["certification"]
+        tail = "" if gap is None else f"  gap={gap:.3e}"
+        if cert and cert["iterations"] and cert["n_vacuous"] == cert["iterations"]:  # certified with nothing scored
+            tail += f"  certificate: 0 of {cert['iterations']} entries scored"
         print(
             f"  {entry['name']}: {entry['termination']} in {entry['iterations']} iters, "
-            f"||grad||={entry['final_grad_norm']:.3e}{gap_str}"
+            f"||grad||={entry['final_grad_norm']:.3e}{tail}"
         )
-    unconverged = [entry["name"] for entry in summary["solvers"] if entry["termination"] != "converged"]
-    if unconverged:
-        print(f"solver failure: not converged: {', '.join(unconverged)}", file=sys.stderr)
-    return 1 if unconverged else 0
+        if cert and not cert["all_certified"]:
+            failed.append(f"certificate failed: {entry['name']} (worst slack {cert['worst_slack']:.3e})")
+    for line in failed:
+        print(f"solver failure: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _solve_spec(args) -> ExperimentSpec:

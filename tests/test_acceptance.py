@@ -15,7 +15,7 @@ from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
     certify_augmented_contraction,
     certify_penalty_contraction,
-    min_filtered_curvature,
+    rate_constants,
     shifted_inverse,
     verify_inverse_identities,
     verify_spectrum_match,
@@ -78,7 +78,7 @@ def test_criterion_02_spectral_suite():
         worst = max(worst, match.values["max_diff"])
 
         # xi through both routes of its definition
-        xi = min_filtered_curvature(H, G, rho)
+        xi = rate_constants(H, G, rho).xi
         S = psd_sqrt(H)
         P = S @ shifted_inverse(H, G, rho) @ S
         xi_alt = lambda_min_pos(0.5 * (P + P.T))

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
     SLACK_TOL,
-    _iterate_constants,
+    _rate_constants,
     _whiten,
     certify_augmented_contraction,
     certify_penalty_contraction,
     filtered_curvature,
     lyapunov,
-    min_filtered_curvature,
     momentum_matrix,
-    precond_floor,
+    rate_constants,
     shifted_inverse,
     verify_gradient_energy_bound,
     verify_inverse_identities,
@@ -100,8 +99,9 @@ def test_diagonal_g_whitening_matches_cholesky_route(n):
     ids=["diag-zero", "diag-negative", "dense-indefinite"],
 )
 @pytest.mark.parametrize(
-    "fn",
-    [min_filtered_curvature, precond_floor, shifted_inverse],
+    "fn",  # xi is the minimum filtered curvature, beta the preconditioner floor
+    [lambda H, G, rho: rate_constants(H, G, rho).xi, lambda H, G, rho: rate_constants(H, G, rho).beta,
+     shifted_inverse],
     ids=["min_filtered_curvature", "precond_floor", "shifted_inverse"],
 )
 def test_non_pd_preconditioner_raises(fn, G):
@@ -149,25 +149,37 @@ def test_shifted_inverse_at_rho_inf_refuses_a_singular_hessian():
 
 
 def test_min_filtered_curvature_examples():
-    assert min_filtered_curvature(H_DIAG, np.eye(3), 1.0) == pytest.approx(0.5)
+    assert rate_constants(H_DIAG, np.eye(3), 1.0) == (pytest.approx(0.5), pytest.approx(0.2), False)
     rng = np.random.default_rng(2)
     H = rand_pd(rng, 5)
-    assert abs(min_filtered_curvature(H, np.eye(5), 1e12) - 1.0) <= 1e-10
+    assert abs(rate_constants(H, np.eye(5), 1e12).xi - 1.0) <= 1e-10
 
 
 def test_rate_constants_at_infinite_rho_are_their_limits():
     # rho*lam / (1 + rho*lam) is inf/inf at rho = inf; its limit is 1, and beta's is 1/lam_max
-    assert min_filtered_curvature(H_DIAG, np.eye(3), np.inf) == 1.0
-    assert precond_floor(H_DIAG, np.eye(3), np.inf) == 1.0 / float(np.max(np.diag(H_DIAG)))
+    xi, beta, _ = rate_constants(H_DIAG, np.eye(3), np.inf)
+    assert xi == 1.0
+    assert beta == 1.0 / float(np.max(np.diag(H_DIAG)))
+
+
+def _xi_dual_route(H, G, rho):
+    """``xi`` as the smallest nonzero eigenvalue of ``H^{1/2} K H^{1/2}``, built from roots."""
+    S = psd_sqrt(H)
+    P = S @ shifted_inverse(H, G, rho) @ S
+    return lambda_min_pos(0.5 * (P + P.T))
+
+
+def _beta_root_route(H, G, rho):
+    """``beta`` as the smallest eigenvalue of ``K^{1/2} G K^{1/2}``, built from roots."""
+    Ks = psd_sqrt(shifted_inverse(H, G, rho))
+    B = Ks @ G @ Ks
+    return sym_eig(0.5 * (B + B.T))[0][0]
 
 
 def test_min_filtered_curvature_dual_route():
     for H, G, rho in sweep_instances(40, [0.1, 1.0, 10.0], seed=3):
-        xi = min_filtered_curvature(H, G, rho)
-        S = psd_sqrt(H)
-        P = S @ shifted_inverse(H, G, rho) @ S
-        xi_alt = lambda_min_pos(0.5 * (P + P.T))
-        assert abs(xi - xi_alt) <= 1e-8
+        xi = rate_constants(H, G, rho).xi
+        assert abs(xi - _xi_dual_route(H, G, rho)) <= 1e-8
         assert 0.0 < xi <= 1.0
 
 
@@ -175,13 +187,31 @@ def test_min_filtered_curvature_monotone_in_rho():
     rng = np.random.default_rng(4)
     H = rand_psd(rng, 6, 4)
     G = rand_pd(rng, 6)
-    xis = [min_filtered_curvature(H, G, rho) for rho in (0.01, 0.1, 1.0, 10.0, 1e4)]
+    xis = [rate_constants(H, G, rho).xi for rho in (0.01, 0.1, 1.0, 10.0, 1e4)]
     assert all(b > a for a, b in zip(xis, xis[1:]))
 
 
 def test_min_filtered_curvature_zero_hessian_raises():
-    with pytest.raises(ZeroHessian):
-        min_filtered_curvature(np.zeros((3, 3)), np.eye(3), 1.0)
+    # xi has no nonzero eigenvalue to take a minimum over, at any rho, so the whole triple is refused
+    for rho in (1.0, np.inf):
+        with pytest.raises(ZeroHessian):
+            rate_constants(np.zeros((3, 3)), np.eye(3), rho)
+
+
+@pytest.mark.parametrize("form", ["dense", "diag"])
+def test_rate_constants_make_one_eigvalsh_and_factor_only_a_dense_g(monkeypatch, form):
+    rng = np.random.default_rng(91)
+    H = rand_psd(rng, 5)
+    calls = {"eigvalsh": [], "eigh": [], "cholesky": []}
+    monkeypatch.setattr(np.linalg, "eigvalsh", _recording(calls["eigvalsh"], np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", _recording(calls["eigh"], np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "cholesky", _recording(calls["cholesky"], scipy.linalg.cholesky))
+    if form == "dense":
+        rate_constants(H, rand_pd(rng, 5), 2.0)
+    else:  # a diagonal G reaches the kernel as its 1-D diagonal, as PreconditionerPolicy.materialize makes it
+        _rate_constants(H, rng.uniform(0.25, 4.0, 5), 2.0)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "eigvalsh": 1, "eigh": 0, "cholesky": 1 if form == "dense" else 0}
 
 
 def test_closed_form_filter_map():
@@ -205,19 +235,16 @@ def test_closed_form_filter_map():
 def test_precond_floor_matches_root_route():
     # beta = 1/(1/rho + lam_max) against lambda_min(K^{1/2} G K^{1/2}) built from roots
     for H, G, rho in sweep_instances(100, CRITERION_RHOS, seed=2024):
-        Ks = psd_sqrt(shifted_inverse(H, G, rho))
-        B = Ks @ G @ Ks
-        w, _ = sym_eig(0.5 * (B + B.T))
-        beta = precond_floor(H, G, rho)
-        assert abs(beta - w[0]) <= 1e-9 * abs(w[0])
+        beta_root = _beta_root_route(H, G, rho)
+        assert abs(rate_constants(H, G, rho).beta - beta_root) <= 1e-9 * abs(beta_root)
 
 
 def test_certifier_entries_match_spectral_definitions():
-    # on a quadratic the Hessian is constant, so every entry has the same xi/beta
+    # on a quadratic the Hessian is constant, so every entry has the same xi/beta; both are checked
+    # against the routes built from roots, not against rate_constants, the certifier's own kernel
     for H, G, rho in sweep_instances(100, CRITERION_RHOS, seed=2024):
         model = quadratic_model(H)
-        xi = min_filtered_curvature(H, G, rho)
-        beta = precond_floor(H, G, rho)
+        xi, beta = _xi_dual_route(H, G, rho), _beta_root_route(H, G, rho)
         x0 = np.random.default_rng(0).standard_normal(H.shape[0])
         for method, certify in (("pnm", certify_penalty_contraction), ("anm", certify_augmented_contraction)):
             cfg = SolverConfig(
@@ -227,9 +254,9 @@ def test_certifier_entries_match_spectral_definitions():
             report = certify(run(model, x0, cfg), model, cfg.precond, mu=1.0, step_L=1.0)
             assert report.entries
             for e in report.entries:
-                assert e.xi == pytest.approx(xi, rel=1e-12)
+                assert abs(e.xi - xi) <= 1e-8
                 if method == "pnm":
-                    assert e.beta == pytest.approx(beta, rel=1e-12)
+                    assert abs(e.beta - beta) <= 1e-9 * abs(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +404,7 @@ def test_step_energy_bound_reads_pd_off_the_whitened_spectrum_as_the_certificate
     # H's own spectrum puts 1e-11 below the rank cutoff; whitened by G = H it is the identity
     H = np.diag([1.0, 1e-11])
     check = verify_step_energy_bound(np.array([0.0, 1e4]), np.zeros(2), H, H, 1.0)
-    xi, _, pd = _iterate_constants(H, H, 1.0)
+    xi, _, pd = rate_constants(H, H, 1.0)
     assert pd and check.precondition_ok is True
     assert check.values["xi"] == xi
 
@@ -386,7 +413,8 @@ def test_step_energy_bound_reads_pd_off_the_whitened_spectrum_as_the_certificate
 def test_pd_and_precondition_ok_are_python_bools(H, pd):
     # a cert file holds precondition_ok, and json cannot serialize a numpy bool
     check = verify_step_energy_bound(np.ones(2), np.zeros(2), H, np.eye(2), 1.0)
-    assert _iterate_constants(H, np.ones(2), 1.0)[2] is pd
+    assert rate_constants(H, np.eye(2), 1.0).pd is pd
+    assert _rate_constants(H, np.ones(2), 1.0).pd is pd  # G as its 1-D diagonal, as the certifiers receive it
     assert check.precondition_ok is pd
 
 
@@ -522,6 +550,23 @@ def test_certify_augmented_refuses_a_one_record_trace():
     trace = dataclasses.replace(trace, records=trace.records[:1])  # x0 alone: no x_{k-1} to score V_k against
     with pytest.raises(ValueError, match="^augmented certification needs a trace with at least two points$"):
         certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_certifier_takes_only_its_own_methods_traces(method):
+    # the gap bound holds for pnm and, at its rho = inf limit, for newton; the composite-value bound for anm
+    model = quadratic_model(np.diag([1.0, 3.0]))
+    trace = run(model, np.ones(2), SolverConfig(method=method, max_iters=3))
+    certifiers = {"penalty": (certify_penalty_contraction, ("pnm", "newton")),
+                  "augmented": (certify_augmented_contraction, ("anm",))}
+    for kind, (certify, methods) in certifiers.items():
+        if method in methods:
+            report = certify(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
+            assert report.entries and report.aggregate.all_certified and report.aggregate.n_vacuous == 0
+        else:
+            refusal = f"^{kind} certification applies to {'/'.join(methods)} traces, not '{method}'$"
+            with pytest.raises(ValueError, match=refusal):
+                certify(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
 
 
 def test_certify_augmented_glm_run():
@@ -687,10 +732,10 @@ def test_bad_hessian_raises_where_it_is_received(method, bad):
     x0 = np.ones(3)
     with pytest.raises(ValueError):
         run(model, x0, SolverConfig(method=method))
-    trace = run(good, x0, SolverConfig(method="pnm", max_iters=3))
-    assert len(trace.records) == 4
-    for certify in (certify_penalty_contraction, certify_augmented_contraction):
-        with pytest.raises(ValueError):
+    for certified, certify in (("pnm", certify_penalty_contraction), ("anm", certify_augmented_contraction)):
+        trace = run(good, x0, SolverConfig(method=certified, max_iters=3))  # a trace of the certifier's own method
+        assert len(trace.records) == 4 + (certified == "anm")
+        with pytest.raises(ValueError, match="not symmetric" if bad == "asymmetric" else "non-finite"):
             certify(trace, model, PreconditionerPolicy("identity"), mu=1.0, step_L=1.0)
     with pytest.raises(ValueError):
         check_relative_bounds(model, x0, np.zeros(3), 1.0, 1.0)
@@ -699,8 +744,8 @@ def test_bad_hessian_raises_where_it_is_received(method, bad):
 G_ENTRY_ROUTES = {
     "shifted_inverse": lambda G: shifted_inverse(Q_GOOD, G, 2.0),
     "filtered_curvature": lambda G: filtered_curvature(Q_GOOD, G, 2.0),
-    "min_filtered_curvature": lambda G: min_filtered_curvature(Q_GOOD, G, 2.0),
-    "precond_floor": lambda G: precond_floor(Q_GOOD, G, 2.0),
+    "min_filtered_curvature": lambda G: rate_constants(Q_GOOD, G, 2.0).xi,
+    "precond_floor": lambda G: rate_constants(Q_GOOD, G, 2.0).beta,
     "momentum_matrix": lambda G: momentum_matrix(Q_GOOD, G, 2.0),
     "pnm_step": lambda G: pnm_step(quadratic_model(Q_GOOD), np.ones(3), 2.0, G, 1.0),
     "anm_step_momentum": lambda G: anm_step_momentum(quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), 2.0, G, 1.0),

@@ -692,8 +692,19 @@ def test_a_step_below_L_fails_its_certificate_where_it_is_read(tmp_path, capsys)
     solvers = [SolverSpec(name="pnm", method="pnm", step_L=0.6),
                SolverSpec(name="pnm_diag", method="pnm", precond="diag", step_L=0.6),
                SolverSpec(name="anm", method="anm", step_L=0.6)]
-    summary = run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 20, "m": 200}, solvers=solvers,
-                                            seed=0, alpha=0.1, out=str(out), diagnostics=True))
+    spec = ExperimentSpec(problem={"builtin": "logistic", "n": 20, "m": 200}, solvers=solvers,
+                          seed=0, alpha=0.1, out=str(out), diagnostics=True)
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_dict()))
+    # pnewton run reads each certificate: it names the failed ones and the one with nothing scored, and exits 1
+    assert cli_main(["run", str(tmp_path / "spec.json")]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert [line.split(": ")[0] for line in stdout.splitlines()[1:]] == ["  pnm", "  pnm_diag", "  anm"]
+    assert [line.endswith("  certificate: 0 of 29 entries scored") for line in stdout.splitlines()[1:]] == [
+        False, True, False]
+    summary = json.loads((out / "summary.json").read_text())
+    certs = {entry["name"]: entry["certification"] for entry in summary["solvers"]}
+    assert stderr == "".join(f"solver failure: certificate failed: {name} (worst slack "
+                             f"{certs[name]['worst_slack']:.3e})\n" for name in ("pnm", "anm"))
     assert summary["constants"]["L"] > 0.6
     worst = {"pnm": -1.97e-5, "pnm_diag": None, "anm": -4.49e-3}
     for entry in summary["solvers"]:

@@ -10,9 +10,12 @@ that module too, so a helper that a merge leaves behind fails here. Every name
 ``src/pnewton``, a mention in the README or the console-script entry. Every
 error class but the base ``PnewtonError`` must be constructed somewhere in the
 package outside ``errors.py``, so an error that nothing raises any more goes.
+Every entry of every ``__all__`` must name an object its module binds, so a
+stale entry cannot break ``from <module> import *``.
 """
 
 import ast
+import importlib
 import re
 import tomllib
 from pathlib import Path
@@ -35,14 +38,18 @@ def _imported(tree: ast.Module, lines: list[str]):
             yield alias.asname or alias.name.split(".")[0], node.lineno
 
 
+def _listed(tree: ast.Module) -> list[str]:
+    """The entries of the module's ``__all__``; none when it has no ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets) for name in ast.literal_eval(node.value)]
+
+
 def _used(tree: ast.Module) -> set[str]:
     """The names ``tree`` reads, the names inside its string annotations and the entries of its ``__all__``."""
-    used = set()
+    used = set(_listed(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval")) if isinstance(n, ast.Name))
@@ -56,6 +63,15 @@ def test_every_imported_name_is_used(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree, source.splitlines()) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_every_all_entry_names_a_bound_object(path):
+    listed = _listed(ast.parse(path.read_text(encoding="utf-8")))  # read, not imported: __main__ runs the CLI
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts)) if listed else None
+    unbound = [name for name in listed if not hasattr(module, name)]
+    assert not unbound, f"{path.name} lists names in __all__ that it does not bind: {', '.join(unbound)}"
 
 
 def _private_definitions(tree: ast.Module):
