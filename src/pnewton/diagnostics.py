@@ -8,25 +8,25 @@ central matrices are
 
 On the G-whitened scale both act through the scalar filter
 ``lam -> rho*lam / (1 + rho*lam)`` applied to the eigenvalues of
-``G^{-1/2} H G^{-1/2}``. Everything here is computed from one whitening by the
-Cholesky factor ``C`` of ``G`` (``W = C^{-1} H C^{-T}`` has that spectrum; a
+``G^{-1/2} H G^{-1/2}``. One builder, ``_spectrum``, makes that spectrum: one
+whitening by the Cholesky factor ``C`` of ``G`` (``W = C^{-1} H C^{-T}``; a
 diagonal ``G``, carried as its 1-D diagonal, is a row and column rescaling)
-and one symmetric eigensolve of ``W``, which keeps the algebraic identities
+and one symmetric eigensolve of ``W``, without eigenvectors when only the
+rate constants are read. Its readers ``K``, ``F`` and ``(xi, beta, pd)`` keep
 
     H K = I - (1/rho) G K          and          G K G = rho G - rho F
 
 accurate to ~1e-11 even at extreme penalties where a naive inversion loses
-several digits. Both rate constants are functions of the same spectrum:
-``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero ``lam`` and
-``beta = rho / (1 + rho*lam_max)``; :func:`rate_constants` is the one reader of
-``(xi, beta, pd)``, from one eigenvalue solve without eigenvectors.
+several digits; ``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero
+``lam`` and ``beta = rho / (1 + rho*lam_max)``. Each public function checks
+``H`` and ``G`` once and builds one spectrum, each ``verify_*`` included.
 
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
 ``1 - eta`` on optimality gaps for penalty runs and ``1 - xi*mu/L`` on the
 composite descent value for augmented runs. Both are one loop over the
 trace's records that forms ``H`` and ``G`` once per iterate, reads
-``(xi, beta, pd)`` from that kernel and scores one inequality. At ``rho = inf``
+``(xi, beta, pd)`` off one spectrum and scores one inequality. At ``rho = inf``
 both take their limits, ``xi = 1`` and ``eta = mu*xi/L``: Newton's ``1 - mu/L``.
 Bounds outside (0, 1) are reported as vacuous, never silently passed.
 """
@@ -121,20 +121,56 @@ def _whiten(H, G):
     return C, 0.5 * (W + W.T)
 
 
-def _whitened_spectrum(H, G):
-    """Check ``H`` and ``G``; return ``(C, lam, U)`` of the whitened Hessian ``W = U diag(lam) U^T``."""
-    C, W = _whiten(as_symmetric(H), as_symmetric(G))
-    lam, U = sym_eig(W)
-    return C, psd_spectrum(lam), U
+class RateConstants(NamedTuple):
+    """The rate constants of one ``(H, G, rho)``; ``pd``: ``H`` is PD on the whitened scale."""
+
+    xi: float
+    beta: float
+    pd: bool
+
+
+class _Spectrum(NamedTuple):
+    """``W = C^{-1} H C^{-T} = U diag(lam) U^T`` (``lam`` clipped PSD; ``U`` None when unsolved), read at any ``rho``.
+
+    ``K``, ``F`` and ``rates`` are :func:`shifted_inverse`, :func:`filtered_curvature` and :func:`rate_constants`.
+    """
+
+    C: np.ndarray
+    lam: np.ndarray
+    U: np.ndarray | None
+
+    def K(self, rho: float) -> np.ndarray:
+        if rho == np.inf and not nonzero_mask(self.lam).all():  # a singular H has no inverse
+            raise NotPositiveDefinite("(G/rho + H)^{-1} does not exist at rho = inf: H is singular")
+        B = scipy.linalg.solve_triangular(self.C, self.U, lower=True, trans="T", check_finite=False)
+        return spectral_matrix(B, 1.0 / (1.0 / rho + self.lam))
+
+    def F(self, rho: float) -> np.ndarray:
+        lam = self.lam
+        return spectral_matrix(self.C @ self.U, 1.0 * nonzero_mask(lam) if rho == np.inf else lam / (1.0 / rho + lam))
+
+    def rates(self, rho: float) -> RateConstants:
+        nonzero = nonzero_mask(self.lam)
+        if not nonzero.any():
+            raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
+        lam_min = float(self.lam[nonzero][0])
+        xi = 1.0 if rho == np.inf else rho * lam_min / (1.0 + rho * lam_min)  # the limit, not inf/inf
+        return RateConstants(xi, 1.0 / (1.0 / rho + float(self.lam[-1])), bool(nonzero[0]))
+
+
+def _spectrum(H, G, vectors: bool) -> _Spectrum:
+    """The one whitening and eigensolve of a checked ``H`` and a dense or 1-D ``G``: ``sym_eig``, or ``eigvalsh``."""
+    C, W = _whiten(H, G)
+    try:
+        lam, U = sym_eig(W) if vectors else (np.linalg.eigvalsh(W), None)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+    return _Spectrum(C, psd_spectrum(lam), U)
 
 
 def shifted_inverse(H, G, rho: float) -> np.ndarray:
     """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD; ``H^{-1}`` at ``rho = inf``."""
-    C, lam, U = _whitened_spectrum(H, G)
-    if rho == np.inf and not nonzero_mask(lam).all():  # a singular H has no inverse
-        raise NotPositiveDefinite("(G/rho + H)^{-1} does not exist at rho = inf: H is singular")
-    B = scipy.linalg.solve_triangular(C, U, lower=True, trans="T", check_finite=False)
-    return spectral_matrix(B, 1.0 / (1.0 / rho + lam))
+    return _spectrum(as_symmetric(H), as_symmetric(G), True).K(rho)
 
 
 def filtered_curvature(H, G, rho: float) -> np.ndarray:
@@ -144,31 +180,7 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     limit is 1 on the eigenvalues that ``nonzero_mask`` counts as nonzero and 0
     elsewhere. Complementary to the shifted inverse: ``G K G = rho G - rho F``.
     """
-    C, lam, U = _whitened_spectrum(H, G)
-    return spectral_matrix(C @ U, 1.0 * nonzero_mask(lam) if rho == np.inf else lam / (1.0 / rho + lam))  # not 0/0
-
-
-class RateConstants(NamedTuple):
-    """The rate constants of one ``(H, G, rho)``; ``pd``: ``H`` is PD on the whitened scale."""
-
-    xi: float
-    beta: float
-    pd: bool
-
-
-def _rate_constants(H, G, rho: float) -> RateConstants:
-    """:func:`rate_constants` of a checked ``H`` and a dense or 1-D ``G``: one whitening, one ``eigvalsh``."""
-    _, W = _whiten(H, G)
-    try:
-        lam = psd_spectrum(np.linalg.eigvalsh(W))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    nonzero = nonzero_mask(lam)
-    if not nonzero.any():
-        raise ZeroHessian("whitened Hessian is numerically zero; xi is undefined")
-    lam_min = float(lam[nonzero][0])
-    xi = 1.0 if rho == np.inf else rho * lam_min / (1.0 + rho * lam_min)  # the limit, not inf/inf
-    return RateConstants(xi, 1.0 / (1.0 / rho + float(lam[-1])), bool(nonzero[0]))
+    return _spectrum(as_symmetric(H), as_symmetric(G), True).F(rho)
 
 
 def rate_constants(H, G, rho: float) -> RateConstants:
@@ -178,7 +190,7 @@ def rate_constants(H, G, rho: float) -> RateConstants:
     with no nonzero ``lam`` it is undefined and :class:`ZeroHessian` is raised. ``beta = rho / (1 + rho*lam_max)``
     is the smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (similar to ``G K``); ``pd``: ``lam_min`` is nonzero.
     """
-    return _rate_constants(as_symmetric(H), as_symmetric(G), rho)
+    return _spectrum(as_symmetric(H), as_symmetric(G), False).rates(rho)
 
 
 def momentum_matrix(H, G, rho: float) -> np.ndarray:
@@ -198,16 +210,13 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     ``||G K G - rho G + rho F||_F <= tol * (1 + ||G||_F^2)``; at ``rho = inf`` the
     second is its limit divided by ``rho``, ``||F - G||_F``. ``K``/``F`` may be
     supplied explicitly (e.g. to show a corrupted matrix fails); by default they
-    are computed here.
+    are read off one whitened spectrum here.
     """
-    H = as_symmetric(H)
-    G = as_symmetric(G)
-    if K is None:
-        K = shifted_inverse(H, G, rho)
-    if F is None:
-        F = filtered_curvature(H, G, rho)
-    n = H.shape[0]
-    res_hk = float(np.linalg.norm(H @ K - (np.eye(n) - G @ K / rho), "fro"))
+    H, G = as_symmetric(H), as_symmetric(G)
+    if K is None or F is None:
+        S = _spectrum(H, G, True)
+        K, F = S.K(rho) if K is None else K, S.F(rho) if F is None else F
+    res_hk = float(np.linalg.norm(H @ K - (np.eye(H.shape[0]) - G @ K / rho), "fro"))
     res_gkg = float(np.linalg.norm(F - G if rho == np.inf else G @ K @ G - rho * G + rho * F, "fro"))  # no inf * 0
     scale = 1.0 + float(np.linalg.norm(G, "fro")) ** 2
     ok = res_hk <= tol and res_gkg <= tol * scale
@@ -224,11 +233,10 @@ def verify_spectrum_match(H, G, rho: float, tol: float = 1e-8) -> CheckResult:
     shorter list is padded with zeros, so the disputed value still has to be
     below ``tol`` for the check to pass.
     """
-    S = psd_sqrt(H)
-    K = shifted_inverse(H, G, rho)
-    M1 = S @ K @ S
-    Gis = inv_sqrt_pd(G)
-    M2 = Gis @ filtered_curvature(H, G, rho) @ Gis
+    H, G = as_symmetric(H), as_symmetric(G)
+    S, R, Gis = _spectrum(H, G, True), psd_sqrt(H), inv_sqrt_pd(G)
+    M1 = R @ S.K(rho) @ R
+    M2 = Gis @ S.F(rho) @ Gis
     e1 = nonzero_eigenvalues(0.5 * (M1 + M1.T))
     e2 = nonzero_eigenvalues(0.5 * (M2 + M2.T))
     width = max(e1.size, e2.size)
@@ -249,10 +257,10 @@ def verify_gradient_energy_bound(
     g = model.gradient(x)
     if float(np.linalg.norm(g)) == 0.0:
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
-    H = model.hessian(x)
-    K = shifted_inverse(H, G, rho)
-    lhs = weighted_norm_sq(g, K)
-    xi = rate_constants(H, G, rho).xi
+    H, G = as_symmetric(model.hessian(x)), as_symmetric(G)
+    S = _spectrum(H, G, True)
+    lhs = weighted_norm_sq(g, S.K(rho))
+    xi = S.rates(rho).xi
     rhs = xi * float(g @ pinv_apply(H, g))
     return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi})
 
@@ -271,11 +279,11 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
     d = x - x_prev
     if float(np.linalg.norm(d)) == 0.0:
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
-    H = as_symmetric(H)
-    G = as_symmetric(G)
-    xi, _, pd = _rate_constants(H, G, rho)
+    H, G = as_symmetric(H), as_symmetric(G)
+    S = _spectrum(H, G, True)
+    xi, _, pd = S.rates(rho)
     range_ok = pd or range_check(H, G @ d)[2]
-    lhs = weighted_norm_sq(d, filtered_curvature(H, G, rho))
+    lhs = weighted_norm_sq(d, S.F(rho))
     rhs = xi * weighted_norm_sq(d, G)
     return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi}, precondition_ok=range_ok)
 
@@ -386,7 +394,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, pr
         x_k, rho_k = records[k].x, records[k].rho
         H_k = as_symmetric(model.hessian(x_k))
         G_k = precond.materialize(H_k)
-        xi_k, beta_k, pd = _rate_constants(H_k, G_k, rho_k)
+        xi_k, beta_k, pd = _spectrum(H_k, G_k, False).rates(rho_k)
         if penalty:
             factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L) if rho_k < np.inf else mu * xi_k / step_L
             v_k, v_next = records[k].f - f_star, records[k + 1].f - f_star

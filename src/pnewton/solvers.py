@@ -441,7 +441,6 @@ def _scalar_root(
             x_next = x_next + (x - x_prev) / denom
         x_prev, x = x, x_next
         xs.append(x)
-    raise AssertionError("unreachable")
 
 
 def root_penalty_newton(

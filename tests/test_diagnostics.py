@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
     SLACK_TOL,
-    _rate_constants,
+    _spectrum,
     _whiten,
     certify_augmented_contraction,
     certify_penalty_contraction,
@@ -209,9 +209,32 @@ def test_rate_constants_make_one_eigvalsh_and_factor_only_a_dense_g(monkeypatch,
     if form == "dense":
         rate_constants(H, rand_pd(rng, 5), 2.0)
     else:  # a diagonal G reaches the kernel as its 1-D diagonal, as PreconditionerPolicy.materialize makes it
-        _rate_constants(H, rng.uniform(0.25, 4.0, 5), 2.0)
+        _spectrum(H, rng.uniform(0.25, 4.0, 5), False).rates(2.0)
     assert {name: len(seen) for name, seen in calls.items()} == {
         "eigvalsh": 1, "eigh": 0, "cholesky": 1 if form == "dense" else 0}
+
+
+@pytest.mark.parametrize(
+    "verify, eigh",
+    [
+        (lambda model, x, H, G: verify_inverse_identities(H, G, 2.0), 1),
+        (lambda model, x, H, G: verify_step_energy_bound(x, np.zeros_like(x), H, G, 2.0), 1),
+        (lambda model, x, H, G: verify_gradient_energy_bound(model, x, G, 2.0), 2),  # + pinv_apply's eigh of H
+        (lambda model, x, H, G: verify_spectrum_match(H, G, 2.0), 5),  # + two reference roots, two compared spectra
+    ],
+    ids=["inverse_identities", "step_energy", "gradient_energy", "spectrum_match"],
+)
+def test_each_verifier_whitens_and_eigensolves_its_matrices_once(monkeypatch, verify, eigh):
+    rng = np.random.default_rng(92)
+    _, model = rand_glm(92, n=5)  # ridge term: H is PD, so the step check needs no range test
+    x = rng.standard_normal(5)
+    H, G = model.hessian(x), rand_pd(rng, 5)
+    calls = {"cholesky": [], "eigh": [], "eigvalsh": []}
+    monkeypatch.setattr(scipy.linalg, "cholesky", _recording(calls["cholesky"], scipy.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "eigh", _recording(calls["eigh"], np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _recording(calls["eigvalsh"], np.linalg.eigvalsh))
+    assert verify(model, x, H, G)
+    assert {name: len(seen) for name, seen in calls.items()} == {"cholesky": 1, "eigh": eigh, "eigvalsh": 0}
 
 
 def test_closed_form_filter_map():
@@ -414,7 +437,7 @@ def test_pd_and_precondition_ok_are_python_bools(H, pd):
     # a cert file holds precondition_ok, and json cannot serialize a numpy bool
     check = verify_step_energy_bound(np.ones(2), np.zeros(2), H, np.eye(2), 1.0)
     assert rate_constants(H, np.eye(2), 1.0).pd is pd
-    assert _rate_constants(H, np.ones(2), 1.0).pd is pd  # G as its 1-D diagonal, as the certifiers receive it
+    assert _spectrum(H, np.ones(2), False).rates(1.0).pd is pd  # G as its 1-D diagonal, as the certifiers receive it
     assert check.precondition_ok is pd
 
 

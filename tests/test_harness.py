@@ -91,6 +91,21 @@ def test_load_libsvm_bad_token(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_libsvm_index_zero_names_line(tmp_path):
+    path = tmp_path / "zero.libsvm"
+    path.write_text("+1 1:0.5\n-1 0:2\n")
+    with pytest.raises(ParseError, match="libsvm indices are 1-based, got 0") as err:
+        load_dataset(path, "libsvm")
+    assert err.value.line == 2
+
+
+def test_load_dataset_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "tiny.libsvm"
+    path.write_text("+1 1:0.5\n")
+    with pytest.raises(ValueError, match="unknown dataset format 'xml'; choose csv or libsvm"):
+        load_dataset(path, "xml")
+
+
 def test_load_libsvm_feature_index_above_cap(tmp_path):
     path = tmp_path / "wide.libsvm"
     path.write_text(f"1 1:1\n1 {MAX_FEATURES}:1\n1 2000000:1\n")

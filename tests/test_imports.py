@@ -11,7 +11,9 @@ that module too, so a helper that a merge leaves behind fails here. Every name
 error class but the base ``PnewtonError`` must be constructed somewhere in the
 package outside ``errors.py``, so an error that nothing raises any more goes.
 Every entry of every ``__all__`` must name an object its module binds, so a
-stale entry cannot break ``from <module> import *``.
+stale entry cannot break ``from <module> import *``. ``diagnostics._whiten`` has
+one call site, the spectrum builder ``_spectrum``, so no function whitens its
+``(H, G)`` apart from the one spectrum it reads every quantity from.
 """
 
 import ast
@@ -126,3 +128,11 @@ def test_every_error_class_is_constructed_outside_errors_py():
                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)}
     unused = [name for name in defined if name not in constructed]
     assert unused == [], f"errors.py defines classes the package never constructs: {', '.join(unused)}"
+
+
+def test_whiten_has_one_call_site_the_spectrum_builder():
+    callers = [(path.name, node.name) for path in SRC.rglob("*.py")
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               for sub in ast.walk(node) if isinstance(sub, ast.Call)
+               and "_whiten" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))]
+    assert callers == [("diagnostics.py", "_spectrum")], f"_whiten is called from {callers}"

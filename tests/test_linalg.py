@@ -8,6 +8,7 @@ from pnewton.errors import NotPSD, NotPositiveDefinite
 from pnewton.linalg import (
     DEFAULT_RANK_TOL,
     as_symmetric,
+    inv_sqrt_pd,
     lambda_min_pos,
     nonzero_eigenvalues,
     nonzero_mask,
@@ -106,6 +107,11 @@ def test_spd_solve_residual_sweep():
 def test_spd_solve_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+
+def test_spd_solve_rejects_an_rhs_of_the_wrong_length():
+    with pytest.raises(ValueError, match="rhs length 3 does not match order 2"):
+        spd_solve(np.eye(2), np.ones(3))
 
 
 @pytest.mark.parametrize("M, message", [
@@ -247,6 +253,12 @@ def test_psd_sqrt_examples():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("M", [np.diag([1.0, 0.0]), np.diag([1.0, -0.5])], ids=["singular", "indefinite"])
+def test_inv_sqrt_pd_rejects_a_matrix_that_is_not_pd(M):
+    with pytest.raises(NotPositiveDefinite, match="inverse square root needs a PD matrix"):
+        inv_sqrt_pd(M)
 
 
 def test_psd_spectrum_clips_within_the_floor_and_raises_below_it():

@@ -46,6 +46,9 @@ def test_glm_build_validation():
         glm_build(np.ones((2, 3)), "logistic", 1.0, labels=np.ones(2))
     with pytest.raises(BadShape):
         glm_build(np.ones(3), "logistic", 1.0)
+    for empty in (np.ones((0, 3)), np.ones((3, 0))):
+        with pytest.raises(BadShape, match="need n >= 1 and m >= 1"):
+            glm_build(empty, "logistic", 1.0)
     with pytest.raises(BadLabel):
         glm_build(np.ones((2, 2)), "logistic", 1.0, labels=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):

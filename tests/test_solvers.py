@@ -656,6 +656,10 @@ def test_preconditioner_policies():
         PreconditionerPolicy("fixed", np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
         PreconditionerPolicy("hessian_diagonal").materialize(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="unknown preconditioner kind 'bogus'"):
+        PreconditionerPolicy("bogus")
+    with pytest.raises(ValueError, match="fixed preconditioner needs a matrix"):
+        PreconditionerPolicy("fixed")
 
 
 def test_fixed_preconditioner_keeps_its_own_copy():
