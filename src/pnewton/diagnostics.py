@@ -58,7 +58,7 @@ from .linalg import (
 from .objective import ObjectiveModel
 
 if TYPE_CHECKING:
-    from .solvers import IterateTrace, PreconditionerPolicy
+    from .solvers import IterateTrace
 
 __all__ = [
     "CheckResult",
@@ -372,20 +372,23 @@ class ContractionReport:
                 "entries": [doc(vars(e).items()) for e in self.entries]}
 
 
-def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, precond: "PreconditionerPolicy",
-                     mu: float, step_L: float) -> ContractionReport:
+def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) -> ContractionReport:
     """Score ``v_{k+1} <= (1 - factor) v_k + SLACK_TOL`` per iterate, vacuous for a factor outside (0, 1].
 
     One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor
     depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``; a ``pnm`` trace, or a
     ``newton`` one at its ``rho = inf`` limit), the composite value and ``xi mu / L`` for ``"augmented"``
-    (from ``k = 1``; an ``anm`` trace). Another method's trace is a ``ValueError``.
+    (from ``k = 1``; an ``anm`` trace). Another method's trace is a ``ValueError``. ``G_k`` and ``L``
+    are the run's own, ``trace.config``'s ``precond`` and ``step_L``; ``mu`` is ``model.constants.mu``.
     """
-    methods = ("pnm", "newton") if kind == "penalty" else ("anm",)
-    if trace.method not in methods:
-        raise ValueError(f"{kind} certification applies to {'/'.join(methods)} traces, not {trace.method!r}")
+    config, methods = trace.config, ("pnm", "newton") if kind == "penalty" else ("anm",)
+    if config.method not in methods:
+        raise ValueError(f"{kind} certification applies to {'/'.join(methods)} traces, not {config.method!r}")
     if trace.f_star is None:
         raise MissingOptimum("certification needs f*; run the solver on a model that carries f_star")
+    if model.constants is None:
+        raise ValueError("certification needs mu; give the model its constants (L, mu)")
+    mu, step_L = model.constants.mu, config.step_L
     f_star, records, penalty = float(trace.f_star), trace.records, kind == "penalty"
     if not penalty and len(records) < 2:
         raise ValueError("augmented certification needs a trace with at least two points")
@@ -393,7 +396,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, pr
     for k in range(0 if penalty else 1, len(records) - 1):
         x_k, rho_k = records[k].x, records[k].rho
         H_k = as_symmetric(model.hessian(x_k))
-        G_k = precond.materialize(H_k)
+        G_k = config.precond.materialize(H_k)
         xi_k, beta_k, pd = _spectrum(H_k, G_k, False).rates(rho_k)
         if penalty:
             factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L) if rho_k < np.inf else mu * xi_k / step_L
@@ -413,13 +416,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel, pr
     return report
 
 
-def certify_penalty_contraction(
-    trace: "IterateTrace",
-    model: ObjectiveModel,
-    precond: "PreconditionerPolicy",
-    mu: float,
-    step_L: float,
-) -> ContractionReport:
+def certify_penalty_contraction(trace: "IterateTrace", model: ObjectiveModel) -> ContractionReport:
     """Certify per-iteration gap contraction of a ``pnm`` trace, or of a ``newton`` one (``rho = inf``).
 
     At each recorded iterate the contraction margin is
@@ -429,16 +426,10 @@ def certify_penalty_contraction(
     ``gap_{k+1} <= (1 - eta_k) * gap_k + SLACK_TOL``. Iterations where
     ``eta_k`` falls outside (0, 1] are flagged vacuous.
     """
-    return _certify_records("penalty", trace, model, precond, mu, step_L)
+    return _certify_records("penalty", trace, model)
 
 
-def certify_augmented_contraction(
-    trace: "IterateTrace",
-    model: ObjectiveModel,
-    precond: "PreconditionerPolicy",
-    mu: float,
-    step_L: float,
-) -> ContractionReport:
+def certify_augmented_contraction(trace: "IterateTrace", model: ObjectiveModel) -> ContractionReport:
     """Certify per-iteration composite-value contraction of an ``anm`` trace.
 
     For each interior iterate the composite value
@@ -448,4 +439,4 @@ def certify_augmented_contraction(
     ``G (x_k - x_{k-1})`` is annotated per iterate: it holds when the whitened
     spectrum shows ``H`` is PD, and is checked by projection otherwise.
     """
-    return _certify_records("augmented", trace, model, precond, mu, step_L)
+    return _certify_records("augmented", trace, model)

@@ -263,9 +263,8 @@ def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, fstar_info
 _CERTIFIERS = {"pnm": "certify_penalty_contraction", "anm": "certify_augmented_contraction"}
 
 
-def _certify(trace, model, config: solvers.SolverConfig) -> diagnostics.ContractionReport:
-    certify = getattr(diagnostics, _CERTIFIERS[trace.method])
-    return certify(trace, model, config.precond, model.constants.mu, config.step_L)
+def _certify(trace, model) -> diagnostics.ContractionReport:
+    return getattr(diagnostics, _CERTIFIERS[trace.config.method])(trace, model)
 
 
 def _start_point(problem: dict, dim: int) -> np.ndarray:
@@ -298,13 +297,12 @@ def _share_start(model, x0: np.ndarray):
 
 
 def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, fstar_info, outdir: Path):
-    config = sspec.to_config(model.constants.L)
-    trace = solvers.run(model, _start_point(spec.problem, model.dim), config)
+    trace = solvers.run(model, _start_point(spec.problem, model.dim), sspec.to_config(model.constants.L))
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
     _write_meta(outdir / f"{sspec.name}.meta.json", spec, sspec, trace, fstar_info)
     cert_summary = None
-    if spec.diagnostics and trace.method in _CERTIFIERS:
-        cert = _certify(trace, model, config).to_dict()
+    if spec.diagnostics and trace.config.method in _CERTIFIERS:
+        cert = _certify(trace, model).to_dict()
         _write_json(outdir / f"{sspec.name}.cert.json", cert)
         cert_summary = cert["aggregate"]
     final = trace.final
@@ -389,7 +387,7 @@ def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, SolverSpec, object]:
         if not is_number(f_star):
             raise ValueError(f"f_star must be a finite number, got {f_star!r}")
         if sspec.method not in _CERTIFIERS:
-            raise ValueError(f"certification applies to pnm/anm traces, not {sspec.method!r}")
+            raise ValueError(f"certification applies to {'/'.join(_CERTIFIERS)} traces, not {sspec.method!r}")
         model = replace(_build_model(problem), f_star=f_star)  # the library may refuse: no file, a bad alpha or link
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
@@ -414,8 +412,7 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
     meta_path = trace_path.with_name(f"{stem}.meta.json")
     lines = [re.sub(rb",\d+\Z", b",0", line) for line in trace_path.read_bytes().splitlines()]
     model, problem, sspec, x_final = _read_meta(meta_path)
-    config = sspec.to_config(model.constants.L)
-    trace = solvers.run(model, _start_point(problem, model.dim), config)
+    trace = solvers.run(model, _start_point(problem, model.dim), sspec.to_config(model.constants.L))
     rerun = [line.encode() for line in _trace_lines(trace, timing=False)]
     for lineno, (want, got) in enumerate(zip_longest(rerun, lines), start=1):
         if got != want:
@@ -424,6 +421,6 @@ def certify_trace(trace_path) -> tuple[diagnostics.ContractionReport, bool | Non
                                  f"({len(rerun)} lines)")
     if json.dumps(x_final) != json.dumps(trace.final.x.tolist()):
         raise ReplayMismatch(f"{meta_path}: x_final is not the re-run's final iterate")
-    report = _certify(trace, model, config)
+    report = _certify(trace, model)
     cert_path = trace_path.with_name(f"{stem}.cert.json")
     return report, _read_json(cert_path) == report.to_dict() if cert_path.exists() else None

@@ -121,6 +121,8 @@ class GlmProblem:
             if link == "logistic" and not np.all(np.isin(labels, (-1.0, 1.0))):
                 bad = labels[~np.isin(labels, (-1.0, 1.0))][0]
                 raise BadLabel(f"logistic labels must be -1 or +1, got {bad}")
+            if not np.isfinite(labels).all():
+                raise ValueError("labels have non-finite entries")
         self.A = A
         self.A.setflags(write=False)
         self.link = link

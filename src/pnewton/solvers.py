@@ -149,7 +149,7 @@ class PenaltySchedule:
 
     @classmethod
     def fixed(cls, rho: float) -> "PenaltySchedule":
-        return cls(rho0=rho, c=1.0, rho_max=max(rho, 1e12))
+        return cls(rho0=rho, c=1.0, rho_max=rho)
 
     def next_rho(self, rho: float) -> float:
         return min(self.c * rho, self.rho_max)
@@ -192,10 +192,11 @@ class IterateTrace:
 
     ``records[k].rho`` is the penalty parameter in effect for the step that
     leaves ``x_k`` (``inf`` for the Newton baselines); ``step_norm_g_sq`` is
-    ``||x_k - x_{k-1}||^2_G`` for the step that produced ``x_k`` (0 at k=0).
+    ``||x_k - x_{k-1}||^2_G`` for the step that produced ``x_k`` (0 at k=0);
+    ``config`` is the :class:`SolverConfig` the run used.
     """
 
-    method: str
+    config: SolverConfig
     records: list[IterateRecord] = field(default_factory=list)
     termination: str = "max_iters"
     f_star: float | None = None
@@ -227,7 +228,7 @@ def _one_step(model: ObjectiveModel, x0, x1=None, **settings) -> np.ndarray:
     """Where one step of :func:`run` goes from ``x0`` (and ``x1``); at this ``grad_tol`` only a zero gradient stays."""
     trace = run(model, x0, SolverConfig(max_iters=1, grad_tol=math.ulp(0.0), **settings), x1)
     if trace.termination == "diverged":
-        raise FloatingPointError(f"{trace.method} step: an iterate, or f or grad f there, is not finite")
+        raise FloatingPointError(f"{trace.config.method} step: an iterate, or f or grad f there, is not finite")
     return trace.final.x
 
 
@@ -310,8 +311,7 @@ def _backtrack(model: ObjectiveModel, x, g, H, f_curr: float) -> tuple[np.ndarra
 
 
 def _record(
-    trace: IterateTrace, model: ObjectiveModel, x, rho: float, step_norm_g_sq: float, step_L: float, t0: int,
-    f: float | None = None,
+    trace: IterateTrace, model: ObjectiveModel, x, rho: float, step_norm_g_sq: float, t0: int, f: float | None = None
 ) -> np.ndarray | None:
     """Append ``x`` (value ``f``, evaluated here if None) and return its gradient; None if not finite."""
     if not (np.isfinite(x).all() and np.isfinite(step_norm_g_sq)):
@@ -322,7 +322,7 @@ def _record(
         return None
     lyap = None
     if trace.f_star is not None and np.isfinite(rho):
-        lyap = _lyapunov_value(f - trace.f_star, step_norm_g_sq, rho, step_L)
+        lyap = _lyapunov_value(f - trace.f_star, step_norm_g_sq, rho, trace.config.step_L)
     trace.records.append(
         IterateRecord(
             k=len(trace.records),
@@ -363,9 +363,9 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     penalized = method in ("pnm", "anm")
     step_L = config.step_L
     rho = config.schedule.rho0 if penalized else np.inf
-    trace = IterateTrace(method=method, f_star=model.f_star)
+    trace = IterateTrace(config, f_star=model.f_star)
     x = np.asarray(x0, dtype=float)
-    g = _record(trace, model, x, rho, 0.0, step_L, t0)
+    g = _record(trace, model, x, rho, 0.0, t0)
     if g is None:
         raise ValueError("the starting point, or f or grad f there, is not finite")
     x_prev, H = x, None
@@ -373,7 +373,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
         x = x_prev if x1 is None else np.asarray(x1, dtype=float)
         H = as_symmetric(model.hessian(x))
         G = config.precond.materialize(H)
-        g = _record(trace, model, x, rho, weighted_norm_sq(x - x_prev, G), step_L, t0)
+        g = _record(trace, model, x, rho, weighted_norm_sq(x - x_prev, G), t0)
 
     def converged(rec: IterateRecord) -> bool:
         small_step = method != "anm" or np.sqrt(rec.step_norm_g_sq) <= config.grad_tol
@@ -402,7 +402,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
             rho = config.schedule.next_rho(rho)
         else:
             step_sq = float((x_next - x) @ (x_next - x))
-        g = _record(trace, model, x_next, rho, step_sq, step_L, t0, f_next)
+        g = _record(trace, model, x_next, rho, step_sq, t0, f_next)
         if g is None:
             break
         trace.steps_taken += 1

@@ -266,7 +266,7 @@ def test_criterion_08_penalty_contraction_certification():
             grad_tol=1e-9, max_iters=150,
         )
         trace = run(model, np.zeros(model.dim), cfg)
-        report = certify_penalty_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
+        report = certify_penalty_contraction(trace, model)
         all_ok = all_ok and report.aggregate.all_certified
         if report.aggregate.n_vacuous == 0 and report.aggregate.fraction_satisfied == 1.0 and report.entries:
             nonvacuous_clean += 1
@@ -289,7 +289,7 @@ def test_criterion_09_augmented_contraction_certification():
             grad_tol=1e-9, max_iters=150,
         )
         trace = run(model, np.zeros(model.dim), cfg)
-        report = certify_augmented_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
+        report = certify_augmented_contraction(trace, model)
         all_ok = all_ok and report.aggregate.all_certified and report.aggregate.n_vacuous == 0
         lyap = [r.lyapunov for r in trace.records[1:]]
         monotone = monotone and all(b <= a + 1e-12 for a, b in zip(lyap, lyap[1:]))

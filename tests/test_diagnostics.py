@@ -274,7 +274,7 @@ def test_certifier_entries_match_spectral_definitions():
                 method=method, precond=PreconditionerPolicy("fixed", G),
                 schedule=PenaltySchedule.fixed(rho), grad_tol=1e-300, max_iters=3,
             )
-            report = certify(run(model, x0, cfg), model, cfg.precond, mu=1.0, step_L=1.0)
+            report = certify(run(model, x0, cfg), model)
             assert report.entries
             for e in report.entries:
                 assert abs(e.xi - xi) <= 1e-8
@@ -459,12 +459,12 @@ def _scalar_pnm_trace(n_steps=4):
     cfg = SolverConfig(
         method="pnm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=n_steps
     )
-    return model, cfg, run(model, np.array([2.0]), cfg)
+    return model, run(model, np.array([2.0]), cfg)
 
 
 def test_certify_penalty_scalar_quadratic_tight():
-    model, cfg, trace = _scalar_pnm_trace()
-    report = certify_penalty_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+    model, trace = _scalar_pnm_trace()
+    report = certify_penalty_contraction(trace, model)
     assert report.aggregate.all_certified
     assert report.aggregate.n_vacuous == 0
     for e in report.entries:
@@ -480,16 +480,17 @@ def test_certify_penalty_single_point_trace():
     model = quadratic_model(np.eye(2))
     cfg = SolverConfig(method="pnm", grad_tol=1.0, max_iters=5)
     trace = run(model, np.zeros(2), cfg)  # converged immediately
-    report = certify_penalty_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+    report = certify_penalty_contraction(trace, model)
     assert report.entries == []
     assert report.aggregate.all_certified
     assert report.aggregate.fraction_satisfied == 1.0
 
 
 def test_certify_penalty_flags_vacuous_bound():
-    # an inflated mu drives eta above 1; the report must flag, not fake, it
-    model, cfg, trace = _scalar_pnm_trace()
-    report = certify_penalty_contraction(trace, model, cfg.precond, mu=10.0, step_L=1.0)
+    # an inflated mu drives eta above 1; the report must flag, not fake, it. mu is raised through the model
+    # (L with it, since mu <= L), so the run's own step_L = 1 is the one scored
+    model, trace = _scalar_pnm_trace()
+    report = certify_penalty_contraction(trace, dataclasses.replace(model, constants=(10.0, 10.0)))
     assert report.aggregate.n_vacuous == len(report.entries) > 0
     assert report.aggregate.fraction_satisfied == 1.0  # nothing scored
 
@@ -499,7 +500,32 @@ def test_certify_penalty_missing_optimum():
     cfg = SolverConfig(method="pnm", step_L=model.constants[0], max_iters=5, grad_tol=1e-8)
     trace = run(model, np.zeros(4), cfg)
     with pytest.raises(MissingOptimum):
-        certify_penalty_contraction(trace, model, cfg.precond, mu=model.constants[1], step_L=model.constants[0])
+        certify_penalty_contraction(trace, model)
+
+
+def test_certifiers_refuse_a_model_without_constants():
+    # mu is the model's, so a model that carries no (L, mu) cannot be certified
+    model = dataclasses.replace(quadratic_model(np.eye(2)), constants=None)
+    for method, certify in (("pnm", certify_penalty_contraction), ("anm", certify_augmented_contraction)):
+        trace = run(model, np.ones(2), SolverConfig(method=method, max_iters=3))
+        with pytest.raises(ValueError, match=r"^certification needs mu; give the model its constants \(L, mu\)$"):
+            certify(trace, model)
+
+
+def test_a_certificate_scores_the_runs_own_g():
+    # G comes from the trace's config: a hessian_diagonal run is scored with G_k = diag(H_k), not the identity
+    _, model = rand_glm(73, n=6, m=50)
+    model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
+    cfg = SolverConfig(method="pnm", precond=PreconditionerPolicy("hessian_diagonal"), step_L=model.constants.L)
+    trace = run(model, np.zeros(6), cfg)
+    report = certify_penalty_contraction(trace, model)
+    assert len(report.entries) >= 3
+    identity_gaps = []
+    for e in report.entries:
+        H_k, rho_k = model.hessian(trace.records[e.k].x), trace.records[e.k].rho
+        assert e.xi == pytest.approx(rate_constants(H_k, np.diag(np.diag(H_k)), rho_k).xi, rel=1e-10, abs=0.0)
+        identity_gaps.append(abs(e.xi - rate_constants(H_k, np.eye(6), rho_k).xi) / e.xi)
+    assert max(identity_gaps) > 1e-3, identity_gaps
 
 
 def test_certify_penalty_glm_run():
@@ -510,7 +536,7 @@ def test_certify_penalty_glm_run():
         method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
     )
     trace = run(model, np.zeros(6), cfg)
-    report = certify_penalty_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
+    report = certify_penalty_contraction(trace, model)
     assert report.aggregate.all_certified
     assert report.aggregate.n_vacuous == 0
     assert report.aggregate.worst_slack >= 0.0
@@ -521,12 +547,12 @@ def _scalar_anm_trace():
     cfg = SolverConfig(
         method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3
     )
-    return model, cfg, run(model, np.array([2.0]), cfg)
+    return model, run(model, np.array([2.0]), cfg)
 
 
 def test_certify_augmented_scalar_quadratic():
-    model, cfg, trace = _scalar_anm_trace()
-    report = certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+    model, trace = _scalar_anm_trace()
+    report = certify_augmented_contraction(trace, model)
     assert report.aggregate.all_certified
     first = report.entries[0]
     assert first.bound == pytest.approx(0.5, abs=1e-12)
@@ -537,16 +563,17 @@ def test_certify_augmented_scalar_quadratic():
 @pytest.mark.parametrize("kind", ["penalty", "augmented"])
 def test_a_raised_mu_fails_an_attained_bound_by_its_scale(kind):
     # where the bound is attained, scoring with mu raised by a relative delta moves the slack by
-    # -delta * factor * v_k: the entry fails, and its slack shows SLACK_TOL, not some looser slack
+    # -delta * factor * v_k: the entry fails, and its slack shows SLACK_TOL, not some looser slack. mu is raised
+    # through the model (L with it, since mu <= L), so the run's own step_L = 1 is the one scored
     if kind == "penalty":
-        model, cfg, trace = _scalar_pnm_trace()
+        model, trace = _scalar_pnm_trace()
         certify, v = certify_penalty_contraction, [r.f - trace.f_star for r in trace.records]
     else:
-        model, cfg, trace = _scalar_anm_trace()
+        model, trace = _scalar_anm_trace()
         certify, v = certify_augmented_contraction, [r.lyapunov for r in trace.records]
     delta = 0.01
-    base = certify(trace, model, cfg.precond, mu=1.0, step_L=1.0)
-    raised = certify(trace, model, cfg.precond, mu=1.0 + delta, step_L=1.0)
+    base = certify(trace, model)
+    raised = certify(trace, dataclasses.replace(model, constants=(1.0 + delta, 1.0 + delta)))
     shifts = []
     for e, entry in zip(base.entries, raised.to_dict()["entries"]):
         if abs(e.lhs - e.bound) <= 1e-12:  # attained
@@ -560,7 +587,7 @@ def test_certify_augmented_at_optimum():
     model = quadratic_model(np.eye(2))
     cfg = SolverConfig(method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3)
     trace = run(model, np.zeros(2), cfg)
-    report = certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+    report = certify_augmented_contraction(trace, model)
     assert report.aggregate.all_certified
     for e in report.entries:
         assert e.satisfied
@@ -572,7 +599,7 @@ def test_certify_augmented_refuses_a_one_record_trace():
     trace = run(model, np.ones(2), cfg)
     trace = dataclasses.replace(trace, records=trace.records[:1])  # x0 alone: no x_{k-1} to score V_k against
     with pytest.raises(ValueError, match="^augmented certification needs a trace with at least two points$"):
-        certify_augmented_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+        certify_augmented_contraction(trace, model)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -584,12 +611,12 @@ def test_each_certifier_takes_only_its_own_methods_traces(method):
                   "augmented": (certify_augmented_contraction, ("anm",))}
     for kind, (certify, methods) in certifiers.items():
         if method in methods:
-            report = certify(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
+            report = certify(trace, model)
             assert report.entries and report.aggregate.all_certified and report.aggregate.n_vacuous == 0
         else:
             refusal = f"^{kind} certification applies to {'/'.join(methods)} traces, not '{method}'$"
             with pytest.raises(ValueError, match=refusal):
-                certify(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
+                certify(trace, model)
 
 
 def test_certify_augmented_glm_run():
@@ -600,7 +627,7 @@ def test_certify_augmented_glm_run():
         method="anm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
     )
     trace = run(model, np.zeros(6), cfg)
-    report = certify_augmented_contraction(trace, model, cfg.precond, mu=mu, step_L=L)
+    report = certify_augmented_contraction(trace, model)
     assert report.aggregate.all_certified
     assert report.aggregate.n_vacuous == 0
 
@@ -622,7 +649,7 @@ def _certify_glm_run(method, precond, patch):
     trace = run(model, np.zeros(6), cfg)
     patch()
     certify = certify_penalty_contraction if method == "pnm" else certify_augmented_contraction
-    return certify(trace, model, cfg.precond, mu=mu, step_L=L)
+    return certify(trace, model)
 
 
 @pytest.mark.parametrize("method", ["pnm", "anm"])
@@ -680,8 +707,8 @@ def test_certify_factors_only_a_dense_g(monkeypatch, method, precond, cholesky_p
 def test_report_serialization_round_trip():
     import json
 
-    model, cfg, trace = _scalar_pnm_trace()
-    report = certify_penalty_contraction(trace, model, cfg.precond, mu=1.0, step_L=1.0)
+    model, trace = _scalar_pnm_trace()
+    report = certify_penalty_contraction(trace, model)
     blob = json.dumps(report.to_dict())
     loaded = json.loads(blob)
     assert loaded == report.to_dict()
@@ -694,7 +721,7 @@ def test_undefined_report_values_serialize_as_null():
     # converged at its start: no entries, so xi_min is NaN and worst_slack inf before serialization
     model = quadratic_model(np.eye(2))
     trace = run(model, np.zeros(2), SolverConfig(method="pnm"))
-    report = certify_penalty_contraction(trace, model, PreconditionerPolicy(), mu=1.0, step_L=1.0)
+    report = certify_penalty_contraction(trace, model)
     assert report.entries == [] and np.isnan(report.aggregate.xi_min) and report.aggregate.worst_slack == np.inf
     blob = json.dumps(report.to_dict(), allow_nan=False)
     assert '"nan"' not in blob and '"inf"' not in blob
@@ -759,7 +786,7 @@ def test_bad_hessian_raises_where_it_is_received(method, bad):
         trace = run(good, x0, SolverConfig(method=certified, max_iters=3))  # a trace of the certifier's own method
         assert len(trace.records) == 4 + (certified == "anm")
         with pytest.raises(ValueError, match="not symmetric" if bad == "asymmetric" else "non-finite"):
-            certify(trace, model, PreconditionerPolicy("identity"), mu=1.0, step_L=1.0)
+            certify(trace, model)
     with pytest.raises(ValueError):
         check_relative_bounds(model, x0, np.zeros(3), 1.0, 1.0)
 

@@ -1113,6 +1113,19 @@ def test_cli_bad_logistic_label_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot map label 2.0 onto {-1, +1}\n"
 
 
+@pytest.mark.parametrize("fmt, text", [("csv", "0.5,1\n-0.5,nan\n"), ("libsvm", "1 1:0.5\ninf 1:-0.5\n")])
+def test_cli_non_finite_squared_label_exits_2_naming_the_labels(tmp_path, capsys, monkeypatch, fmt, text):
+    # the labels are refused where the problem is built, not blamed on the start point after the f* oracle
+    _no_fstar_oracle(monkeypatch)
+    data, out = tmp_path / f"labels.{fmt}", tmp_path / "x"
+    data.write_text(text)
+    code = cli_main(["solve", "--method", "pnm", "--dataset", str(data), "--format", fmt, "--link", "squared",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: labels have non-finite entries\n")
+    assert not out.exists()
+
+
 def test_cli_empty_builtin_shape_is_input_error(tmp_path, capsys):
     spec = {"problem": {"builtin": "logistic", "n": 0, "m": 10}, "out": str(tmp_path / "x"),
             "solvers": [{"name": "pnm", "method": "pnm"}]}

@@ -13,7 +13,9 @@ package outside ``errors.py``, so an error that nothing raises any more goes.
 Every entry of every ``__all__`` must name an object its module binds, so a
 stale entry cannot break ``from <module> import *``. ``diagnostics._whiten`` has
 one call site, the spectrum builder ``_spectrum``, so no function whitens its
-``(H, G)`` apart from the one spectrum it reads every quantity from.
+``(H, G)`` apart from the one spectrum it reads every quantity from. An
+``IterateTrace`` is constructed only in ``solvers.run``, so every trace holds the
+``SolverConfig`` it ran with, which the certifiers read ``G`` and ``L`` from.
 """
 
 import ast
@@ -130,9 +132,19 @@ def test_every_error_class_is_constructed_outside_errors_py():
     assert unused == [], f"errors.py defines classes the package never constructs: {', '.join(unused)}"
 
 
+def _callers(callee: str) -> list[tuple[str, str]]:
+    """``(file name, top-level definition)`` for each call of ``callee`` in ``src/pnewton``, by name or attribute."""
+    return [(path.name, node.name) for path in SRC.rglob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and callee in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))]
+
+
 def test_whiten_has_one_call_site_the_spectrum_builder():
-    callers = [(path.name, node.name) for path in SRC.rglob("*.py")
-               for node in ast.parse(path.read_text(encoding="utf-8")).body
-               for sub in ast.walk(node) if isinstance(sub, ast.Call)
-               and "_whiten" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))]
+    callers = _callers("_whiten")
     assert callers == [("diagnostics.py", "_spectrum")], f"_whiten is called from {callers}"
+
+
+def test_iterate_trace_is_constructed_only_in_run():
+    callers = _callers("IterateTrace")
+    assert callers == [("solvers.py", "run")], f"IterateTrace is constructed in {callers}"

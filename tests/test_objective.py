@@ -56,6 +56,8 @@ def test_glm_build_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="data matrix has non-finite entries"):
             glm_build(np.array([[bad, 1.0]]), "squared", 1.0)
+        with pytest.raises(ValueError, match="labels have non-finite entries"):
+            glm_build(np.ones((1, 2)), "squared", 1.0, labels=np.array([1.0, bad]))
 
 
 def _handover(kind):

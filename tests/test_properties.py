@@ -19,9 +19,10 @@ from pnewton.diagnostics import _whiten
 from pnewton.errors import BadLabel, EmptyDataset, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
+from pnewton.harness.datasets import READERS
 from pnewton.harness.experiment import PRECONDITIONERS, ExperimentSpec, _build_model
 from pnewton.linalg import as_symmetric, precond_apply, shifted, weighted_norm_sq
-from pnewton.objective import glm_build
+from pnewton.objective import LINK_CURVATURE, glm_build
 from pnewton.solvers import METHODS, PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
 
 GLMS = st.fixed_dictionaries({
@@ -232,11 +233,7 @@ def _log_uniform(lo, hi):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
 
 
-RUN_SPECS = st.fixed_dictionaries({
-    "problem": st.one_of(  # the quadratic knows its f* and starts at ones, the logistic at zeros
-        st.fixed_dictionaries({"builtin": st.just("quadratic"), "n": st.integers(1, 11)}),
-        st.fixed_dictionaries({"builtin": st.just("logistic"), "n": st.integers(1, 11), "m": st.integers(1, 39)}),
-    ),
+RUN_FIELDS = {
     "alpha": _log_uniform(1e-3, 10.0),
     "seed": st.integers(0, 2**16),
     "diagnostics": st.just(True),
@@ -250,7 +247,36 @@ RUN_SPECS = st.fixed_dictionaries({
         "step_L": st.one_of(st.none(), st.floats(1.0, 4.0)),  # null, or a multiple of the model's L (see below)
         "max_iters": st.integers(1, 200),  # small alpha needs thousands of steps: keep exit 1 cheap
     }), min_size=1, max_size=3).map(lambda solvers: [{"name": f"s{i}", **s} for i, s in enumerate(solvers)]),
+}
+
+RUN_SPECS = st.fixed_dictionaries({
+    "problem": st.one_of(  # the quadratic knows its f* and starts at ones, the logistic at zeros
+        st.fixed_dictionaries({"builtin": st.just("quadratic"), "n": st.integers(1, 11)}),
+        st.fixed_dictionaries({"builtin": st.just("logistic"), "n": st.integers(1, 11), "m": st.integers(1, 39)}),
+    ),
+    **RUN_FIELDS,
 })
+
+#: a dataset spec's problem holds the file's format and sizes until the test writes the file it names
+DATASET_SPECS = st.fixed_dictionaries({
+    "problem": st.fixed_dictionaries({"format": st.sampled_from(sorted(READERS)), "n": st.integers(1, 6),
+                                      "m": st.integers(1, 30)}),
+    "link": st.sampled_from(sorted(LINK_CURVATURE)),
+    **RUN_FIELDS,
+})
+
+
+def _write_dataset(path: Path, fmt: str, n: int, m: int, link: str, seed: int) -> None:
+    """A seeded n x m matrix and its labels (0/1 for the logistic link, real for the squared) as a dataset file."""
+    rng = np.random.default_rng(seed)
+    A = (rng.standard_normal((n, m)) / np.sqrt(n)).T.tolist()  # one row per sample
+    labels = rng.integers(0, 2, m).astype(float) if link == "logistic" else rng.standard_normal(m)
+    if fmt == "csv":
+        rows = [",".join(map(repr, [*a, y])) for a, y in zip(A, labels.tolist())]
+    else:
+        rows = [" ".join([repr(y), *(f"{i}:{v!r}" for i, v in enumerate(a, start=1))])
+                for a, y in zip(A, labels.tolist())]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def _zero_elapsed(name: str, data: bytes) -> bytes:
@@ -258,33 +284,51 @@ def _zero_elapsed(name: str, data: bytes) -> bytes:
     return re.sub(rb",\d+$", b",0", data, flags=re.M) if name.endswith(".trace.csv") else data
 
 
-@settings(max_examples=25, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(spec=RUN_SPECS, provided=st.booleans())
-def test_run_contract_over_builtin_specs(tmp_path, monkeypatch, capsys, spec, provided):
+def _check_run_contract(tmp: Path, monkeypatch, capsys, spec: dict, provided: bool) -> None:
+    """Run ``spec`` in ``tmp`` at ``PN_THREADS=1`` and ``=2``: exit codes, equal bytes, and every replay matching."""
     model = _build_model(ExperimentSpec.from_dict(spec).problem)
     # a drawn step_L is a multiple >= 1 of the model's L: the replay runs both the L it derives and the L it is given
     spec = {**spec, "solvers": [{**s, "step_L": None if s["step_L"] is None else s["step_L"] * model.constants[0]}
                                 for s in spec["solvers"]]}
     if provided:  # the oracle's own value, so the run converges as with the oracle
         spec = {**spec, "fstar": {"policy": "provided", "value": fstar_oracle(model).final.f}}
+    written = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PN_THREADS", threads)
+        out = tmp / threads
+        path = tmp / f"spec{threads}.json"
+        path.write_text(json.dumps({**spec, "out": str(out)}))
+        code = cli_main(["run", str(path)])
+        summary = json.loads((out / "summary.json").read_text())
+        converged = all(entry["termination"] == "converged" for entry in summary["solvers"])
+        assert code == (0 if converged else 1), summary
+        written[threads] = {p.name: _zero_elapsed(p.name, p.read_bytes()) for p in sorted(out.iterdir())}
+    assert written["1"] == written["2"]
+    capsys.readouterr()
+    for solver in spec["solvers"]:
+        assert cli_main(["certify", "--trace", str(out / f"{solver['name']}.trace.csv")]) == 0
+        assert capsys.readouterr().out.endswith("matches stored certification: True\n"), solver
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=RUN_SPECS, provided=st.booleans())
+def test_run_contract_over_builtin_specs(tmp_path, monkeypatch, capsys, spec, provided):
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
-        written = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PN_THREADS", threads)
-            out = Path(tmp) / threads
-            path = Path(tmp) / f"spec{threads}.json"
-            path.write_text(json.dumps({**spec, "out": str(out)}))
-            code = cli_main(["run", str(path)])
-            summary = json.loads((out / "summary.json").read_text())
-            converged = all(entry["termination"] == "converged" for entry in summary["solvers"])
-            assert code == (0 if converged else 1), summary
-            written[threads] = {p.name: _zero_elapsed(p.name, p.read_bytes()) for p in sorted(out.iterdir())}
-        assert written["1"] == written["2"]
-        capsys.readouterr()
-        for solver in spec["solvers"]:
-            assert cli_main(["certify", "--trace", str(out / f"{solver['name']}.trace.csv")]) == 0
-            assert capsys.readouterr().out.endswith("matches stored certification: True\n"), solver
+        _check_run_contract(Path(tmp), monkeypatch, capsys, spec, provided)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=DATASET_SPECS, provided=st.booleans())
+def test_run_contract_over_dataset_specs(tmp_path, monkeypatch, capsys, spec, provided):
+    # csv and libsvm files under both links; the replay reads the file again through the meta's problem path
+    fmt, n, m = (spec["problem"][key] for key in ("format", "n", "m"))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        data = Path(tmp) / f"data.{fmt}"
+        _write_dataset(data, fmt, n, m, spec["link"], spec["seed"])
+        _check_run_contract(Path(tmp), monkeypatch, capsys, {**spec, "problem": {"path": str(data), "format": fmt}},
+                            provided)
 
 
 ACCEPTED_SPECS = st.fixed_dictionaries({

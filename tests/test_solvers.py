@@ -391,7 +391,7 @@ def test_run_one_hessian_per_step_one_gradient_per_record(method, precond):
     assert trace.termination == "converged" and trace.steps_taken >= 1
     assert calls["hessian"] == trace.steps_taken
     assert calls["gradient"] == len(trace.records)
-    if trace.method != "damped_newton":
+    if trace.config.method != "damped_newton":
         assert calls["value"] == len(trace.records)
 
 
@@ -691,7 +691,7 @@ def test_trace_invariants():
 def test_fstar_oracle_provenance():
     _, model = rand_glm(61, n=6, m=40)
     trace = fstar_oracle(model)
-    assert trace.method == "damped_newton" and trace.termination == "converged"
+    assert trace.config.method == "damped_newton" and trace.termination == "converged"
     assert trace.final.grad_norm <= 1e-13 and trace.f_star is None
     assert trace.final.f <= model.value(np.zeros(6))
     _, info = _resolve_fstar(types.SimpleNamespace(fstar={"policy": "oracle"}), model)
