@@ -82,6 +82,9 @@ __all__ = [
 #: Absolute slack allowed on each certified contraction inequality.
 SLACK_TOL = 1e-12
 
+#: Certified method -> the name of its certifier; ``damped_newton``'s line search is outside the theorem.
+CERTIFIERS = dict.fromkeys(("pnm", "newton"), "certify_penalty_contraction") | {"anm": "certify_augmented_contraction"}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -376,12 +379,11 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) ->
     """Score ``v_{k+1} <= (1 - factor) v_k + SLACK_TOL`` per iterate, vacuous for a factor outside (0, 1].
 
     One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor
-    depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``; a ``pnm`` trace, or a
-    ``newton`` one at its ``rho = inf`` limit), the composite value and ``xi mu / L`` for ``"augmented"``
-    (from ``k = 1``; an ``anm`` trace). Another method's trace is a ``ValueError``. ``G_k`` and ``L``
-    are the run's own, ``trace.config``'s ``precond`` and ``step_L``; ``mu`` is ``model.constants.mu``.
+    depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), the composite value and
+    ``xi mu / L`` for ``"augmented"`` (from ``k = 1``). ``G_k`` and ``L`` are the run's, ``mu`` the model's.
+    A method ``CERTIFIERS`` does not map to this kind, or an f* above the lowest recorded ``f``, is a ``ValueError``.
     """
-    config, methods = trace.config, ("pnm", "newton") if kind == "penalty" else ("anm",)
+    config, methods = trace.config, [m for m, name in CERTIFIERS.items() if name == f"certify_{kind}_contraction"]
     if config.method not in methods:
         raise ValueError(f"{kind} certification applies to {'/'.join(methods)} traces, not {config.method!r}")
     if trace.f_star is None:
@@ -390,6 +392,8 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) ->
         raise ValueError("certification needs mu; give the model its constants (L, mu)")
     mu, step_L = model.constants.mu, config.step_L
     f_star, records, penalty = float(trace.f_star), trace.records, kind == "penalty"
+    if f_star > (f_low := min(record.f for record in records)) + 1e-9:  # lyapunov's tolerance
+        raise ValueError(f"f_star = {f_star!r} exceeds the lowest recorded f(x) = {f_low!r} beyond tolerance")
     if not penalty and len(records) < 2:
         raise ValueError("augmented certification needs a trace with at least two points")
     report = ContractionReport(kind=kind, f_star=f_star, mu=float(mu), step_L=float(step_L))  # written as floats

@@ -6,8 +6,8 @@ Outputs per solver, under the experiment's output directory:
                     step_norm_G,lyapunov,elapsed_ns``
   <name>.meta.json  what a replay needs to re-run the solver (its settings, the
                     problem description and f*; not L) and its final iterate
-  <name>.cert.json  contraction certification report (penalty/augmented
-                    methods with diagnostics enabled)
+  <name>.cert.json  contraction certification report (a method of
+                    ``diagnostics.CERTIFIERS``, with diagnostics enabled)
 
 plus a single ``summary.json``. Trace bytes are deterministic for a fixed
 spec and seed: floats are written with shortest round-trip repr and the
@@ -259,12 +259,9 @@ def _write_meta(path, spec: ExperimentSpec, sspec: SolverSpec, trace, fstar_info
     _write_json(path, meta)
 
 
-# method -> certifier, looked up on ``diagnostics`` per call so a wrapped attribute is the one called
-_CERTIFIERS = {"pnm": "certify_penalty_contraction", "anm": "certify_augmented_contraction"}
-
-
 def _certify(trace, model) -> diagnostics.ContractionReport:
-    return getattr(diagnostics, _CERTIFIERS[trace.config.method])(trace, model)
+    # looked up on ``diagnostics`` per call, so a wrapped certifier is the one called
+    return getattr(diagnostics, diagnostics.CERTIFIERS[trace.config.method])(trace, model)
 
 
 def _start_point(problem: dict, dim: int) -> np.ndarray:
@@ -301,7 +298,7 @@ def _run_one(spec: ExperimentSpec, sspec: SolverSpec, model, fstar_info, outdir:
     write_trace_csv(trace, outdir / f"{sspec.name}.trace.csv", timing=spec.timing)
     _write_meta(outdir / f"{sspec.name}.meta.json", spec, sspec, trace, fstar_info)
     cert_summary = None
-    if spec.diagnostics and trace.config.method in _CERTIFIERS:
+    if spec.diagnostics and trace.config.method in diagnostics.CERTIFIERS:
         cert = _certify(trace, model).to_dict()
         _write_json(outdir / f"{sspec.name}.cert.json", cert)
         cert_summary = cert["aggregate"]
@@ -386,8 +383,8 @@ def _read_meta(meta_path) -> tuple[ObjectiveModel, dict, SolverSpec, object]:
             raise ValueError(f"problem {problem!r} is not the description a run records, {spec.problem!r}")
         if not is_number(f_star):
             raise ValueError(f"f_star must be a finite number, got {f_star!r}")
-        if sspec.method not in _CERTIFIERS:
-            raise ValueError(f"certification applies to {'/'.join(_CERTIFIERS)} traces, not {sspec.method!r}")
+        if sspec.method not in (certified := diagnostics.CERTIFIERS):
+            raise ValueError(f"certification applies to {'/'.join(certified)} traces, not {sspec.method!r}")
         model = replace(_build_model(problem), f_star=f_star)  # the library may refuse: no file, a bad alpha or link
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_glm, rand_pd, rand_psd
+from pnewton import diagnostics
 from pnewton.diagnostics import (
+    CERTIFIERS,
     SLACK_TOL,
     _spectrum,
     _whiten,
@@ -619,6 +622,54 @@ def test_each_certifier_takes_only_its_own_methods_traces(method):
                 certify(trace, model)
 
 
+@pytest.mark.parametrize("method", list(CERTIFIERS))
+def test_certifiers_refuse_an_fstar_above_the_lowest_recorded_f(method):
+    # an f* above f(x_k) makes every later gap negative, so a contraction of it means nothing: an f* more than 1e-9
+    # (lyapunov's tolerance) above the lowest recorded f is refused for either kind, and one within it is scored
+    _, model = rand_glm(75, n=6, m=50)
+    f_star = fstar_oracle(model).final.f
+    certify = getattr(diagnostics, CERTIFIERS[method])
+    config = SolverConfig(method=method, step_L=model.constants.L, grad_tol=1e-8, max_iters=200)
+    for shift in (1e-6, 1e-10):
+        shifted = dataclasses.replace(model, f_star=f_star + shift)
+        trace = run(shifted, np.zeros(6), config)
+        if shift > 1e-9:
+            f_low = min(record.f for record in trace.records)
+            refusal = f"f_star = {f_star + shift!r} exceeds the lowest recorded f(x) = {f_low!r} beyond tolerance"
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                certify(trace, shifted)
+        else:
+            assert certify(trace, shifted).entries
+
+
+def _glm_with_fstar(seed):
+    _, model = rand_glm(seed, n=6, m=50)
+    return dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
+
+
+def test_a_newton_certificate_scores_newtons_factor_on_every_entry():
+    # a newton trace records rho = inf on every row, where the penalty certificate takes its limits: xi = 1 and
+    # eta = mu/L, the factor 1 - mu/L of Newton's method at step 1/L
+    model = _glm_with_fstar(76)
+    L, mu = model.constants
+    trace = run(model, np.zeros(6), SolverConfig(method="newton", step_L=L, grad_tol=1e-8, max_iters=200))
+    report = certify_penalty_contraction(trace, model)
+    assert len(report.entries) >= 3 and report.aggregate.all_certified and report.aggregate.n_vacuous == 0
+    for e in report.entries:
+        assert trace.records[e.k].rho == np.inf
+        assert e.xi == 1.0 and e.eta == mu / L and e.bound == 1.0 - mu / L
+
+
+def test_pnm_eta_at_a_huge_penalty_is_newtons_mu_over_l():
+    model = _glm_with_fstar(77)
+    L, mu = model.constants
+    cfg = SolverConfig(method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1e12), grad_tol=1e-8, max_iters=200)
+    report = certify_penalty_contraction(run(model, np.zeros(6), cfg), model)
+    assert len(report.entries) >= 3
+    for e in report.entries:
+        assert e.eta == pytest.approx(mu / L, rel=1e-9, abs=0.0)
+
+
 def test_certify_augmented_glm_run():
     _, model = rand_glm(74, n=6, m=50)
     model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
@@ -648,11 +699,10 @@ def _certify_glm_run(method, precond, patch):
     cfg = SolverConfig(method=method, precond=precond, step_L=L, grad_tol=1e-10, max_iters=50)
     trace = run(model, np.zeros(6), cfg)
     patch()
-    certify = certify_penalty_contraction if method == "pnm" else certify_augmented_contraction
-    return certify(trace, model)
+    return getattr(diagnostics, CERTIFIERS[method])(trace, model)
 
 
-@pytest.mark.parametrize("method", ["pnm", "anm"])
+@pytest.mark.parametrize("method", ["pnm", "anm", "newton"])
 @pytest.mark.parametrize(
     "precond", [PreconditionerPolicy("identity"), PreconditionerPolicy("hessian_diagonal")], ids=["identity", "diag"]
 )

@@ -362,7 +362,7 @@ def test_oracle_memo_and_workers_change_no_output_byte(tmp_path, monkeypatch):
 
     run_experiment(_lock_spec(tmp_path / "memo"))
     written = _all_bytes(tmp_path / "memo")
-    assert sum(name.endswith(".cert.json") for name in written) == 4
+    assert sum(name.endswith(".cert.json") for name in written) == 5  # every solver but damped_newton
     assert sum(name.endswith(".trace.csv") for name in written) == 6
 
     monkeypatch.setenv("PN_THREADS", "2")
@@ -737,14 +737,20 @@ def test_a_step_below_L_fails_its_certificate_where_it_is_read(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("method", ["newton", "damped_newton"])
-def test_cli_certify_refuses_a_newton_trace(tmp_path, capsys, method):
-    # certification applies to pnm/anm traces; a Newton baseline's is an input error naming its meta
+def test_cli_certify_replays_newton_and_refuses_damped_newton(tmp_path, capsys, method):
+    # newton is PNM's rho = inf limit, so its run writes a cert that the replay reproduces; damped_newton's line
+    # search is outside the theorem, so it has no cert and its trace is an input error naming its meta
     run_experiment(ExperimentSpec(problem={"builtin": "logistic", "n": 6, "m": 40}, seed=3, out=str(tmp_path / "c"),
                                   solvers=[SolverSpec(name="base", method=method)], diagnostics=True))
-    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "base.trace.csv")]) == 2
+    code = cli_main(["certify", "--trace", str(tmp_path / "c" / "base.trace.csv")])
     out, err = capsys.readouterr()
     meta_path = tmp_path / "c" / "base.meta.json"
-    assert out == "" and err == f"error: {meta_path}: certification applies to pnm/anm traces, not {method!r}\n"
+    assert (tmp_path / "c" / "base.cert.json").exists() is (method == "newton")
+    if method == "newton":
+        assert code == 0 and err == "" and out.endswith("\nmatches stored certification: True\n")
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: {meta_path}: certification applies to pnm/newton/anm traces, not {method!r}\n"
 
 
 def _halve_f_on_row_3(lines):
@@ -1162,6 +1168,31 @@ def test_provided_fstar_is_used_without_the_oracle_and_replays(tmp_path, capsys,
         assert all(row["gap"] == row["f"] - v for row in rows)
         assert cli_main(["certify", "--trace", str(out / f"{name}.trace.csv")]) == 0
         assert "matches stored certification: True" in capsys.readouterr().out
+
+
+def test_a_provided_fstar_above_a_runs_values_fails_its_certificate_as_an_input_error(tmp_path, capsys):
+    # an f* 1e-6 above the oracle's lies above the lowest f each run records, so every gap is negative; neither
+    # certifier scores such a run: both solvers fail, with their traces and metas written and no cert, and run exits 2
+    from pnewton.harness.experiment import _build_model
+    from pnewton.solvers import fstar_oracle
+
+    out = tmp_path / "above"
+    spec = {"problem": {"builtin": "logistic"}, "seed": 0, "alpha": 0.1, "diagnostics": True, "out": str(out),
+            "solvers": [{"name": "pnm", "method": "pnm"}, {"name": "anm", "method": "anm"}]}
+    f_star = fstar_oracle(_build_model(ExperimentSpec.from_dict(spec).problem)).final.f + 1e-6
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "fstar": {"policy": "provided", "value": f_star}}))
+    assert cli_main(["run", str(path)]) == 2
+    stdout, stderr = capsys.readouterr()
+    failed = json.loads((out / "summary.json").read_text())["failed"]
+    assert [entry["name"] for entry in failed] == ["pnm", "anm"]
+    for entry in failed:
+        f_low = min(row["f"] for row in _read_trace(out / f"{entry['name']}.trace.csv"))
+        assert f_star > f_low + 1e-9
+        assert entry["error"] == f"f_star = {f_star!r} exceeds the lowest recorded f(x) = {f_low!r} beyond tolerance"
+        assert (out / f"{entry['name']}.meta.json").exists()
+    assert stdout == "" and stderr == f"error: {failed[0]['error']}\n"
+    assert not list(out.glob("*.cert.json"))
 
 
 def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypatch):

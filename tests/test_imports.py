@@ -16,6 +16,8 @@ one call site, the spectrum builder ``_spectrum``, so no function whitens its
 ``(H, G)`` apart from the one spectrum it reads every quantity from. An
 ``IterateTrace`` is constructed only in ``solvers.run``, so every trace holds the
 ``SolverConfig`` it ran with, which the certifiers read ``G`` and ``L`` from.
+Which methods get a certificate, and from which certifier, is one table,
+``diagnostics.CERTIFIERS``: no other module defines a method->certifier map.
 """
 
 import ast
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import pnewton.harness
+from pnewton import diagnostics, solvers
 
 SRC = Path(__file__).parents[1] / "src" / "pnewton"
 
@@ -78,8 +81,8 @@ def test_every_all_entry_names_a_bound_object(path):
     assert not unbound, f"{path.name} lists names in __all__ that it does not bind: {', '.join(unbound)}"
 
 
-def _private_definitions(tree: ast.Module):
-    """``(name, line)`` for each private function, class or constant a module defines at its top level."""
+def _top_level_names(tree: ast.Module):
+    """``(name, line)`` for each function, class or constant a module defines at its top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -88,7 +91,12 @@ def _private_definitions(tree: ast.Module):
             targets = [n.id for target in assigned for n in ast.walk(target) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, node.lineno) for name in targets if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node.lineno) for name in targets)
+
+
+def _private_definitions(tree: ast.Module):
+    """``(name, line)`` for each private function, class or constant a module defines at its top level."""
+    return [(name, line) for name, line in _top_level_names(tree) if name.startswith("_") and not name.startswith("__")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
@@ -148,3 +156,16 @@ def test_whiten_has_one_call_site_the_spectrum_builder():
 def test_iterate_trace_is_constructed_only_in_run():
     callers = _callers("IterateTrace")
     assert callers == [("solvers.py", "run")], f"IterateTrace is constructed in {callers}"
+
+
+def test_one_table_says_which_methods_are_certified_and_by_what():
+    # every entry names a public certifier; every method but damped_newton, whose line search is outside the
+    # theorem, has one; and no other module keeps its own map (a top-level *CERTIFIERS name) or the old _CERTIFIERS
+    assert set(diagnostics.CERTIFIERS.values()) <= set(diagnostics.__all__)
+    assert all(callable(getattr(diagnostics, name)) for name in diagnostics.CERTIFIERS.values())
+    assert set(solvers.METHODS) - set(diagnostics.CERTIFIERS) == {"damped_newton"}
+    tables = [(path.name, name) for path in sorted(SRC.rglob("*.py"))
+              for name, _ in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+              if name.endswith("CERTIFIERS")]
+    assert tables == [("diagnostics.py", "CERTIFIERS")], f"method->certifier tables: {tables}"
+    assert not [path.name for path in SRC.rglob("*.py") if "_CERTIFIERS" in path.read_text(encoding="utf-8")]

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_glm
-from pnewton.diagnostics import _whiten
+from pnewton.diagnostics import _whiten, certify_penalty_contraction
 from pnewton.errors import BadLabel, EmptyDataset, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
@@ -73,6 +74,29 @@ def test_damped_newton_never_increases_f(glm):
     trace = run(model, np.zeros(model.dim), _config("damped_newton", "identity", model))
     fs = [rec.f for rec in trace.records]
     assert all(b <= a for a, b in zip(fs, fs[1:])), fs
+
+
+@GLM_SETTINGS
+@given(
+    glm=GLMS,
+    rho=st.sampled_from([1e-2, 0.1, 1.0, 10.0, 1e3]),
+    precond=st.sampled_from(["identity", "hessian_diagonal"]),
+)
+def test_pnm_eta_stays_below_newtons_mu_over_l_at_finite_rho(glm, rho, precond):
+    # eta = (mu/L) xi (1 + beta/rho), with xi <= t and beta/rho = 1 - t for t = rho lam_max / (1 + rho lam_max) on
+    # the whitened spectrum, so eta <= (mu/L) (1 - (1 - t)^2) < mu/L: the penalty factor never reaches Newton's.
+    # lam_max is read here off the generalized problem H v = lam G v, not the certifier's whitening
+    model = _model_with_fstar(glm)
+    L, mu = model.constants
+    trace = run(model, np.zeros(model.dim), _config("pnm", precond, model, max_iters=20,
+                                                    schedule=PenaltySchedule.fixed(rho)))
+    for e in certify_penalty_contraction(trace, model).entries:
+        H = as_symmetric(model.hessian(trace.records[e.k].x))
+        G = trace.config.precond.materialize(H)
+        lam_max = scipy.linalg.eigh(H, np.diag(G) if G.ndim == 1 else G, eigvals_only=True)[-1]
+        t = rho * lam_max / (1.0 + rho * lam_max)
+        bound = mu / L * t * (2.0 - t)  # 1 - (1 - t)^2, without its cancellation at small t
+        assert e.eta <= bound * (1.0 + 1e-12) and bound < mu / L, (e.k, e.eta, bound, mu / L)
 
 
 # Drawn by the property below: at k = 42 the gap sits at one ulp of f
