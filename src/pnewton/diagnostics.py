@@ -34,7 +34,7 @@ Bounds outside (0, 1) are reported as vacuous, never silently passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -56,9 +56,7 @@ from .linalg import (
     weighted_norm_sq,
 )
 from .objective import ObjectiveModel
-
-if TYPE_CHECKING:
-    from .solvers import IterateTrace
+from .solvers import FSTAR_SLACK, IterateTrace, composite_value
 
 __all__ = [
     "CheckResult",
@@ -74,13 +72,17 @@ __all__ = [
     "verify_spectrum_match",
     "verify_gradient_energy_bound",
     "verify_step_energy_bound",
-    "lyapunov",
     "certify_penalty_contraction",
     "certify_augmented_contraction",
 ]
 
 #: Absolute slack allowed on each certified contraction inequality.
 SLACK_TOL = 1e-12
+
+#: Absolute slack of ``verify_gradient_energy_bound`` and ``verify_step_energy_bound``.
+ENERGY_TOL = 1e-10
+#: Largest eigenvalue difference ``verify_spectrum_match`` accepts.
+SPECTRUM_TOL = 1e-8
 
 #: Certified method -> the name of its certifier; ``damped_newton``'s line search is outside the theorem.
 CERTIFIERS = dict.fromkeys(("pnm", "newton"), "certify_penalty_contraction") | {"anm": "certify_augmented_contraction"}
@@ -226,7 +228,7 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     return CheckResult(ok, {"res_hk": res_hk, "res_gkg": res_gkg, "gkg_scale": scale})
 
 
-def verify_spectrum_match(H, G, rho: float, tol: float = 1e-8) -> CheckResult:
+def verify_spectrum_match(H, G, rho: float) -> CheckResult:
     """Check that ``H^{1/2} K H^{1/2}`` and ``G^{-1/2} F G^{-1/2}`` share nonzero spectra.
 
     The two matrices are built through different routes (the Hessian square
@@ -234,7 +236,7 @@ def verify_spectrum_match(H, G, rho: float, tol: float = 1e-8) -> CheckResult:
     The sorted nonzero lists are compared as multisets: when an eigenvalue
     sits at the rank cutoff and the two routes classify it differently, the
     shorter list is padded with zeros, so the disputed value still has to be
-    below ``tol`` for the check to pass.
+    below ``SPECTRUM_TOL`` for the check to pass.
     """
     H, G = as_symmetric(H), as_symmetric(G)
     S, R, Gis = _spectrum(H, G, True), psd_sqrt(H), inv_sqrt_pd(G)
@@ -247,15 +249,13 @@ def verify_spectrum_match(H, G, rho: float, tol: float = 1e-8) -> CheckResult:
     p2 = np.concatenate([np.zeros(width - e2.size), e2])
     max_diff = float(np.abs(p1 - p2).max()) if width else 0.0
     return CheckResult(
-        max_diff <= tol,
+        max_diff <= SPECTRUM_TOL,
         {"count_lhs": float(e1.size), "count_rhs": float(e2.size), "max_diff": max_diff},
     )
 
 
-def verify_gradient_energy_bound(
-    model: ObjectiveModel, x, G, rho: float, tol: float = 1e-10
-) -> CheckResult:
-    """Check ``||grad f||^2_K >= xi * ||grad f||^2_{H^+}`` at one point."""
+def verify_gradient_energy_bound(model: ObjectiveModel, x, G, rho: float) -> CheckResult:
+    """Check ``||grad f||^2_K >= xi * ||grad f||^2_{H^+} - ENERGY_TOL`` at one point."""
     x = np.asarray(x, dtype=float)
     g = model.gradient(x)
     if float(np.linalg.norm(g)) == 0.0:
@@ -265,11 +265,11 @@ def verify_gradient_energy_bound(
     lhs = weighted_norm_sq(g, S.K(rho))
     xi = S.rates(rho).xi
     rhs = xi * float(g @ pinv_apply(H, g))
-    return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi})
+    return CheckResult(lhs >= rhs - ENERGY_TOL, {"lhs": lhs, "rhs": rhs, "xi": xi})
 
 
-def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) -> CheckResult:
-    """Check ``||x - x_prev||^2_F >= xi * ||x - x_prev||^2_G`` at one iterate.
+def verify_step_energy_bound(x, x_prev, H, G, rho: float) -> CheckResult:
+    """Check ``||x - x_prev||^2_F >= xi * ||x - x_prev||^2_G - ENERGY_TOL`` at one iterate.
 
     Requires H to be PD, or ``G (x - x_prev)`` to lie in ``Range(H)``
     (projection residual below ``1e-8 * (1 + ||G d||)``); the verdict carries
@@ -288,21 +288,7 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float, tol: float = 1e-10) ->
     range_ok = pd or range_check(H, G @ d)[2]
     lhs = weighted_norm_sq(d, S.F(rho))
     rhs = xi * weighted_norm_sq(d, G)
-    return CheckResult(lhs >= rhs - tol, {"lhs": lhs, "rhs": rhs, "xi": xi}, precondition_ok=range_ok)
-
-
-def lyapunov(f_x: float, f_star: float, x, x_prev, G, rho: float, step_L: float) -> float:
-    """Composite descent value ``f(x) - f* + (L / 2 rho) ||x - x_prev||^2_G``.
-
-    Requires ``f_star <= f_x + 1e-9``; the result is clamped to be nonnegative
-    against floating-point noise of that size.
-    """
-    if f_star > f_x + 1e-9:
-        raise ValueError(f"f_star = {f_star!r} exceeds f(x) = {f_x!r} beyond tolerance")
-    x = np.asarray(x, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    v = (f_x - f_star) + step_L / (2.0 * rho) * weighted_norm_sq(x - x_prev, G)
-    return max(v, 0.0)
+    return CheckResult(lhs >= rhs - ENERGY_TOL, {"lhs": lhs, "rhs": rhs, "xi": xi}, precondition_ok=range_ok)
 
 
 @dataclass
@@ -375,13 +361,13 @@ class ContractionReport:
                 "entries": [doc(vars(e).items()) for e in self.entries]}
 
 
-def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) -> ContractionReport:
+def _certify_records(kind: str, trace: IterateTrace, model: ObjectiveModel) -> ContractionReport:
     """Score ``v_{k+1} <= (1 - factor) v_k + SLACK_TOL`` per iterate, vacuous for a factor outside (0, 1].
 
-    One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor
-    depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), the composite value and
-    ``xi mu / L`` for ``"augmented"`` (from ``k = 1``). ``G_k`` and ``L`` are the run's, ``mu`` the model's.
-    A method ``CERTIFIERS`` does not map to this kind, or an f* above the lowest recorded ``f``, is a ``ValueError``.
+    One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor depend
+    on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), ``composite_value`` at ``rho_k``, ``G_k``
+    and ``xi mu / L`` for ``"augmented"`` (from ``k = 1``). ``G_k`` and ``L`` are the run's, ``mu`` the model's. A
+    method ``CERTIFIERS`` does not map to this kind, or an f* above ``min f + FSTAR_SLACK``, is a ``ValueError``.
     """
     config, methods = trace.config, [m for m, name in CERTIFIERS.items() if name == f"certify_{kind}_contraction"]
     if config.method not in methods:
@@ -392,7 +378,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) ->
         raise ValueError("certification needs mu; give the model its constants (L, mu)")
     mu, step_L = model.constants.mu, config.step_L
     f_star, records, penalty = float(trace.f_star), trace.records, kind == "penalty"
-    if f_star > (f_low := min(record.f for record in records)) + 1e-9:  # lyapunov's tolerance
+    if f_star > (f_low := min(record.f for record in records)) + FSTAR_SLACK:
         raise ValueError(f"f_star = {f_star!r} exceeds the lowest recorded f(x) = {f_low!r} beyond tolerance")
     if not penalty and len(records) < 2:
         raise ValueError("augmented certification needs a trace with at least two points")
@@ -407,10 +393,10 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) ->
             v_k, v_next = records[k].f - f_star, records[k + 1].f - f_star
             extra = {"beta": beta_k, "eta": factor}
         else:
-            x_prev, factor = records[k - 1].x, xi_k * mu / step_L
-            v_k = lyapunov(records[k].f, f_star, x_k, x_prev, G_k, rho_k, step_L)
-            v_next = lyapunov(records[k + 1].f, f_star, records[k + 1].x, x_k, G_k, rho_k, step_L)
-            d = x_k - x_prev
+            d, factor = x_k - records[k - 1].x, xi_k * mu / step_L
+            v_k = composite_value(records[k].f - f_star, weighted_norm_sq(d, G_k), rho_k, step_L)
+            x_next = records[k + 1].x
+            v_next = composite_value(records[k + 1].f - f_star, weighted_norm_sq(x_next - x_k, G_k), rho_k, step_L)
             extra = {"precondition_ok": pd or float(np.linalg.norm(d)) == 0.0
                      or range_check(H_k, precond_apply(G_k, d))[2]}
         rhs = (1.0 - factor) * v_k + SLACK_TOL
@@ -420,7 +406,7 @@ def _certify_records(kind: str, trace: "IterateTrace", model: ObjectiveModel) ->
     return report
 
 
-def certify_penalty_contraction(trace: "IterateTrace", model: ObjectiveModel) -> ContractionReport:
+def certify_penalty_contraction(trace: IterateTrace, model: ObjectiveModel) -> ContractionReport:
     """Certify per-iteration gap contraction of a ``pnm`` trace, or of a ``newton`` one (``rho = inf``).
 
     At each recorded iterate the contraction margin is
@@ -433,7 +419,7 @@ def certify_penalty_contraction(trace: "IterateTrace", model: ObjectiveModel) ->
     return _certify_records("penalty", trace, model)
 
 
-def certify_augmented_contraction(trace: "IterateTrace", model: ObjectiveModel) -> ContractionReport:
+def certify_augmented_contraction(trace: IterateTrace, model: ObjectiveModel) -> ContractionReport:
     """Certify per-iteration composite-value contraction of an ``anm`` trace.
 
     For each interior iterate the composite value

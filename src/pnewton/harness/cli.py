@@ -100,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="record wall time in traces (breaks byte determinism)")
     p_solve.add_argument("--dataset", dest="path", help="dataset path (omit to use a builtin)")
     p_solve.add_argument("--format", choices=list(READERS))
-    p_solve.add_argument("--problem", dest="builtin", choices=list(BUILTINS), default=next(iter(BUILTINS)),
-                         help="builtin problem when no dataset is given")
+    p_solve.add_argument("--problem", dest="builtin", choices=list(BUILTINS),
+                         help=f"builtin problem (default {next(iter(BUILTINS))} when no dataset is given)")
     p_solve.add_argument("--n", type=int, help="builtin problem dimension")
     p_solve.add_argument("--m", type=int, help="builtin problem sample count")
 
@@ -148,8 +148,10 @@ def _run(spec: ExperimentSpec) -> int:
 
 
 def _solve_spec(args) -> ExperimentSpec:
-    """The one-solver spec a ``solve`` command line describes; options not given keep the spec's defaults."""
-    problem = _given(args, ("path", "format") if "path" in args else ("builtin", "n", "m"))
+    """The one-solver spec of a ``solve`` command line: a flag left off keeps the spec's default, none is dropped."""
+    problem = _given(args, ("path", "format", "builtin", "n", "m"))
+    if "path" not in problem:
+        problem.setdefault("builtin", next(iter(BUILTINS)))
     sspec = SolverSpec(name=args.method, **_given(args, SolverSpec.__dataclass_fields__))
     return ExperimentSpec(problem=problem, solvers=[sspec], **_given(args, ExperimentSpec.__dataclass_fields__))
 

@@ -92,6 +92,8 @@ def _load_libsvm(path: str):
                     raise ParseError(f"libsvm indices are 1-based, got {idx}", line=lineno)
                 if idx > MAX_FEATURES:
                     raise ParseError(f"feature index {idx} exceeds the limit of {MAX_FEATURES}", line=lineno)
+                if idx in entries:
+                    raise ParseError(f"feature index {idx} is repeated", line=lineno)
                 entries[idx] = val
             if entries:
                 max_index = max(max_index, max(entries))
@@ -118,8 +120,9 @@ def load_dataset(path: str, fmt: str = DEFAULT_FORMAT, link: str | None = None):
 
     ``csv`` expects a numeric matrix with the label in the last column;
     ``libsvm`` the standard sparse ``label idx:val ...`` lines with 1-based
-    indices, densified here. When ``link == "logistic"`` the labels are mapped
-    onto {-1, +1} (0/1 inputs remapped).
+    indices, in any order but each once per line, densified here. When
+    ``link == "logistic"`` the labels are mapped onto {-1, +1} (0/1 inputs
+    remapped).
     """
     if fmt not in READERS:
         raise ValueError(f"unknown dataset format {fmt!r}; choose {' or '.join(READERS)}")

@@ -39,6 +39,9 @@ __all__ = [
     "LINK_CURVATURE",
 ]
 
+#: Relative step of ``fd_gradient`` and ``fd_hessian``: ``h = FD_STEP * (1 + ||x||)``.
+FD_STEP = 1e-6
+
 #: Curvature bounds (u, ell) with u <= phi'' <= ell for each supported link.
 LINK_CURVATURE = {
     "logistic": (0.0, 0.25),
@@ -226,33 +229,21 @@ def glm_constants(p: GlmProblem) -> RelativeConstants:
     return RelativeConstants(L=num / den, mu=den / num)
 
 
-def fd_gradient(model: ObjectiveModel, x, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient of ``model.value`` at ``x``.
-
-    Default step is ``1e-6 * (1 + ||x||)``.
-    """
+def _central_differences(fn, x) -> np.ndarray:
+    """Central differences of ``fn`` at ``x`` along each axis, stacked last; the step is ``FD_STEP * (1 + ||x||)``."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (model.value(x + e) - model.value(x - e)) / (2.0 * h)
-    return g
+    h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.size)], axis=-1)
 
 
-def fd_hessian(model: ObjectiveModel, x, h: float | None = None) -> np.ndarray:
+def fd_gradient(model: ObjectiveModel, x) -> np.ndarray:
+    """Central-difference gradient of ``model.value`` at ``x``."""
+    return _central_differences(model.value, x)
+
+
+def fd_hessian(model: ObjectiveModel, x) -> np.ndarray:
     """Central-difference Hessian from the analytic gradient, symmetrized."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    n = x.size
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros_like(x)
-        e[i] = h
-        H[:, i] = (model.gradient(x + e) - model.gradient(x - e)) / (2.0 * h)
+    H = _central_differences(model.gradient, x)
     return 0.5 * (H + H.T)
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "root_augmented_newton",
     "fstar_oracle",
     "run",
+    "composite_value",
     "METHODS",
 ]
 
@@ -64,6 +65,9 @@ BT_BETA = 0.5
 #: The f* oracle's gradient-norm target and iteration budget (see ``fstar_oracle``).
 FSTAR_GRAD_TOL = 1e-13
 FSTAR_MAX_ITERS = 10_000
+
+#: The f* slack: ``composite_value`` reads (-slack, 0) as 0; a certifier refuses f* > (lowest recorded f) + slack.
+FSTAR_SLACK = 1e-9
 
 
 def is_integer(value) -> bool:
@@ -283,9 +287,13 @@ def anm_step_momentum(model: ObjectiveModel, x, x_prev, rho: float, G, step_L: f
                      schedule=PenaltySchedule.fixed(rho), step_L=step_L)
 
 
-def _lyapunov_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float) -> float:
+def composite_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float) -> float:
+    """ANM's composite descent value ``V = gap + (L / 2 rho) ||x_k - x_{k-1}||^2_G``, with ``gap = f(x_k) - f*``.
+
+    A ``V`` in (-FSTAR_SLACK, 0) reads 0; one further below is kept, so a wrong provided f* shows in the trace.
+    """
     v = gap + step_L / (2.0 * rho) * step_norm_g_sq
-    return 0.0 if -1e-9 < v < 0.0 else v
+    return 0.0 if -FSTAR_SLACK < v < 0.0 else v
 
 
 def _backtrack(model: ObjectiveModel, x, g, H, f_curr: float) -> tuple[np.ndarray | None, float | None]:
@@ -322,7 +330,7 @@ def _record(
         return None
     lyap = None
     if trace.f_star is not None and np.isfinite(rho):
-        lyap = _lyapunov_value(f - trace.f_star, step_norm_g_sq, rho, trace.config.step_L)
+        lyap = composite_value(f - trace.f_star, step_norm_g_sq, rho, trace.config.step_L)
     trace.records.append(
         IterateRecord(
             k=len(trace.records),

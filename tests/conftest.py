@@ -1,4 +1,4 @@
-"""Shared seeded instance generators for the test suite."""
+"""Shared seeded instance generators and experiment specs for the test suite."""
 
 import os
 
@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from pnewton.harness import ExperimentSpec, SolverSpec
 from pnewton.objective import glm_build
 
 
@@ -39,3 +40,45 @@ def rand_glm(seed, n=8, m=40, alpha=0.3, link="logistic"):
         labels = rng.standard_normal(m)
     problem = glm_build(A, link, alpha, labels)
     return problem, problem.model()
+
+
+def quadratic_spec(outdir, solvers=None, **kwargs):
+    """The builtin quadratic (n = 6, seed 1) under newton, pnm and anm, or under ``solvers``."""
+    solvers = solvers or [
+        SolverSpec(name="newton", method="newton"),
+        SolverSpec(name="pnm", method="pnm"),
+        SolverSpec(name="anm", method="anm"),
+    ]
+    return ExperimentSpec(
+        problem={"builtin": "quadratic", "n": 6},
+        solvers=solvers,
+        seed=1,
+        out=str(outdir),
+        **kwargs,
+    )
+
+
+def lock_spec(outdir):
+    """The builtin logistic (10 x 80, seed 17) under all six solvers, diagnostics on."""
+    solvers = [SolverSpec(name="newton", method="newton"), SolverSpec(name="damped_newton", method="damped_newton")]
+    solvers += [
+        SolverSpec(name=f"{method}_{precond}", method=method, precond=precond, max_iters=300)
+        for method in ("pnm", "anm") for precond in ("identity", "diag")
+    ]
+    return ExperimentSpec(
+        problem={"builtin": "logistic", "n": 10, "m": 80},
+        solvers=solvers,
+        alpha=0.1,
+        seed=17,
+        out=str(outdir),
+        diagnostics=True,
+    )
+
+
+def step_below_L_spec(outdir):
+    """The default builtin logistic (20 x 200, seed 0) under pnm, diag pnm and anm at step_L = 0.6, below its L."""
+    solvers = [SolverSpec(name="pnm", method="pnm", step_L=0.6),
+               SolverSpec(name="pnm_diag", method="pnm", precond="diag", step_L=0.6),
+               SolverSpec(name="anm", method="anm", step_L=0.6)]
+    return ExperimentSpec(problem={"builtin": "logistic", "n": 20, "m": 200}, solvers=solvers,
+                          seed=0, alpha=0.1, out=str(outdir), diagnostics=True)

@@ -73,7 +73,7 @@ def test_criterion_02_spectral_suite():
     ok = True
     worst = 0.0
     for H, G, rho in _sweep():
-        match = verify_spectrum_match(H, G, rho, tol=1e-8)
+        match = verify_spectrum_match(H, G, rho)
         ok = ok and bool(match)
         worst = max(worst, match.values["max_diff"])
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pnewton
+from conftest import lock_spec, quadratic_spec, step_below_L_spec
 from pnewton.diagnostics import ContractionAggregate
 from pnewton.errors import BadLabel, BadShape, EmptyDataset, ParseError, PnewtonError
 from pnewton.harness import (
@@ -99,6 +100,17 @@ def test_load_libsvm_index_zero_names_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_libsvm_refuses_a_repeated_index_and_keeps_any_order(tmp_path):
+    # a repeated index has no one value to keep; indices out of order but each given once load as written
+    path = tmp_path / "repeat.libsvm"
+    path.write_text("1 1:0.5 3:1 3:2\n")
+    with pytest.raises(ParseError, match="^line 1: feature index 3 is repeated$") as err:
+        load_dataset(path, "libsvm")
+    assert err.value.line == 1
+    path.write_text("1 3:2 1:0.5\n")
+    assert np.array_equal(load_dataset(path, "libsvm")[0][:, 0], [0.5, 0.0, 2.0])
+
+
 def test_load_dataset_refuses_an_unknown_format(tmp_path):
     path = tmp_path / "tiny.libsvm"
     path.write_text("+1 1:0.5\n")
@@ -140,23 +152,8 @@ def test_csv_dataset_round_trip(tmp_path):
 # Experiment runs
 # ---------------------------------------------------------------------------
 
-def _quadratic_spec(outdir, solvers=None, **kwargs):
-    solvers = solvers or [
-        SolverSpec(name="newton", method="newton"),
-        SolverSpec(name="pnm", method="pnm"),
-        SolverSpec(name="anm", method="anm"),
-    ]
-    return ExperimentSpec(
-        problem={"builtin": "quadratic", "n": 6},
-        solvers=solvers,
-        seed=1,
-        out=str(outdir),
-        **kwargs,
-    )
-
-
 def test_run_experiment_quadratic(tmp_path):
-    spec = _quadratic_spec(tmp_path / "exp")
+    spec = quadratic_spec(tmp_path / "exp")
     summary = run_experiment(spec)
     for name in ("newton", "pnm", "anm"):
         assert (tmp_path / "exp" / f"{name}.trace.csv").exists()
@@ -191,8 +188,8 @@ def test_run_experiment_logistic_schedule_family(tmp_path):
 
 
 def test_trace_bytes_deterministic(tmp_path):
-    spec_a = _quadratic_spec(tmp_path / "a")
-    spec_b = _quadratic_spec(tmp_path / "b")
+    spec_a = quadratic_spec(tmp_path / "a")
+    spec_b = quadratic_spec(tmp_path / "b")
     run_experiment(spec_a)
     run_experiment(spec_b)
     for name in ("newton", "pnm", "anm"):
@@ -202,10 +199,10 @@ def test_trace_bytes_deterministic(tmp_path):
 
 
 def test_parallel_workers_match_sequential(tmp_path, monkeypatch):
-    spec_a = _quadratic_spec(tmp_path / "seq")
+    spec_a = quadratic_spec(tmp_path / "seq")
     run_experiment(spec_a)
     monkeypatch.setenv("PN_THREADS", "3")
-    spec_b = _quadratic_spec(tmp_path / "par")
+    spec_b = quadratic_spec(tmp_path / "par")
     run_experiment(spec_b)
     for name in ("newton", "pnm", "anm"):
         assert (tmp_path / "seq" / f"{name}.trace.csv").read_bytes() == (
@@ -340,45 +337,29 @@ def _all_bytes(outdir):
     return {path.name: path.read_bytes() for path in sorted(Path(outdir).iterdir())}
 
 
-def _lock_spec(outdir):
-    solvers = [SolverSpec(name="newton", method="newton"), SolverSpec(name="damped_newton", method="damped_newton")]
-    solvers += [
-        SolverSpec(name=f"{method}_{precond}", method=method, precond=precond, max_iters=300)
-        for method in ("pnm", "anm") for precond in ("identity", "diag")
-    ]
-    return ExperimentSpec(
-        problem={"builtin": "logistic", "n": 10, "m": 80},
-        solvers=solvers,
-        alpha=0.1,
-        seed=17,
-        out=str(outdir),
-        diagnostics=True,
-    )
-
-
 def test_oracle_memo_and_workers_change_no_output_byte(tmp_path, monkeypatch):
     import pnewton.harness.experiment as experiment_mod
     from pnewton.objective import GlmProblem
 
-    run_experiment(_lock_spec(tmp_path / "memo"))
+    run_experiment(lock_spec(tmp_path / "memo"))
     written = _all_bytes(tmp_path / "memo")
     assert sum(name.endswith(".cert.json") for name in written) == 5  # every solver but damped_newton
     assert sum(name.endswith(".trace.csv") for name in written) == 6
 
     monkeypatch.setenv("PN_THREADS", "2")
-    run_experiment(_lock_spec(tmp_path / "two_workers"))
+    run_experiment(lock_spec(tmp_path / "two_workers"))
     assert _all_bytes(tmp_path / "two_workers") == written
 
     # every oracle call recomputes from the margins A^T x
     monkeypatch.setenv("PN_THREADS", "1")
     monkeypatch.setattr(GlmProblem, "_terms_at", lambda self, x: self._loss_terms(self.A.T @ x))
-    run_experiment(_lock_spec(tmp_path / "no_memo"))
+    run_experiment(lock_spec(tmp_path / "no_memo"))
     assert _all_bytes(tmp_path / "no_memo") == written
 
     # every solver and certifier evaluates the start point itself
     monkeypatch.undo()
     monkeypatch.setattr(experiment_mod, "_share_start", lambda model, x0: model)
-    run_experiment(_lock_spec(tmp_path / "no_sharing"))
+    run_experiment(lock_spec(tmp_path / "no_sharing"))
     assert _all_bytes(tmp_path / "no_sharing") == written
 
 
@@ -400,7 +381,7 @@ def test_start_point_evaluated_once_per_run(tmp_path, monkeypatch, threads):
     for name in at_start:
         monkeypatch.setattr(GlmProblem, name, counting(name))
     monkeypatch.setenv("PN_THREADS", threads)
-    summary = run_experiment(_lock_spec(tmp_path / "run"))  # f* from the oracle, diagnostics on
+    summary = run_experiment(lock_spec(tmp_path / "run"))  # f* from the oracle, diagnostics on
     assert summary["f_star_provenance"]["policy"] == "oracle"
     assert len(summary["solvers"]) == 6 and not summary["failed"]
     assert at_start == {"value": 1, "gradient": 1, "hessian": 1}
@@ -484,7 +465,7 @@ def test_failed_first_solver_outcome_independent_of_workers(tmp_path, monkeypatc
         monkeypatch.setenv("PN_THREADS", threads)
         out = tmp_path / f"threads{threads}"
         with pytest.raises(NotPositiveDefinite):
-            run_experiment(_quadratic_spec(out))  # newton is the first solver
+            run_experiment(quadratic_spec(out))  # newton is the first solver
         summaries[threads] = (out / "summary.json").read_bytes()
         for name in ("pnm", "anm"):
             assert (out / f"{name}.trace.csv").exists()
@@ -495,7 +476,7 @@ def test_failed_first_solver_outcome_independent_of_workers(tmp_path, monkeypatc
 
 
 def test_trace_csv_schema(tmp_path):
-    spec = _quadratic_spec(tmp_path / "schema")
+    spec = quadratic_spec(tmp_path / "schema")
     run_experiment(spec)
     text = (tmp_path / "schema" / "pnm.trace.csv").read_text()
     assert text.splitlines()[0] == TRACE_HEADER
@@ -562,7 +543,7 @@ def test_spec_problem_is_the_description_every_file_records(tmp_path):
 
 
 def test_spec_json_round_trip(tmp_path):
-    spec = _quadratic_spec(tmp_path / "json", diagnostics=True)
+    spec = quadratic_spec(tmp_path / "json", diagnostics=True)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_dict()))
     loaded = ExperimentSpec.from_json_file(path)
@@ -656,6 +637,25 @@ def test_cli_solve_defaults_are_the_spec_defaults(tmp_path, capsys, problem):
         assert (summary["problem"]["n"], summary["problem"]["m"]) == (20, 200)
 
 
+@pytest.mark.parametrize("flags, problem", [
+    (["--dataset", "d.csv", "--n", "5"], {"path": "d.csv", "n": 5}),
+    (["--dataset", "d.csv", "--problem", "quadratic"], {"path": "d.csv", "builtin": "quadratic"}),
+    (["--format", "libsvm"], {"builtin": "quadratic", "format": "libsvm"}),  # no --dataset: solve's default builtin
+], ids=["size-with-dataset", "builtin-with-dataset", "format-without-dataset"])
+def test_cli_solve_refuses_a_problem_flag_that_does_not_apply_as_its_spec_does(tmp_path, capsys, flags, problem):
+    # solve is a one-solver run: every problem flag given is in the spec's problem, so one it does not take is the
+    # same unknown-key refusal, exit 2 before any output
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"problem": problem, "out": str(tmp_path / "run"),
+                                "solvers": [{"name": "pnm", "method": "pnm"}]}))
+    assert cli_main(["run", str(path)]) == 2
+    refusal = capsys.readouterr()
+    assert refusal.out == "" and refusal.err.startswith("error: unknown problem key ")
+    assert cli_main(["solve", "--method", "pnm", *flags, "--out", str(tmp_path / "solve")]) == 2
+    assert capsys.readouterr() == refusal
+    assert not (tmp_path / "run").exists() and not (tmp_path / "solve").exists()
+
+
 def test_cli_solve_dataset(tmp_path):
     A, labels = make_logistic_dataset(5, 40, seed=2)
     data = tmp_path / "data.csv"
@@ -704,11 +704,7 @@ def test_a_step_below_L_fails_its_certificate_where_it_is_read(tmp_path, capsys)
     # step_L = 0.6 is below this problem's L (1.197): pnm and anm converge, yet their certificates fail;
     # every pnm_diag entry is vacuous (eta > 1), so it reads true with nothing scored
     out = tmp_path / "s"
-    solvers = [SolverSpec(name="pnm", method="pnm", step_L=0.6),
-               SolverSpec(name="pnm_diag", method="pnm", precond="diag", step_L=0.6),
-               SolverSpec(name="anm", method="anm", step_L=0.6)]
-    spec = ExperimentSpec(problem={"builtin": "logistic", "n": 20, "m": 200}, solvers=solvers,
-                          seed=0, alpha=0.1, out=str(out), diagnostics=True)
+    spec = step_below_L_spec(out)
     (tmp_path / "spec.json").write_text(json.dumps(spec.to_dict()))
     # pnewton run reads each certificate: it names the failed ones and the one with nothing scored, and exits 1
     assert cli_main(["run", str(tmp_path / "spec.json")]) == 1
@@ -1067,7 +1063,7 @@ def test_cli_spec_that_does_not_parse_names_the_file(tmp_path, capsys, monkeypat
 
 
 def test_cli_run_spec_file(tmp_path, capsys):
-    spec = _quadratic_spec(tmp_path / "runout")
+    spec = quadratic_spec(tmp_path / "runout")
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_dict()))
     assert cli_main(["run", str(path)]) == 0
@@ -1414,6 +1410,18 @@ def test_cli_libsvm_index_above_cap_exits_before_any_trace(tmp_path, capsys, mon
                      "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: line 1: feature index 2000000 exceeds the limit of {MAX_FEATURES}\n"
+    assert not out.exists()
+
+
+def test_cli_libsvm_repeated_index_exits_before_any_output(tmp_path, capsys, monkeypatch):
+    _no_fstar_oracle(monkeypatch)
+    data = tmp_path / "repeat.libsvm"
+    data.write_text("1 1:0.5 3:1 3:2\n")
+    out = tmp_path / "x"
+    code = cli_main(["solve", "--method", "pnm", "--dataset", str(data), "--format", "libsvm", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1: feature index 3 is repeated\n" and captured.out == ""
     assert not out.exists()
 
 

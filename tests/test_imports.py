@@ -18,6 +18,9 @@ one call site, the spectrum builder ``_spectrum``, so no function whitens its
 ``SolverConfig`` it ran with, which the certifiers read ``G`` and ``L`` from.
 Which methods get a certificate, and from which certifier, is one table,
 ``diagnostics.CERTIFIERS``: no other module defines a method->certifier map.
+ANM's composite value ``V`` is one function, ``solvers.composite_value``, called
+by the trace writer ``solvers._record`` and the certifier
+``diagnostics._certify_records`` alone, and its f* slack is one constant.
 """
 
 import ast
@@ -169,3 +172,18 @@ def test_one_table_says_which_methods_are_certified_and_by_what():
               if name.endswith("CERTIFIERS")]
     assert tables == [("diagnostics.py", "CERTIFIERS")], f"method->certifier tables: {tables}"
     assert not [path.name for path in SRC.rglob("*.py") if "_CERTIFIERS" in path.read_text(encoding="utf-8")]
+
+
+def test_the_composite_value_is_one_function_with_two_callers_and_one_slack():
+    # V_k = f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G: the trace's lyapunov column and the augmented
+    # certificate score it with the same function, and no other function defines it (no *lyapunov* def is left)
+    assert "composite_value" in solvers.__all__
+    assert set(_callers("composite_value")) == {("solvers.py", "_record"), ("diagnostics.py", "_certify_records")}
+    trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8")) for name in ("solvers.py", "diagnostics.py")}
+    defined = [node.name for path in SRC.rglob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and "lyapunov" in node.name]
+    assert defined == [], f"functions named for the Lyapunov value besides composite_value: {defined}"
+    # the f* slack is written once, as solvers.FSTAR_SLACK; the clamp band and the certifiers' premise read it
+    slacks = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value == 1e-9]
+    assert slacks == [("solvers.py", dict(_top_level_names(trees["solvers.py"]))["FSTAR_SLACK"])], slacks

@@ -241,6 +241,7 @@ LIBSVM_BYTES = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=LIBSVM_BYTES)
 @example(data=b"1 2000000:1\n")
+@example(data=b"1 1:0.5 3:1 3:2\n")
 def test_libsvm_reader_raises_only_input_errors(tmp_path, data):
     path = tmp_path / "fuzz.libsvm"
     path.write_bytes(data)
