@@ -395,8 +395,7 @@ def _certify_records(kind: str, trace: IterateTrace, model: ObjectiveModel) -> C
         else:
             d, factor = x_k - records[k - 1].x, xi_k * mu / step_L
             v_k = composite_value(records[k].f - f_star, weighted_norm_sq(d, G_k), rho_k, step_L)
-            x_next = records[k + 1].x
-            v_next = composite_value(records[k + 1].f - f_star, weighted_norm_sq(x_next - x_k, G_k), rho_k, step_L)
+            v_next = composite_value(records[k + 1].f - f_star, records[k + 1].step_norm_g_sq, rho_k, step_L)
             extra = {"precondition_ok": pd or float(np.linalg.norm(d)) == 0.0
                      or range_check(H_k, precond_apply(G_k, d))[2]}
         rhs = (1.0 - factor) * v_k + SLACK_TOL

@@ -28,9 +28,9 @@ import numpy as np
 
 from .. import diagnostics, solvers
 from ..errors import ReplayMismatch
+from ..linalg import is_integer, is_number, positive_integer, positive_number
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import ObjectiveModel, glm_build, glm_constants, quadratic_model  # noqa: F401
-from ..solvers import is_integer, is_number, positive_integer, positive_number
 from .datasets import DEFAULT_FORMAT, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [

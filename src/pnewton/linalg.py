@@ -1,9 +1,8 @@
 """Dense symmetric linear-algebra kernels.
 
-Everything downstream (solvers, diagnostics, GLM constants) funnels through
-the handful of primitives here: validated symmetric matrices, shifted-SPD
-solves with a jitter retry policy, symmetric eigendecomposition, pseudo-inverse
-application, PSD square roots and weighted norms.
+Everything downstream funnels through the primitives here: the input rules for
+numbers and for symmetric matrices, shifted-SPD solves with a jitter retry
+policy, eigendecomposition, pseudo-inverses, PSD square roots, weighted norms.
 
 All functions are pure and operate on plain ``numpy`` arrays; no matrix is
 mutated. A matrix is checked by :func:`as_symmetric` once, where it enters
@@ -17,12 +16,16 @@ either form, bitwise equal to the dense products.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotPSD
 
 __all__ = [
+    "is_integer", "is_number", "positive_number", "positive_integer",
     "as_symmetric",
     "spd_solve",
     "sym_eig",
@@ -46,6 +49,30 @@ SYMMETRY_RTOL = 1e-12
 
 #: Default relative eigenvalue cutoff for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-10
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def positive_number(name: str, value):
+    """``value`` if it is a finite number > 0; otherwise a ``ValueError`` that calls it ``name``."""
+    if not (is_number(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def positive_integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer >= 1; otherwise a ``ValueError`` that calls it ``name``."""
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def as_symmetric(M) -> np.ndarray:

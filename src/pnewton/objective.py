@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import BadLabel, BadShape
-from .linalg import as_symmetric, sym_eig, weighted_norm_sq
+from .linalg import as_symmetric, is_number, positive_number, sym_eig, weighted_norm_sq
 
 __all__ = [
     "ObjectiveModel",
@@ -81,7 +81,7 @@ class ObjectiveModel:
             if not isinstance(self.constants, RelativeConstants):  # a plain pair; the dataclass is frozen
                 object.__setattr__(self, "constants", RelativeConstants(*self.constants))
             L, mu = self.constants
-            if not (0.0 < mu <= L):
+            if not (is_number(L) and is_number(mu) and 0.0 < mu <= L):
                 raise ValueError(f"need 0 < mu <= L, got L={L}, mu={mu}")
 
 
@@ -114,8 +114,7 @@ class GlmProblem:
             raise ValueError("data matrix has non-finite entries")
         if link not in LINK_CURVATURE:
             raise ValueError(f"unknown link {link!r}; choose from {sorted(LINK_CURVATURE)}")
-        if not alpha > 0.0:
-            raise ValueError(f"regularization alpha must be > 0, got {alpha}")
+        positive_number("regularization alpha", alpha)
         n, m = A.shape
         if labels is not None:
             labels = np.array(labels, dtype=float)

@@ -20,7 +20,6 @@ the composite descent value ``f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G`
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,7 +32,8 @@ from .errors import (
     NotPositiveDefinite,
     RangeViolation,
 )
-from .linalg import as_symmetric, precond_apply, range_check, shifted, spd_solve, sym_eig, weighted_norm_sq
+from .linalg import as_symmetric, is_number, positive_integer, positive_number, precond_apply, range_check, shifted
+from .linalg import spd_solve, sym_eig, weighted_norm_sq
 from .linalg import pinv_apply  # noqa: F401  (stays bound here: perfbench's tracer patches this binding)
 from .objective import ObjectiveModel
 
@@ -68,30 +68,6 @@ FSTAR_MAX_ITERS = 10_000
 
 #: The f* slack: ``composite_value`` reads (-slack, 0) as 0; a certifier refuses f* > (lowest recorded f) + slack.
 FSTAR_SLACK = 1e-9
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer (a bool is not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    """Whether ``value`` is a finite real number (a bool is not one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def positive_number(name: str, value):
-    """``value`` if it is a finite number > 0; otherwise a ``ValueError`` that calls it ``name``."""
-    if not (is_number(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
-def positive_integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer >= 1; otherwise a ``ValueError`` that calls it ``name``."""
-    if not (is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pnewton.diagnostics import (
     verify_step_energy_bound,
 )
 from pnewton.errors import MissingOptimum, NotPositiveDefinite, ZeroHessian
-from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig
+from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig, weighted_norm_sq
 from pnewton.objective import GlmProblem, check_relative_bounds, in_level_set, quadratic_model
 from pnewton.solvers import (
     FSTAR_SLACK,
@@ -753,6 +753,29 @@ def test_certify_factors_only_a_dense_g(monkeypatch, method, precond, cholesky_p
     assert len(report.entries) >= 3
     assert len(factored) == cholesky_per_entry * len(report.entries)
     assert len(solved) == 2 * cholesky_per_entry * len(report.entries)
+
+
+@pytest.mark.parametrize(
+    "precond",
+    [PreconditionerPolicy("identity"), PreconditionerPolicy("hessian_diagonal"),
+     PreconditionerPolicy("fixed", rand_pd(np.random.default_rng(79), 6))],
+    ids=["identity", "diag", "dense"],
+)
+def test_augmented_certificate_reads_the_step_norm_the_run_recorded(monkeypatch, precond):
+    _, model = rand_glm(78, n=6, m=40)
+    model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
+    cfg = SolverConfig(method="anm", precond=precond, step_L=model.constants.L, grad_tol=1e-10, max_iters=50)
+    trace = run(model, np.zeros(6), cfg)
+    records = trace.records
+    # the run weighs x_{k+1} - x_k with the G_k of x_k, bitwise the norm V_{k+1} needs
+    for k in range(1, len(records) - 1):
+        G_k = precond.materialize(model.hessian(records[k].x))
+        assert records[k + 1].step_norm_g_sq == weighted_norm_sq(records[k + 1].x - records[k].x, G_k)
+    weighed = []
+    monkeypatch.setattr(diagnostics, "weighted_norm_sq", _recording(weighed, diagnostics.weighted_norm_sq))
+    report = certify_augmented_contraction(trace, model)
+    # so each entry weighs one step, x_k - x_{k-1} for V_k, and reads V_{k+1}'s from the trace
+    assert len(report.entries) >= 3 and len(weighed) == len(report.entries)
 
 
 def test_report_serialization_round_trip():

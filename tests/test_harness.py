@@ -700,6 +700,19 @@ def test_cli_certify_exits_1_when_the_stored_cert_differs(tmp_path, capsys):
     assert json.loads(out.removesuffix("matches stored certification: False\n"))["all_certified"] is True
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: run reads a certificate's conclusion, not the theorem's "
+                   "hypothesis step_L >= L, and 498 of this pnm certificate's 500 entries are vacuous")
+def test_a_step_far_below_L_is_named_as_a_certificate_failure(tmp_path, capsys):
+    # step_L = 0.4 against L = 1.197: pnm diverges to a gap of 4.6e168 in max_iters, yet its certificate reads
+    # all_certified, so stderr names pnm only as not converged; item 13 makes run name pnm's certificate
+    spec = step_below_L_spec(tmp_path / "s").to_dict()
+    spec["solvers"] = [{"name": "pnm", "method": "pnm", "step_L": 0.4}]
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli_main(["run", str(tmp_path / "spec.json")]) == 1
+    stderr = capsys.readouterr().err
+    assert any("pnm" in line and "certificate" in line for line in stderr.splitlines()), stderr
+
+
 def test_a_step_below_L_fails_its_certificate_where_it_is_read(tmp_path, capsys):
     # step_L = 0.6 is below this problem's L (1.197): pnm and anm converge, yet their certificates fail;
     # every pnm_diag entry is vacuous (eta > 1), so it reads true with nothing scored
@@ -840,7 +853,7 @@ META_NO_RUN_WRITES = {
     "path-null": (lambda meta: {**meta, "problem": {**_CSV_PROBLEM, "path": None}},
                   ": problem path must be a non-empty string, got None"),
     "alpha-negative": (lambda meta: {**meta, "problem": {**meta["problem"], "alpha": -1.0}},
-                       ": regularization alpha must be > 0, got -1.0"),
+                       ": regularization alpha must be finite and > 0, got -1.0"),
 }
 
 

@@ -20,7 +20,10 @@ Which methods get a certificate, and from which certifier, is one table,
 ``diagnostics.CERTIFIERS``: no other module defines a method->certifier map.
 ANM's composite value ``V`` is one function, ``solvers.composite_value``, called
 by the trace writer ``solvers._record`` and the certifier
-``diagnostics._certify_records`` alone, and its f* slack is one constant.
+``diagnostics._certify_records`` alone, and its f* slack is one constant. The
+input rules for numbers (``is_integer``, ``is_number``, ``positive_number``,
+``positive_integer``) are defined in ``linalg`` alone, beside ``as_symmetric``,
+and the model boundary in ``objective`` reads them instead of its own tests.
 """
 
 import ast
@@ -187,3 +190,26 @@ def test_the_composite_value_is_one_function_with_two_callers_and_one_slack():
     slacks = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.Constant) and node.value == 1e-9]
     assert slacks == [("solvers.py", dict(_top_level_names(trees["solvers.py"]))["FSTAR_SLACK"])], slacks
+
+
+def _excludes_bools(node: ast.AST) -> bool:
+    """Whether ``node`` is ``not isinstance(<value>, bool)``: a test that keeps a bool out of the numbers."""
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) and isinstance(node.operand, ast.Call)
+            and getattr(node.operand.func, "id", None) == "isinstance"
+            and getattr(node.operand.args[-1], "id", None) == "bool")
+
+
+def test_the_number_rules_are_defined_once_in_linalg_and_read_at_the_model_boundary():
+    rules = ("is_integer", "is_number", "positive_number", "positive_integer")
+    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
+    defined = [(name, rule) for name, tree in trees.items() for rule, _ in _top_level_names(tree) if rule in rules]
+    assert defined == [("linalg.py", rule) for rule in rules], f"number rules defined at {defined}"
+    # only those rules keep a bool out of the numbers (a true/false switch may still test isinstance(v, bool))
+    excluders = sorted({name for name, tree in trees.items() for node in ast.walk(tree) if _excludes_bools(node)})
+    assert excluders == ["linalg.py"], f"modules that decide for themselves that a bool is no number: {excluders}"
+    # the model boundary reads the shared rules: alpha is one positive number, (L, mu) two numbers
+    assert ("objective.py", "GlmProblem") in _callers("positive_number")
+    assert ("objective.py", "ObjectiveModel") in _callers("is_number")
+    compared = [node.lineno for node in ast.walk(trees["objective.py"]) if isinstance(node, ast.Compare)
+                and "alpha" in {getattr(n, "id", None) for n in (node.left, *node.comparators)}]
+    assert compared == [], f"objective.py compares alpha itself on lines {compared}"

@@ -51,8 +51,10 @@ def test_glm_build_validation():
             glm_build(empty, "logistic", 1.0)
     with pytest.raises(BadLabel):
         glm_build(np.ones((2, 2)), "logistic", 1.0, labels=np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        glm_build(np.ones((2, 2)), "squared", 0.0)
+    # alpha is read by the one positive-number rule: finite, > 0, and a number (a bool or a string is not one)
+    for alpha in (0.0, 0, -1, np.inf, np.nan, True, "1"):
+        with pytest.raises(ValueError, match=r"^regularization alpha must be finite and > 0, got "):
+            glm_build(np.ones((2, 2)), "squared", alpha)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="data matrix has non-finite entries"):
             glm_build(np.array([[bad, 1.0]]), "squared", 1.0)
@@ -159,8 +161,9 @@ def test_every_model_holds_its_constants_as_relative_constants():
     assert type(q) is RelativeConstants and (q.L, q.mu) == (1.0, 1.0)
     model = ObjectiveModel(dim=1, value=abs, gradient=np.sign, hessian=np.zeros_like, constants=(2.0, 0.5))
     assert type(model.constants) is RelativeConstants and model.constants._asdict() == {"L": 2.0, "mu": 0.5}
-    with pytest.raises(ValueError, match="need 0 < mu <= L"):
-        ObjectiveModel(dim=1, value=abs, gradient=np.sign, hessian=np.zeros_like, constants=(0.5, 2.0))
+    for constants in ((0.5, 2.0), (np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, True)):
+        with pytest.raises(ValueError, match=r"^need 0 < mu <= L, got L="):
+            ObjectiveModel(dim=1, value=abs, gradient=np.sign, hessian=np.zeros_like, constants=constants)
 
 
 def test_glm_constants_reciprocity_sweep():
