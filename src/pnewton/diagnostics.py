@@ -24,10 +24,10 @@ several digits; ``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
 ``1 - eta`` on optimality gaps for penalty runs and ``1 - xi*mu/L`` on the
-composite descent value for augmented runs. Both are one loop over the
-trace's records that forms ``H`` and ``G`` once per iterate, reads
-``(xi, beta, pd)`` off one spectrum and scores one inequality. At ``rho = inf``
-both take their limits, ``xi = 1`` and ``eta = mu*xi/L``: Newton's ``1 - mu/L``.
+composite descent value for augmented runs. Both are one loop over the trace's
+records that takes each iterate's ``(H, G)`` from ``SolverConfig.step_inputs``,
+reads ``(xi, beta, pd)`` off one spectrum and scores one inequality. At
+``rho = inf`` both take their limits, ``xi = 1`` and ``eta = mu*xi/L``: Newton's ``1 - mu/L``.
 Bounds outside (0, 1) are reported as vacuous, never silently passed.
 """
 
@@ -364,10 +364,10 @@ class ContractionReport:
 def _certify_records(kind: str, trace: IterateTrace, model: ObjectiveModel) -> ContractionReport:
     """Score ``v_{k+1} <= (1 - factor) v_k + SLACK_TOL`` per iterate, vacuous for a factor outside (0, 1].
 
-    One ``H_k``, one ``G_k`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v`` and the factor depend
-    on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), ``composite_value`` at ``rho_k``, ``G_k``
-    and ``xi mu / L`` for ``"augmented"`` (from ``k = 1``). ``G_k`` and ``L`` are the run's, ``mu`` the model's. A
-    method ``CERTIFIERS`` does not map to this kind, or an f* above ``min f + FSTAR_SLACK``, is a ``ValueError``.
+    One ``(H_k, G_k)`` from the run's ``config.step_inputs`` and one ``(xi, beta, pd)`` per scored ``k``; only ``v``
+    and the factor depend on ``kind``: the gap and ``eta`` for ``"penalty"`` (from ``k = 0``), ``composite_value``
+    at ``rho_k``, ``G_k`` and ``xi mu / L`` for ``"augmented"`` (from ``k = 1``); ``L`` is the run's, ``mu`` the
+    model's. A method ``CERTIFIERS`` maps elsewhere, or an f* above ``min f + FSTAR_SLACK``, is a ``ValueError``.
     """
     config, methods = trace.config, [m for m, name in CERTIFIERS.items() if name == f"certify_{kind}_contraction"]
     if config.method not in methods:
@@ -385,8 +385,7 @@ def _certify_records(kind: str, trace: IterateTrace, model: ObjectiveModel) -> C
     report = ContractionReport(kind=kind, f_star=f_star, mu=float(mu), step_L=float(step_L))  # written as floats
     for k in range(0 if penalty else 1, len(records) - 1):
         x_k, rho_k = records[k].x, records[k].rho
-        H_k = as_symmetric(model.hessian(x_k))
-        G_k = config.precond.materialize(H_k)
+        H_k, G_k = config.step_inputs(model, x_k)
         xi_k, beta_k, pd = _spectrum(H_k, G_k, False).rates(rho_k)
         if penalty:
             factor = mu * xi_k * (beta_k + rho_k) / (rho_k * step_L) if rho_k < np.inf else mu * xi_k / step_L

@@ -66,7 +66,7 @@ class SolverSpec:
     max_iters: int = 500  # the harness's own budget, on purpose above the library's 100
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or {"/", os.sep, "\0"} & set(self.name):
             raise ValueError(f"solver name {self.name!r} is not a plain file name")
         if not (isinstance(self.precond, str) and self.precond in PRECONDITIONERS):
             raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
@@ -122,6 +122,7 @@ class ExperimentSpec:
         for name, ok, wanted in (("alpha", is_number(self.alpha), "a finite number"),
                                  ("seed", is_integer(self.seed) and self.seed >= 0, "an integer >= 0"),
                                  ("out", isinstance(self.out, str) and self.out != "", "a non-empty string"),
+                                 ("out", "\0" not in str(self.out), "free of NUL bytes"),
                                  ("diagnostics", isinstance(self.diagnostics, bool), "true or false"),
                                  ("timing", isinstance(self.timing, bool), "true or false")):
             if not ok:
@@ -175,6 +176,8 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
                 "link": spec.link, "alpha": spec.alpha}
         if not (isinstance(desc["path"], str) and desc["path"]):
             raise ValueError(f"problem path must be a non-empty string, got {desc['path']!r}")
+        if "\0" in desc["path"]:
+            raise ValueError(f"problem path must be free of NUL bytes, got {desc['path']!r}")
         if not (isinstance(desc["format"], str) and desc["format"] in READERS):
             raise ValueError(f"unknown problem format {desc['format']!r}; choose {' or '.join(READERS)}")
     unknown = [key for key in problem if key not in desc]

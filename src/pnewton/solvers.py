@@ -56,7 +56,8 @@ __all__ = [
     "METHODS",
 ]
 
-METHODS = ("newton", "damped_newton", "pnm", "anm")
+PENALIZED = ("pnm", "anm")  # the methods whose step reads a penalty rho and the preconditioner's G
+METHODS = ("newton", "damped_newton", *PENALIZED)
 
 #: Damped Newton's Armijo fraction and step shrink factor (see ``_backtrack``).
 BT_ALPHA = 0.25
@@ -153,6 +154,11 @@ class SolverConfig:
         positive_integer("max_iters", self.max_iters)
         positive_number("grad_tol", self.grad_tol)
 
+    def step_inputs(self, model: ObjectiveModel, x) -> tuple[np.ndarray, np.ndarray]:
+        """The checked Hessian at ``x`` and the ``G`` a step there reads: ``precond``'s, or a Newton step's identity."""
+        H = as_symmetric(model.hessian(x))
+        return H, self.precond.materialize(H) if self.method in PENALIZED else np.ones(H.shape[0])
+
 
 @dataclass
 class IterateRecord:
@@ -172,8 +178,8 @@ class IterateTrace:
 
     ``records[k].rho`` is the penalty parameter in effect for the step that
     leaves ``x_k`` (``inf`` for the Newton baselines); ``step_norm_g_sq`` is
-    ``||x_k - x_{k-1}||^2_G`` for the step that produced ``x_k`` (0 at k=0);
-    ``config`` is the :class:`SolverConfig` the run used.
+    ``||x_k - x_{k-1}||^2_G`` with the ``G`` the step to ``x_k`` read (the identity
+    for the Newton baselines; 0 at k=0); ``config`` is the :class:`SolverConfig` the run used.
     """
 
     config: SolverConfig
@@ -328,7 +334,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
 
     All four methods share this loop: each iterate is recorded once with its
     value and gradient, the gradient is carried into the step that leaves it,
-    and that step evaluates the Hessian once. Only the update rule differs,
+    and that step reads one ``(H, G)`` from ``config.step_inputs``. Only the update rule differs,
     and this loop is the one place each is applied (:func:`newton_step`,
     :func:`pnm_step` and :func:`anm_step_momentum` are one step of it);
     damped Newton backtracks on the Newton decrement. ANM starts from
@@ -343,9 +349,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     (the trace ends at the iterate it left); ``max_iters`` otherwise.
     """
     t0 = time.perf_counter_ns()
-    method = config.method
-    penalized = method in ("pnm", "anm")
-    step_L = config.step_L
+    method, step_L = config.method, config.step_L
+    penalized = method in PENALIZED
     rho = config.schedule.rho0 if penalized else np.inf
     trace = IterateTrace(config, f_star=model.f_star)
     x = np.asarray(x0, dtype=float)
@@ -355,8 +360,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     x_prev, H = x, None
     if method == "anm":
         x = x_prev if x1 is None else np.asarray(x1, dtype=float)
-        H = as_symmetric(model.hessian(x))
-        G = config.precond.materialize(H)
+        H, G = config.step_inputs(model, x)
         g = _record(trace, model, x, rho, weighted_norm_sq(x - x_prev, G), t0)
 
     def converged(rec: IterateRecord) -> bool:
@@ -367,8 +371,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
         if g is None or converged(trace.records[-1]):
             break
         if H is None:
-            H = as_symmetric(model.hessian(x))
-            G = config.precond.materialize(H) if penalized else None
+            H, G = config.step_inputs(model, x)
         f_next = None
         if method == "newton":
             x_next = x - _range_checked_newton_direction(H, g, step_L)
@@ -381,12 +384,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
             x_next = x - spd_solve(shifted(H, G, rho), g) / step_L
         else:
             x_next = x - spd_solve(shifted(H, G, rho), g / step_L - precond_apply(G, x - x_prev) / rho)
-        if penalized:
-            step_sq = weighted_norm_sq(x_next - x, G)
-            rho = config.schedule.next_rho(rho)
-        else:
-            step_sq = float((x_next - x) @ (x_next - x))
-        g = _record(trace, model, x_next, rho, step_sq, t0, f_next)
+        rho = config.schedule.next_rho(rho) if penalized else rho
+        g = _record(trace, model, x_next, rho, weighted_norm_sq(x_next - x, G), t0, f_next)
         if g is None:
             break
         trace.steps_taken += 1

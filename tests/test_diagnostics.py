@@ -25,7 +25,7 @@ from pnewton.diagnostics import (
     verify_spectrum_match,
     verify_step_energy_bound,
 )
-from pnewton.errors import MissingOptimum, NotPositiveDefinite, ZeroHessian
+from pnewton.errors import ConvergenceFailure, MissingOptimum, NotPositiveDefinite, ZeroHessian
 from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig, weighted_norm_sq
 from pnewton.objective import GlmProblem, check_relative_bounds, in_level_set, quadratic_model
 from pnewton.solvers import (
@@ -200,6 +200,17 @@ def test_min_filtered_curvature_zero_hessian_raises():
     for rho in (1.0, np.inf):
         with pytest.raises(ZeroHessian):
             rate_constants(np.zeros((3, 3)), np.eye(3), rho)
+
+
+@pytest.mark.parametrize("solver, read", [("eigvalsh", rate_constants), ("eigh", shifted_inverse)])
+def test_an_eigensolver_that_does_not_converge_is_a_convergence_failure(monkeypatch, solver, read):
+    # the spectrum's eigensolve, with or without eigenvectors, names the failure instead of leaking LinAlgError
+    def diverge(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, diverge)
+    with pytest.raises(ConvergenceFailure, match="^eigendecomposition did not converge: Eigenvalues did not converge$"):
+        read(H_DIAG, np.eye(3), 1.0)
 
 
 @pytest.mark.parametrize("form", ["dense", "diag"])
@@ -661,6 +672,19 @@ def test_a_newton_certificate_scores_newtons_factor_on_every_entry():
         assert e.xi == 1.0 and e.eta == mu / L and e.bound == 1.0 - mu / L
 
 
+def test_a_newton_run_on_a_singular_hessian_certifies_with_the_g_its_step_read():
+    # diag(H) has a zero entry, so hessian_diagonal cannot form a G here; a newton step reads none (the identity),
+    # the run converges in one step, and its certificate scores that step without asking the preconditioner
+    model = quadratic_model(np.diag([1.0, 0.0]))
+    cfg = SolverConfig(method="newton", precond=PreconditionerPolicy("hessian_diagonal"))
+    trace = run(model, np.array([1.0, 0.0]), cfg)
+    assert trace.termination == "converged" and trace.steps_taken == 1
+    assert trace.records[1].step_norm_g_sq == 1.0  # the identity-weighted step
+    report = certify_penalty_contraction(trace, model)
+    assert [e.k for e in report.entries] == [0] and report.aggregate.all_certified
+    assert report.entries[0].xi == 1.0 and report.entries[0].beta == 1.0
+
+
 def test_pnm_eta_at_a_huge_penalty_is_newtons_mu_over_l():
     model = _glm_with_fstar(77)
     L, mu = model.constants
@@ -723,10 +747,11 @@ def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, preco
 
     report = _certify_glm_run(method, precond, patch)
     assert len(report.entries) >= 3
-    # one Hessian, one G and one whitened eigensolve per certified entry
+    # one Hessian, one G and one whitened eigensolve per certified entry; a Newton step's G is the identity,
+    # which step_inputs forms without asking the preconditioner
     assert len(solved) == len(report.entries)
     assert len(hessians) == len(report.entries)
-    assert len(materialized) == len(report.entries)
+    assert len(materialized) == (0 if method == "newton" else len(report.entries))
     assert all(e.precondition_ok for e in report.entries)
     # G is diagonal here and the whitened Hessian is not, so no solve saw G
     assert not any(np.array_equal(M, np.diag(np.diag(M))) for M in solved)

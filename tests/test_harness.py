@@ -337,6 +337,16 @@ def _all_bytes(outdir):
     return {path.name: path.read_bytes() for path in sorted(Path(outdir).iterdir())}
 
 
+def test_a_newton_run_writes_the_same_trace_and_cert_under_every_preconditioner(tmp_path):
+    # a Newton step reads the identity whatever G the spec names, so the run and its certificate do too
+    out = tmp_path / "newton"
+    solvers = [SolverSpec(name=precond, method="newton", precond=precond) for precond in ("identity", "diag")]
+    summary = run_experiment(dataclasses.replace(lock_spec(out), solvers=solvers))
+    for suffix in (".trace.csv", ".cert.json"):
+        assert (out / f"identity{suffix}").read_bytes() == (out / f"diag{suffix}").read_bytes()
+    assert summary["solvers"][0]["certification"] == summary["solvers"][1]["certification"]
+
+
 def test_oracle_memo_and_workers_change_no_output_byte(tmp_path, monkeypatch):
     import pnewton.harness.experiment as experiment_mod
     from pnewton.objective import GlmProblem
@@ -517,9 +527,14 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             SolverSpec(name="x", method="pnm", **fields)
     assert SolverSpec(name="x", rho_max=inf).rho_max == inf  # an uncapped penalty stays allowed
-    for name in ("", ".", "..", "../../x", "a/b", "/x"):  # a name becomes a file name under ``out``
+    for name in ("", ".", "..", "../../x", "a/b", "/x", "a\0b"):  # a name becomes a file name under ``out``
         with pytest.raises(ValueError, match="not a plain file name"):
             SolverSpec(name=name)
+    # out and a dataset path are file names too, which no NUL byte may cut short
+    with pytest.raises(ValueError, match="out must be free of NUL bytes"):
+        ExperimentSpec(problem={"builtin": "quadratic"}, solvers=[SolverSpec(name="a")], out="o\0ut")
+    with pytest.raises(ValueError, match="problem path must be free of NUL bytes"):
+        ExperimentSpec(problem={"path": "d\0.csv"}, solvers=[SolverSpec(name="a")])
     with pytest.raises(ValueError):
         ExperimentSpec(
             problem={"builtin": "quadratic"},
@@ -1111,6 +1126,23 @@ def test_cli_demo_root_overflow_is_failure(capsys, poly, x0):
     assert f"{poly!r} at x = {float(x0)!r} overflowed a float" in err
 
 
+def test_cli_run_names_an_eigensolver_failure_in_certification_as_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # the solve needs no eigensolve; the certificate's fails, so the trace and meta are written and no cert
+    def diverge(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    out = tmp_path / "out"
+    path = tmp_path / "spec.json"
+    spec = quadratic_spec(out, solvers=[SolverSpec(name="pnm", method="pnm")], diagnostics=True)
+    path.write_text(json.dumps(spec.to_dict()))
+    assert cli_main(["run", str(path)]) == 1
+    message = "eigendecomposition did not converge: Eigenvalues did not converge"
+    assert capsys.readouterr() == ("", f"solver failure: {message}\n")
+    assert json.loads((out / "summary.json").read_text())["failed"] == [{"name": "pnm", "error": message}]
+    assert (out / "pnm.trace.csv").exists() and not (out / "pnm.cert.json").exists()
+
+
 def test_cli_exit_codes():
     assert cli_main(["solve", "--method", "nope"]) == 2  # unknown method
     assert cli_main(["run", "/does/not/exist.json"]) == 2  # missing file
@@ -1210,7 +1242,8 @@ def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypa
     bad = [({"rho0": -1.0}, "rho0 must be finite and > 0, got -1.0"),
            ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
            ({"name": "../../x"}, "solver name '../../x' is not a plain file name"),
-           ({"name": ""}, "solver name '' is not a plain file name")]
+           ({"name": ""}, "solver name '' is not a plain file name"),
+           ({"name": "a\0b"}, "solver name 'a\\x00b' is not a plain file name")]
     for fields, message in bad:
         spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
                 "solvers": [{"name": "a", "method": "pnm"}, {"name": "b", "method": "pnm", **fields}]}
@@ -1234,12 +1267,15 @@ def test_cli_bad_solver_field_exits_before_any_output(tmp_path, capsys, monkeypa
      'or {"builtin": "quadratic"|"logistic", "n": ..., "m": ...}, got {\'builtin\': \'cubic\'}'),
     ({"problem": {"path": None}}, "problem path must be a non-empty string, got None"),
     ({"problem": {"path": ""}}, "problem path must be a non-empty string, got ''"),
-], ids=["logistic-squared", "quadratic-squared", "empty", "unknown-builtin", "path-null", "path-empty"])
+    ({"problem": {"path": "d\0.csv"}}, "problem path must be free of NUL bytes, got 'd\\x00.csv'"),
+    ({"problem": {"builtin": "logistic"}, "out": "o\0ut"}, "out must be free of NUL bytes, got 'o\\x00ut'"),
+], ids=["logistic-squared", "quadratic-squared", "empty", "unknown-builtin", "path-null", "path-empty", "path-nul",
+        "out-nul"])
 def test_cli_problem_it_would_misread_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({**fields, "out": str(out), "solvers": [{"name": "pnm", "method": "pnm"}]}))
+    path.write_text(json.dumps({"out": str(out), **fields, "solvers": [{"name": "pnm", "method": "pnm"}]}))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

@@ -24,6 +24,9 @@ by the trace writer ``solvers._record`` and the certifier
 input rules for numbers (``is_integer``, ``is_number``, ``positive_number``,
 ``positive_integer``) are defined in ``linalg`` alone, beside ``as_symmetric``,
 and the model boundary in ``objective`` reads them instead of its own tests.
+What a step reads is one rule, ``SolverConfig.step_inputs``: ``materialize`` is
+called there alone, and neither ``run`` nor the certifier evaluates a Hessian
+itself. ``src/`` stays within ROADMAP aim 2's line budget.
 """
 
 import ast
@@ -213,3 +216,22 @@ def test_the_number_rules_are_defined_once_in_linalg_and_read_at_the_model_bound
     compared = [node.lineno for node in ast.walk(trees["objective.py"]) if isinstance(node, ast.Compare)
                 and "alpha" in {getattr(n, "id", None) for n in (node.left, *node.comparators)}]
     assert compared == [], f"objective.py compares alpha itself on lines {compared}"
+
+
+def test_each_step_reads_its_h_and_g_from_step_inputs():
+    # which G a step reads (the preconditioner's for pnm and anm, the identity for a Newton step) is decided in
+    # SolverConfig.step_inputs alone; run and the certifier take each step's (H, G) from it
+    assert _callers("materialize") == [("solvers.py", "SolverConfig")]
+    readers = {("solvers.py", "run"), ("diagnostics.py", "_certify_records")}
+    assert readers <= set(_callers("step_inputs"))
+    assert not readers & set(_callers("hessian")), f"hessian is called from {_callers('hessian')}"
+
+
+#: ROADMAP aim 2's target for ``cat src/pnewton/*.py src/pnewton/harness/*.py | wc -l``.
+LINE_BUDGET = 2500
+
+
+def test_src_stays_within_the_roadmap_line_budget():
+    files = sorted(SRC.glob("*.py")) + sorted((SRC / "harness").glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in files)  # what wc -l counts
+    assert lines <= LINE_BUDGET, f"src/ has {lines} lines, above the budget of {LINE_BUDGET}"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_psd
-from pnewton.errors import NotPSD, NotPositiveDefinite
+from pnewton.errors import ConvergenceFailure, NotPSD, NotPositiveDefinite
 from pnewton.linalg import (
     DEFAULT_RANK_TOL,
     as_symmetric,
@@ -149,6 +149,15 @@ def test_sym_eig_examples():
 
     w, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(w, [1.0, 3.0])
+
+
+def test_sym_eig_names_an_eigensolver_that_does_not_converge(monkeypatch):
+    def diverge(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    with pytest.raises(ConvergenceFailure, match="^eigendecomposition did not converge: Eigenvalues did not converge$"):
+        sym_eig(np.eye(2))
 
 
 def test_sym_eig_reconstruction_sweep():
