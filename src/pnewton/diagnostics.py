@@ -268,6 +268,11 @@ def verify_gradient_energy_bound(model: ObjectiveModel, x, G, rho: float) -> Che
     return CheckResult(lhs >= rhs - ENERGY_TOL, {"lhs": lhs, "rhs": rhs, "xi": xi})
 
 
+def _range_hypothesis(pd: bool, H, G, d) -> bool:
+    """ANM's range hypothesis at a step ``d``: ``H`` is PD, or ``d`` is 0, or ``G d`` lies in ``Range(H)``."""
+    return pd or float(np.linalg.norm(d)) == 0.0 or range_check(H, precond_apply(G, d))[2]
+
+
 def verify_step_energy_bound(x, x_prev, H, G, rho: float) -> CheckResult:
     """Check ``||x - x_prev||^2_F >= xi * ||x - x_prev||^2_G - ENERGY_TOL`` at one iterate.
 
@@ -285,7 +290,7 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float) -> CheckResult:
     H, G = as_symmetric(H), as_symmetric(G)
     S = _spectrum(H, G, True)
     xi, _, pd = S.rates(rho)
-    range_ok = pd or range_check(H, G @ d)[2]
+    range_ok = _range_hypothesis(pd, H, G, d)
     lhs = weighted_norm_sq(d, S.F(rho))
     rhs = xi * weighted_norm_sq(d, G)
     return CheckResult(lhs >= rhs - ENERGY_TOL, {"lhs": lhs, "rhs": rhs, "xi": xi}, precondition_ok=range_ok)
@@ -395,8 +400,7 @@ def _certify_records(kind: str, trace: IterateTrace, model: ObjectiveModel) -> C
             d, factor = x_k - records[k - 1].x, xi_k * mu / step_L
             v_k = composite_value(records[k].f - f_star, weighted_norm_sq(d, G_k), rho_k, step_L)
             v_next = composite_value(records[k + 1].f - f_star, records[k + 1].step_norm_g_sq, rho_k, step_L)
-            extra = {"precondition_ok": pd or float(np.linalg.norm(d)) == 0.0
-                     or range_check(H_k, precond_apply(G_k, d))[2]}
+            extra = {"precondition_ok": _range_hypothesis(pd, H_k, G_k, d)}
         rhs = (1.0 - factor) * v_k + SLACK_TOL
         report.entries.append(ContractionEntry(
             k=k, lhs=v_next / v_k if v_k > 0.0 else np.nan, bound=1.0 - factor, satisfied=v_next <= rhs,

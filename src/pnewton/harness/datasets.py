@@ -18,7 +18,7 @@ __all__ = [
     "make_quadratic_matrix",
 ]
 
-#: Largest libsvm feature index accepted: one dense n x n Hessian is 800 MB at this width.
+#: Most features a problem may have (a libsvm index, CSV columns, a builtin's n): one n x n Hessian is 800 MB here.
 MAX_FEATURES = 10_000
 
 
@@ -51,8 +51,9 @@ def _load_csv(path: str):
                 raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
             if width is None:
                 width = len(values)
-                if width < 2:
-                    raise ParseError("need at least one feature column plus a label", line=lineno)
+                if not 2 <= width <= MAX_FEATURES + 1:
+                    raise ParseError(f"need 1 to {MAX_FEATURES} feature columns plus a label, found {width - 1}",
+                                     line=lineno)
             elif len(values) != width:
                 raise ParseError(
                     f"expected {width} columns, found {len(values)}", line=lineno

@@ -31,7 +31,7 @@ from ..errors import ReplayMismatch
 from ..linalg import is_integer, is_number, positive_integer, positive_number
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import ObjectiveModel, glm_build, glm_constants, quadratic_model  # noqa: F401
-from .datasets import DEFAULT_FORMAT, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
+from .datasets import DEFAULT_FORMAT, MAX_FEATURES, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
 
 __all__ = [
     "SolverSpec",
@@ -89,7 +89,7 @@ class ExperimentSpec:
 
     ``problem`` is either ``{"path": ..., "format": ...}`` (a non-empty path, a
     format of ``READERS``) for a dataset on disk or ``{"builtin": ..., "n": ...,
-    "m": ...}`` (one of ``BUILTINS``, integer sizes >= 1) for a seeded synthetic
+    "m": ...}`` (one of ``BUILTINS``, integer sizes >= 1, ``n`` at most ``MAX_FEATURES``) for a seeded synthetic
     instance; it is checked on construction (a key outside its description is
     an error) and stored as the description every meta file and the summary
     record. ``fstar`` is
@@ -148,9 +148,6 @@ class ExperimentSpec:
     def from_json_file(cls, path: str) -> "ExperimentSpec":
         return cls.from_dict(_read_json(path))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _size(problem: dict, key: str, default: int) -> int:
     return positive_integer(f"a builtin problem's {key}", problem.get(key, default))
@@ -164,6 +161,8 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
         raise ValueError(f"a builtin problem takes only the default link 'logistic', got {spec.link!r}")
     if isinstance(kind, str) and kind in BUILTINS:
         sizes = {key: _size(problem, key, default) for key, default in BUILTINS[kind].items()}
+        if sizes["n"] > MAX_FEATURES:
+            raise ValueError(f"a builtin problem's n {sizes['n']} exceeds the limit of {MAX_FEATURES}")
         desc = {"builtin": kind, **sizes, "seed": spec.seed}
         if kind == "logistic":
             desc["alpha"] = spec.alpha

@@ -35,7 +35,6 @@ __all__ = [
     "check_relative_bounds",
     "BoundsCheck",
     "quadratic_model",
-    "in_level_set",
     "LINK_CURVATURE",
 ]
 
@@ -278,10 +277,9 @@ def check_relative_bounds(model: ObjectiveModel, x, y, L: float, mu: float) -> B
 def quadratic_model(Q) -> ObjectiveModel:
     """Convex quadratic ``f(x) = x^T Q x / 2`` with minimizer 0, so ``f_star = 0.0``.
 
-    Exactly relative-smooth and relative-convex with ``L = mu = 1``.
+    Exactly relative-smooth and relative-convex with ``L = mu = 1``. ``Q`` is checked with ``as_symmetric`` and copied.
     """
-    Q = np.asarray(Q, dtype=float)
-    Q = 0.5 * (Q + Q.T)
+    Q = as_symmetric(np.array(Q, dtype=float))
     n = Q.shape[0]
 
     def value(x):
@@ -298,20 +296,3 @@ def quadratic_model(Q) -> ObjectiveModel:
         dim=n, value=value, gradient=gradient, hessian=hessian,
         constants=RelativeConstants(1.0, 1.0), f_star=0.0,
     )
-
-
-def in_level_set(model: ObjectiveModel, x, y, x0, y0, G, rho: float, step_L: float) -> bool:
-    """Membership of the pair ``(x, y)`` in the composite level set of ``(x0, y0)``.
-
-    The composite value is ``f(x) + (L / 2 rho) ||x - y||^2_G``; membership
-    allows 1e-9 absolute slack over the initial value.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    G = as_symmetric(G)
-    coeff = step_L / (2.0 * rho)
-    lhs = model.value(x) + coeff * weighted_norm_sq(x - y, G)
-    rhs = model.value(x0) + coeff * weighted_norm_sq(x0 - y0, G)
-    return lhs <= rhs + 1e-9

@@ -53,6 +53,7 @@ __all__ = [
     "fstar_oracle",
     "run",
     "composite_value",
+    "in_level_set",
     "METHODS",
 ]
 
@@ -276,6 +277,18 @@ def composite_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float
     """
     v = gap + step_L / (2.0 * rho) * step_norm_g_sq
     return 0.0 if -FSTAR_SLACK < v < 0.0 else v
+
+
+def in_level_set(model: ObjectiveModel, x, y, x0, y0, G, rho: float, step_L: float) -> bool:
+    """Membership of the pair ``(x, y)`` in the composite level set of ``(x0, y0)``, ANM's "mild assumptions" set.
+
+    Both sides are :func:`composite_value` with the gap taken from ``f(x0)``:
+    ``V(x, y) <= V(x0, y0) + FSTAR_SLACK``, where ``V(x, y) = f(x) - f(x0) + (L / 2 rho) ||x - y||^2_G``.
+    """
+    x, y, x0, y0 = (np.asarray(v, dtype=float) for v in (x, y, x0, y0))
+    G, f0 = as_symmetric(G), model.value(x0)
+    v = composite_value(model.value(x) - f0, weighted_norm_sq(x - y, G), rho, step_L)
+    return v <= composite_value(0.0, weighted_norm_sq(x0 - y0, G), rho, step_L) + FSTAR_SLACK
 
 
 def _backtrack(model: ObjectiveModel, x, g, H, f_curr: float) -> tuple[np.ndarray | None, float | None]:

@@ -22,7 +22,7 @@ from pnewton.diagnostics import (
 )
 from pnewton.harness import ExperimentSpec, SolverSpec, run_experiment
 from pnewton.linalg import inv_sqrt_pd, lambda_min_pos, psd_sqrt, sym_eig
-from pnewton.objective import check_relative_bounds, fd_gradient, fd_hessian, glm_constants, in_level_set
+from pnewton.objective import check_relative_bounds, fd_gradient, fd_hessian, glm_constants
 from pnewton.solvers import (
     DualState,
     PenaltySchedule,
@@ -30,6 +30,7 @@ from pnewton.solvers import (
     anm_step_dual,
     anm_step_momentum,
     fstar_oracle,
+    in_level_set,
     newton_step,
     pnm_step,
     root_augmented_newton,

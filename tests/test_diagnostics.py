@@ -27,7 +27,7 @@ from pnewton.diagnostics import (
 )
 from pnewton.errors import ConvergenceFailure, MissingOptimum, NotPositiveDefinite, ZeroHessian
 from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig, weighted_norm_sq
-from pnewton.objective import GlmProblem, check_relative_bounds, in_level_set, quadratic_model
+from pnewton.objective import GlmProblem, check_relative_bounds, quadratic_model
 from pnewton.solvers import (
     FSTAR_SLACK,
     METHODS,
@@ -39,6 +39,7 @@ from pnewton.solvers import (
     anm_step_momentum,
     composite_value,
     fstar_oracle,
+    in_level_set,
     pnm_step,
     run,
 )
@@ -106,7 +107,7 @@ def test_diagonal_g_whitening_matches_cholesky_route(n):
     "fn",  # xi is the minimum filtered curvature, beta the preconditioner floor
     [lambda H, G, rho: rate_constants(H, G, rho).xi, lambda H, G, rho: rate_constants(H, G, rho).beta,
      shifted_inverse],
-    ids=["min_filtered_curvature", "precond_floor", "shifted_inverse"],
+    ids=["rate_constants_xi", "rate_constants_beta", "shifted_inverse"],
 )
 def test_non_pd_preconditioner_raises(fn, G):
     with pytest.raises(NotPositiveDefinite):
@@ -152,7 +153,7 @@ def test_shifted_inverse_at_rho_inf_refuses_a_singular_hessian():
     assert np.array_equal(shifted_inverse(np.diag([2.0, 4.0]), np.eye(2), np.inf), np.diag([0.5, 0.25]))
 
 
-def test_min_filtered_curvature_examples():
+def test_rate_constants_examples():
     assert rate_constants(H_DIAG, np.eye(3), 1.0) == (pytest.approx(0.5), pytest.approx(0.2), False)
     rng = np.random.default_rng(2)
     H = rand_pd(rng, 5)
@@ -180,14 +181,14 @@ def _beta_root_route(H, G, rho):
     return sym_eig(0.5 * (B + B.T))[0][0]
 
 
-def test_min_filtered_curvature_dual_route():
+def test_rate_constants_xi_matches_the_dual_route():
     for H, G, rho in sweep_instances(40, [0.1, 1.0, 10.0], seed=3):
         xi = rate_constants(H, G, rho).xi
         assert abs(xi - _xi_dual_route(H, G, rho)) <= 1e-8
         assert 0.0 < xi <= 1.0
 
 
-def test_min_filtered_curvature_monotone_in_rho():
+def test_rate_constants_xi_is_monotone_in_rho():
     rng = np.random.default_rng(4)
     H = rand_psd(rng, 6, 4)
     G = rand_pd(rng, 6)
@@ -195,7 +196,7 @@ def test_min_filtered_curvature_monotone_in_rho():
     assert all(b > a for a, b in zip(xis, xis[1:]))
 
 
-def test_min_filtered_curvature_zero_hessian_raises():
+def test_rate_constants_refuse_a_zero_hessian():
     # xi has no nonzero eigenvalue to take a minimum over, at any rho, so the whole triple is refused
     for rho in (1.0, np.inf):
         with pytest.raises(ZeroHessian):
@@ -270,7 +271,7 @@ def test_closed_form_filter_map():
         assert np.abs(np.sort(got) - expected).max() <= 1e-8
 
 
-def test_precond_floor_matches_root_route():
+def test_rate_constants_beta_matches_the_root_route():
     # beta = 1/(1/rho + lam_max) against lambda_min(K^{1/2} G K^{1/2}) built from roots
     for H, G, rho in sweep_instances(100, CRITERION_RHOS, seed=2024):
         beta_root = _beta_root_route(H, G, rho)
@@ -460,7 +461,7 @@ def test_pd_and_precondition_ok_are_python_bools(H, pd):
 # Lyapunov value and certifications
 # ---------------------------------------------------------------------------
 
-def test_lyapunov_values():
+def test_composite_value_examples():
     # composite_value(gap, ||x_k - x_{k-1}||^2_G, rho, L); a too-high f* is refused before any V is scored
     # (test_certifiers_refuse_an_fstar_above_the_lowest_recorded_f), so only the clamp band is left here
     assert composite_value(0.0, 0.0, 1.0, 1.0) == 0.0
@@ -888,13 +889,15 @@ def test_bad_hessian_raises_where_it_is_received(method, bad):
             certify(trace, model)
     with pytest.raises(ValueError):
         check_relative_bounds(model, x0, np.zeros(3), 1.0, 1.0)
+    with pytest.raises(ValueError, match="not symmetric" if bad == "asymmetric" else "non-finite"):
+        quadratic_model(BAD_MATRICES[bad])  # Q enters through as_symmetric, as a fixed preconditioner's M does
 
 
 G_ENTRY_ROUTES = {
     "shifted_inverse": lambda G: shifted_inverse(Q_GOOD, G, 2.0),
     "filtered_curvature": lambda G: filtered_curvature(Q_GOOD, G, 2.0),
-    "min_filtered_curvature": lambda G: rate_constants(Q_GOOD, G, 2.0).xi,
-    "precond_floor": lambda G: rate_constants(Q_GOOD, G, 2.0).beta,
+    "rate_constants_xi": lambda G: rate_constants(Q_GOOD, G, 2.0).xi,
+    "rate_constants_beta": lambda G: rate_constants(Q_GOOD, G, 2.0).beta,
     "momentum_matrix": lambda G: momentum_matrix(Q_GOOD, G, 2.0),
     "pnm_step": lambda G: pnm_step(quadratic_model(Q_GOOD), np.ones(3), 2.0, G, 1.0),
     "anm_step_momentum": lambda G: anm_step_momentum(quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), 2.0, G, 1.0),

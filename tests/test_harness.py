@@ -549,7 +549,7 @@ def test_spec_problem_is_the_description_every_file_records(tmp_path):
                           solvers=[SolverSpec(name="pnm"), SolverSpec(name="newton", method="newton")])
     desc = {"builtin": "logistic", "n": 20, "m": 200, "seed": 3, "alpha": 0.1}
     assert spec.problem == desc
-    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    assert ExperimentSpec.from_dict(dataclasses.asdict(spec)) == spec
     assert dataclasses.replace(spec, seed=4).problem == {**desc, "seed": 4}
     summary = run_experiment(spec)
     assert summary["problem"] == json.loads((out / "summary.json").read_text())["problem"] == desc
@@ -560,11 +560,11 @@ def test_spec_problem_is_the_description_every_file_records(tmp_path):
 def test_spec_json_round_trip(tmp_path):
     spec = quadratic_spec(tmp_path / "json", diagnostics=True)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     loaded = ExperimentSpec.from_json_file(path)
-    assert loaded.to_dict() == spec.to_dict()
+    assert dataclasses.asdict(loaded) == dataclasses.asdict(spec)
     dataset = ExperimentSpec(problem={"path": "d.csv"}, link="squared", alpha=0.5, solvers=[SolverSpec(name="a")])
-    assert ExperimentSpec.from_dict(dataset.to_dict()) == dataset  # its description records link and alpha
+    assert ExperimentSpec.from_dict(dataclasses.asdict(dataset)) == dataset  # its description records link and alpha
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +627,7 @@ def test_cli_solve_prints_the_run_report(tmp_path, capsys):
     spec = ExperimentSpec(problem={"builtin": "logistic", "n": 5, "m": 30}, seed=4, diagnostics=True,
                           solvers=[SolverSpec(name="anm", method="anm", precond="diag")], out=str(tmp_path / "run"))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     assert cli_main(["run", str(path)]) == 0
     run_out = capsys.readouterr().out
     assert solve_out.startswith(f"wrote 1 trace(s) to {tmp_path / 'solve'}\n  anm: converged in ")
@@ -720,7 +720,7 @@ def test_cli_certify_exits_1_when_the_stored_cert_differs(tmp_path, capsys):
 def test_a_step_far_below_L_is_named_as_a_certificate_failure(tmp_path, capsys):
     # step_L = 0.4 against L = 1.197: pnm diverges to a gap of 4.6e168 in max_iters, yet its certificate reads
     # all_certified, so stderr names pnm only as not converged; item 13 makes run name pnm's certificate
-    spec = step_below_L_spec(tmp_path / "s").to_dict()
+    spec = dataclasses.asdict(step_below_L_spec(tmp_path / "s"))
     spec["solvers"] = [{"name": "pnm", "method": "pnm", "step_L": 0.4}]
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert cli_main(["run", str(tmp_path / "spec.json")]) == 1
@@ -733,7 +733,7 @@ def test_a_step_below_L_fails_its_certificate_where_it_is_read(tmp_path, capsys)
     # every pnm_diag entry is vacuous (eta > 1), so it reads true with nothing scored
     out = tmp_path / "s"
     spec = step_below_L_spec(out)
-    (tmp_path / "spec.json").write_text(json.dumps(spec.to_dict()))
+    (tmp_path / "spec.json").write_text(json.dumps(dataclasses.asdict(spec)))
     # pnewton run reads each certificate: it names the failed ones and the one with nothing scored, and exits 1
     assert cli_main(["run", str(tmp_path / "spec.json")]) == 1
     stdout, stderr = capsys.readouterr()
@@ -1093,7 +1093,7 @@ def test_cli_spec_that_does_not_parse_names_the_file(tmp_path, capsys, monkeypat
 def test_cli_run_spec_file(tmp_path, capsys):
     spec = quadratic_spec(tmp_path / "runout")
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     assert cli_main(["run", str(path)]) == 0
     assert "newton" in capsys.readouterr().out
 
@@ -1110,7 +1110,7 @@ def test_cli_run_unconverged_is_failure(tmp_path, capsys):
         out=str(out),
     )
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     assert cli_main(["run", str(path)]) == 1
     assert "pnm, newton" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
@@ -1135,7 +1135,7 @@ def test_cli_run_names_an_eigensolver_failure_in_certification_as_a_solver_failu
     out = tmp_path / "out"
     path = tmp_path / "spec.json"
     spec = quadratic_spec(out, solvers=[SolverSpec(name="pnm", method="pnm")], diagnostics=True)
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     assert cli_main(["run", str(path)]) == 1
     message = "eigendecomposition did not converge: Eigenvalues did not converge"
     assert capsys.readouterr() == ("", f"solver failure: {message}\n")
@@ -1460,6 +1460,45 @@ def test_cli_libsvm_index_above_cap_exits_before_any_trace(tmp_path, capsys, mon
     assert code == 2
     assert capsys.readouterr().err == f"error: line 1: feature index 2000000 exceeds the limit of {MAX_FEATURES}\n"
     assert not out.exists()
+
+
+def test_cli_csv_wider_than_the_cap_exits_before_any_output(tmp_path, capsys, monkeypatch):
+    # the cap is lowered on the binding _load_csv reads; no test runs a problem at the real cap (800 MB Hessians)
+    import pnewton.harness.datasets
+
+    _no_fstar_oracle(monkeypatch)
+    monkeypatch.setattr(pnewton.harness.datasets, "MAX_FEATURES", 3)
+    data = tmp_path / "wide.csv"
+    data.write_text("1,2,3,1\n4,5,6,-1\n")
+    assert load_dataset(data, "csv")[0].shape == (3, 2)  # at the cap
+    data.write_text("1,2,3,4,5,1\n6,7,8,9,10,-1\n")
+    out = tmp_path / "x"
+    assert cli_main(["solve", "--method", "pnm", "--dataset", str(data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1: need 1 to 3 feature columns plus a label, found 5\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("builtin", ["quadratic", "logistic"])
+def test_cli_builtin_wider_than_the_cap_exits_before_any_output_and_is_not_replayed(tmp_path, capsys, monkeypatch,
+                                                                                     builtin):
+    # the cap is lowered on the binding _problem_desc reads, which checks a spec and a replayed meta alike
+    import pnewton.harness.experiment
+
+    run_experiment(ExperimentSpec(problem={"builtin": builtin, "n": 4}, seed=3, out=str(tmp_path / "c"),
+                                  solvers=[SolverSpec(name="pnm", method="pnm")]))
+    _no_fstar_oracle(monkeypatch)
+    monkeypatch.setattr(pnewton.harness.experiment, "MAX_FEATURES", 3)
+    assert ExperimentSpec(problem={"builtin": builtin, "n": 3}, solvers=[SolverSpec(name="a")]).problem["n"] == 3
+    out = tmp_path / "x"
+    assert cli_main(["solve", "--method", "pnm", "--problem", builtin, "--n", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: a builtin problem's n 4 exceeds the limit of 3\n" and captured.out == ""
+    assert not out.exists()
+    meta = tmp_path / "c" / "pnm.meta.json"
+    assert cli_main(["certify", "--trace", str(tmp_path / "c" / "pnm.trace.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {meta}: a builtin problem's n 4 exceeds the limit of 3\n" and captured.out == ""
 
 
 def test_cli_libsvm_repeated_index_exits_before_any_output(tmp_path, capsys, monkeypatch):

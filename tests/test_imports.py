@@ -19,8 +19,13 @@ one call site, the spectrum builder ``_spectrum``, so no function whitens its
 Which methods get a certificate, and from which certifier, is one table,
 ``diagnostics.CERTIFIERS``: no other module defines a method->certifier map.
 ANM's composite value ``V`` is one function, ``solvers.composite_value``, called
-by the trace writer ``solvers._record`` and the certifier
-``diagnostics._certify_records`` alone, and its f* slack is one constant. The
+by the trace writer ``solvers._record``, the level-set test
+``solvers.in_level_set`` and the certifier ``diagnostics._certify_records``
+alone, and its f* slack is one constant; ``objective`` holds models only, so
+none of its functions takes a ``rho``, ``G`` or step constant. ANM's range
+hypothesis is one function, ``diagnostics._range_hypothesis``, the one caller of
+``range_check`` in ``diagnostics``, which ``verify_step_energy_bound`` and the
+certifier both call. The
 input rules for numbers (``is_integer``, ``is_number``, ``positive_number``,
 ``positive_integer``) are defined in ``linalg`` alone, beside ``as_symmetric``,
 and the model boundary in ``objective`` reads them instead of its own tests.
@@ -180,11 +185,12 @@ def test_one_table_says_which_methods_are_certified_and_by_what():
     assert not [path.name for path in SRC.rglob("*.py") if "_CERTIFIERS" in path.read_text(encoding="utf-8")]
 
 
-def test_the_composite_value_is_one_function_with_two_callers_and_one_slack():
-    # V_k = f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G: the trace's lyapunov column and the augmented
-    # certificate score it with the same function, and no other function defines it (no *lyapunov* def is left)
+def test_the_composite_value_is_one_function_with_three_callers_and_one_slack():
+    # V_k = f(x_k) - f* + (L / 2 rho_k) ||x_k - x_{k-1}||^2_G: the trace's lyapunov column, the level-set test and
+    # the augmented certificate score it with the same function, and no other function defines it (no *lyapunov* def)
     assert "composite_value" in solvers.__all__
-    assert set(_callers("composite_value")) == {("solvers.py", "_record"), ("diagnostics.py", "_certify_records")}
+    assert set(_callers("composite_value")) == {
+        ("solvers.py", "_record"), ("solvers.py", "in_level_set"), ("diagnostics.py", "_certify_records")}
     trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8")) for name in ("solvers.py", "diagnostics.py")}
     defined = [node.name for path in SRC.rglob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef) and "lyapunov" in node.name]
@@ -193,6 +199,22 @@ def test_the_composite_value_is_one_function_with_two_callers_and_one_slack():
     slacks = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.Constant) and node.value == 1e-9]
     assert slacks == [("solvers.py", dict(_top_level_names(trees["solvers.py"]))["FSTAR_SLACK"])], slacks
+
+
+def test_objective_holds_models_only():
+    # the composite value's rho, G and step constant belong to solvers; no objective function takes one
+    taken = [(node.name, arg.arg) for node in ast.walk(ast.parse((SRC / "objective.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)
+             for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+             if arg.arg in ("rho", "G", "step_L")]
+    assert taken == [], f"objective.py functions that take a solver parameter: {taken}"
+
+
+def test_the_range_hypothesis_is_one_function_that_both_readers_call():
+    # H is PD, or the step is 0, or G (x_k - x_{k-1}) lies in Range(H): diagnostics._range_hypothesis alone tests it
+    assert [c for c in _callers("range_check") if c[0] == "diagnostics.py"] == [("diagnostics.py", "_range_hypothesis")]
+    assert set(_callers("_range_hypothesis")) == {
+        ("diagnostics.py", "verify_step_energy_bound"), ("diagnostics.py", "_certify_records")}
 
 
 def _excludes_bools(node: ast.AST) -> bool:

@@ -19,10 +19,9 @@ from pnewton.objective import (
     fd_hessian,
     glm_build,
     glm_constants,
-    in_level_set,
     quadratic_model,
 )
-from pnewton.solvers import fstar_oracle
+from pnewton.solvers import fstar_oracle, in_level_set
 
 
 def test_glm_squared_scalar_value():
