@@ -25,13 +25,7 @@ from .errors import (
     ZeroHessian,
 )
 from .objective import GlmProblem, ObjectiveModel, glm_build, glm_constants, quadratic_model
-from .solvers import (
-    IterateTrace,
-    PenaltySchedule,
-    PreconditionerPolicy,
-    SolverConfig,
-    run,
-)
+from .solvers import IterateTrace, SolverConfig, run
 
 __version__ = "0.1.0"
 
@@ -47,8 +41,6 @@ __all__ = [
     "glm_constants",
     "quadratic_model",
     "IterateTrace",
-    "PenaltySchedule",
-    "PreconditionerPolicy",
     "SolverConfig",
     "run",
     "PnewtonError",

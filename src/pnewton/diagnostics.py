@@ -19,7 +19,7 @@ rate constants are read. Its readers ``K``, ``F`` and ``(xi, beta, pd)`` keep
 accurate to ~1e-11 even at extreme penalties where a naive inversion loses
 several digits; ``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero
 ``lam`` and ``beta = rho / (1 + rho*lam_max)``. Each public function checks
-``H`` and ``G`` once and builds one spectrum, each ``verify_*`` included.
+``H``, ``G`` and ``rho`` once and builds one spectrum, each ``verify_*`` included.
 
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
@@ -46,6 +46,7 @@ from .linalg import (
     nonzero_eigenvalues,
     nonzero_mask,
     pinv_apply,
+    positive_penalty,
     precond_apply,
     psd_spectrum,
     psd_sqrt,
@@ -106,7 +107,7 @@ def _whiten(H, G):
     A 1-D ``G`` stands for ``diag(G)``: ``C`` is the vector ``sqrt(G)`` and
     ``W`` is ``H`` with rows and columns rescaled by ``1/C``, built in place:
     O(n^2), no factorization. ``H`` and ``G`` must be symmetric and finite,
-    and a 1-D ``G`` positive (``materialize`` checks it where ``G`` is made);
+    and a 1-D ``G`` positive (``step_inputs`` checks it where ``G`` is made);
     they are not re-checked.
     """
     if G.ndim == 1:
@@ -175,7 +176,7 @@ def _spectrum(H, G, vectors: bool) -> _Spectrum:
 
 def shifted_inverse(H, G, rho: float) -> np.ndarray:
     """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD; ``H^{-1}`` at ``rho = inf``."""
-    return _spectrum(as_symmetric(H), as_symmetric(G), True).K(rho)
+    return _spectrum(as_symmetric(H), as_symmetric(G), True).K(positive_penalty("rho", rho))
 
 
 def filtered_curvature(H, G, rho: float) -> np.ndarray:
@@ -185,7 +186,7 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     limit is 1 on the eigenvalues that ``nonzero_mask`` counts as nonzero and 0
     elsewhere. Complementary to the shifted inverse: ``G K G = rho G - rho F``.
     """
-    return _spectrum(as_symmetric(H), as_symmetric(G), True).F(rho)
+    return _spectrum(as_symmetric(H), as_symmetric(G), True).F(positive_penalty("rho", rho))
 
 
 def rate_constants(H, G, rho: float) -> RateConstants:
@@ -195,7 +196,7 @@ def rate_constants(H, G, rho: float) -> RateConstants:
     with no nonzero ``lam`` it is undefined and :class:`ZeroHessian` is raised. ``beta = rho / (1 + rho*lam_max)``
     is the smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (similar to ``G K``); ``pd``: ``lam_min`` is nonzero.
     """
-    return _spectrum(as_symmetric(H), as_symmetric(G), False).rates(rho)
+    return _spectrum(as_symmetric(H), as_symmetric(G), False).rates(positive_penalty("rho", rho))
 
 
 def momentum_matrix(H, G, rho: float) -> np.ndarray:
@@ -203,8 +204,7 @@ def momentum_matrix(H, G, rho: float) -> np.ndarray:
 
     Not symmetric in general; its spectral radius is below 1 whenever H is PD.
     """
-    G = as_symmetric(G)
-    H = as_symmetric(H)
+    G, H, rho = as_symmetric(G), as_symmetric(H), positive_penalty("rho", rho)
     return spd_solve(G / rho + H, G) / rho
 
 
@@ -217,7 +217,7 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     supplied explicitly (e.g. to show a corrupted matrix fails); by default they
     are read off one whitened spectrum here.
     """
-    H, G = as_symmetric(H), as_symmetric(G)
+    H, G, rho = as_symmetric(H), as_symmetric(G), positive_penalty("rho", rho)
     if K is None or F is None:
         S = _spectrum(H, G, True)
         K, F = S.K(rho) if K is None else K, S.F(rho) if F is None else F
@@ -238,7 +238,7 @@ def verify_spectrum_match(H, G, rho: float) -> CheckResult:
     shorter list is padded with zeros, so the disputed value still has to be
     below ``SPECTRUM_TOL`` for the check to pass.
     """
-    H, G = as_symmetric(H), as_symmetric(G)
+    H, G, rho = as_symmetric(H), as_symmetric(G), positive_penalty("rho", rho)
     S, R, Gis = _spectrum(H, G, True), psd_sqrt(H), inv_sqrt_pd(G)
     M1 = R @ S.K(rho) @ R
     M2 = Gis @ S.F(rho) @ Gis
@@ -256,7 +256,7 @@ def verify_spectrum_match(H, G, rho: float) -> CheckResult:
 
 def verify_gradient_energy_bound(model: ObjectiveModel, x, G, rho: float) -> CheckResult:
     """Check ``||grad f||^2_K >= xi * ||grad f||^2_{H^+} - ENERGY_TOL`` at one point."""
-    x = np.asarray(x, dtype=float)
+    x, rho = np.asarray(x, dtype=float), positive_penalty("rho", rho)
     g = model.gradient(x)
     if float(np.linalg.norm(g)) == 0.0:
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
@@ -282,8 +282,7 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float) -> CheckResult:
     itself is not guaranteed. Whether H is PD, and ``xi``, are read off the
     whitened spectrum, as the augmented certificate reads them.
     """
-    x = np.asarray(x, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
+    x, x_prev, rho = np.asarray(x, dtype=float), np.asarray(x_prev, dtype=float), positive_penalty("rho", rho)
     d = x - x_prev
     if float(np.linalg.norm(d)) == 0.0:
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})

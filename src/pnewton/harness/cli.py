@@ -20,9 +20,9 @@ import sys
 
 from ..errors import PnewtonError, ReplayMismatch
 from ..objective import LINK_CURVATURE
-from ..solvers import METHODS, root_augmented_newton, root_penalty_newton
+from ..solvers import METHODS, PRECONDITIONERS, root_augmented_newton, root_penalty_newton
 from .datasets import READERS
-from .experiment import BUILTINS, PRECONDITIONERS, ExperimentSpec, SolverSpec, certify_trace, run_experiment
+from .experiment import BUILTINS, ExperimentSpec, SolverSpec, certify_trace, run_experiment
 
 __all__ = ["cli_main", "main", "parse_polynomial", "poly_eval", "poly_derivative"]
 

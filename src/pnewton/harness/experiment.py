@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import diagnostics, solvers
 from ..errors import ReplayMismatch
-from ..linalg import is_integer, is_number, positive_integer, positive_number
+from ..linalg import is_integer, is_number, positive_integer
 # glm_constants stays bound here: perfbench's tracer patches this binding
 from ..objective import ObjectiveModel, glm_build, glm_constants, quadratic_model  # noqa: F401
 from .datasets import DEFAULT_FORMAT, MAX_FEATURES, READERS, load_dataset, make_logistic_dataset, make_quadratic_matrix
@@ -44,23 +44,21 @@ __all__ = [
 
 TRACE_HEADER = "k,f,gap,grad_norm,rho,step_norm_G,lyapunov,elapsed_ns"
 
-#: Spec spelling of a preconditioner -> its ``PreconditionerPolicy`` kind.
-PRECONDITIONERS = {"identity": "identity", "diag": "hessian_diagonal"}
-
 #: Builtin problem -> its sizes and their defaults; the first is ``solve``'s default.
 BUILTINS = {"quadratic": {"n": 8}, "logistic": {"n": 20, "m": 200}}
 
 
 @dataclass
 class SolverSpec:
-    """One solver configuration within an experiment; the defaults are the library's but for ``max_iters``."""
+    """One solver of an experiment: a file ``name`` and ``SolverConfig``'s fields and defaults, with ``tol`` for
+    ``grad_tol``, a ``step_L`` of None for the model's ``L``, and a ``max_iters`` of its own."""
 
     name: str
     method: str = solvers.SolverConfig.method
-    precond: str = solvers.PreconditionerPolicy.kind  # its kind, "identity", is also its spelling
-    rho0: float = solvers.PenaltySchedule.rho0
-    c: float = solvers.PenaltySchedule.c
-    rho_max: float = solvers.PenaltySchedule.rho_max
+    precond: str = solvers.SolverConfig.precond
+    rho0: float = solvers.SolverConfig.rho0
+    c: float = solvers.SolverConfig.c
+    rho_max: float = solvers.SolverConfig.rho_max
     step_L: float | None = None
     tol: float = solvers.SolverConfig.grad_tol
     max_iters: int = 500  # the harness's own budget, on purpose above the library's 100
@@ -68,19 +66,14 @@ class SolverSpec:
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name in ("", ".", "..") or {"/", os.sep, "\0"} & set(self.name):
             raise ValueError(f"solver name {self.name!r} is not a plain file name")
-        if not (isinstance(self.precond, str) and self.precond in PRECONDITIONERS):
-            raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
+        if not (isinstance(self.precond, str) and self.precond in solvers.PRECONDITIONERS):  # a spec names its G
+            raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(solvers.PRECONDITIONERS)}")
         self.to_config(1.0)  # a bad method, penalty, step, tolerance or budget fails on load
 
     def to_config(self, default_step_L: float) -> solvers.SolverConfig:
         return solvers.SolverConfig(
-            method=self.method,
-            precond=solvers.PreconditionerPolicy(PRECONDITIONERS[self.precond]),
-            schedule=solvers.PenaltySchedule(rho0=self.rho0, c=self.c, rho_max=self.rho_max),
-            step_L=self.step_L if self.step_L is not None else default_step_L,
-            max_iters=self.max_iters,
-            grad_tol=positive_number("tol", self.tol),  # named as the spec names it
-        )
+            method=self.method, precond=self.precond, rho0=self.rho0, c=self.c, rho_max=self.rho_max,
+            step_L=default_step_L if self.step_L is None else self.step_L, max_iters=self.max_iters, grad_tol=self.tol)
 
 
 @dataclass

@@ -25,7 +25,7 @@ import scipy.linalg
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotPSD
 
 __all__ = [
-    "is_integer", "is_number", "positive_number", "positive_integer",
+    "is_integer", "is_number", "positive_number", "positive_penalty", "positive_integer",
     "as_symmetric",
     "spd_solve",
     "sym_eig",
@@ -65,6 +65,13 @@ def positive_number(name: str, value):
     """``value`` if it is a finite number > 0; otherwise a ``ValueError`` that calls it ``name``."""
     if not (is_number(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def positive_penalty(name: str, value):
+    """``value`` if it is a penalty, a number > 0 or ``inf`` (the ``rho -> inf`` limit); else a ``ValueError``."""
+    if not (value == math.inf or is_number(value) and value > 0.0):
+        raise ValueError(f"{name} must be > 0 or inf, got {value!r}")
     return value
 
 

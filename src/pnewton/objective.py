@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import BadLabel, BadShape
-from .linalg import as_symmetric, is_number, positive_number, sym_eig, weighted_norm_sq
+from .linalg import as_symmetric, is_number, positive_number, psd_spectrum, sym_eig, weighted_norm_sq
 
 __all__ = [
     "ObjectiveModel",
@@ -277,9 +277,11 @@ def check_relative_bounds(model: ObjectiveModel, x, y, L: float, mu: float) -> B
 def quadratic_model(Q) -> ObjectiveModel:
     """Convex quadratic ``f(x) = x^T Q x / 2`` with minimizer 0, so ``f_star = 0.0``.
 
-    Exactly relative-smooth and relative-convex with ``L = mu = 1``. ``Q`` is checked with ``as_symmetric`` and copied.
+    Exactly relative-smooth and relative-convex with ``L = mu = 1``. ``Q`` is checked with ``as_symmetric`` and
+    copied; an indefinite one, with no minimum, raises :class:`NotPSD` (a singular PSD ``Q`` is fine).
     """
     Q = as_symmetric(np.array(Q, dtype=float))
+    psd_spectrum(sym_eig(Q)[0])
     n = Q.shape[0]
 
     def value(x):

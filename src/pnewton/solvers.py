@@ -32,14 +32,12 @@ from .errors import (
     NotPositiveDefinite,
     RangeViolation,
 )
-from .linalg import as_symmetric, is_number, positive_integer, positive_number, precond_apply, range_check, shifted
-from .linalg import spd_solve, sym_eig, weighted_norm_sq
+from .linalg import as_symmetric, is_number, positive_integer, positive_number, positive_penalty, precond_apply
+from .linalg import range_check, shifted, spd_solve, sym_eig, weighted_norm_sq
 from .linalg import pinv_apply  # noqa: F401  (stays bound here: perfbench's tracer patches this binding)
 from .objective import ObjectiveModel
 
 __all__ = [
-    "PreconditionerPolicy",
-    "PenaltySchedule",
     "SolverConfig",
     "IterateRecord",
     "IterateTrace",
@@ -55,10 +53,12 @@ __all__ = [
     "composite_value",
     "in_level_set",
     "METHODS",
+    "PRECONDITIONERS",
 ]
 
 PENALIZED = ("pnm", "anm")  # the methods whose step reads a penalty rho and the preconditioner's G
 METHODS = ("newton", "damped_newton", *PENALIZED)
+PRECONDITIONERS = ("identity", "diag")  # the spellings of a G; a PD matrix is the other form
 
 #: Damped Newton's Armijo fraction and step shrink factor (see ``_backtrack``).
 BT_ALPHA = 0.25
@@ -73,92 +73,62 @@ FSTAR_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class PreconditionerPolicy:
-    """How to realize the penalty-norm matrix G at each iterate.
+class SolverConfig:
+    """Every setting of a run: the method, its ``G``, its penalty schedule, its step constant and its stopping rule.
 
-    ``identity`` (the default) gives the Levenberg special case,
-    ``hessian_diagonal`` the Levenberg-Marquardt one (G re-evaluated as
-    diag(H(x_k)) every iterate), and ``PreconditionerPolicy("fixed", M)`` uses
-    a copy of the PD matrix ``M`` throughout.
+    ``precond`` is one of ``PRECONDITIONERS``, ``identity`` (the Levenberg special case) or ``diag`` (the
+    Levenberg-Marquardt one, ``G = diag(H(x_k))`` every iterate), or a PD matrix, of which a checked copy is kept.
+    The penalty grows geometrically, ``rho_{k+1} = min(c * rho_k, rho_max)``. The checks run in the order
+    ``precond``, ``rho0``, ``c``, ``rho_max``, ``grad_tol`` (named ``tol``, as a spec names it), ``method``,
+    ``step_L``, ``max_iters``; a spec's error names the first bad field in this order.
     """
 
-    kind: str = "identity"
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "hessian_diagonal", "fixed"):
-            raise ValueError(f"unknown preconditioner kind {self.kind!r}")
-        if self.kind == "fixed":
-            if self.matrix is None:
-                raise ValueError("fixed preconditioner needs a matrix")
-            M = as_symmetric(np.array(self.matrix, dtype=float))  # never the caller's array
-            w, _ = sym_eig(M)
-            if float(w[0]) <= 0.0:
-                raise NotPositiveDefinite(
-                    f"fixed preconditioner must be PD (lambda_min = {w[0]:.3e})"
-                )
-            object.__setattr__(self, "matrix", M)
-
-    def materialize(self, H: np.ndarray) -> np.ndarray:
-        """Concrete G for an iterate whose Hessian is ``H``: its 1-D diagonal unless ``fixed``."""
-        if self.kind == "identity":
-            return np.ones(H.shape[0])
-        if self.kind == "hessian_diagonal":
-            d = H.diagonal().copy()
-            if np.any(d <= 0.0):
-                raise NotPositiveDefinite(
-                    "hessian_diagonal preconditioner needs a strictly positive "
-                    f"Hessian diagonal (min entry {d.min():.3e})"
-                )
-            return d
-        return self.matrix
-
-
-@dataclass(frozen=True)
-class PenaltySchedule:
-    """Geometric penalty growth ``rho_{k+1} = min(c * rho_k, rho_max)``."""
-
+    method: str = "pnm"
+    precond: str | np.ndarray = "identity"
     rho0: float = 1.0
     c: float = 2.0
     rho_max: float = 1e12
-
-    def __post_init__(self):
-        positive_number("rho0", self.rho0)
-        if not (is_number(self.c) and self.c >= 1.0):
-            raise ValueError(f"growth factor c must be finite and >= 1, got {self.c!r}")
-        if not (self.rho_max == np.inf or is_number(self.rho_max) and self.rho0 <= self.rho_max):
-            raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
-
-    @classmethod
-    def fixed(cls, rho: float) -> "PenaltySchedule":
-        return cls(rho0=rho, c=1.0, rho_max=rho)
-
-    def next_rho(self, rho: float) -> float:
-        return min(self.c * rho, self.rho_max)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Method selection plus every knob the runs need."""
-
-    method: str = "pnm"
-    precond: PreconditionerPolicy = field(default_factory=PreconditionerPolicy)
-    schedule: PenaltySchedule = field(default_factory=PenaltySchedule)
     step_L: float = 1.0
     max_iters: int = 100
     grad_tol: float = 1e-8
 
     def __post_init__(self):
+        if isinstance(self.precond, str):
+            if self.precond not in PRECONDITIONERS:
+                raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
+        else:
+            M = as_symmetric(np.array(self.precond, dtype=float))  # never the caller's array
+            if (lam_min := float(sym_eig(M)[0][0])) <= 0.0:
+                raise NotPositiveDefinite(f"preconditioner matrix must be PD (lambda_min = {lam_min:.3e})")
+            object.__setattr__(self, "precond", M)
+        positive_number("rho0", self.rho0)
+        if not (is_number(self.c) and self.c >= 1.0):
+            raise ValueError(f"growth factor c must be finite and >= 1, got {self.c!r}")
+        if not (self.rho_max == np.inf or is_number(self.rho_max) and self.rho0 <= self.rho_max):
+            raise ValueError(f"rho_max must be >= rho0, got {self.rho_max!r}")
+        positive_number("tol", self.grad_tol)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         positive_number("step constant L", self.step_L)
         positive_integer("max_iters", self.max_iters)
-        positive_number("grad_tol", self.grad_tol)
 
     def step_inputs(self, model: ObjectiveModel, x) -> tuple[np.ndarray, np.ndarray]:
-        """The checked Hessian at ``x`` and the ``G`` a step there reads: ``precond``'s, or a Newton step's identity."""
+        """The checked Hessian at ``x`` and the ``G`` a step there reads, a 1-D one standing for its diagonal.
+
+        A Newton step and ``identity`` read ones, ``diag`` reads ``H``'s diagonal (:class:`NotPositiveDefinite`
+        unless it is strictly positive), and a matrix ``precond`` is read as it is.
+        """
         H = as_symmetric(model.hessian(x))
-        return H, self.precond.materialize(H) if self.method in PENALIZED else np.ones(H.shape[0])
+        if self.method not in PENALIZED or isinstance(self.precond, str) and self.precond == "identity":
+            return H, np.ones(H.shape[0])
+        if isinstance(self.precond, np.ndarray):
+            return H, self.precond
+        d = H.diagonal().copy()
+        if np.any(d <= 0.0):
+            raise NotPositiveDefinite(
+                f"diag preconditioner needs a strictly positive Hessian diagonal (min entry {d.min():.3e})"
+            )
+        return H, d
 
 
 @dataclass
@@ -235,8 +205,7 @@ def pnm_step(model: ObjectiveModel, x, rho: float, G, step_L: float) -> np.ndarr
 
     Raises as :func:`newton_step`, and ``ValueError`` or :class:`NotPositiveDefinite` on a bad ``rho`` or ``G``.
     """
-    return _one_step(model, x, method="pnm", precond=PreconditionerPolicy("fixed", G),
-                     schedule=PenaltySchedule.fixed(rho), step_L=step_L)
+    return _one_step(model, x, method="pnm", precond=G, rho0=rho, c=1.0, rho_max=rho, step_L=step_L)
 
 
 def anm_step_dual(
@@ -247,9 +216,9 @@ def anm_step_dual(
     With ``u = (rho/L) grad f(x) + G z`` the new multiplier is
     ``z+ = (1/rho) (G/rho + H)^{-1} u`` and the new point ``x+ = x - z+``,
     so ``z+ == x - x+`` holds exactly. This is the independent reference
-    route for :func:`anm_step_momentum`; :func:`run` uses the momentum form.
+    route for :func:`anm_step_momentum`; :func:`run` uses the momentum form. ``rho`` is finite and > 0.
     """
-    x = np.asarray(x, dtype=float)
+    x, rho = np.asarray(x, dtype=float), positive_number("rho", rho)
     G = as_symmetric(G)
     H = as_symmetric(model.hessian(x))
     g = model.gradient(x)
@@ -266,8 +235,7 @@ def anm_step_momentum(model: ObjectiveModel, x, x_prev, rho: float, G, step_L: f
     ``Theta(x) (x - x_prev)`` with ``Theta = (1/rho) (G/rho + H)^{-1} G``.
     Raises as :func:`pnm_step`, with ``x_prev`` as the start and ``x`` as the first iterate.
     """
-    return _one_step(model, x_prev, x, method="anm", precond=PreconditionerPolicy("fixed", G),
-                     schedule=PenaltySchedule.fixed(rho), step_L=step_L)
+    return _one_step(model, x_prev, x, method="anm", precond=G, rho0=rho, c=1.0, rho_max=rho, step_L=step_L)
 
 
 def composite_value(gap: float, step_norm_g_sq: float, rho: float, step_L: float) -> float:
@@ -286,7 +254,7 @@ def in_level_set(model: ObjectiveModel, x, y, x0, y0, G, rho: float, step_L: flo
     ``V(x, y) <= V(x0, y0) + FSTAR_SLACK``, where ``V(x, y) = f(x) - f(x0) + (L / 2 rho) ||x - y||^2_G``.
     """
     x, y, x0, y0 = (np.asarray(v, dtype=float) for v in (x, y, x0, y0))
-    G, f0 = as_symmetric(G), model.value(x0)
+    G, f0, rho = as_symmetric(G), model.value(x0), positive_penalty("rho", rho)
     v = composite_value(model.value(x) - f0, weighted_norm_sq(x - y, G), rho, step_L)
     return v <= composite_value(0.0, weighted_norm_sq(x0 - y0, G), rho, step_L) + FSTAR_SLACK
 
@@ -352,7 +320,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     :func:`pnm_step` and :func:`anm_step_momentum` are one step of it);
     damped Newton backtracks on the Newton decrement. ANM starts from
     ``x0`` and ``x1`` (default ``x1 = x0``, recorded as iterate 1); the penalty
-    methods advance ``rho`` by ``config.schedule`` after every step.
+    methods advance ``rho`` to ``min(c * rho, rho_max)`` after every step. A start
+    or a matrix ``precond`` whose shape does not fit ``model.dim`` is a ``ValueError``.
 
     ``termination`` is ``converged`` once the gradient norm (and, for ANM,
     the G-weighted step norm) is at most ``grad_tol``; ``diverged`` when a
@@ -364,7 +333,11 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     t0 = time.perf_counter_ns()
     method, step_L = config.method, config.step_L
     penalized = method in PENALIZED
-    rho = config.schedule.rho0 if penalized else np.inf
+    rho = config.rho0 if penalized else np.inf
+    n = model.dim
+    for name, value, shape in (("x0", x0, (n,)), ("x1", x1, (n,)), ("precond", config.precond, (n, n))):
+        if value is not None and not isinstance(value, str) and np.shape(value) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
     trace = IterateTrace(config, f_star=model.f_star)
     x = np.asarray(x0, dtype=float)
     g = _record(trace, model, x, rho, 0.0, t0)
@@ -397,7 +370,7 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
             x_next = x - spd_solve(shifted(H, G, rho), g) / step_L
         else:
             x_next = x - spd_solve(shifted(H, G, rho), g / step_L - precond_apply(G, x - x_prev) / rho)
-        rho = config.schedule.next_rho(rho) if penalized else rho
+        rho = min(config.c * rho, config.rho_max) if penalized else rho
         g = _record(trace, model, x_next, rho, weighted_norm_sq(x_next - x, G), t0, f_next)
         if g is None:
             break

@@ -30,6 +30,11 @@ def rand_pd(rng, n):
     return 0.5 * (G + G.T)
 
 
+def fixed_rho(rho):
+    """The ``SolverConfig`` settings that hold the penalty at ``rho``."""
+    return {"rho0": rho, "c": 1.0, "rho_max": rho}
+
+
 def rand_glm(seed, n=8, m=40, alpha=0.3, link="logistic"):
     """Seeded GLM problem with O(1)-scale data; returns (problem, model)."""
     rng = np.random.default_rng(seed)

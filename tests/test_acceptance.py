@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import rand_glm, rand_pd, rand_psd
+from conftest import fixed_rho, rand_glm, rand_pd, rand_psd
 from pnewton.diagnostics import (
     certify_augmented_contraction,
     certify_penalty_contraction,
@@ -25,7 +25,6 @@ from pnewton.linalg import inv_sqrt_pd, lambda_min_pos, psd_sqrt, sym_eig
 from pnewton.objective import check_relative_bounds, fd_gradient, fd_hessian, glm_constants
 from pnewton.solvers import (
     DualState,
-    PenaltySchedule,
     SolverConfig,
     anm_step_dual,
     anm_step_momentum,
@@ -168,7 +167,7 @@ def test_criterion_05_anm_form_equivalence():
     t0 = time.perf_counter()
     worst_x = 0.0
     worst_z = 0.0
-    schedule = PenaltySchedule(rho0=1.0, c=2.0)
+    cfg = SolverConfig(rho0=1.0, c=2.0)  # its penalty schedule drives both routes
     for seed in range(500, 505):
         _, model = rand_glm(seed, n=6, m=40)
         L = model.constants[0]
@@ -179,7 +178,7 @@ def test_criterion_05_anm_form_equivalence():
         xm_prev, xm = x0, x1
         xd = x1
         dual = DualState(z=x0 - x1)
-        rho = schedule.rho0
+        rho = cfg.rho0
         for _ in range(50):
             xm_next = anm_step_momentum(model, xm, xm_prev, rho, G, L)
             xd_next, dual = anm_step_dual(model, xd, dual, rho, G, L)
@@ -187,7 +186,7 @@ def test_criterion_05_anm_form_equivalence():
             xm_prev, xm = xm, xm_next
             xd = xd_next
             worst_x = max(worst_x, float(np.linalg.norm(xm - xd)))
-            rho = schedule.next_rho(rho)
+            rho = min(cfg.c * rho, cfg.rho_max)
     ok = worst_x <= 1e-10 and worst_z <= 1e-12
     _report(5, "anm-form-equivalence", ok,
             f"worst iterate gap {worst_x:.2e} <= 1e-10, multiplier residual {worst_z:.2e} <= 1e-12",
@@ -263,7 +262,7 @@ def test_criterion_08_penalty_contraction_certification():
     for model, rho in _fixed_rho_problems():
         L, mu = model.constants
         cfg = SolverConfig(
-            method="pnm", step_L=L, schedule=PenaltySchedule.fixed(rho),
+            method="pnm", step_L=L, **fixed_rho(rho),
             grad_tol=1e-9, max_iters=150,
         )
         trace = run(model, np.zeros(model.dim), cfg)
@@ -286,7 +285,7 @@ def test_criterion_09_augmented_contraction_certification():
     for model, rho in _fixed_rho_problems():
         L, mu = model.constants
         cfg = SolverConfig(
-            method="anm", step_L=L, schedule=PenaltySchedule.fixed(rho),
+            method="anm", step_L=L, **fixed_rho(rho),
             grad_tol=1e-9, max_iters=150,
         )
         trace = run(model, np.zeros(model.dim), cfg)

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_glm, rand_pd, rand_psd
+from conftest import fixed_rho, rand_glm, rand_pd, rand_psd
 from pnewton import diagnostics
 from pnewton.diagnostics import (
     CERTIFIERS,
@@ -32,8 +32,6 @@ from pnewton.solvers import (
     FSTAR_SLACK,
     METHODS,
     DualState,
-    PenaltySchedule,
-    PreconditionerPolicy,
     SolverConfig,
     anm_step_dual,
     anm_step_momentum,
@@ -112,6 +110,30 @@ def test_diagonal_g_whitening_matches_cholesky_route(n):
 def test_non_pd_preconditioner_raises(fn, G):
     with pytest.raises(NotPositiveDefinite):
         fn(np.eye(3), G, 1.0)
+
+
+_H2, _G2, _X2 = np.diag([1.0, 2.0]), np.eye(2), np.array([1.0, -1.0])
+#: every public function that takes a penalty rho, called at H = diag(1, 2), G = I and a step from 0 to x
+RHO_READERS = {
+    "shifted_inverse": lambda rho: shifted_inverse(_H2, _G2, rho),
+    "filtered_curvature": lambda rho: filtered_curvature(_H2, _G2, rho),
+    "rate_constants": lambda rho: rate_constants(_H2, _G2, rho),
+    "momentum_matrix": lambda rho: momentum_matrix(_H2, _G2, rho),
+    "verify_inverse_identities": lambda rho: verify_inverse_identities(_H2, _G2, rho),
+    "verify_spectrum_match": lambda rho: verify_spectrum_match(_H2, _G2, rho),
+    "verify_gradient_energy_bound": lambda rho: verify_gradient_energy_bound(quadratic_model(_H2), _X2, _G2, rho),
+    "verify_step_energy_bound": lambda rho: verify_step_energy_bound(_X2, np.zeros(2), _H2, _G2, rho),
+    "in_level_set": lambda rho: in_level_set(quadratic_model(_H2), _X2, _X2, _X2, np.zeros(2), _G2, rho, 1.0),
+}
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, -2.0, -np.inf, np.nan, True], ids=str)
+@pytest.mark.parametrize("name", sorted(RHO_READERS))
+def test_a_penalty_that_is_not_positive_is_refused(name, rho):
+    # a penalty is a number > 0 or inf (the rho -> inf limit), checked by linalg's one rule where rho comes in
+    with pytest.raises(ValueError, match=rf"^rho must be > 0 or inf, got {re.escape(repr(rho))}$"):
+        RHO_READERS[name](rho)
+    RHO_READERS[name](np.inf)  # the limit is taken, not refused
 
 
 def test_filtered_curvature_diagonal():
@@ -224,7 +246,7 @@ def test_rate_constants_make_one_eigvalsh_and_factor_only_a_dense_g(monkeypatch,
     monkeypatch.setattr(scipy.linalg, "cholesky", _recording(calls["cholesky"], scipy.linalg.cholesky))
     if form == "dense":
         rate_constants(H, rand_pd(rng, 5), 2.0)
-    else:  # a diagonal G reaches the kernel as its 1-D diagonal, as PreconditionerPolicy.materialize makes it
+    else:  # a diagonal G reaches the kernel as its 1-D diagonal, as SolverConfig.step_inputs makes it
         _spectrum(H, rng.uniform(0.25, 4.0, 5), False).rates(2.0)
     assert {name: len(seen) for name, seen in calls.items()} == {
         "eigvalsh": 1, "eigh": 0, "cholesky": 1 if form == "dense" else 0}
@@ -287,8 +309,8 @@ def test_certifier_entries_match_spectral_definitions():
         x0 = np.random.default_rng(0).standard_normal(H.shape[0])
         for method, certify in (("pnm", certify_penalty_contraction), ("anm", certify_augmented_contraction)):
             cfg = SolverConfig(
-                method=method, precond=PreconditionerPolicy("fixed", G),
-                schedule=PenaltySchedule.fixed(rho), grad_tol=1e-300, max_iters=3,
+                method=method, precond=G,
+                **fixed_rho(rho), grad_tol=1e-300, max_iters=3,
             )
             report = certify(run(model, x0, cfg), model)
             assert report.entries
@@ -423,7 +445,7 @@ def test_step_energy_bound_isotropic_equality():
 def test_step_energy_bound_along_glm_trace():
     _, model = rand_glm(71, n=5, m=30)
     cfg = SolverConfig(
-        method="anm", step_L=model.constants[0], schedule=PenaltySchedule.fixed(2.0),
+        method="anm", step_L=model.constants[0], **fixed_rho(2.0),
         grad_tol=1e-10, max_iters=60,
     )
     trace = run(model, 0.5 * np.ones(5), cfg)
@@ -473,7 +495,7 @@ def test_composite_value_examples():
 def _scalar_pnm_trace(n_steps=4):
     model = quadratic_model(np.eye(1))
     cfg = SolverConfig(
-        method="pnm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=n_steps
+        method="pnm", **fixed_rho(1.0), grad_tol=1e-300, max_iters=n_steps
     )
     return model, run(model, np.array([2.0]), cfg)
 
@@ -529,10 +551,10 @@ def test_certifiers_refuse_a_model_without_constants():
 
 
 def test_a_certificate_scores_the_runs_own_g():
-    # G comes from the trace's config: a hessian_diagonal run is scored with G_k = diag(H_k), not the identity
+    # G comes from the trace's config: a diag run is scored with G_k = diag(H_k), not the identity
     _, model = rand_glm(73, n=6, m=50)
     model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
-    cfg = SolverConfig(method="pnm", precond=PreconditionerPolicy("hessian_diagonal"), step_L=model.constants.L)
+    cfg = SolverConfig(method="pnm", precond="diag", step_L=model.constants.L)
     trace = run(model, np.zeros(6), cfg)
     report = certify_penalty_contraction(trace, model)
     assert len(report.entries) >= 3
@@ -549,7 +571,7 @@ def test_certify_penalty_glm_run():
     model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
     L, mu = model.constants
     cfg = SolverConfig(
-        method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
+        method="pnm", step_L=L, **fixed_rho(1.0), grad_tol=1e-8, max_iters=200
     )
     trace = run(model, np.zeros(6), cfg)
     report = certify_penalty_contraction(trace, model)
@@ -561,7 +583,7 @@ def test_certify_penalty_glm_run():
 def _scalar_anm_trace():
     model = quadratic_model(np.eye(1))
     cfg = SolverConfig(
-        method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3
+        method="anm", **fixed_rho(1.0), grad_tol=1e-300, max_iters=3
     )
     return model, run(model, np.array([2.0]), cfg)
 
@@ -601,7 +623,7 @@ def test_a_raised_mu_fails_an_attained_bound_by_its_scale(kind):
 
 def test_certify_augmented_at_optimum():
     model = quadratic_model(np.eye(2))
-    cfg = SolverConfig(method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=3)
+    cfg = SolverConfig(method="anm", **fixed_rho(1.0), grad_tol=1e-300, max_iters=3)
     trace = run(model, np.zeros(2), cfg)
     report = certify_augmented_contraction(trace, model)
     assert report.aggregate.all_certified
@@ -674,10 +696,10 @@ def test_a_newton_certificate_scores_newtons_factor_on_every_entry():
 
 
 def test_a_newton_run_on_a_singular_hessian_certifies_with_the_g_its_step_read():
-    # diag(H) has a zero entry, so hessian_diagonal cannot form a G here; a newton step reads none (the identity),
+    # diag(H) has a zero entry, so diag cannot form a G here; a newton step reads none (the identity),
     # the run converges in one step, and its certificate scores that step without asking the preconditioner
     model = quadratic_model(np.diag([1.0, 0.0]))
-    cfg = SolverConfig(method="newton", precond=PreconditionerPolicy("hessian_diagonal"))
+    cfg = SolverConfig(method="newton", precond="diag")
     trace = run(model, np.array([1.0, 0.0]), cfg)
     assert trace.termination == "converged" and trace.steps_taken == 1
     assert trace.records[1].step_norm_g_sq == 1.0  # the identity-weighted step
@@ -689,7 +711,7 @@ def test_a_newton_run_on_a_singular_hessian_certifies_with_the_g_its_step_read()
 def test_pnm_eta_at_a_huge_penalty_is_newtons_mu_over_l():
     model = _glm_with_fstar(77)
     L, mu = model.constants
-    cfg = SolverConfig(method="pnm", step_L=L, schedule=PenaltySchedule.fixed(1e12), grad_tol=1e-8, max_iters=200)
+    cfg = SolverConfig(method="pnm", step_L=L, **fixed_rho(1e12), grad_tol=1e-8, max_iters=200)
     report = certify_penalty_contraction(run(model, np.zeros(6), cfg), model)
     assert len(report.entries) >= 3
     for e in report.entries:
@@ -701,7 +723,7 @@ def test_certify_augmented_glm_run():
     model = dataclasses.replace(model, f_star=fstar_oracle(model).final.f)
     L, mu = model.constants
     cfg = SolverConfig(
-        method="anm", step_L=L, schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-8, max_iters=200
+        method="anm", step_L=L, **fixed_rho(1.0), grad_tol=1e-8, max_iters=200
     )
     trace = run(model, np.zeros(6), cfg)
     report = certify_augmented_contraction(trace, model)
@@ -730,29 +752,26 @@ def _certify_glm_run(method, precond, patch):
 
 @pytest.mark.parametrize("method", ["pnm", "anm", "newton"])
 @pytest.mark.parametrize(
-    "precond", [PreconditionerPolicy("identity"), PreconditionerPolicy("hessian_diagonal")], ids=["identity", "diag"]
+    "precond", ["identity", "diag"], ids=["identity", "diag"]
 )
 def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, precond):
-    solved, hessians, materialized = [], [], []
+    solved, hessians, steps = [], [], []
     # installed before the model binds GlmProblem.hessian; counted from certification on
     monkeypatch.setattr(GlmProblem, "hessian", _recording(hessians, GlmProblem.hessian))
-    monkeypatch.setattr(
-        PreconditionerPolicy, "materialize", _recording(materialized, PreconditionerPolicy.materialize)
-    )
+    monkeypatch.setattr(SolverConfig, "step_inputs", _recording(steps, SolverConfig.step_inputs))
 
     def patch():
         hessians.clear()
-        materialized.clear()
+        steps.clear()
         monkeypatch.setattr(np.linalg, "eigh", _recording(solved, np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", _recording(solved, np.linalg.eigvalsh))
 
     report = _certify_glm_run(method, precond, patch)
     assert len(report.entries) >= 3
-    # one Hessian, one G and one whitened eigensolve per certified entry; a Newton step's G is the identity,
-    # which step_inputs forms without asking the preconditioner
+    # one (H, G) from step_inputs, one Hessian and one whitened eigensolve per certified entry
     assert len(solved) == len(report.entries)
     assert len(hessians) == len(report.entries)
-    assert len(materialized) == (0 if method == "newton" else len(report.entries))
+    assert len(steps) == len(report.entries)
     assert all(e.precondition_ok for e in report.entries)
     # G is diagonal here and the whitened Hessian is not, so no solve saw G
     assert not any(np.array_equal(M, np.diag(np.diag(M))) for M in solved)
@@ -762,9 +781,9 @@ def test_certify_one_eigensolve_per_iterate_none_on_g(monkeypatch, method, preco
 @pytest.mark.parametrize(
     "precond, cholesky_per_entry",
     [
-        (PreconditionerPolicy("identity"), 0),
-        (PreconditionerPolicy("hessian_diagonal"), 0),
-        (PreconditionerPolicy("fixed", rand_pd(np.random.default_rng(79), 6)), 1),
+        ("identity", 0),
+        ("diag", 0),
+        (rand_pd(np.random.default_rng(79), 6), 1),
     ],
     ids=["identity", "diag", "dense"],
 )
@@ -783,8 +802,8 @@ def test_certify_factors_only_a_dense_g(monkeypatch, method, precond, cholesky_p
 
 @pytest.mark.parametrize(
     "precond",
-    [PreconditionerPolicy("identity"), PreconditionerPolicy("hessian_diagonal"),
-     PreconditionerPolicy("fixed", rand_pd(np.random.default_rng(79), 6))],
+    ["identity", "diag",
+     rand_pd(np.random.default_rng(79), 6)],
     ids=["identity", "diag", "dense"],
 )
 def test_augmented_certificate_reads_the_step_norm_the_run_recorded(monkeypatch, precond):
@@ -795,7 +814,7 @@ def test_augmented_certificate_reads_the_step_norm_the_run_recorded(monkeypatch,
     records = trace.records
     # the run weighs x_{k+1} - x_k with the G_k of x_k, bitwise the norm V_{k+1} needs
     for k in range(1, len(records) - 1):
-        G_k = precond.materialize(model.hessian(records[k].x))
+        G_k = cfg.step_inputs(model, records[k].x)[1]
         assert records[k + 1].step_norm_g_sq == weighted_norm_sq(records[k + 1].x - records[k].x, G_k)
     weighed = []
     monkeypatch.setattr(diagnostics, "weighted_norm_sq", _recording(weighed, diagnostics.weighted_norm_sq))

@@ -863,6 +863,8 @@ META_NO_RUN_WRITES = {
     "iterate-nan": (lambda meta: {**meta, "x_final": [float("nan"), *meta["x_final"][1:]]}, _NOT_THE_FINAL_ITERATE),
     "precond-hessian_diagonal": (lambda meta: {**meta, "solver": {**meta["solver"], "precond": "hessian_diagonal"}},
                                  ": unknown preconditioner 'hessian_diagonal'; choose identity or diag"),
+    "precond-matrix": (lambda meta: {**meta, "solver": {**meta["solver"], "precond": np.eye(6).tolist()}},
+                       ": unknown preconditioner [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, "),  # a PD G
     "format-xml": (lambda meta: {**meta, "problem": {**_CSV_PROBLEM, "format": "xml"}},
                    ": unknown problem format 'xml'; choose csv or libsvm"),
     "path-null": (lambda meta: {**meta, "problem": {**_CSV_PROBLEM, "path": None}},
@@ -1390,6 +1392,9 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     ({"solvers": [{"name": "a", "rho0": "1"}]}, "rho0 must be finite and > 0, got '1'"),
     ({"solvers": [{"name": "a", "rho_max": "1"}]}, "rho_max must be >= rho0, got '1'"),
     ({"solvers": [{"name": "a", "rho_max": True}]}, "rho_max must be >= rho0, got True"),
+    # the library takes a PD matrix as its precond; a spec names its G by a spelling only
+    ({"solvers": [{"name": "a", "precond": [[1.0, 0.0], [0.0, 1.0]]}]},
+     "unknown preconditioner [[1.0, 0.0], [0.0, 1.0]]; choose identity or diag"),
 ], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
         "quadratic-n-bool", "m-bool", "quadratic-n-zero", "n-negative", "m-zero", "name-int", "max-iters-bool",
         "logistic-unknown-key",
@@ -1397,7 +1402,7 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
         "problem-link", "diagnostics-string", "timing-int", "alpha-string", "alpha-bool", "seed-float",
         "seed-negative", "solvers-string", "solvers-list-of-strings", "solvers-object", "out-int", "out-empty",
         "c-nan", "rho-max-nan", "step-l-inf", "tol-and-rho0-bool", "tol-bool", "tol-string", "step-l-bool",
-        "c-bool", "rho0-string", "rho-max-string", "rho-max-bool"])
+        "c-bool", "rho0-string", "rho-max-string", "rho-max-bool", "precond-matrix"])
 def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"

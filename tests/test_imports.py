@@ -27,11 +27,14 @@ hypothesis is one function, ``diagnostics._range_hypothesis``, the one caller of
 ``range_check`` in ``diagnostics``, which ``verify_step_energy_bound`` and the
 certifier both call. The
 input rules for numbers (``is_integer``, ``is_number``, ``positive_number``,
-``positive_integer``) are defined in ``linalg`` alone, beside ``as_symmetric``,
-and the model boundary in ``objective`` reads them instead of its own tests.
-What a step reads is one rule, ``SolverConfig.step_inputs``: ``materialize`` is
-called there alone, and neither ``run`` nor the certifier evaluates a Hessian
-itself. ``src/`` stays within ROADMAP aim 2's line budget.
+``positive_penalty``, ``positive_integer``) are defined in ``linalg`` alone, beside
+``as_symmetric``, and the model boundary in ``objective`` reads them instead of its
+own tests. What a step reads is one rule, ``SolverConfig.step_inputs``: the one
+call of ``.diagonal()`` in ``solvers`` is there, and neither ``run`` nor the
+certifier evaluates a Hessian itself. ``SolverConfig`` is the one settings record:
+a spec's ``SolverSpec`` holds its fields under their names (``tol`` aside), and the
+preconditioner has one spelling list, ``solvers.PRECONDITIONERS``: ``diag`` has no
+second name. ``src/`` stays within ROADMAP aim 2's line budget.
 """
 
 import ast
@@ -225,7 +228,7 @@ def _excludes_bools(node: ast.AST) -> bool:
 
 
 def test_the_number_rules_are_defined_once_in_linalg_and_read_at_the_model_boundary():
-    rules = ("is_integer", "is_number", "positive_number", "positive_integer")
+    rules = ("is_integer", "is_number", "positive_number", "positive_penalty", "positive_integer")
     trees = {str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
     defined = [(name, rule) for name, tree in trees.items() for rule, _ in _top_level_names(tree) if rule in rules]
     assert defined == [("linalg.py", rule) for rule in rules], f"number rules defined at {defined}"
@@ -242,11 +245,24 @@ def test_the_number_rules_are_defined_once_in_linalg_and_read_at_the_model_bound
 
 def test_each_step_reads_its_h_and_g_from_step_inputs():
     # which G a step reads (the preconditioner's for pnm and anm, the identity for a Newton step) is decided in
-    # SolverConfig.step_inputs alone; run and the certifier take each step's (H, G) from it
-    assert _callers("materialize") == [("solvers.py", "SolverConfig")]
+    # SolverConfig.step_inputs alone, where diag reads H's diagonal; run and the certifier take each step's (H, G)
+    assert [c for c in _callers("diagonal") if c[0] == "solvers.py"] == [("solvers.py", "SolverConfig")]
     readers = {("solvers.py", "run"), ("diagnostics.py", "_certify_records")}
     assert readers <= set(_callers("step_inputs"))
     assert not readers & set(_callers("hessian")), f"hessian is called from {_callers('hessian')}"
+
+
+def test_solver_config_is_the_one_settings_record():
+    # a spec's solver holds SolverConfig's fields under their names, tol (grad_tol) and its file name aside
+    spec_fields = set(pnewton.harness.SolverSpec.__dataclass_fields__) - {"name", "tol"}
+    assert spec_fields == set(solvers.SolverConfig.__dataclass_fields__) - {"grad_tol"}
+    assert list(solvers.SolverConfig.__dataclass_fields__) == [
+        "method", "precond", "rho0", "c", "rho_max", "step_L", "max_iters", "grad_tol"]
+    # the preconditioner has one spelling list, and the library's old name for diag is gone
+    assert solvers.PRECONDITIONERS == ("identity", "diag")
+    named = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py")) if "hessian_diagonal" in p.read_text("utf-8")]
+    assert named == [], f"files that name hessian_diagonal: {named}"
+    assert not hasattr(pnewton.harness.experiment, "PRECONDITIONERS")
 
 
 #: ROADMAP aim 2's target for ``cat src/pnewton/*.py src/pnewton/harness/*.py | wc -l``.

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_glm
-from pnewton.errors import BadLabel, BadShape
+from pnewton.errors import BadLabel, BadShape, NotPSD
 from pnewton.objective import (
     GlmProblem,
     ObjectiveModel,
@@ -193,6 +193,14 @@ def test_fd_hessian_on_quadratics():
     Q = B @ B.T + np.eye(4)
     model = quadratic_model(Q)
     assert np.allclose(fd_hessian(model, rng.standard_normal(4)), Q, atol=1e-6)
+
+
+def test_quadratic_model_refuses_an_indefinite_q():
+    # f = x^T Q x / 2 has no minimum, so its f* = 0 and (L, mu) = (1, 1) would be false
+    with pytest.raises(NotPSD, match="eigenvalue -5.000e-01"):
+        quadratic_model(np.diag([1.0, -0.5]))
+    singular = quadratic_model(np.diag([1.0, 0.0]))  # PSD: its minimum 0 is reached on the null space
+    assert singular.f_star == 0.0 and singular.value(np.array([0.0, 3.0])) == 0.0
 
 
 def test_glm_derivatives_match_finite_differences():

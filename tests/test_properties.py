@@ -15,16 +15,16 @@ import scipy.linalg
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_glm
+from conftest import fixed_rho, rand_glm
 from pnewton.diagnostics import _whiten, certify_penalty_contraction
 from pnewton.errors import BadLabel, EmptyDataset, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
 from pnewton.harness.datasets import READERS
-from pnewton.harness.experiment import PRECONDITIONERS, ExperimentSpec, _build_model
+from pnewton.harness.experiment import ExperimentSpec, _build_model
 from pnewton.linalg import as_symmetric, precond_apply, shifted, weighted_norm_sq
 from pnewton.objective import LINK_CURVATURE, glm_build
-from pnewton.solvers import METHODS, PenaltySchedule, PreconditionerPolicy, SolverConfig, fstar_oracle, run
+from pnewton.solvers import METHODS, PRECONDITIONERS, SolverConfig, fstar_oracle, run
 
 GLMS = st.fixed_dictionaries({
     "seed": st.integers(0, 2**16),
@@ -35,7 +35,7 @@ GLMS = st.fixed_dictionaries({
 })
 
 SOLVERS = [("newton", "identity"), ("damped_newton", "identity")] + [
-    (method, precond) for method in ("pnm", "anm") for precond in ("identity", "hessian_diagonal")
+    (method, precond) for method in ("pnm", "anm") for precond in PRECONDITIONERS
 ]
 
 GLM_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -48,7 +48,7 @@ def _model_with_fstar(glm):
 
 def _config(method, precond, model, max_iters=200, **kwargs):
     return SolverConfig(
-        method=method, precond=PreconditionerPolicy(precond), step_L=model.constants[0],
+        method=method, precond=precond, step_L=model.constants[0],
         max_iters=max_iters, **kwargs,
     )
 
@@ -80,7 +80,7 @@ def test_damped_newton_never_increases_f(glm):
 @given(
     glm=GLMS,
     rho=st.sampled_from([1e-2, 0.1, 1.0, 10.0, 1e3]),
-    precond=st.sampled_from(["identity", "hessian_diagonal"]),
+    precond=st.sampled_from(PRECONDITIONERS),
 )
 def test_pnm_eta_stays_below_newtons_mu_over_l_at_finite_rho(glm, rho, precond):
     # eta = (mu/L) xi (1 + beta/rho), with xi <= t and beta/rho = 1 - t for t = rho lam_max / (1 + rho lam_max) on
@@ -89,10 +89,9 @@ def test_pnm_eta_stays_below_newtons_mu_over_l_at_finite_rho(glm, rho, precond):
     model = _model_with_fstar(glm)
     L, mu = model.constants
     trace = run(model, np.zeros(model.dim), _config("pnm", precond, model, max_iters=20,
-                                                    schedule=PenaltySchedule.fixed(rho)))
+                                                    **fixed_rho(rho)))
     for e in certify_penalty_contraction(trace, model).entries:
-        H = as_symmetric(model.hessian(trace.records[e.k].x))
-        G = trace.config.precond.materialize(H)
+        H, G = trace.config.step_inputs(model, trace.records[e.k].x)
         lam_max = scipy.linalg.eigh(H, np.diag(G) if G.ndim == 1 else G, eigvals_only=True)[-1]
         t = rho * lam_max / (1.0 + rho * lam_max)
         bound = mu / L * t * (2.0 - t)  # 1 - (1 - t)^2, without its cancellation at small t
@@ -110,7 +109,7 @@ FLOAT_FLOOR_CASE = dict(
 
 def _anm_lyapunov(glm, rho, precond):
     model = _model_with_fstar(glm)
-    config = _config("anm", precond, model, schedule=PenaltySchedule.fixed(rho))
+    config = _config("anm", precond, model, **fixed_rho(rho))
     trace = run(model, np.zeros(model.dim), config)
     return [rec.lyapunov for rec in trace.records], model.f_star
 
@@ -119,7 +118,7 @@ def _anm_lyapunov(glm, rho, precond):
 @given(
     glm=GLMS,
     rho=st.sampled_from([0.1, 1.0, 10.0, 1e3]),
-    precond=st.sampled_from(["identity", "hessian_diagonal"]),
+    precond=st.sampled_from(PRECONDITIONERS),
 )
 @example(**FLOAT_FLOOR_CASE)
 def test_anm_lyapunov_never_increases_at_fixed_rho(glm, rho, precond):
@@ -268,7 +267,7 @@ RUN_FIELDS = {
         "precond": st.sampled_from(sorted(PRECONDITIONERS)),
         "rho0": _log_uniform(1e-2, 1e2),
         "c": st.floats(1.0, 4.0),
-        "rho_max": st.sampled_from([PenaltySchedule.rho_max, float("inf")]),  # inf: an uncapped penalty
+        "rho_max": st.sampled_from([SolverConfig.rho_max, float("inf")]),  # inf: an uncapped penalty
         "step_L": st.one_of(st.none(), st.floats(1.0, 4.0)),  # null, or a multiple of the model's L (see below)
         "max_iters": st.integers(1, 200),  # small alpha needs thousands of steps: keep exit 1 cheap
     }), min_size=1, max_size=3).map(lambda solvers: [{"name": f"s{i}", **s} for i, s in enumerate(solvers)]),

@@ -1,10 +1,11 @@
 import dataclasses
+import re
 import types
 
 import numpy as np
 import pytest
 
-from conftest import rand_glm
+from conftest import fixed_rho, rand_glm
 from pnewton.errors import (
     DenominatorVanished,
     MaxIterationsExceeded,
@@ -18,8 +19,6 @@ from pnewton.objective import GlmProblem, ObjectiveModel, glm_build, quadratic_m
 from pnewton.solvers import (
     BT_BETA,
     DualState,
-    PenaltySchedule,
-    PreconditionerPolicy,
     SolverConfig,
     anm_step_dual,
     anm_step_momentum,
@@ -130,7 +129,7 @@ def test_pnm_step_fixed_point_at_stationarity():
 
 def test_pnm_run_halving_trace():
     cfg = SolverConfig(
-        method="pnm", schedule=PenaltySchedule(rho0=1.0, c=1.0), grad_tol=1e-300, max_iters=4
+        method="pnm", rho0=1.0, c=1.0, grad_tol=1e-300, max_iters=4
     )
     trace = run(SCALAR, np.array([2.0]), cfg)
     xs = [r.x[0] for r in trace.records]
@@ -142,7 +141,7 @@ def test_pnm_run_halving_trace():
 def test_pnm_run_matches_closed_form_recurrence():
     # growing penalty: x_{k+1} = x_k / (1 + rho_k), rho_{k+1} = 10 rho_k
     cfg = SolverConfig(
-        method="pnm", schedule=PenaltySchedule(rho0=1.0, c=10.0), grad_tol=1e-300, max_iters=5
+        method="pnm", rho0=1.0, c=10.0, grad_tol=1e-300, max_iters=5
     )
     trace = run(SCALAR, np.array([2.0]), cfg)
     x, rho, expected = 2.0, 1.0, [2.0]
@@ -233,7 +232,7 @@ def test_anm_step_momentum_newton_limit():
 
 def test_anm_run_scalar_trace():
     cfg = SolverConfig(
-        method="anm", schedule=PenaltySchedule.fixed(1.0), grad_tol=1e-300, max_iters=1
+        method="anm", **fixed_rho(1.0), grad_tol=1e-300, max_iters=1
     )
     trace = run(SCALAR, np.array([2.0]), cfg)
     xs = [r.x[0] for r in trace.records]
@@ -249,15 +248,22 @@ def test_anm_forms_agree_along_full_traces():
     x1 = np.zeros(6)  # distinct starts: z_1 = x0 - x1 carries momentum from step one
     tr_mom = run(model, x0, cfg, x1=x1)
     # the primal/dual route, driven by hand along the same penalty schedule
-    xs_dual, x, dual, rho = [x0, x1], x1, DualState(z=x0 - x1), cfg.schedule.rho0
+    xs_dual, x, dual, rho = [x0, x1], x1, DualState(z=x0 - x1), cfg.rho0
     for _ in range(cfg.max_iters):
-        G = np.diag(cfg.precond.materialize(model.hessian(x)))  # the dual route takes G as a matrix
+        G = np.diag(cfg.step_inputs(model, x)[1])  # the dual route takes G as a matrix
         x, dual = anm_step_dual(model, x, dual, rho, G, L)
-        rho = cfg.schedule.next_rho(rho)
+        rho = min(cfg.c * rho, cfg.rho_max)
         xs_dual.append(x)
     assert len(tr_mom.records) == len(xs_dual)
     for a, x_dual in zip(tr_mom.records, xs_dual):
         assert np.linalg.norm(a.x - x_dual) <= 1e-10
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf, True], ids=str)
+def test_anm_step_dual_refuses_a_penalty_that_is_not_finite_and_positive(rho):
+    # the dual route takes no rho -> inf limit: (rho/L) grad f and (1/rho) (G/rho + H)^{-1} u have none there
+    with pytest.raises(ValueError, match=rf"^rho must be finite and > 0, got {re.escape(repr(rho))}$"):
+        anm_step_dual(SCALAR, np.array([1.0]), DualState(z=np.zeros(1)), rho, np.eye(1), 1.0)
 
 
 def test_anm_multiplier_identity_along_dual_trace():
@@ -276,7 +282,7 @@ def test_anm_lyapunov_monotone_fixed_rho():
     _, model = rand_glm(44, n=6, m=50)
     model = with_fstar(model)
     cfg = SolverConfig(
-        method="anm", step_L=model.constants[0], schedule=PenaltySchedule.fixed(1.0),
+        method="anm", step_L=model.constants[0], **fixed_rho(1.0),
         grad_tol=1e-8, max_iters=300,
     )
     trace = run(model, np.zeros(6), cfg)
@@ -348,6 +354,20 @@ def test_penalty_steps_reject_what_run_rejects(method):
         step(np.eye(2), x0=np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m: run(m, np.ones(3), SolverConfig()), r"x0 must have shape \(2,\), got \(3,\)"),
+    (lambda m: run(m, np.ones((2, 1)), SolverConfig(method="newton")), r"x0 must have shape \(2,\), got \(2, 1\)"),
+    (lambda m: run(m, np.ones(2), SolverConfig(method="anm"), x1=np.ones(3)), r"x1 must have shape \(2,\), got \(3,\)"),
+    (lambda m: run(m, np.ones(2), SolverConfig(precond=np.eye(3))), r"precond must have shape \(2, 2\), got \(3, 3\)"),
+    (lambda m: pnm_step(m, np.ones(2), 1.0, np.eye(3), 1.0), r"precond must have shape \(2, 2\), got \(3, 3\)"),
+    (lambda m: anm_step_momentum(m, np.ones(2), np.ones(2), 1.0, np.eye(3), 1.0), r"precond must have shape \(2, 2\)"),
+], ids=["x0", "x0-column", "x1", "precond", "pnm_step-G", "anm_step_momentum-G"])
+def test_a_start_or_g_of_the_wrong_shape_is_named(call, message):
+    # checked once where run starts, before NumPy meets the shapes in a product
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(quadratic_model(2.0 * np.eye(2)))
+
+
 # ---------------------------------------------------------------------------
 # The shared run loop: oracle work per iterate, divergence
 # ---------------------------------------------------------------------------
@@ -367,17 +387,22 @@ def _counted(model):
     return dataclasses.replace(model, **oracles), calls
 
 
+def _case_id(value):
+    """A case's test id: ``diag``, ``G = diag(H)``, is named for the Hessian's diagonal."""
+    return "hessian_diagonal" if value == "diag" else None
+
+
 RUN_CASES = [
     ("newton", "identity"),
     ("damped_newton", "identity"),
     ("pnm", "identity"),
-    ("pnm", "hessian_diagonal"),
+    ("pnm", "diag"),
     ("anm", "identity"),
-    ("anm", "hessian_diagonal"),
+    ("anm", "diag"),
 ]
 
 
-@pytest.mark.parametrize("method,precond", [*RUN_CASES, ("fstar_oracle", "identity")])
+@pytest.mark.parametrize("method,precond", [*RUN_CASES, ("fstar_oracle", "identity")], ids=_case_id)
 def test_run_one_hessian_per_step_one_gradient_per_record(method, precond):
     _, base = rand_glm(70, n=6, m=50)
     model, calls = _counted(base)
@@ -385,7 +410,7 @@ def test_run_one_hessian_per_step_one_gradient_per_record(method, precond):
         trace = fstar_oracle(model)
     else:
         cfg = SolverConfig(
-            method=method, precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+            method=method, precond=precond, step_L=base.constants[0], max_iters=200
         )
         trace = run(model, np.zeros(6), cfg)
     assert trace.termination == "converged" and trace.steps_taken >= 1
@@ -395,12 +420,12 @@ def test_run_one_hessian_per_step_one_gradient_per_record(method, precond):
         assert calls["value"] == len(trace.records)
 
 
-@pytest.mark.parametrize("precond", ["identity", "hessian_diagonal"])
+@pytest.mark.parametrize("precond", ["identity", "diag"], ids=_case_id)
 def test_anm_run_from_two_points_reuses_the_first_hessian(precond):
     _, base = rand_glm(71, n=6, m=50)
     model, calls = _counted(base)
     cfg = SolverConfig(
-        method="anm", precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+        method="anm", precond=precond, step_L=base.constants[0], max_iters=200
     )
     trace = run(model, 0.5 * np.ones(6), cfg, x1=np.zeros(6))
     assert trace.termination == "converged" and trace.steps_taken >= 1
@@ -430,12 +455,12 @@ def test_damped_newton_values_are_records_plus_line_search_trials():
 
 LOSS_TERM_CASES = [(method, precond, None) for method, precond in RUN_CASES] + [
     ("anm", "identity", "x1"),
-    ("anm", "hessian_diagonal", "x1"),
+    ("anm", "diag", "x1"),
     ("damped_newton", "identity", "backtracking"),
 ]
 
 
-@pytest.mark.parametrize("method,precond,start", LOSS_TERM_CASES)
+@pytest.mark.parametrize("method,precond,start", LOSS_TERM_CASES, ids=_case_id)
 def test_run_one_loss_term_pass_per_point(monkeypatch, method, precond, start):
     _, base = rand_glm(70, n=6, m=50, alpha=1e-3 if start == "backtracking" else 0.3)
     points = []
@@ -459,7 +484,7 @@ def test_run_one_loss_term_pass_per_point(monkeypatch, method, precond, start):
 
     monkeypatch.setattr(GlmProblem, "_loss_terms", counting)
     cfg = SolverConfig(
-        method=method, precond=PreconditionerPolicy(precond), step_L=base.constants[0], max_iters=200
+        method=method, precond=precond, step_L=base.constants[0], max_iters=200
     )
     if start == "x1":
         trace = run(model, 0.5 * np.ones(6), cfg, x1=np.zeros(6))
@@ -555,11 +580,11 @@ def test_anm_run_specializations_match_reference_loops():
     L = model.constants[0]
     rho = 2.0
     for precond, reference in (
-        (PreconditionerPolicy("identity"), _aug_levenberg),
-        (PreconditionerPolicy("hessian_diagonal"), _aug_levenberg_marquardt),
+        ("identity", _aug_levenberg),
+        ("diag", _aug_levenberg_marquardt),
     ):
         cfg = SolverConfig(
-            method="anm", precond=precond, schedule=PenaltySchedule.fixed(rho),
+            method="anm", precond=precond, **fixed_rho(rho),
             step_L=L, grad_tol=1e-300, max_iters=15,
         )
         trace = run(model, 0.5 * np.ones(5), cfg)
@@ -623,17 +648,13 @@ def test_root_max_iterations():
 # ---------------------------------------------------------------------------
 
 def test_schedule_growth_and_cap():
-    s = PenaltySchedule(rho0=1.0, c=10.0, rho_max=500.0)
-    rho = s.rho0
-    seen = [rho]
-    for _ in range(4):
-        rho = s.next_rho(rho)
-        seen.append(rho)
-    assert seen == [1.0, 10.0, 100.0, 500.0, 500.0]
-    with pytest.raises(ValueError):
-        PenaltySchedule(rho0=-1.0)
-    with pytest.raises(ValueError):
-        PenaltySchedule(c=0.5)
+    # rho_{k+1} = min(c * rho_k, rho_max), recorded per iterate
+    cfg = SolverConfig(method="pnm", rho0=1.0, c=10.0, rho_max=500.0, grad_tol=1e-300, max_iters=4)
+    assert [r.rho for r in run(SCALAR, np.array([2.0]), cfg).records] == [1.0, 10.0, 100.0, 500.0, 500.0]
+    with pytest.raises(ValueError, match=r"^rho0 must be finite and > 0, got -1.0$"):
+        SolverConfig(rho0=-1.0)
+    with pytest.raises(ValueError, match=r"^growth factor c must be finite and >= 1, got 0.5$"):
+        SolverConfig(c=0.5)
 
 
 def test_solver_config_validation():
@@ -646,29 +667,28 @@ def test_solver_config_validation():
 
 
 def test_preconditioner_policies():
-    H = np.array([[2.0, 0.3], [0.3, 1.0]])
-    # identity and hessian_diagonal carry G as its 1-D diagonal; fixed stays a matrix
-    assert np.array_equal(PreconditionerPolicy("identity").materialize(H), np.ones(2))
-    assert np.array_equal(PreconditionerPolicy("hessian_diagonal").materialize(H), np.array([2.0, 1.0]))
-    fixed = PreconditionerPolicy("fixed", np.diag([1.0, 3.0]))
-    assert np.array_equal(fixed.materialize(H), np.diag([1.0, 3.0]))
+    model = quadratic_model(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    x = np.zeros(2)
+    # identity and diag carry G as its 1-D diagonal; a matrix is read as it is; a Newton step reads the identity
+    assert np.array_equal(SolverConfig(precond="identity").step_inputs(model, x)[1], np.ones(2))
+    assert np.array_equal(SolverConfig(precond="diag").step_inputs(model, x)[1], np.array([2.0, 1.0]))
+    fixed = SolverConfig(precond=np.diag([1.0, 3.0]))
+    assert np.array_equal(fixed.step_inputs(model, x)[1], np.diag([1.0, 3.0]))
+    assert np.array_equal(SolverConfig(method="newton", precond="diag").step_inputs(model, x)[1], np.ones(2))
     with pytest.raises(NotPositiveDefinite):
-        PreconditionerPolicy("fixed", np.diag([1.0, -1.0]))
+        SolverConfig(precond=np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
-        PreconditionerPolicy("hessian_diagonal").materialize(np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError, match="unknown preconditioner kind 'bogus'"):
-        PreconditionerPolicy("bogus")
-    with pytest.raises(ValueError, match="fixed preconditioner needs a matrix"):
-        PreconditionerPolicy("fixed")
+        SolverConfig(precond="diag").step_inputs(quadratic_model(np.diag([1.0, 0.0])), x)
+    with pytest.raises(ValueError, match=r"^unknown preconditioner 'bogus'; choose identity or diag$"):
+        SolverConfig(precond="bogus")
 
 
 def test_fixed_preconditioner_keeps_its_own_copy():
-    H = np.eye(2)
     M = np.array([[2.0, 0.5], [0.5, 1.0]])
-    policy = PreconditionerPolicy("fixed", M)
-    assert not np.shares_memory(policy.matrix, M)
+    config = SolverConfig(precond=M)
+    assert not np.shares_memory(config.precond, M)
     M[0, 0] = -7.0  # the caller reuses its array
-    assert np.array_equal(policy.materialize(H), [[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(config.step_inputs(quadratic_model(np.eye(2)), np.zeros(2))[1], [[2.0, 0.5], [0.5, 1.0]])
 
 
 def test_trace_invariants():
