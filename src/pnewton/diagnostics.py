@@ -45,6 +45,7 @@ from .linalg import (
     inv_sqrt_pd,
     nonzero_eigenvalues,
     nonzero_mask,
+    pd_preconditioner,
     pinv_apply,
     positive_penalty,
     precond_apply,
@@ -204,7 +205,7 @@ def momentum_matrix(H, G, rho: float) -> np.ndarray:
 
     Not symmetric in general; its spectral radius is below 1 whenever H is PD.
     """
-    G, H, rho = as_symmetric(G), as_symmetric(H), positive_penalty("rho", rho)
+    G, H, rho = pd_preconditioner(G), as_symmetric(H), positive_penalty("rho", rho)
     return spd_solve(G / rho + H, G) / rho
 
 

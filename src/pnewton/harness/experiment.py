@@ -66,9 +66,9 @@ class SolverSpec:
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name in ("", ".", "..") or {"/", os.sep, "\0"} & set(self.name):
             raise ValueError(f"solver name {self.name!r} is not a plain file name")
-        if not (isinstance(self.precond, str) and self.precond in solvers.PRECONDITIONERS):  # a spec names its G
-            raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(solvers.PRECONDITIONERS)}")
-        self.to_config(1.0)  # a bad method, penalty, step, tolerance or budget fails on load
+        if isinstance(self.precond, np.ndarray):  # a spec names its G; a matrix is refused as its JSON list is
+            self.precond = self.precond.tolist()
+        self.to_config(1.0)  # a bad preconditioner, method, penalty, step, tolerance or budget fails on load
 
     def to_config(self, default_step_L: float) -> solvers.SolverConfig:
         return solvers.SolverConfig(

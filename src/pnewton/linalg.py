@@ -1,7 +1,7 @@
 """Dense symmetric linear-algebra kernels.
 
 Everything downstream funnels through the primitives here: the input rules for
-numbers and for symmetric matrices, shifted-SPD solves with a jitter retry
+numbers and for symmetric and PD matrices, shifted-SPD solves with a jitter retry
 policy, eigendecomposition, pseudo-inverses, PSD square roots, weighted norms.
 
 All functions are pure and operate on plain ``numpy`` arrays; no matrix is
@@ -26,7 +26,7 @@ from .errors import ConvergenceFailure, NotPositiveDefinite, NotPSD
 
 __all__ = [
     "is_integer", "is_number", "positive_number", "positive_penalty", "positive_integer",
-    "as_symmetric",
+    "as_symmetric", "pd_preconditioner",
     "spd_solve",
     "sym_eig",
     "pinv_apply",
@@ -174,6 +174,14 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
 def nonzero_mask(w) -> np.ndarray:
     """Which ascending eigenvalues ``w`` count as nonzero: those above ``DEFAULT_RANK_TOL * lambda_max``, if any."""
     return w > DEFAULT_RANK_TOL * (w[-1] if w.size else 0.0)
+
+
+def pd_preconditioner(G) -> np.ndarray:
+    """``as_symmetric(G)`` if :func:`nonzero_mask` counts its least eigenvalue as nonzero; else NotPositiveDefinite."""
+    G = as_symmetric(G)
+    if not nonzero_mask(w := sym_eig(G)[0])[0]:
+        raise NotPositiveDefinite(f"preconditioner matrix must be PD (lambda_min = {w[0]:.3e})")
+    return G
 
 
 def psd_spectrum(w) -> np.ndarray:

@@ -32,16 +32,15 @@ from .errors import (
     NotPositiveDefinite,
     RangeViolation,
 )
-from .linalg import as_symmetric, is_number, positive_integer, positive_number, positive_penalty, precond_apply
-from .linalg import range_check, shifted, spd_solve, sym_eig, weighted_norm_sq
-from .linalg import pinv_apply  # noqa: F401  (stays bound here: perfbench's tracer patches this binding)
+from .linalg import as_symmetric, is_number, pd_preconditioner, positive_integer, positive_number, positive_penalty
+from .linalg import precond_apply, range_check, shifted, spd_solve, weighted_norm_sq
+from .linalg import pinv_apply, sym_eig  # noqa: F401  (stay bound here: perfbench's tracer patches these bindings)
 from .objective import ObjectiveModel
 
 __all__ = [
     "SolverConfig",
     "IterateRecord",
     "IterateTrace",
-    "DualState",
     "newton_step",
     "pnm_step",
     "anm_step_dual",
@@ -77,7 +76,7 @@ class SolverConfig:
     """Every setting of a run: the method, its ``G``, its penalty schedule, its step constant and its stopping rule.
 
     ``precond`` is one of ``PRECONDITIONERS``, ``identity`` (the Levenberg special case) or ``diag`` (the
-    Levenberg-Marquardt one, ``G = diag(H(x_k))`` every iterate), or a PD matrix, of which a checked copy is kept.
+    Levenberg-Marquardt one, ``G = diag(H(x_k))`` every iterate), or a PD ``np.ndarray``, kept as a checked copy.
     The penalty grows geometrically, ``rho_{k+1} = min(c * rho_k, rho_max)``. The checks run in the order
     ``precond``, ``rho0``, ``c``, ``rho_max``, ``grad_tol`` (named ``tol``, as a spec names it), ``method``,
     ``step_L``, ``max_iters``; a spec's error names the first bad field in this order.
@@ -93,14 +92,10 @@ class SolverConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if isinstance(self.precond, str):
-            if self.precond not in PRECONDITIONERS:
-                raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
-        else:
-            M = as_symmetric(np.array(self.precond, dtype=float))  # never the caller's array
-            if (lam_min := float(sym_eig(M)[0][0])) <= 0.0:
-                raise NotPositiveDefinite(f"preconditioner matrix must be PD (lambda_min = {lam_min:.3e})")
-            object.__setattr__(self, "precond", M)
+        if isinstance(self.precond, np.ndarray):  # a copy: never the caller's array
+            object.__setattr__(self, "precond", pd_preconditioner(self.precond.astype(float)))
+        elif self.precond not in PRECONDITIONERS:
+            raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
         positive_number("rho0", self.rho0)
         if not (is_number(self.c) and self.c >= 1.0):
             raise ValueError(f"growth factor c must be finite and >= 1, got {self.c!r}")
@@ -164,14 +159,6 @@ class IterateTrace:
         return self.records[-1]
 
 
-@dataclass
-class DualState:
-    """Multiplier estimate ``z`` and the combined vector ``u = (rho/L) grad f + G z``."""
-
-    z: np.ndarray
-    u: np.ndarray | None = None
-
-
 def _range_checked_newton_direction(H, g, step_L: float) -> np.ndarray:
     d, residual, in_range = range_check(H, g)
     if not in_range:
@@ -208,23 +195,22 @@ def pnm_step(model: ObjectiveModel, x, rho: float, G, step_L: float) -> np.ndarr
     return _one_step(model, x, method="pnm", precond=G, rho0=rho, c=1.0, rho_max=rho, step_L=step_L)
 
 
-def anm_step_dual(
-    model: ObjectiveModel, x, dual: DualState, rho: float, G, step_L: float
-) -> tuple[np.ndarray, DualState]:
-    """Primal/dual augmented update.
+def anm_step_dual(model: ObjectiveModel, x, z, rho: float, G, step_L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Primal/dual augmented update from the point ``x`` and the multiplier ``z``; returns ``(x+, z+)``.
 
-    With ``u = (rho/L) grad f(x) + G z`` the new multiplier is
-    ``z+ = (1/rho) (G/rho + H)^{-1} u`` and the new point ``x+ = x - z+``,
-    so ``z+ == x - x+`` holds exactly. This is the independent reference
-    route for :func:`anm_step_momentum`; :func:`run` uses the momentum form. ``rho`` is finite and > 0.
+    With ``u = (rho/L) grad f(x) + G z`` the new multiplier is ``z+ = (1/rho) (G/rho + H)^{-1} u`` and the new
+    point ``x+ = x - z+``, so ``z+ == x - x+`` holds exactly. The independent reference route for the momentum
+    form :func:`run` uses: it builds :func:`anm_step_momentum`'s :class:`SolverConfig`, reads ``(H, G)`` from its
+    ``step_inputs`` and raises as that step does, and on ``rho = inf`` or an ``x`` or ``z`` not ``(model.dim,)``.
     """
-    x, rho = np.asarray(x, dtype=float), positive_number("rho", rho)
-    G = as_symmetric(G)
-    H = as_symmetric(model.hessian(x))
-    g = model.gradient(x)
-    u = (rho / step_L) * g + G @ dual.z
-    z_next = spd_solve(G / rho + H, u) / rho
-    return x - z_next, DualState(z=z_next, u=u)
+    config = SolverConfig(method="anm", precond=G, rho0=positive_number("rho", rho), c=1.0, rho_max=rho, step_L=step_L)
+    for name, value in (("x", x), ("z", z)):
+        if np.shape(value) != (model.dim,):
+            raise ValueError(f"{name} must have shape {(model.dim,)}, got {np.shape(value)}")
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    H, G = config.step_inputs(model, x)
+    z_next = spd_solve(shifted(H, G, rho), (rho / step_L) * model.gradient(x) + precond_apply(G, z)) / rho
+    return x - z_next, z_next
 
 
 def anm_step_momentum(model: ObjectiveModel, x, x_prev, rho: float, G, step_L: float) -> np.ndarray:
@@ -254,7 +240,8 @@ def in_level_set(model: ObjectiveModel, x, y, x0, y0, G, rho: float, step_L: flo
     ``V(x, y) <= V(x0, y0) + FSTAR_SLACK``, where ``V(x, y) = f(x) - f(x0) + (L / 2 rho) ||x - y||^2_G``.
     """
     x, y, x0, y0 = (np.asarray(v, dtype=float) for v in (x, y, x0, y0))
-    G, f0, rho = as_symmetric(G), model.value(x0), positive_penalty("rho", rho)
+    G, rho = pd_preconditioner(G), positive_penalty("rho", rho)
+    f0, step_L = model.value(x0), positive_number("step constant L", step_L)
     v = composite_value(model.value(x) - f0, weighted_norm_sq(x - y, G), rho, step_L)
     return v <= composite_value(0.0, weighted_norm_sq(x0 - y0, G), rho, step_L) + FSTAR_SLACK
 
@@ -320,8 +307,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     :func:`pnm_step` and :func:`anm_step_momentum` are one step of it);
     damped Newton backtracks on the Newton decrement. ANM starts from
     ``x0`` and ``x1`` (default ``x1 = x0``, recorded as iterate 1); the penalty
-    methods advance ``rho`` to ``min(c * rho, rho_max)`` after every step. A start
-    or a matrix ``precond`` whose shape does not fit ``model.dim`` is a ``ValueError``.
+    methods advance ``rho`` to ``min(c * rho, rho_max)`` after every step. A start or a matrix
+    ``precond`` whose shape does not fit ``model.dim``, or an ``x1`` for another method, is a ``ValueError``.
 
     ``termination`` is ``converged`` once the gradient norm (and, for ANM,
     the G-weighted step norm) is at most ``grad_tol``; ``diverged`` when a
@@ -335,6 +322,8 @@ def run(model: ObjectiveModel, x0, config: SolverConfig, x1=None) -> IterateTrac
     penalized = method in PENALIZED
     rho = config.rho0 if penalized else np.inf
     n = model.dim
+    if x1 is not None and method != "anm":
+        raise ValueError(f"x1 is the second start of anm; {method} starts from x0 alone")
     for name, value, shape in (("x0", x0, (n,)), ("x1", x1, (n,)), ("precond", config.precond, (n, n))):
         if value is not None and not isinstance(value, str) and np.shape(value) != shape:
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")

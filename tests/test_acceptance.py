@@ -24,7 +24,6 @@ from pnewton.harness import ExperimentSpec, SolverSpec, run_experiment
 from pnewton.linalg import inv_sqrt_pd, lambda_min_pos, psd_sqrt, sym_eig
 from pnewton.objective import check_relative_bounds, fd_gradient, fd_hessian, glm_constants
 from pnewton.solvers import (
-    DualState,
     SolverConfig,
     anm_step_dual,
     anm_step_momentum,
@@ -177,12 +176,12 @@ def test_criterion_05_anm_form_equivalence():
         # drive both update maps for the full 50 iterations with a shared schedule
         xm_prev, xm = x0, x1
         xd = x1
-        dual = DualState(z=x0 - x1)
+        z = x0 - x1
         rho = cfg.rho0
         for _ in range(50):
             xm_next = anm_step_momentum(model, xm, xm_prev, rho, G, L)
-            xd_next, dual = anm_step_dual(model, xd, dual, rho, G, L)
-            worst_z = max(worst_z, float(np.abs(dual.z - (xd - xd_next)).max()))
+            xd_next, z = anm_step_dual(model, xd, z, rho, G, L)
+            worst_z = max(worst_z, float(np.abs(z - (xd - xd_next)).max()))
             xm_prev, xm = xm, xm_next
             xd = xd_next
             worst_x = max(worst_x, float(np.linalg.norm(xm - xd)))

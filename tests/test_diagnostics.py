@@ -31,7 +31,6 @@ from pnewton.objective import GlmProblem, check_relative_bounds, quadratic_model
 from pnewton.solvers import (
     FSTAR_SLACK,
     METHODS,
-    DualState,
     SolverConfig,
     anm_step_dual,
     anm_step_momentum,
@@ -96,22 +95,6 @@ def test_diagonal_g_whitening_matches_cholesky_route(n):
         assert np.linalg.norm(W - W_ref) <= 1e-15 * np.linalg.norm(W_ref)
 
 
-@pytest.mark.parametrize(
-    "G",
-    [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -0.5, 2.0]), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
-    ids=["diag-zero", "diag-negative", "dense-indefinite"],
-)
-@pytest.mark.parametrize(
-    "fn",  # xi is the minimum filtered curvature, beta the preconditioner floor
-    [lambda H, G, rho: rate_constants(H, G, rho).xi, lambda H, G, rho: rate_constants(H, G, rho).beta,
-     shifted_inverse],
-    ids=["rate_constants_xi", "rate_constants_beta", "shifted_inverse"],
-)
-def test_non_pd_preconditioner_raises(fn, G):
-    with pytest.raises(NotPositiveDefinite):
-        fn(np.eye(3), G, 1.0)
-
-
 _H2, _G2, _X2 = np.diag([1.0, 2.0]), np.eye(2), np.array([1.0, -1.0])
 #: every public function that takes a penalty rho, called at H = diag(1, 2), G = I and a step from 0 to x
 RHO_READERS = {
@@ -134,6 +117,12 @@ def test_a_penalty_that_is_not_positive_is_refused(name, rho):
     with pytest.raises(ValueError, match=rf"^rho must be > 0 or inf, got {re.escape(repr(rho))}$"):
         RHO_READERS[name](rho)
     RHO_READERS[name](np.inf)  # the limit is taken, not refused
+
+
+@pytest.mark.parametrize("step_L", [0.0, -1.0, np.nan, np.inf], ids=str)
+def test_in_level_set_refuses_a_step_constant_that_is_not_positive(step_L):
+    with pytest.raises(ValueError, match=rf"^step constant L must be finite and > 0, got {re.escape(repr(step_L))}$"):
+        in_level_set(quadratic_model(_H2), _X2, _X2, _X2, np.zeros(2), _G2, 1.0, step_L)
 
 
 def test_filtered_curvature_diagonal():
@@ -459,6 +448,15 @@ def test_step_energy_bound_flags_range_violation():
     H = np.diag([1.0, 0.0])
     check = verify_step_energy_bound(np.array([0.0, 1.0]), np.zeros(2), H, np.eye(2), 1.0)
     assert not check.precondition_ok
+
+
+@pytest.mark.parametrize("shortfall, ok", [(1e-9, False), (1e-11, True)])
+def test_step_energy_bound_allows_a_shortfall_of_energy_tol_and_no_more(shortfall, ok):
+    # a step in Null(H) has no filtered energy, lhs = 0, and rhs = xi ||d||^2 = shortfall with xi = 1/2
+    check = verify_step_energy_bound(np.array([0.0, np.sqrt(2.0 * shortfall)]), np.zeros(2), np.diag([1.0, 0.0]),
+                                     np.eye(2), 1.0)
+    assert check.values["lhs"] == 0.0 and check.values["rhs"] == pytest.approx(shortfall, rel=1e-12)
+    assert check.ok is ok
 
 
 def test_step_energy_bound_reads_pd_off_the_whitened_spectrum_as_the_certificate_does():
@@ -909,7 +907,7 @@ def test_bad_hessian_raises_where_it_is_received(method, bad):
     with pytest.raises(ValueError):
         check_relative_bounds(model, x0, np.zeros(3), 1.0, 1.0)
     with pytest.raises(ValueError, match="not symmetric" if bad == "asymmetric" else "non-finite"):
-        quadratic_model(BAD_MATRICES[bad])  # Q enters through as_symmetric, as a fixed preconditioner's M does
+        quadratic_model(BAD_MATRICES[bad])  # Q enters through as_symmetric, as a matrix precond does
 
 
 G_ENTRY_ROUTES = {
@@ -920,11 +918,23 @@ G_ENTRY_ROUTES = {
     "momentum_matrix": lambda G: momentum_matrix(Q_GOOD, G, 2.0),
     "pnm_step": lambda G: pnm_step(quadratic_model(Q_GOOD), np.ones(3), 2.0, G, 1.0),
     "anm_step_momentum": lambda G: anm_step_momentum(quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), 2.0, G, 1.0),
-    "anm_step_dual": lambda G: anm_step_dual(quadratic_model(Q_GOOD), np.ones(3), DualState(z=np.ones(3)), 2.0, G, 1.0),
+    "anm_step_dual": lambda G: anm_step_dual(quadratic_model(Q_GOOD), np.ones(3), np.ones(3), 2.0, G, 1.0),
     "in_level_set": lambda G: in_level_set(
         quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), np.ones(3), np.zeros(3), G, 2.0, 1.0
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "G",
+    [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -0.5, 2.0]), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+    ids=["diag-zero", "diag-negative", "dense-indefinite"],
+)
+@pytest.mark.parametrize("route", sorted(G_ENTRY_ROUTES))
+def test_non_pd_preconditioner_raises(route, G):
+    # every route that takes a G refuses one that is not PD where it enters, as the asymmetric one below
+    with pytest.raises(NotPositiveDefinite):
+        G_ENTRY_ROUTES[route](G)
 
 
 @pytest.mark.parametrize("route", sorted(G_ENTRY_ROUTES))

@@ -518,6 +518,10 @@ def test_spec_validation():
         SolverSpec(name="x", method="sgd")
     with pytest.raises(ValueError, match="unknown preconditioner"):
         SolverSpec(name="x", precond="cholesky")
+    # the library's matrix precond is no spec spelling, whether it comes as a JSON list or an array
+    listed = re.escape(repr(np.eye(2).tolist()))
+    with pytest.raises(ValueError, match=rf"^unknown preconditioner {listed}; choose identity or diag$"):
+        SolverSpec(name="x", precond=np.eye(2))
     nan, inf = float("nan"), float("inf")
     bad_fields = [{"rho0": -1.0}, {"rho0": 0.0}, {"c": 0.5}, {"rho0": 2.0, "rho_max": 1.0},
                   {"tol": 0.0}, {"max_iters": 0}, {"max_iters": 2.5}, {"step_L": -1.0},

@@ -253,6 +253,14 @@ def test_pinv_apply_range_consistency():
             assert residual > 0.5 and not in_range
 
 
+@pytest.mark.parametrize("outside, in_range", [(1e-7, False), (1e-9, True)])
+def test_range_check_tolerates_a_component_outside_the_range_of_1e8_relative_and_no_more(outside, in_range):
+    # ||v|| = 1 to 1e-14, so the tolerance 1e-8 * (1 + ||v||) is 2e-8: 1e-7 outside Range(M) is a violation
+    _, residual, verdict = range_check(np.diag([1.0, 0.0]), np.array([1.0, outside]))
+    assert residual == pytest.approx(outside, rel=1e-9)
+    assert verdict is in_range
+
+
 def test_psd_sqrt_examples():
     assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
     assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
@@ -296,6 +304,14 @@ def test_weighted_norm_sq_examples():
     assert weighted_norm_sq(np.array([1.0, 1.0]), np.eye(2)) == pytest.approx(2.0)
     assert weighted_norm_sq(np.array([2.0, 0.0]), np.diag([3.0, 7.0])) == pytest.approx(12.0)
     assert weighted_norm_sq(np.zeros(3), np.eye(3)) == 0.0
+
+
+@pytest.mark.parametrize("form, kept", [(-1e-10, True), (-1e-13, False)])
+def test_weighted_norm_sq_rounds_up_only_noise_within_1e12_of_its_scale(form, kept):
+    # x^T M x = form while ||M||_F ||x||^2 = 1 to 1e-20: the band rounds -1e-13 up to 0 and keeps -1e-10
+    x = np.array([1.0, 0.0])
+    for M in (np.diag([form, 1.0]), np.array([form, 1.0])):
+        assert weighted_norm_sq(x, M) == (form if kept else 0.0)
 
 
 def test_weighted_norm_matches_sqrt_route():

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_rho, rand_glm
-from pnewton.diagnostics import _whiten, certify_penalty_contraction
-from pnewton.errors import BadLabel, EmptyDataset, ParseError
+from pnewton.diagnostics import _whiten, certify_penalty_contraction, rate_constants
+from pnewton.errors import BadLabel, EmptyDataset, NotPositiveDefinite, ParseError
 from pnewton.harness import cli_main, load_dataset
 from pnewton.harness.cli import parse_polynomial
 from pnewton.harness.datasets import READERS
@@ -191,6 +191,26 @@ def test_diagonal_g_vector_routes_match_dense_diag(seed, n, zeros, g_scale, rho)
     c, W = _whiten(H, g)
     assert _same_bits(c, np.sqrt(g))
     assert _same_bits(W, 0.5 * (W_ref + W_ref.T))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 8),
+    shift=st.floats(-18.0, -4.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_every_matrix_precond_the_config_accepts_whitens(seed, n, shift, sign):
+    # near-singular G: a rank n - 1 PSD matrix with its diagonal shifted by +-10**shift of its largest entry. The
+    # config's PD test (the rank rule) and the certificate's Cholesky whitening must agree on every G the config keeps
+    B = np.random.default_rng(seed).standard_normal((n, n - 1))
+    G = B @ B.T
+    G = 0.5 * (G + G.T) + sign * 10.0**shift * max(float(np.abs(G).max()), 1.0) * np.eye(n)
+    try:
+        G = SolverConfig(precond=G).precond
+    except NotPositiveDefinite:
+        return
+    rate_constants(np.eye(n), G, 1.0)
 
 
 INPUT_ERRORS = (ParseError, EmptyDataset, BadLabel, ValueError)

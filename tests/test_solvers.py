@@ -18,7 +18,6 @@ from pnewton.linalg import spd_solve, weighted_norm_sq
 from pnewton.objective import GlmProblem, ObjectiveModel, glm_build, quadratic_model
 from pnewton.solvers import (
     BT_BETA,
-    DualState,
     SolverConfig,
     anm_step_dual,
     anm_step_momentum,
@@ -180,20 +179,17 @@ def test_pnm_newton_limit_on_glm_states():
 # ---------------------------------------------------------------------------
 
 def test_anm_step_dual_hand_arithmetic():
-    x_next, dual = anm_step_dual(
-        SCALAR, np.array([2.0]), DualState(z=np.zeros(1)), rho=1.0, G=np.eye(1), step_L=1.0
-    )
-    assert np.allclose(dual.u, [2.0])
-    assert np.allclose(dual.z, [1.0])
+    x_next, z_next = anm_step_dual(SCALAR, np.array([2.0]), np.zeros(1), rho=1.0, G=np.eye(1), step_L=1.0)
+    assert np.allclose(z_next, [1.0])
     assert np.allclose(x_next, [1.0])
 
 
 def test_anm_step_dual_stationary_fixed_point():
     model = quadratic_model(np.eye(2))
     x = np.zeros(2)
-    x_next, dual = anm_step_dual(model, x, DualState(z=np.zeros(2)), 3.0, np.eye(2), 1.0)
+    x_next, z_next = anm_step_dual(model, x, np.zeros(2), 3.0, np.eye(2), 1.0)
     assert np.array_equal(x_next, x)
-    assert np.allclose(dual.z, 0.0)
+    assert np.allclose(z_next, 0.0)
 
 
 def test_anm_dual_and_momentum_forms_agree_pointwise():
@@ -204,7 +200,7 @@ def test_anm_dual_and_momentum_forms_agree_pointwise():
     for _ in range(10):
         x = rng.standard_normal(6)
         z = rng.standard_normal(6)
-        x_dual, _ = anm_step_dual(model, x, DualState(z=z), 2.0, np.eye(6), L)
+        x_dual, _ = anm_step_dual(model, x, z, 2.0, np.eye(6), L)
         x_mom = anm_step_momentum(model, x, x + z, 2.0, np.eye(6), L)
         assert np.linalg.norm(x_dual - x_mom) <= 1e-10
 
@@ -248,10 +244,10 @@ def test_anm_forms_agree_along_full_traces():
     x1 = np.zeros(6)  # distinct starts: z_1 = x0 - x1 carries momentum from step one
     tr_mom = run(model, x0, cfg, x1=x1)
     # the primal/dual route, driven by hand along the same penalty schedule
-    xs_dual, x, dual, rho = [x0, x1], x1, DualState(z=x0 - x1), cfg.rho0
+    xs_dual, x, z, rho = [x0, x1], x1, x0 - x1, cfg.rho0
     for _ in range(cfg.max_iters):
         G = np.diag(cfg.step_inputs(model, x)[1])  # the dual route takes G as a matrix
-        x, dual = anm_step_dual(model, x, dual, rho, G, L)
+        x, z = anm_step_dual(model, x, z, rho, G, L)
         rho = min(cfg.c * rho, cfg.rho_max)
         xs_dual.append(x)
     assert len(tr_mom.records) == len(xs_dual)
@@ -263,7 +259,29 @@ def test_anm_forms_agree_along_full_traces():
 def test_anm_step_dual_refuses_a_penalty_that_is_not_finite_and_positive(rho):
     # the dual route takes no rho -> inf limit: (rho/L) grad f and (1/rho) (G/rho + H)^{-1} u have none there
     with pytest.raises(ValueError, match=rf"^rho must be finite and > 0, got {re.escape(repr(rho))}$"):
-        anm_step_dual(SCALAR, np.array([1.0]), DualState(z=np.zeros(1)), rho, np.eye(1), 1.0)
+        anm_step_dual(SCALAR, np.array([1.0]), np.zeros(1), rho, np.eye(1), 1.0)
+
+
+#: One bad input each, over x = 1, x_prev = 0 (so the multiplier z = x_prev - x = -1), G = I and L = 1.
+DUAL_BAD_INPUTS = {
+    "L-zero": {"step_L": 0.0}, "L-negative": {"step_L": -1.0}, "L-nan": {"step_L": np.nan},
+    "G-diag-zero": {"G": np.diag([1.0, 0.0, 2.0])}, "G-diag-negative": {"G": np.diag([1.0, -0.5, 2.0])},
+    "G-dense-indefinite": {"G": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])},
+    "x-shape": {"x": np.ones(2)}, "z-shape": {"z": np.ones(4), "x_prev": np.ones(4)},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(DUAL_BAD_INPUTS))
+def test_the_dual_step_refuses_what_the_momentum_step_refuses(bad):
+    # both forms check their settings with one SolverConfig, so a bad input gets the same error type from each
+    inputs = {"x": np.ones(3), "x_prev": np.zeros(3), "z": -np.ones(3), "G": np.eye(3), "step_L": 1.0}
+    x, x_prev, z, G, step_L = ({**inputs, **DUAL_BAD_INPUTS[bad]}[k] for k in inputs)
+    model = quadratic_model(np.diag([2.0, 1.0, 3.0]))
+    with pytest.raises((ValueError, NotPositiveDefinite)) as momentum:
+        anm_step_momentum(model, x, x_prev, 2.0, G, step_L)
+    with pytest.raises(momentum.type) as dual:
+        anm_step_dual(model, x, z, 2.0, G, step_L)
+    assert type(dual.value) is momentum.type
 
 
 def test_anm_multiplier_identity_along_dual_trace():
@@ -271,10 +289,10 @@ def test_anm_multiplier_identity_along_dual_trace():
     L = model.constants[0]
     rng = np.random.default_rng(43)
     x = rng.standard_normal(5)
-    dual = DualState(z=rng.standard_normal(5))
+    z = rng.standard_normal(5)
     for _ in range(20):
-        x_next, dual = anm_step_dual(model, x, dual, 2.0, np.eye(5), L)
-        assert np.abs(dual.z - (x - x_next)).max() <= 1e-12
+        x_next, z = anm_step_dual(model, x, z, 2.0, np.eye(5), L)
+        assert np.abs(z - (x - x_next)).max() <= 1e-12
         x = x_next
 
 
@@ -361,11 +379,20 @@ def test_penalty_steps_reject_what_run_rejects(method):
     (lambda m: run(m, np.ones(2), SolverConfig(precond=np.eye(3))), r"precond must have shape \(2, 2\), got \(3, 3\)"),
     (lambda m: pnm_step(m, np.ones(2), 1.0, np.eye(3), 1.0), r"precond must have shape \(2, 2\), got \(3, 3\)"),
     (lambda m: anm_step_momentum(m, np.ones(2), np.ones(2), 1.0, np.eye(3), 1.0), r"precond must have shape \(2, 2\)"),
-], ids=["x0", "x0-column", "x1", "precond", "pnm_step-G", "anm_step_momentum-G"])
+    (lambda m: anm_step_dual(m, np.ones(3), np.ones(2), 1.0, np.eye(2), 1.0), r"x must have shape \(2,\), got \(3,\)"),
+    (lambda m: anm_step_dual(m, np.ones(2), np.ones((2, 1)), 1.0, np.eye(2), 1.0), r"z must have shape \(2,\), got \(2, 1"),
+], ids=["x0", "x0-column", "x1", "precond", "pnm_step-G", "anm_step_momentum-G", "anm_step_dual-x", "anm_step_dual-z"])
 def test_a_start_or_g_of_the_wrong_shape_is_named(call, message):
-    # checked once where run starts, before NumPy meets the shapes in a product
+    # checked once where run (or the dual step) starts, before NumPy meets the shapes in a product
     with pytest.raises(ValueError, match=f"^{message}"):
         call(quadratic_model(2.0 * np.eye(2)))
+
+
+@pytest.mark.parametrize("method", ["newton", "damped_newton", "pnm"])
+def test_x1_is_refused_by_every_method_but_anm(method):
+    # only ANM has a second start; any other method would step from x0 and drop it
+    with pytest.raises(ValueError, match=rf"^x1 is the second start of anm; {method} starts from x0 alone$"):
+        run(quadratic_model(np.diag([2.0, 1.0])), np.ones(2), SolverConfig(method=method), x1=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +708,17 @@ def test_preconditioner_policies():
         SolverConfig(precond="diag").step_inputs(quadratic_model(np.diag([1.0, 0.0])), x)
     with pytest.raises(ValueError, match=r"^unknown preconditioner 'bogus'; choose identity or diag$"):
         SolverConfig(precond="bogus")
+    # a matrix precond is an np.ndarray; a nested list, as a spec's JSON would give, is no spelling
+    listed = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match=rf"^unknown preconditioner {re.escape(repr(listed))}; choose identity or diag$"):
+        SolverConfig(precond=listed)
+
+
+def test_a_matrix_precond_is_pd_by_the_rank_rule():
+    # lambda_min = 1.1e-16 > 0, but nonzero_mask counts it as zero, and the certificate's Cholesky whitening fails
+    G = np.array([[1.0 + 2.3e-16, 1.0], [1.0, 1.0]])
+    with pytest.raises(NotPositiveDefinite, match=r"^preconditioner matrix must be PD \(lambda_min = 1\.110e-16\)$"):
+        SolverConfig(method="pnm", precond=G)
 
 
 def test_fixed_preconditioner_keeps_its_own_copy():
