@@ -19,7 +19,8 @@ rate constants are read. Its readers ``K``, ``F`` and ``(xi, beta, pd)`` keep
 accurate to ~1e-11 even at extreme penalties where a naive inversion loses
 several digits; ``xi = rho*lam_min / (1 + rho*lam_min)`` over the nonzero
 ``lam`` and ``beta = rho / (1 + rho*lam_max)``. Each public function checks
-``H``, ``G`` and ``rho`` once and builds one spectrum, each ``verify_*`` included.
+``H`` (``as_symmetric``), ``G`` (``pd_preconditioner``) and ``rho`` once, where
+they enter (a ``verify_*`` at a zero vector too), and builds one spectrum.
 
 The certifications replay a recorded solver trace and test, iteration by
 iteration, the contraction factors that the convergence analysis predicts:
@@ -105,11 +106,10 @@ class CheckResult:
 def _whiten(H, G):
     """Cholesky factor ``C`` of ``G = C C^T`` and ``W = C^{-1} H C^{-T}``, similar to ``G^{-1/2} H G^{-1/2}``.
 
-    A 1-D ``G`` stands for ``diag(G)``: ``C`` is the vector ``sqrt(G)`` and
-    ``W`` is ``H`` with rows and columns rescaled by ``1/C``, built in place:
-    O(n^2), no factorization. ``H`` and ``G`` must be symmetric and finite,
-    and a 1-D ``G`` positive (``step_inputs`` checks it where ``G`` is made);
-    they are not re-checked.
+    A 1-D ``G`` stands for ``diag(G)``: ``C`` is the vector ``sqrt(G)`` and ``W`` is ``H`` with rows and columns
+    rescaled by ``1/C``, built in place: O(n^2), no factorization. The inputs are trusted, not re-checked: ``H``
+    symmetric and finite, a 1-D ``G`` positive (``step_inputs`` checks it where ``G`` is made) and a matrix ``G``
+    one that :func:`pd_preconditioner` accepted, which the Cholesky factors without a PD test of its own.
     """
     if G.ndim == 1:
         c = np.sqrt(G)
@@ -119,10 +119,7 @@ def _whiten(H, G):
         W += W.T
         W *= 0.5
         return c, W
-    try:
-        C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"preconditioner is not positive definite: {exc}") from exc
+    C = scipy.linalg.cholesky(G, lower=True, check_finite=False)
     X = scipy.linalg.solve_triangular(C, H, lower=True, check_finite=False)
     W = scipy.linalg.solve_triangular(C, X.T, lower=True, check_finite=False)
     return C, 0.5 * (W + W.T)
@@ -177,7 +174,7 @@ def _spectrum(H, G, vectors: bool) -> _Spectrum:
 
 def shifted_inverse(H, G, rho: float) -> np.ndarray:
     """The matrix ``(G/rho + H)^{-1} = C^{-T} U diag(1/(1/rho + lam)) U^T C^{-1}``, SPD; ``H^{-1}`` at ``rho = inf``."""
-    return _spectrum(as_symmetric(H), as_symmetric(G), True).K(positive_penalty("rho", rho))
+    return _spectrum(as_symmetric(H), pd_preconditioner(G), True).K(positive_penalty("rho", rho))
 
 
 def filtered_curvature(H, G, rho: float) -> np.ndarray:
@@ -187,7 +184,7 @@ def filtered_curvature(H, G, rho: float) -> np.ndarray:
     limit is 1 on the eigenvalues that ``nonzero_mask`` counts as nonzero and 0
     elsewhere. Complementary to the shifted inverse: ``G K G = rho G - rho F``.
     """
-    return _spectrum(as_symmetric(H), as_symmetric(G), True).F(positive_penalty("rho", rho))
+    return _spectrum(as_symmetric(H), pd_preconditioner(G), True).F(positive_penalty("rho", rho))
 
 
 def rate_constants(H, G, rho: float) -> RateConstants:
@@ -197,7 +194,7 @@ def rate_constants(H, G, rho: float) -> RateConstants:
     with no nonzero ``lam`` it is undefined and :class:`ZeroHessian` is raised. ``beta = rho / (1 + rho*lam_max)``
     is the smallest eigenvalue of ``K^{1/2} G K^{1/2}`` (similar to ``G K``); ``pd``: ``lam_min`` is nonzero.
     """
-    return _spectrum(as_symmetric(H), as_symmetric(G), False).rates(positive_penalty("rho", rho))
+    return _spectrum(as_symmetric(H), pd_preconditioner(G), False).rates(positive_penalty("rho", rho))
 
 
 def momentum_matrix(H, G, rho: float) -> np.ndarray:
@@ -218,7 +215,7 @@ def verify_inverse_identities(H, G, rho: float, tol: float = 1e-8, K=None, F=Non
     supplied explicitly (e.g. to show a corrupted matrix fails); by default they
     are read off one whitened spectrum here.
     """
-    H, G, rho = as_symmetric(H), as_symmetric(G), positive_penalty("rho", rho)
+    H, G, rho = as_symmetric(H), pd_preconditioner(G), positive_penalty("rho", rho)
     if K is None or F is None:
         S = _spectrum(H, G, True)
         K, F = S.K(rho) if K is None else K, S.F(rho) if F is None else F
@@ -239,7 +236,7 @@ def verify_spectrum_match(H, G, rho: float) -> CheckResult:
     shorter list is padded with zeros, so the disputed value still has to be
     below ``SPECTRUM_TOL`` for the check to pass.
     """
-    H, G, rho = as_symmetric(H), as_symmetric(G), positive_penalty("rho", rho)
+    H, G, rho = as_symmetric(H), pd_preconditioner(G), positive_penalty("rho", rho)
     S, R, Gis = _spectrum(H, G, True), psd_sqrt(H), inv_sqrt_pd(G)
     M1 = R @ S.K(rho) @ R
     M2 = Gis @ S.F(rho) @ Gis
@@ -258,10 +255,9 @@ def verify_spectrum_match(H, G, rho: float) -> CheckResult:
 def verify_gradient_energy_bound(model: ObjectiveModel, x, G, rho: float) -> CheckResult:
     """Check ``||grad f||^2_K >= xi * ||grad f||^2_{H^+} - ENERGY_TOL`` at one point."""
     x, rho = np.asarray(x, dtype=float), positive_penalty("rho", rho)
-    g = model.gradient(x)
+    H, G, g = as_symmetric(model.hessian(x)), pd_preconditioner(G), model.gradient(x)
     if float(np.linalg.norm(g)) == 0.0:
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
-    H, G = as_symmetric(model.hessian(x)), as_symmetric(G)
     S = _spectrum(H, G, True)
     lhs = weighted_norm_sq(g, S.K(rho))
     xi = S.rates(rho).xi
@@ -284,10 +280,9 @@ def verify_step_energy_bound(x, x_prev, H, G, rho: float) -> CheckResult:
     whitened spectrum, as the augmented certificate reads them.
     """
     x, x_prev, rho = np.asarray(x, dtype=float), np.asarray(x_prev, dtype=float), positive_penalty("rho", rho)
-    d = x - x_prev
+    H, G, d = as_symmetric(H), pd_preconditioner(G), x - x_prev
     if float(np.linalg.norm(d)) == 0.0:
         return CheckResult(True, {"lhs": 0.0, "rhs": 0.0, "xi": np.nan})
-    H, G = as_symmetric(H), as_symmetric(G)
     S = _spectrum(H, G, True)
     xi, _, pd = S.rates(rho)
     range_ok = _range_hypothesis(pd, H, G, d)

@@ -234,13 +234,12 @@ def psd_sqrt(M) -> np.ndarray:
 def inv_sqrt_pd(M) -> np.ndarray:
     """Inverse symmetric square root of a positive definite ``M``.
 
-    Raises :class:`NotPositiveDefinite` if any eigenvalue is non-positive.
+    Raises :class:`NotPositiveDefinite` unless :func:`nonzero_mask` counts the
+    least eigenvalue as nonzero, the PD rule of :func:`pd_preconditioner`.
     """
     w, V = sym_eig(M)
-    if w.size == 0 or float(w[0]) <= 0.0:
-        raise NotPositiveDefinite(
-            f"inverse square root needs a PD matrix (lambda_min = {w[0] if w.size else 'n/a'})"
-        )
+    if w.size == 0 or not nonzero_mask(w)[0]:
+        raise NotPositiveDefinite(f"inverse square root needs a PD matrix (lambda_min = {w[0] if w.size else 'n/a'})")
     return spectral_matrix(V, w**-0.5)
 
 

@@ -76,7 +76,8 @@ class SolverConfig:
     """Every setting of a run: the method, its ``G``, its penalty schedule, its step constant and its stopping rule.
 
     ``precond`` is one of ``PRECONDITIONERS``, ``identity`` (the Levenberg special case) or ``diag`` (the
-    Levenberg-Marquardt one, ``G = diag(H(x_k))`` every iterate), or a PD ``np.ndarray``, kept as a checked copy.
+    Levenberg-Marquardt one, ``G = diag(H(x_k))`` every iterate), or a PD ``np.ndarray``, kept as a read-only
+    copy that ``pd_preconditioner`` accepted, so every step and certificate reads the ``G`` that was checked.
     The penalty grows geometrically, ``rho_{k+1} = min(c * rho_k, rho_max)``. The checks run in the order
     ``precond``, ``rho0``, ``c``, ``rho_max``, ``grad_tol`` (named ``tol``, as a spec names it), ``method``,
     ``step_L``, ``max_iters``; a spec's error names the first bad field in this order.
@@ -92,8 +93,9 @@ class SolverConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if isinstance(self.precond, np.ndarray):  # a copy: never the caller's array
+        if isinstance(self.precond, np.ndarray):  # a frozen copy: never the caller's array
             object.__setattr__(self, "precond", pd_preconditioner(self.precond.astype(float)))
+            self.precond.setflags(write=False)
         elif self.precond not in PRECONDITIONERS:
             raise ValueError(f"unknown preconditioner {self.precond!r}; choose {' or '.join(PRECONDITIONERS)}")
         positive_number("rho0", self.rho0)

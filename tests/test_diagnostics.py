@@ -26,7 +26,7 @@ from pnewton.diagnostics import (
     verify_step_energy_bound,
 )
 from pnewton.errors import ConvergenceFailure, MissingOptimum, NotPositiveDefinite, ZeroHessian
-from pnewton.linalg import lambda_min_pos, psd_sqrt, sym_eig, weighted_norm_sq
+from pnewton.linalg import inv_sqrt_pd, lambda_min_pos, psd_sqrt, sym_eig, weighted_norm_sq
 from pnewton.objective import GlmProblem, check_relative_bounds, quadratic_model
 from pnewton.solvers import (
     FSTAR_SLACK,
@@ -233,21 +233,21 @@ def test_rate_constants_make_one_eigvalsh_and_factor_only_a_dense_g(monkeypatch,
     monkeypatch.setattr(np.linalg, "eigvalsh", _recording(calls["eigvalsh"], np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", _recording(calls["eigh"], np.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "cholesky", _recording(calls["cholesky"], scipy.linalg.cholesky))
-    if form == "dense":
+    if form == "dense":  # + pd_preconditioner's eigh of the dense G where it enters
         rate_constants(H, rand_pd(rng, 5), 2.0)
     else:  # a diagonal G reaches the kernel as its 1-D diagonal, as SolverConfig.step_inputs makes it
         _spectrum(H, rng.uniform(0.25, 4.0, 5), False).rates(2.0)
-    assert {name: len(seen) for name, seen in calls.items()} == {
-        "eigvalsh": 1, "eigh": 0, "cholesky": 1 if form == "dense" else 0}
+    dense = int(form == "dense")
+    assert {name: len(seen) for name, seen in calls.items()} == {"eigvalsh": 1, "eigh": dense, "cholesky": dense}
 
 
 @pytest.mark.parametrize(
     "verify, eigh",
-    [
-        (lambda model, x, H, G: verify_inverse_identities(H, G, 2.0), 1),
-        (lambda model, x, H, G: verify_step_energy_bound(x, np.zeros_like(x), H, G, 2.0), 1),
-        (lambda model, x, H, G: verify_gradient_energy_bound(model, x, G, 2.0), 2),  # + pinv_apply's eigh of H
-        (lambda model, x, H, G: verify_spectrum_match(H, G, 2.0), 5),  # + two reference roots, two compared spectra
+    [  # each count includes pd_preconditioner's eigh of G where it enters
+        (lambda model, x, H, G: verify_inverse_identities(H, G, 2.0), 2),
+        (lambda model, x, H, G: verify_step_energy_bound(x, np.zeros_like(x), H, G, 2.0), 2),
+        (lambda model, x, H, G: verify_gradient_energy_bound(model, x, G, 2.0), 3),  # + pinv_apply's eigh of H
+        (lambda model, x, H, G: verify_spectrum_match(H, G, 2.0), 6),  # + two reference roots, two compared spectra
     ],
     ids=["inverse_identities", "step_energy", "gradient_energy", "spectrum_match"],
 )
@@ -266,8 +266,6 @@ def test_each_verifier_whitens_and_eigensolves_its_matrices_once(monkeypatch, ve
 
 def test_closed_form_filter_map():
     # nonzero spectrum of H^{1/2} K H^{1/2} is rho*lam/(1+rho*lam) of the whitened Hessian
-    from pnewton.linalg import inv_sqrt_pd
-
     for H, G, rho in sweep_instances(30, [0.1, 1.0, 10.0], seed=5):
         Gis = inv_sqrt_pd(G)
         W = Gis @ H @ Gis
@@ -460,10 +458,12 @@ def test_step_energy_bound_allows_a_shortfall_of_energy_tol_and_no_more(shortfal
 
 
 def test_step_energy_bound_reads_pd_off_the_whitened_spectrum_as_the_certificate_does():
-    # H's own spectrum puts 1e-11 below the rank cutoff; whitened by G = H it is the identity
-    H = np.diag([1.0, 1e-11])
-    check = verify_step_energy_bound(np.array([0.0, 1e4]), np.zeros(2), H, H, 1.0)
-    xi, _, pd = rate_constants(H, H, 1.0)
+    # H's own spectrum puts 1e-11 below the rank cutoff; whitened by a G that pd_preconditioner accepts it is
+    # W = diag(1, 1e-2), whose spectrum counts both eigenvalues as nonzero
+    H, G = np.diag([1.0, 1e-11]), np.diag([1.0, 1e-9])
+    check = verify_step_energy_bound(np.array([0.0, 1e4]), np.zeros(2), H, G, 1.0)
+    xi, _, pd = rate_constants(H, G, 1.0)
+    assert lambda_min_pos(H) == 1.0  # H alone is rank-deficient
     assert pd and check.precondition_ok is True
     assert check.values["xi"] == xi
 
@@ -488,6 +488,7 @@ def test_composite_value_examples():
     assert composite_value(1.0, 2.0, 1.0, 1.0) == pytest.approx(2.0)
     assert composite_value(-0.5 * FSTAR_SLACK, 0.0, 1.0, 1.0) == 0.0  # float noise below f* reads 0
     assert composite_value(-2.0 * FSTAR_SLACK, 0.0, 1.0, 1.0) == -2.0 * FSTAR_SLACK  # a wrong f* shows
+    assert composite_value(-FSTAR_SLACK, 0.0, 1.0, 1.0) == -FSTAR_SLACK  # the band is open: its edge is kept
 
 
 def _scalar_pnm_trace(n_steps=4):
@@ -922,19 +923,47 @@ G_ENTRY_ROUTES = {
     "in_level_set": lambda G: in_level_set(
         quadratic_model(Q_GOOD), np.ones(3), np.zeros(3), np.ones(3), np.zeros(3), G, 2.0, 1.0
     ),
+    "verify_inverse_identities": lambda G: verify_inverse_identities(Q_GOOD, G, 2.0),
+    "verify_spectrum_match": lambda G: verify_spectrum_match(Q_GOOD, G, 2.0),
+    # a zero gradient or step needs no spectrum, but its G is still checked where it enters
+    "verify_gradient_energy_bound_zero": lambda G: verify_gradient_energy_bound(
+        quadratic_model(Q_GOOD), np.zeros(3), G, 2.0
+    ),
+    "verify_gradient_energy_bound": lambda G: verify_gradient_energy_bound(quadratic_model(Q_GOOD), np.ones(3), G, 2.0),
+    "verify_step_energy_bound_zero": lambda G: verify_step_energy_bound(np.ones(3), np.ones(3), Q_GOOD, G, 2.0),
+    "verify_step_energy_bound": lambda G: verify_step_energy_bound(np.ones(3), np.zeros(3), Q_GOOD, G, 2.0),
+    "inv_sqrt_pd": inv_sqrt_pd,
 }
 
 
 @pytest.mark.parametrize(
     "G",
-    [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -0.5, 2.0]), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
-    ids=["diag-zero", "diag-negative", "dense-indefinite"],
+    [
+        np.diag([1.0, 0.0, 2.0]),
+        np.diag([1.0, -0.5, 2.0]),
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.diag([1.0, 1e-12, 1.0]),  # lambda_min below 1e-10 * lambda_max; a Cholesky factors it
+        np.array([[1.0 + 2.3e-16, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # lambda_min = 1.1e-16 > 0
+    ],
+    ids=["diag-zero", "diag-negative", "dense-indefinite", "diag-below-rank-cutoff", "dense-near-singular"],
 )
 @pytest.mark.parametrize("route", sorted(G_ENTRY_ROUTES))
 def test_non_pd_preconditioner_raises(route, G):
-    # every route that takes a G refuses one that is not PD where it enters, as the asymmetric one below
+    # every route that takes a G refuses one that pd_preconditioner refuses where it enters, as the asymmetric one
+    # below: one rule (nonzero_mask's rank cutoff on lambda_min) decides whether a matrix G is PD
     with pytest.raises(NotPositiveDefinite):
         G_ENTRY_ROUTES[route](G)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MATRICES))
+def test_verifiers_check_their_hessian_at_a_zero_vector(bad):
+    # a zero gradient or a zero step is no reason to skip the check of H where it enters
+    match = "not symmetric" if bad == "asymmetric" else "non-finite"
+    model = dataclasses.replace(quadratic_model(Q_GOOD), hessian=lambda x: BAD_MATRICES[bad])
+    with pytest.raises(ValueError, match=match):
+        verify_gradient_energy_bound(model, np.zeros(3), np.eye(3), 2.0)
+    with pytest.raises(ValueError, match=match):
+        verify_step_energy_bound(np.ones(3), np.ones(3), BAD_MATRICES[bad], np.eye(3), 2.0)
 
 
 @pytest.mark.parametrize("route", sorted(G_ENTRY_ROUTES))

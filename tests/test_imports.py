@@ -34,7 +34,11 @@ call of ``.diagonal()`` in ``solvers`` is there, and neither ``run`` nor the
 certifier evaluates a Hessian itself. ``SolverConfig`` is the one settings record:
 a spec's ``SolverSpec`` holds its fields under their names (``tol`` aside), and the
 preconditioner has one spelling list, ``solvers.PRECONDITIONERS``: ``diag`` has no
-second name. ``src/`` stays within ROADMAP aim 2's line budget.
+second name. Whether a matrix ``G`` is PD is one rule, ``linalg.pd_preconditioner``:
+``NotPositiveDefinite`` is raised only by that rule, ``inv_sqrt_pd``, ``spd_solve``,
+``step_inputs`` (a diagonal ``G``) and ``_Spectrum.K`` (``H^{-1}`` at ``rho = inf``),
+and the one Cholesky of a ``G``, in ``_whiten``, sits in no ``try``. ``src/`` stays
+within ROADMAP aim 2's line budget.
 """
 
 import ast
@@ -157,12 +161,43 @@ def test_every_error_class_is_constructed_outside_errors_py():
     assert unused == [], f"errors.py defines classes the package never constructs: {', '.join(unused)}"
 
 
+def _scoped_callers(callee: str) -> list[tuple[str, str]]:
+    """``(file name, dotted name of the enclosing defs and classes)`` for each call of ``callee`` in ``src/pnewton``.
+
+    A call is matched by name or attribute; one outside every definition has the scope ``""``.
+    """
+    sites = []
+
+    def visit(path: Path, node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(path, child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and callee in (getattr(child.func, name, None) for name in ("id", "attr")):
+                sites.append((path.name, scope))
+            visit(path, child, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    return sites
+
+
 def _callers(callee: str) -> list[tuple[str, str]]:
     """``(file name, top-level definition)`` for each call of ``callee`` in ``src/pnewton``, by name or attribute."""
-    return [(path.name, node.name) for path in SRC.rglob("*.py")
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
-            for sub in ast.walk(node) if isinstance(sub, ast.Call)
-            and callee in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))]
+    return [(name, scope.partition(".")[0]) for name, scope in _scoped_callers(callee)]
+
+
+def test_one_rule_decides_whether_a_matrix_g_is_pd():
+    # pd_preconditioner is the PD test of a matrix G and inv_sqrt_pd reads the same rule; the other raises are a
+    # failed shifted solve, a diagonal G with a nonpositive entry and a singular H at rho = inf, none a test of G
+    assert sorted(_scoped_callers("NotPositiveDefinite")) == [
+        ("diagnostics.py", "_Spectrum.K"), ("linalg.py", "inv_sqrt_pd"), ("linalg.py", "pd_preconditioner"),
+        ("linalg.py", "spd_solve"), ("solvers.py", "SolverConfig.step_inputs")]
+    # the whitening trusts its G: its Cholesky is the only one, and no try turns a failure into a PD verdict
+    assert _scoped_callers("cholesky") == [("diagnostics.py", "_whiten")]
+    whiten = next(node for node in ast.parse((SRC / "diagnostics.py").read_text(encoding="utf-8")).body
+                  if getattr(node, "name", None) == "_whiten")
+    assert not [node for node in ast.walk(whiten) if isinstance(node, ast.Try)]
 
 
 def test_whiten_has_one_call_site_the_spectrum_builder():

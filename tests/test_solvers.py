@@ -94,16 +94,35 @@ def test_damped_newton_monotone_f():
 
 
 def test_damped_newton_stall_on_jump_model():
-    # value jumps up everywhere away from the start, so no step can be accepted
-    model = ObjectiveModel(
-        dim=1,
-        value=lambda x: 0.0 if x[0] == 0.0 else 1.0,
-        gradient=lambda x: np.array([-1.0]),
-        hessian=lambda x: np.eye(1),
-    )
+    # value jumps up everywhere away from the start, so no step can be accepted: the line search tries
+    # t = 1, 1/2, ..., 2^-53, 54 trials, and stops at 2^-54, the first power of 1/2 below 1e-16
+    trials = []
+
+    def value(x):
+        if x[0] != 0.0:
+            trials.append(float(x[0]))
+        return 0.0 if x[0] == 0.0 else 1.0
+
+    model = ObjectiveModel(dim=1, value=value, gradient=lambda x: np.array([-1.0]), hessian=lambda x: np.eye(1))
     trace = run(model, np.zeros(1), SolverConfig(method="damped_newton"))
     assert trace.termination == "stalled" and trace.steps_taken == 0
     assert len(trace.records) == 1 and np.array_equal(trace.final.x, [0.0])  # the partial trace ends where it stalled
+    assert len(trials) == 54 and trials[-1] == 2.0**-53
+
+
+@pytest.mark.parametrize("excess, halvings", [(8, 0), (32, 1)])
+def test_damped_newton_ties_within_16_eps_of_f_and_no_more(excess, halvings):
+    # the Newton decrement (1e-24) is far below the resolution of f = 1, so only the tie band 16 eps (1 + |f|)
+    # decides: a full step that raises f by 8 eps (1 + |f|) is taken, one that raises it by 32 eps (1 + |f|) halved
+    eps, d = np.finfo(float).eps, 1e-12
+    model = ObjectiveModel(
+        dim=1,
+        value=lambda x: 1.0 + excess * eps * 2.0 if x[0] == -d else (1.0 if x[0] == 0.0 else 0.5),
+        gradient=lambda x: np.array([d]),
+        hessian=lambda x: np.eye(1),
+    )
+    trace = run(model, np.zeros(1), SolverConfig(method="damped_newton", grad_tol=1e-300, max_iters=1))
+    assert trace.steps_taken == 1 and trace.final.x[0] == -d * BT_BETA**halvings
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +746,9 @@ def test_fixed_preconditioner_keeps_its_own_copy():
     assert not np.shares_memory(config.precond, M)
     M[0, 0] = -7.0  # the caller reuses its array
     assert np.array_equal(config.step_inputs(quadratic_model(np.eye(2)), np.zeros(2))[1], [[2.0, 0.5], [0.5, 1.0]])
+    # and the copy is read-only, so the G every step and certificate reads is the one pd_preconditioner accepted
+    with pytest.raises(ValueError, match="read-only"):
+        config.precond[1, 1] = -1.0
 
 
 def test_trace_invariants():
