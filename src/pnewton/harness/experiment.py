@@ -78,21 +78,20 @@ class SolverSpec:
 
 @dataclass
 class ExperimentSpec:
-    """Declarative description of one experiment.
+    """Declarative description of one experiment, checked on construction whatever route it comes from.
 
     ``problem`` is either ``{"path": ..., "format": ...}`` (a non-empty path, a
     format of ``READERS``) for a dataset on disk or ``{"builtin": ..., "n": ...,
     "m": ...}`` (one of ``BUILTINS``, integer sizes >= 1, ``n`` at most ``MAX_FEATURES``) for a seeded synthetic
-    instance; it is checked on construction (a key outside its description is
-    an error) and stored as the description every meta file and the summary
-    record. ``fstar`` is
-    ``{"policy": "oracle"}`` or ``{"policy": "provided", "value": <number>}``.
-    ``alpha`` is a finite number, ``seed`` an integer >= 0, ``out`` a non-empty
-    string, ``diagnostics`` and ``timing`` bools.
+    instance; a key outside its description, or one whose value differs from it (a ``seed``, ``alpha`` or
+    ``link`` not the spec's), is an error, and it is stored as the description every meta file and the summary
+    record. ``solvers`` is a non-empty list of ``SolverSpec`` objects or their JSON objects. ``fstar`` is
+    ``{"policy": "oracle"}`` or ``{"policy": "provided", "value": <number>}``. ``alpha`` is a finite number,
+    ``seed`` an integer >= 0, ``out`` a non-empty string, ``diagnostics`` and ``timing`` bools.
     """
 
     problem: dict
-    solvers: list[SolverSpec]
+    solvers: list[SolverSpec] = field(default_factory=list)
     link: str = "logistic"
     alpha: float = 0.1
     seed: int = 0
@@ -102,6 +101,9 @@ class ExperimentSpec:
     fstar: dict = field(default_factory=lambda: {"policy": "oracle"})
 
     def __post_init__(self):
+        if not (isinstance(self.solvers, list) and all(isinstance(s, (dict, SolverSpec)) for s in self.solvers)):
+            raise ValueError(f"solvers must be a list of objects, got {self.solvers!r}")
+        self.solvers = [s if isinstance(s, SolverSpec) else SolverSpec(**s) for s in self.solvers]
         if not self.solvers:
             raise ValueError("experiment needs at least one solver")
         names = [s.name for s in self.solvers]
@@ -124,18 +126,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        """The spec of a JSON object, ``cls(**d)``: the constructor makes every check."""
         if not isinstance(d, dict):
             raise ValueError(f"a spec must be a JSON object, got {d!r}")
-        solver_dicts = d.get("solvers", [])
-        if not isinstance(solver_dicts, list) or not all(isinstance(s, dict) for s in solver_dicts):
-            raise ValueError(f"solvers must be a list of objects, got {solver_dicts!r}")
-        spec = cls(**{**d, "solvers": [SolverSpec(**s) for s in solver_dicts]})
-        # checked here, not on construction, so dataclasses.replace(spec, seed=...) re-derives the description
-        given = d["problem"]
-        for key in ("seed", "alpha", "link"):
-            if key in given and given[key] != spec.problem[key]:
-                raise ValueError(f"problem {key} {given[key]!r} differs from the spec's {key} {spec.problem[key]!r}")
-        return spec
+        return cls(**d)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentSpec":
@@ -172,9 +166,11 @@ def _problem_desc(spec: ExperimentSpec) -> dict:
             raise ValueError(f"problem path must be free of NUL bytes, got {desc['path']!r}")
         if not (isinstance(desc["format"], str) and desc["format"] in READERS):
             raise ValueError(f"unknown problem format {desc['format']!r}; choose {' or '.join(READERS)}")
-    unknown = [key for key in problem if key not in desc]
-    if unknown:
-        raise ValueError(f"unknown problem key {unknown[0]!r}; this problem takes only {list(desc)}")
+    for key in problem:
+        if key not in desc:
+            raise ValueError(f"unknown problem key {key!r}; this problem takes only {list(desc)}")
+        if problem[key] != desc[key]:
+            raise ValueError(f"problem {key} {problem[key]!r} differs from the spec's {key} {desc[key]!r}")
     return desc
 
 

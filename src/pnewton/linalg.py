@@ -83,16 +83,16 @@ def positive_integer(name: str, value) -> int:
 
 
 def as_symmetric(M) -> np.ndarray:
-    """Validate that ``M`` is square, finite and symmetric; return ``(M + M^T)/2``.
+    """Validate that ``M`` is non-empty, square, finite and symmetric; return ``(M + M^T)/2``.
 
     An exactly symmetric ``M`` is returned as is, with no copy; otherwise the
     result is a new array. Raises ``ValueError`` if the asymmetry exceeds
     ``SYMMETRY_RTOL * max|M|`` or any entry is non-finite.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    hi, lo = (float(M.max()), float(M.min())) if M.size else (0.0, 0.0)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
+    hi, lo = float(M.max()), float(M.min())
     if not (np.isfinite(hi) and np.isfinite(lo)):  # NaN and inf reach max or min
         raise ValueError("matrix has non-finite entries")
     if (M == M.T).all():
@@ -238,8 +238,8 @@ def inv_sqrt_pd(M) -> np.ndarray:
     least eigenvalue as nonzero, the PD rule of :func:`pd_preconditioner`.
     """
     w, V = sym_eig(M)
-    if w.size == 0 or not nonzero_mask(w)[0]:
-        raise NotPositiveDefinite(f"inverse square root needs a PD matrix (lambda_min = {w[0] if w.size else 'n/a'})")
+    if not nonzero_mask(w)[0]:
+        raise NotPositiveDefinite(f"inverse square root needs a PD matrix (lambda_min = {w[0]})")
     return spectral_matrix(V, w**-0.5)
 
 

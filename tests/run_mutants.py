@@ -63,12 +63,16 @@ MUTANTS = [
     Mutant("psd_floor", "linalg.py", "float(w[0]) < -1e-10 * lam_max:", "float(w[0]) < -1e-8 * lam_max:"),
     # the one PD test of a matrix G, against a plain sign test
     Mutant("pd_rule_sign", "linalg.py", "not nonzero_mask(w := sym_eig(G)[0])[0]:", "not (w := sym_eig(G)[0])[0] > 0:"),
+    # a 0x0 matrix is refused where it enters
+    Mutant("empty_matrix_accepted", "linalg.py", "or M.size == 0", "or False"),
     # the shifted solve's jitter ladder
     Mutant("jitter_base", "linalg.py", "base = 1e-12 *", "base = 1e-10 *"),
     Mutant("jitter_one_retry", "linalg.py", "retries == 3", "retries == 1"),
     # shared work
     Mutant("margin_memo_off", "objective.py", 'if getattr(memo, "key", None) != key:', "if True:"),
     Mutant("share_start_off", "harness/experiment.py", "return lambda x: at_x0 if", "return lambda x: fn(x) if"),
+    # a spec's problem may not contradict the spec's own seed, alpha or link
+    Mutant("spec_conflict_unchecked", "harness/experiment.py", "if problem[key] != desc[key]:", "if False:"),
 ]
 
 #: Mutant name -> why no test can tell it from the code; such a survivor does not fail the run.

@@ -554,7 +554,8 @@ def test_spec_problem_is_the_description_every_file_records(tmp_path):
     desc = {"builtin": "logistic", "n": 20, "m": 200, "seed": 3, "alpha": 0.1}
     assert spec.problem == desc
     assert ExperimentSpec.from_dict(dataclasses.asdict(spec)) == spec
-    assert dataclasses.replace(spec, seed=4).problem == {**desc, "seed": 4}
+    with pytest.raises(ValueError, match="problem seed 3 differs from the spec's seed 4"):
+        dataclasses.replace(spec, seed=4)  # the recorded description names seed 3: build a new spec instead
     summary = run_experiment(spec)
     assert summary["problem"] == json.loads((out / "summary.json").read_text())["problem"] == desc
     for name in ("pnm", "newton"):
@@ -1343,8 +1344,8 @@ def test_every_name_solve_offers_runs_and_a_spec_name_it_does_not_offer_is_refus
 
 _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "value": <finite number>}'
 
-
-@pytest.mark.parametrize("fields, message", [
+#: A spec field of the wrong type or value, and the line that refuses it on every route into a spec.
+_WRONG_FIELDS = [
     ({"problem": [1]},
      'problem must be {"path": ..., "format": "csv"|"libsvm"} '
      'or {"builtin": "quadratic"|"logistic", "n": ..., "m": ...}, got [1]'),
@@ -1399,24 +1400,51 @@ _FSTAR_FORMS = 'fstar must be {"policy": "oracle"} or {"policy": "provided", "va
     # the library takes a PD matrix as its precond; a spec names its G by a spelling only
     ({"solvers": [{"name": "a", "precond": [[1.0, 0.0], [0.0, 1.0]]}]},
      "unknown preconditioner [[1.0, 0.0], [0.0, 1.0]]; choose identity or diag"),
-], ids=["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
+]
+_WRONG_FIELD_IDS = ["problem-list", "fstar-string", "fstar-value-string", "fstar-value-nan", "n-float", "n-string",
         "quadratic-n-bool", "m-bool", "quadratic-n-zero", "n-negative", "m-zero", "name-int", "max-iters-bool",
         "logistic-unknown-key",
         "quadratic-unknown-key", "dataset-unknown-key", "fstar-oracle-value", "problem-seed", "problem-alpha",
         "problem-link", "diagnostics-string", "timing-int", "alpha-string", "alpha-bool", "seed-float",
         "seed-negative", "solvers-string", "solvers-list-of-strings", "solvers-object", "out-int", "out-empty",
         "c-nan", "rho-max-nan", "step-l-inf", "tol-and-rho0-bool", "tol-bool", "tol-string", "step-l-bool",
-        "c-bool", "rho0-string", "rho-max-string", "rho-max-bool", "precond-matrix"])
+        "c-bool", "rho0-string", "rho-max-string", "rho-max-bool", "precond-matrix"]
+
+
+def _wrong_field_spec(out: Path, fields: dict) -> dict:
+    return {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
+            "solvers": [{"name": "pnm", "method": "pnm"}], **fields}
+
+
+@pytest.mark.parametrize("fields, message", _WRONG_FIELDS, ids=_WRONG_FIELD_IDS)
 def test_cli_spec_field_of_wrong_type_exits_before_any_output(tmp_path, capsys, monkeypatch, fields, message):
     _no_fstar_oracle(monkeypatch)
     out = tmp_path / "x"
-    spec = {"problem": {"builtin": "logistic", "n": 4, "m": 20}, "out": str(out),
-            "solvers": [{"name": "pnm", "method": "pnm"}], **fields}
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(_wrong_field_spec(out, fields)))
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, message", _WRONG_FIELDS, ids=_WRONG_FIELD_IDS)
+def test_spec_constructor_refuses_each_field_as_a_spec_file_is(tmp_path, fields, message):
+    # a spec built from Python is checked as one read from a file: the same ValueError, word for word
+    with pytest.raises(ValueError) as info:
+        ExperimentSpec(**_wrong_field_spec(tmp_path / "x", fields))
+    assert str(info.value) == message
+
+
+def test_spec_takes_each_solver_as_its_json_object_or_a_solver_spec():
+    problem = {"builtin": "logistic", "n": 4, "m": 20}
+    spec = ExperimentSpec(problem=problem, solvers=[SolverSpec(name="pnm")])
+    assert ExperimentSpec(problem=problem, solvers=[{"name": "pnm"}]) == spec
+    assert ExperimentSpec.from_dict({"problem": problem, "solvers": [{"name": "pnm"}]}) == spec
+    assert ExperimentSpec(**dataclasses.asdict(spec)) == spec
+    # a missing solver list reads the same on both routes
+    for build in (lambda: ExperimentSpec(problem=problem), lambda: ExperimentSpec.from_dict({"problem": problem})):
+        with pytest.raises(ValueError, match="^experiment needs at least one solver$"):
+            build()
 
 
 def test_cli_spec_that_is_not_an_object_exits_before_any_output(tmp_path, capsys, monkeypatch):

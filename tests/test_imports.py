@@ -37,8 +37,10 @@ preconditioner has one spelling list, ``solvers.PRECONDITIONERS``: ``diag`` has 
 second name. Whether a matrix ``G`` is PD is one rule, ``linalg.pd_preconditioner``:
 ``NotPositiveDefinite`` is raised only by that rule, ``inv_sqrt_pd``, ``spd_solve``,
 ``step_inputs`` (a diagonal ``G``) and ``_Spectrum.K`` (``H^{-1}`` at ``rho = inf``),
-and the one Cholesky of a ``G``, in ``_whiten``, sits in no ``try``. ``src/`` stays
-within ROADMAP aim 2's line budget.
+and the one Cholesky of a ``G``, in ``_whiten``, sits in no ``try``. A spec is checked
+by ``ExperimentSpec``'s constructor alone: ``from_dict`` raises only its JSON-object
+refusal, and a problem key that differs from its description is refused in
+``_problem_desc`` alone. ``src/`` stays within ROADMAP aim 2's line budget.
 """
 
 import ast
@@ -298,6 +300,20 @@ def test_solver_config_is_the_one_settings_record():
     named = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py")) if "hessian_diagonal" in p.read_text("utf-8")]
     assert named == [], f"files that name hessian_diagonal: {named}"
     assert not hasattr(pnewton.harness.experiment, "PRECONDITIONERS")
+
+
+def test_a_spec_is_checked_by_its_constructor_alone():
+    # from_dict is ExperimentSpec(**d) behind its JSON-object test, so a spec file and a Python caller meet one check
+    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
+    spec = next(node for node in trees["harness/experiment.py"].body if getattr(node, "name", None) == "ExperimentSpec")
+    from_dict = next(node for node in spec.body if getattr(node, "name", None) == "from_dict")
+    raises = [ast.unparse(node) for node in ast.walk(from_dict) if isinstance(node, ast.Raise)]
+    assert len(raises) == 1 and "must be a JSON object" in raises[0], f"from_dict raises {raises}"
+    # a problem key that differs from its description is refused where the description is built, and nowhere else
+    builders = [(name, node.name) for name, tree in trees.items() for node in tree.body
+                for const in ast.walk(node) if isinstance(const, ast.Constant)
+                and isinstance(const.value, str) and "differs from the spec's" in const.value]
+    assert builders == [("harness/experiment.py", "_problem_desc")], f"the conflict line is built in {builders}"
 
 
 #: ROADMAP aim 2's target for ``cat src/pnewton/*.py src/pnewton/harness/*.py | wc -l``.

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_psd
+from pnewton.diagnostics import rate_constants, shifted_inverse
 from pnewton.errors import ConvergenceFailure, NotPSD, NotPositiveDefinite
 from pnewton.linalg import (
     DEFAULT_RANK_TOL,
@@ -12,6 +13,7 @@ from pnewton.linalg import (
     lambda_min_pos,
     nonzero_eigenvalues,
     nonzero_mask,
+    pd_preconditioner,
     pinv_apply,
     psd_spectrum,
     psd_sqrt,
@@ -20,6 +22,8 @@ from pnewton.linalg import (
     sym_eig,
     weighted_norm_sq,
 )
+from pnewton.objective import quadratic_model
+from pnewton.solvers import SolverConfig
 
 
 def test_as_symmetric_symmetrizes_and_validates():
@@ -33,6 +37,25 @@ def test_as_symmetric_symmetrizes_and_validates():
         as_symmetric(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         as_symmetric(np.ones((2, 3)))
+
+
+EMPTY_MATRIX_ROUTES = {
+    "as_symmetric": as_symmetric,
+    "pd_preconditioner": pd_preconditioner,
+    "SolverConfig": lambda M: SolverConfig(precond=M),
+    "rate_constants": lambda M: rate_constants(M, M, 1.0),
+    "shifted_inverse": lambda M: shifted_inverse(M, M, 1.0),
+    "quadratic_model": quadratic_model,
+    "inv_sqrt_pd": inv_sqrt_pd,
+    "lambda_min_pos": lambda_min_pos,
+}
+
+
+@pytest.mark.parametrize("route", sorted(EMPTY_MATRIX_ROUTES))
+def test_empty_matrix_is_refused_where_it_enters(route):
+    # a 0x0 matrix has no eigenvalue to test and builds no model: the input rule refuses it, not an index error
+    with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        EMPTY_MATRIX_ROUTES[route](np.zeros((0, 0)))
 
 
 def test_as_symmetric_returns_an_exactly_symmetric_input_uncopied():
